@@ -13,6 +13,8 @@ from .experiments import (
     ExperimentConfig,
     InverseMomentCurve,
     MalliavinGapReport,
+    SamplerCheck,
+    check_fbm_samplers,
     estimate_inverse_moments,
     malliavin_gap_study,
     path_seed,
@@ -37,11 +39,13 @@ from .malliavin import (
     malliavin_exponential_form,
     malliavin_interpolated,
     malliavin_profile,
+    malliavin_terminal_forms,
 )
 from .model import (
     CirParams,
     ConditionReport,
     check_moment_condition,
+    check_moment_conditions,
     drift,
     drift_derivative,
     drift_second_derivative,

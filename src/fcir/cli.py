@@ -2,9 +2,11 @@
 
 Every run creates `<out>/<subcommand>-<timestamp>/` holding the emitted data
 files plus a `manifest.txt` sidecar recording the resolved configuration,
-seeds, warnings, and wall-clock duration.  Re-running a subcommand with the
-flags recorded in a manifest reproduces its data files byte-for-byte
-(data files never contain timing or environment information).
+seeds, warnings, wall-clock duration and `status = ok`.  A run that fails
+with exit code 3 leaves only the manifest, with `status = error` and the
+error message.  Re-running a subcommand with the flags recorded in a
+manifest reproduces its data files byte-for-byte (data files never contain
+timing or environment information).
 
 Exit codes: 0 on success, 2 on invalid flags or unknown subcommands, 3 on
 domain or numerical errors raised by the library.
@@ -19,45 +21,28 @@ import time
 import warnings
 from pathlib import Path
 
-import numpy as np
-from scipy import stats
-
 from . import __version__, io
 from .errors import FcirError
 from .experiments import (
     ExperimentConfig,
+    check_fbm_samplers,
     estimate_inverse_moments,
     malliavin_gap_study,
-    path_seed,
     run_convergence_grid,
     run_convergence_uniform,
 )
-from .fbm import (
-    GridSpec,
-    HurstParameter,
-    fbm_covariance,
-    holder_statistic,
-    sample_fbm_cholesky,
-    sample_fbm_circulant,
-)
-from .model import CirParams, check_moment_condition, sufficient_moment_condition
+from .fbm import GridSpec, HurstParameter, sample_fbm_circulant
+from .model import CirParams, ConditionReport, check_moment_conditions, sufficient_moment_condition
 from .scheme import simulate_path
 
-# Benchmark defaults used throughout the experiments.
-DEFAULT_KAPPA = 2.0
-DEFAULT_THETA = 0.5
-DEFAULT_SIGMA = 0.5
-DEFAULT_R0 = 1.0
-DEFAULT_HURST = 0.7
+# Model flags with the benchmark defaults used throughout the experiments;
+# the --horizon default depends on the subcommand.
+MODEL_DEFAULTS = {"kappa": 2.0, "theta": 0.5, "sigma": 0.5, "r0": 1.0, "hurst": 0.7}
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, horizon: float) -> None:
-    parser.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    parser.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    parser.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    parser.add_argument("--r0", type=float, default=DEFAULT_R0)
-    parser.add_argument("--hurst", type=float, default=DEFAULT_HURST)
-    parser.add_argument("--horizon", type=float, default=horizon)
+    for name, default in {**MODEL_DEFAULTS, "horizon": horizon}.items():
+        parser.add_argument(f"--{name}", type=float, default=default)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -133,24 +118,17 @@ def _params(args: argparse.Namespace) -> CirParams:
     return CirParams(kappa=args.kappa, theta=args.theta, sigma=args.sigma, r0=args.r0)
 
 
-def _model_summary(args: argparse.Namespace) -> dict:
-    return {
-        "kappa": io.format_float(args.kappa),
-        "theta": io.format_float(args.theta),
-        "sigma": io.format_float(args.sigma),
-        "r0": io.format_float(args.r0),
-        "hurst": io.format_float(args.hurst),
-        "horizon": io.format_float(args.horizon),
-    }
+def _condition_summary(reports: tuple[ConditionReport, ...]) -> dict:
+    return {f"condition_multiplier_{r.multiplier}": io.condition_record(r) for r in reports}
 
 
-def _experiment_config(args: argparse.Namespace, coarse: tuple[int, ...]) -> ExperimentConfig:
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         params=_params(args),
         hurst=HurstParameter(args.hurst),
         horizon=args.horizon,
         reference_exponent=args.ref_exp if hasattr(args, "ref_exp") else args.steps_exp,
-        coarse_exponents=coarse,
+        coarse_exponents=getattr(args, "coarse_exps", ()),
         samples=args.samples,
         base_seed=args.seed,
         xi=getattr(args, "xi", 0.5),
@@ -164,7 +142,6 @@ def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> dict:
     path = simulate_path(noise, _params(args))
     io.write_solution_path(outdir / "data.csv", path)
     return {
-        **_model_summary(args),
         "steps": str(grid.steps),
         "base_seed": str(args.seed),
         "min_rate": io.format_float(float((path.x**2).min())),
@@ -175,84 +152,24 @@ def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> dict:
 def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> dict:
     hurst = HurstParameter(args.hurst)
     grid = GridSpec(args.horizon, 2**args.steps_exp)
-    m = args.samples
-    terminal_var = grid.horizon ** (2.0 * hurst.value)
-
-    # Disjoint seed ranges keep the two samplers' draws independent.
-    chol = np.stack(
-        [sample_fbm_cholesky(grid, hurst, path_seed(args.seed, i)).values for i in range(m)]
-    )
-    circ = np.stack(
-        [
-            sample_fbm_circulant(grid, hurst, path_seed(args.seed, m + i)).values
-            for i in range(m)
-        ]
-    )
-
-    rows = []
-
-    def add_check(name: str, statistic: float, threshold: float, passed: bool) -> None:
-        rows.append(
-            f"{name},{io.format_float(statistic)},{io.format_float(threshold)},"
-            f"{str(passed).lower()}"
-        )
-
-    se_var = terminal_var * np.sqrt(2.0 / m)
-    for name, batch in (("cholesky", chol), ("circulant", circ)):
-        z = abs(float(np.mean(batch[:, -1] ** 2)) - terminal_var) / se_var
-        add_check(f"{name}_terminal_variance_z", z, 5.0, z <= 5.0)
-
-    nodes = grid.nodes()
-    exact = fbm_covariance(nodes[:, None], nodes[None, :], hurst)
-    empirical = circ.T @ circ / m
-    spread = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / m)
-    diff = np.abs(empirical - exact)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z_matrix = np.where(spread > 0.0, diff / spread, np.where(diff > 0.0, np.inf, 0.0))
-    max_z = float(z_matrix.max())
-    add_check("covariance_max_z", max_z, 5.0, max_z <= 5.0)
-
-    ks = stats.ks_2samp(chol[:, -1], circ[:, -1])
-    add_check("cross_sampler_ks_pvalue", float(ks.pvalue), 0.01, ks.pvalue >= 0.01)
-
-    quotients = []
-    for steps in (grid.steps, 2 * grid.steps):
-        fine = GridSpec(grid.horizon, steps)
-        stat = np.percentile(
-            [
-                holder_statistic(
-                    sample_fbm_circulant(fine, hurst, path_seed(args.seed, 2 * m + i))
-                )
-                for i in range(100)
-            ],
-            99,
-        )
-        quotients.append(float(stat))
-    ratio = max(quotients) / min(quotients)
-    add_check("holder_p99_stability", ratio, 2.0, ratio <= 2.0)
-
+    checks = check_fbm_samplers(grid, hurst, args.samples, args.seed)
     io.write_fbm_path(outdir / "sample_path.csv", sample_fbm_circulant(grid, hurst, args.seed))
-    with open(outdir / "data.csv", "w", newline="\n") as handle:
-        handle.write("check,statistic,threshold,passed\n")
-        handle.writelines(row + "\n" for row in rows)
-    all_passed = all(row.rsplit(",", 1)[1] == "true" for row in rows)
+    io.write_sampler_checks(outdir / "data.csv", checks)
     return {
-        **_model_summary(args),
         "steps": str(grid.steps),
-        "samples": str(m),
+        "samples": str(args.samples),
         "base_seed": str(args.seed),
-        "all_checks_passed": str(all_passed).lower(),
+        "all_checks_passed": str(all(check.passed for check in checks)).lower(),
         "data_files": "data.csv,sample_path.csv",
     }
 
 
 def _cmd_convergence(args: argparse.Namespace, outdir: Path, uniform: bool) -> dict:
-    config = _experiment_config(args, tuple(args.coarse_exps))
+    config = _experiment_config(args)
     runner = run_convergence_uniform if uniform else run_convergence_grid
     report = runner(config, workers=args.workers)
     io.write_convergence(outdir / "data.csv", report)
-    summary = {
-        **_model_summary(args),
+    return {
         "reference_exponent": str(config.reference_exponent),
         "coarse_exponents": ",".join(str(e) for e in config.coarse_exponents),
         "samples": str(config.samples),
@@ -264,24 +181,17 @@ def _cmd_convergence(args: argparse.Namespace, outdir: Path, uniform: bool) -> d
         "slope": "nan" if report.slope is None else io.format_float(report.slope),
         "intercept": "nan" if report.intercept is None else io.format_float(report.intercept),
         "data_files": "data.csv",
+        **_condition_summary(report.condition_checks),
+        **{f"report_warning_{index}": note for index, note in enumerate(report.warnings)},
     }
-    for check in report.condition_checks:
-        summary[f"condition_multiplier_{check.multiplier}"] = io.condition_record(check)
-    for index, note in enumerate(report.warnings):
-        summary[f"report_warning_{index}"] = note
-    return summary
 
 
 def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> dict:
-    config = _experiment_config(args, ())
+    config = _experiment_config(args)
     curve = estimate_inverse_moments(config, workers=args.workers)
     io.write_inverse_moments(outdir / "data.csv", curve)
-    checks = [
-        check_moment_condition(config.p, mult, config.params, config.hurst, config.horizon)
-        for mult in (config.p + 1, 3 * config.p + 1)
-    ]
-    summary = {
-        **_model_summary(args),
+    checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
+    return {
         "steps": str(config.reference_grid.steps),
         "samples": str(config.samples),
         "base_seed": str(config.base_seed),
@@ -289,18 +199,15 @@ def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> dict:
         "workers": str(args.workers),
         "max_inverse_moment": io.format_float(float(curve.values.max())),
         "data_files": "data.csv",
+        **_condition_summary(checks),
     }
-    for check in checks:
-        summary[f"condition_multiplier_{check.multiplier}"] = io.condition_record(check)
-    return summary
 
 
 def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> dict:
-    config = _experiment_config(args, tuple(args.coarse_exps))
+    config = _experiment_config(args)
     report = malliavin_gap_study(config, workers=args.workers)
     io.write_malliavin_gaps(outdir / "data.csv", report)
     return {
-        **_model_summary(args),
         "reference_exponent": str(config.reference_exponent),
         "coarse_exponents": ",".join(str(e) for e in config.coarse_exponents),
         "samples": str(config.samples),
@@ -314,21 +221,15 @@ def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> dict:
 def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> dict:
     params = _params(args)
     hurst = HurstParameter(args.hurst)
-    reports = [
-        check_moment_condition(args.p, mult, params, hurst, args.horizon)
-        for mult in (args.p + 1, 3 * args.p + 1)
-    ]
+    reports = check_moment_conditions(args.p, params, hurst, args.horizon)
     io.write_condition_reports(outdir / "data.csv", reports)
     sufficient = sufficient_moment_condition(args.p, params, hurst, args.horizon)
-    summary = {
-        **_model_summary(args),
+    return {
         "p": str(args.p),
         "sufficient_closed_form": str(sufficient).lower(),
         "data_files": "data.csv",
+        **_condition_summary(reports),
     }
-    for report in reports:
-        summary[f"condition_multiplier_{report.multiplier}"] = io.condition_record(report)
-    return summary
 
 
 _HANDLERS = {
@@ -359,6 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     outdir = _make_outdir(args.out, args.command)
 
+    manifest = {"command": args.command, "version": __version__}
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -366,10 +268,13 @@ def main(argv: list[str] | None = None) -> int:
             summary = _HANDLERS[args.command](args, outdir)
         except FcirError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            manifest.update(status="error", error=str(exc))
+            io.write_key_values(outdir / "manifest.txt", manifest)
             return 3
     duration = time.perf_counter() - started
 
-    manifest = {"command": args.command, "version": __version__}
+    manifest["status"] = "ok"
+    manifest.update({k: io.format_float(getattr(args, k)) for k in (*MODEL_DEFAULTS, "horizon")})
     manifest.update(summary)
     manifest["seed_rule"] = "path i uses base_seed + i (mod 2^64)"
     manifest["duration_seconds"] = io.format_float(duration)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from .experiments import ConvergenceReport, InverseMomentCurve, MalliavinGapReport
+from .experiments import ConvergenceReport, InverseMomentCurve, MalliavinGapReport, SamplerCheck
 from .fbm import FbmPath
 from .model import ConditionReport
 from .scheme import SolutionPath, rate_path
@@ -24,6 +24,7 @@ __all__ = [
     "write_convergence",
     "write_inverse_moments",
     "write_malliavin_gaps",
+    "write_sampler_checks",
     "write_key_values",
 ]
 
@@ -38,76 +39,64 @@ def _write_lines(target: Path, lines: Iterable[str]) -> None:
             handle.write(line + "\n")
 
 
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
+def _write_rows(target: Path, header: str, rows: Iterable[Iterable]) -> None:
+    """CSV with floats at 17 significant digits and lowercase booleans."""
+    _write_lines(target, [header, *(",".join(map(_cell, row)) for row in rows)])
+
+
 def write_fbm_path(target: Path, path: FbmPath) -> None:
     """Noise path as `t,B`, one row per node."""
-    nodes = path.grid.nodes()
-    lines = ["t,B"]
-    lines += [
-        f"{format_float(t)},{format_float(b)}" for t, b in zip(nodes, path.values)
-    ]
-    _write_lines(target, lines)
+    _write_rows(target, "t,B", zip(path.grid.nodes(), path.values))
 
 
 def write_solution_path(target: Path, path: SolutionPath) -> None:
     """Solution path as `t,X,r`, one row per node."""
-    nodes = path.nodes()
-    rates = rate_path(path)
-    lines = ["t,X,r"]
-    lines += [
-        f"{format_float(t)},{format_float(x)},{format_float(r)}"
-        for t, x, r in zip(nodes, path.x, rates)
-    ]
-    _write_lines(target, lines)
+    _write_rows(target, "t,X,r", zip(path.nodes(), path.x, rate_path(path)))
+
+
+def _condition_row(report: ConditionReport) -> tuple:
+    return report.holds, report.worst_margin, report.worst_s, report.multiplier, report.method
 
 
 def condition_record(report: ConditionReport) -> str:
     """One-line CSV record: holds,worst_margin,worst_s,multiplier,method."""
-    return ",".join(
-        [
-            str(report.holds).lower(),
-            format_float(report.worst_margin),
-            format_float(report.worst_s),
-            str(report.multiplier),
-            report.method,
-        ]
-    )
+    return ",".join(map(_cell, _condition_row(report)))
 
 
 def write_condition_reports(target: Path, reports: Iterable[ConditionReport]) -> None:
-    lines = ["holds,worst_margin,worst_s,multiplier,method"]
-    lines += [condition_record(report) for report in reports]
-    _write_lines(target, lines)
+    header = "holds,worst_margin,worst_s,multiplier,method"
+    _write_rows(target, header, map(_condition_row, reports))
 
 
 def write_convergence(target: Path, report: ConvergenceReport) -> None:
     """Errors as `h,rms_sup_error_grid,rms_sup_error_uniform,samples`."""
-    lines = ["h,rms_sup_error_grid,rms_sup_error_uniform,samples"]
-    for h, grid_error, uniform_error in zip(
-        report.step_sizes, report.rms_level_grid, report.rms_level_uniform
-    ):
-        lines.append(
-            f"{format_float(h)},{format_float(grid_error)},"
-            f"{format_float(uniform_error)},{report.samples}"
-        )
-    _write_lines(target, lines)
+    rows = zip(report.step_sizes, report.rms_level_grid, report.rms_level_uniform)
+    header = "h,rms_sup_error_grid,rms_sup_error_uniform,samples"
+    _write_rows(target, header, ((*row, report.samples) for row in rows))
 
 
 def write_inverse_moments(target: Path, curve: InverseMomentCurve) -> None:
     """Inverse-moment curve as `t,inv_moment`, one row per node."""
-    lines = ["t,inv_moment"]
-    lines += [
-        f"{format_float(t)},{format_float(v)}"
-        for t, v in zip(curve.times, curve.values)
-    ]
-    _write_lines(target, lines)
+    _write_rows(target, "t,inv_moment", zip(curve.times, curve.values))
 
 
 def write_malliavin_gaps(target: Path, report: MalliavinGapReport) -> None:
     """Gap study as `h,mean_abs_gap,ratio_vs_prev` (nan ratio on the first row)."""
-    lines = ["h,mean_abs_gap,ratio_vs_prev"]
-    for h, gap, ratio in zip(report.step_sizes, report.mean_abs_gaps, report.ratios):
-        lines.append(f"{format_float(h)},{format_float(gap)},{format_float(ratio)}")
-    _write_lines(target, lines)
+    rows = zip(report.step_sizes, report.mean_abs_gaps, report.ratios)
+    _write_rows(target, "h,mean_abs_gap,ratio_vs_prev", rows)
+
+
+def write_sampler_checks(target: Path, checks: Iterable[SamplerCheck]) -> None:
+    """Sampler checks as `check,statistic,threshold,passed`."""
+    _write_rows(target, "check,statistic,threshold,passed", checks)
 
 
 def write_key_values(target: Path, entries: dict) -> None:

@@ -24,6 +24,7 @@ from .scheme import SolutionPath
 __all__ = [
     "MalliavinProfile",
     "malliavin_profile",
+    "malliavin_terminal_forms",
     "malliavin_interpolated",
     "malliavin_exponential_form",
 ]
@@ -63,17 +64,35 @@ class MalliavinProfile:
         return float(self.values[interval - 1])
 
 
+def malliavin_terminal_forms(
+    levels: np.ndarray, step: float, params: CirParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product and exponential derivative forms of X_N for a batch of paths.
+
+    `levels` holds node values X_0..X_N, shape (paths, N+1).  Column i-1 of
+    each (paths, N) result belongs to s = t_i: the profile value on
+    (t_{i-1}, t_i], and (sigma/2) * exp(trapezoid integral of f' over
+    [t_i, t_N]).  Each row is bit-identical to a computation on it alone.
+    """
+    _require_positive_kappa(params)
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 2 or levels.shape[1] < 2:
+        raise DomainError(f"levels must have shape (paths, N+1) with N >= 1, got {levels.shape}")
+    slopes = drift_derivative(levels, params)
+    factors = 1.0 / (1.0 - slopes[:, 1:] * step)
+    product = 0.5 * params.sigma * np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]
+    # trapezoid of f' over [t_i, t_N] for i = 1..N, via a reversed cumsum
+    tail_sums = np.cumsum(slopes[:, ::-1], axis=1)[:, ::-1]
+    trapezoids = step * (tail_sums[:, 1:] - 0.5 * (slopes[:, 1:] + slopes[:, -1:]))
+    return product, 0.5 * params.sigma * np.exp(trapezoids)
+
+
 def malliavin_profile(path: SolutionPath, node: int) -> MalliavinProfile:
     """Piecewise-constant derivative profile of X_n, by one backward sweep."""
-    _require_positive_kappa(path.params)
     if not 1 <= node <= path.grid.steps:
         raise DomainError(f"node must lie in 1..{path.grid.steps}, got {node}")
-    h = path.grid.step
-    factors = 1.0 / (1.0 - drift_derivative(path.x[1 : node + 1], path.params) * h)
-    suffix_products = np.cumprod(factors[::-1])[::-1]
-    return MalliavinProfile(
-        path=path, node=node, values=0.5 * path.params.sigma * suffix_products
-    )
+    product, _ = malliavin_terminal_forms(path.x[None, : node + 1], path.grid.step, path.params)
+    return MalliavinProfile(path=path, node=node, values=product[0])
 
 
 def malliavin_interpolated(path: SolutionPath, t: float, s: float) -> float:

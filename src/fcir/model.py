@@ -31,6 +31,7 @@ __all__ = [
     "mean_reversion_rescale",
     "weighted_kernel_integral",
     "check_moment_condition",
+    "check_moment_conditions",
     "sufficient_moment_condition",
     "max_stable_step",
 ]
@@ -40,8 +41,8 @@ __all__ = [
 class CirParams:
     """Constants of dr = kappa*(theta - r) dt + sigma*sqrt(r) dB.
 
-    kappa*theta > 0 is required (kappa < 0 with theta < 0 is admissible),
-    along with sigma > 0 and r0 > 0.
+    All four must be finite.  kappa*theta > 0 is required (kappa < 0 with
+    theta < 0 is admissible), along with sigma > 0 and r0 > 0.
     """
 
     kappa: float
@@ -50,6 +51,11 @@ class CirParams:
     r0: float
 
     def __post_init__(self) -> None:
+        for name in ("kappa", "theta", "sigma", "r0"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not self.kappa * self.theta > 0.0:
             raise DomainError(
                 f"kappa*theta must be positive, got kappa={self.kappa}, theta={self.theta}"
@@ -58,8 +64,6 @@ class CirParams:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if not self.r0 > 0.0:
             raise DomainError(f"r0 must be positive, got {self.r0}")
-        for name in ("kappa", "theta", "sigma", "r0"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def x0(self) -> float:
@@ -201,6 +205,10 @@ class ConditionReport:
             raise DomainError(f"unknown method {self.method!r}")
 
 
+def _multipliers(p: int) -> tuple[int, int]:
+    return p + 1, 3 * p + 1
+
+
 def check_moment_condition(
     p: int,
     multiplier: int,
@@ -218,12 +226,12 @@ def check_moment_condition(
     """
     if p < 1:
         raise DomainError(f"moment order p must be >= 1, got {p}")
-    if multiplier not in (p + 1, 3 * p + 1):
+    if multiplier not in _multipliers(p):
         raise DomainError(
-            f"multiplier must be p+1={p + 1} or 3p+1={3 * p + 1}, got {multiplier}"
+            f"multiplier must be p+1 or 3p+1, one of {_multipliers(p)}, got {multiplier}"
         )
-    if horizon <= 0.0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got {horizon}")
     if s_grid_size < 2:
         raise DomainError("s_grid_size must be at least 2")
     hurst = _as_hurst(hurst)
@@ -247,6 +255,16 @@ def check_moment_condition(
     )
 
 
+def check_moment_conditions(
+    p: int, params: CirParams, hurst: HurstParameter | float, horizon: float
+) -> tuple[ConditionReport, ...]:
+    """Both inverse-moment conditions, multiplier p+1 first, then 3p+1."""
+    return tuple(
+        check_moment_condition(p, multiplier, params, hurst, horizon)
+        for multiplier in _multipliers(p)
+    )
+
+
 def sufficient_moment_condition(
     p: int,
     params: CirParams,
@@ -263,8 +281,8 @@ def sufficient_moment_condition(
     """
     if p < 1:
         raise DomainError(f"moment order p must be >= 1, got {p}")
-    if horizon <= 0.0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got {horizon}")
     hurst = _as_hurst(hurst)
     if not hurst.long_memory:
         raise DomainError(f"sufficient condition requires H > 1/2, got {hurst.value}")

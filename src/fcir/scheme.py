@@ -39,6 +39,15 @@ def _check_step(step: float, params: CirParams) -> None:
         )
 
 
+def _root_constants(step: float, params: CirParams) -> tuple[float, float]:
+    """Checked constants (c, denom) of the quadratic each implicit step solves."""
+    _check_step(step, params)
+    denom = 2.0 + params.kappa * step
+    c = params.kappa * step * params.theta * denom
+    assert c > 0.0  # guaranteed by kappa*theta > 0 and the step constraint
+    return c, denom
+
+
 def _positive_root(a, c: float, denom: float):
     """Positive root of (2 + kappa*h) X^2 - 2 a X - kappa*theta*h = 0.
 
@@ -90,11 +99,9 @@ def backward_euler_step(
     """
     if x_n <= 0.0:
         raise DomainError(f"x_n must be strictly positive, got {x_n}")
-    _check_step(step, params)
-    c = params.kappa * step * params.theta * (2.0 + params.kappa * step)
-    assert c > 0.0  # guaranteed by kappa*theta > 0 and the step constraint
+    c, denom = _root_constants(step, params)
     a = x_n + 0.5 * params.sigma * increment
-    return float(_positive_root(a, c, 2.0 + params.kappa * step))
+    return float(_positive_root(a, c, denom))
 
 
 def simulate_batch(increments: np.ndarray, step: float, params: CirParams) -> np.ndarray:
@@ -106,10 +113,7 @@ def simulate_batch(increments: np.ndarray, step: float, params: CirParams) -> np
     chunking of a batch across workers) never changes results.
     """
     increments = np.asarray(increments, dtype=float)
-    _check_step(step, params)
-    c = params.kappa * step * params.theta * (2.0 + params.kappa * step)
-    assert c > 0.0
-    denom = 2.0 + params.kappa * step
+    c, denom = _root_constants(step, params)
     half_sigma = 0.5 * params.sigma
 
     n_steps = increments.shape[-1]

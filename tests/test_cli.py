@@ -36,6 +36,7 @@ class TestSimulate:
         manifest = (runs[0] / "manifest.txt").read_text()
         assert "data_files = data.csv" in manifest
         assert "command = simulate" in manifest
+        assert "status = ok" in manifest
 
     def test_full_precision_round_trip(self, tmp_path):
         # 17 significant digits reproduce the doubles exactly
@@ -149,6 +150,12 @@ class TestExitCodes:
             ["simulate", "--hurst", "0.4", "--steps-exp", "4", "--out", str(tmp_path)]
         )
         assert code == 3
+        (run_dir,) = tmp_path.iterdir()
+        assert [f.name for f in run_dir.iterdir()] == ["manifest.txt"]
+        manifest = (run_dir / "manifest.txt").read_text().splitlines()
+        assert manifest[:3] == ["command = simulate", "version = 0.1.0", "status = error"]
+        assert manifest[3].startswith("error = ")
+        assert "H > 1/2" in manifest[3]
 
     def test_bad_parameters_exit_3(self, tmp_path):
         code = main(

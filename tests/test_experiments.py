@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo harness: matched paths, reductions, regressions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fcir import (
     GridSpec,
     HurstParameter,
     UnsupportedRegimeError,
+    check_fbm_samplers,
     coarsen_path,
     estimate_inverse_moments,
     path_seed,
@@ -17,6 +20,7 @@ from fcir import (
     run_convergence_uniform,
     sample_fbm_circulant,
 )
+from fcir.io import write_sampler_checks
 
 
 def small_config(bench_params, hurst07, **overrides):
@@ -236,6 +240,31 @@ class TestInverseMoments:
         one = estimate_inverse_moments(config, workers=1)
         three = estimate_inverse_moments(config, workers=3)
         assert np.array_equal(one.values, three.values)
+
+
+class TestSamplerChecks:
+    def test_records_without_the_cli(self, hurst07, tmp_path):
+        checks = check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3)
+        assert [c.name for c in checks] == [
+            "cholesky_terminal_variance_z",
+            "circulant_terminal_variance_z",
+            "covariance_max_z",
+            "cross_sampler_ks_pvalue",
+            "holder_p99_stability",
+        ]
+        assert all(c.passed for c in checks), checks
+        assert all(math.isfinite(c.statistic) for c in checks)
+        assert checks == check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3)
+
+        write_sampler_checks(tmp_path / "data.csv", checks)
+        lines = (tmp_path / "data.csv").read_text().splitlines()
+        assert lines[0] == "check,statistic,threshold,passed"
+        assert lines[4].startswith("cross_sampler_ks_pvalue,")
+        assert lines[4].endswith(",0.01,true")
+
+    def test_samples_validated(self, hurst07):
+        with pytest.raises(DomainError):
+            check_fbm_samplers(GridSpec(1.0, 8), hurst07, 0, 3)
 
 
 def simulate_powers(params, hurst, grid, seed, p):

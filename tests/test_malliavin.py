@@ -1,5 +1,6 @@
 """Tests for the Malliavin derivative profiles and the exponential form."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,14 @@ from fcir import (
     FbmPath,
     GridSpec,
     HurstParameter,
+    MalliavinGapReport,
     UnsupportedRegimeError,
     drift_derivative,
     malliavin_exponential_form,
     malliavin_gap_study,
     malliavin_interpolated,
     malliavin_profile,
+    malliavin_terminal_forms,
     sample_fbm_circulant,
     simulate_path,
 )
@@ -150,6 +153,26 @@ class TestExponentialForm:
             malliavin_exponential_form(path.x, path.grid, 0.0, 1.5, bench_params)
 
 
+class TestTerminalForms:
+    def test_exponential_matches_quadrature_oracle(self, path, bench_params):
+        # column i-1 is the form at s = t_i, t = T
+        _, exponential = malliavin_terminal_forms(path.x[None, :], path.grid.step, bench_params)
+        oracle = [
+            malliavin_exponential_form(path.x, path.grid, path.grid.node(i), 1.0, bench_params)
+            for i in range(1, path.grid.steps + 1)
+        ]
+        assert exponential[0] == pytest.approx(oracle, rel=1e-12)
+
+    def test_regime_and_shape(self, path, bench_params):
+        negative = CirParams(kappa=-1.0, theta=-0.5, sigma=0.5, r0=1.0)
+        with pytest.raises(UnsupportedRegimeError):
+            malliavin_terminal_forms(path.x[None, :], path.grid.step, negative)
+        with pytest.raises(DomainError):
+            malliavin_terminal_forms(path.x, path.grid.step, bench_params)
+        with pytest.raises(DomainError):
+            malliavin_terminal_forms(path.x[None, :1], path.grid.step, bench_params)
+
+
 class TestGapStudy:
     def test_order_one_consistency(self, bench_params, hurst07):
         config = ExperimentConfig(
@@ -169,21 +192,48 @@ class TestGapStudy:
         assert max(report.profile_max) <= 0.5 * bench_params.sigma
 
     def test_profile_matches_module_formula(self, bench_params, hurst07):
-        # the study's internal product must agree with malliavin_profile
+        # the study's product rows and the kernel's rows are malliavin_profile
         config = ExperimentConfig(
             params=bench_params,
             hurst=hurst07,
             horizon=1.0,
             reference_exponent=6,
             coarse_exponents=(6,),
-            samples=1,
+            samples=3,
             base_seed=9,
         )
         report = malliavin_gap_study(config)
-        noise = sample_fbm_circulant(GridSpec(1.0, 64), hurst07, 9)
-        profile = malliavin_profile(simulate_path(noise, bench_params), 64)
-        assert report.profile_min[0] == pytest.approx(profile.values.min(), rel=1e-14)
-        assert report.profile_max[0] == pytest.approx(profile.values.max(), rel=1e-14)
+        grid = GridSpec(1.0, 64)
+        paths = [
+            simulate_path(sample_fbm_circulant(grid, hurst07, 9 + i), bench_params)
+            for i in range(3)
+        ]
+        product, _ = malliavin_terminal_forms(
+            np.stack([path.x for path in paths]), grid.step, bench_params
+        )
+        profiles = [malliavin_profile(path, 64).values for path in paths]
+        for row, values in zip(product, profiles):
+            assert np.array_equal(row, values)
+        assert report.profile_min[0] == min(values.min() for values in profiles)
+        assert report.profile_max[0] == max(values.max() for values in profiles)
+
+    def test_worker_count_invariance(self, bench_params, hurst07):
+        # 40 paths span two blocks with one worker and split across chunks with three
+        config = ExperimentConfig(
+            params=bench_params,
+            hurst=hurst07,
+            horizon=1.0,
+            reference_exponent=6,
+            coarse_exponents=(4, 5, 6),
+            samples=40,
+            base_seed=5,
+        )
+        one = malliavin_gap_study(config, workers=1)
+        three = malliavin_gap_study(config, workers=3)
+        for field in dataclasses.fields(MalliavinGapReport):
+            assert np.array_equal(
+                getattr(one, field.name), getattr(three, field.name), equal_nan=True
+            ), field.name
 
     def test_requires_positive_kappa(self, hurst07):
         negative = CirParams(kappa=-1.0, theta=-0.5, sigma=0.5, r0=1.0)

@@ -10,6 +10,7 @@ from fcir import (
     ConditionReport,
     DomainError,
     check_moment_condition,
+    check_moment_conditions,
     drift,
     drift_derivative,
     drift_second_derivative,
@@ -66,6 +67,22 @@ class TestCirParams:
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             CirParams(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["kappa", "theta", "sigma", "r0", "horizon"])
+def test_non_finite_inputs_rejected(field, value, bench_params):
+    if field == "horizon":
+        with pytest.raises(DomainError, match="finite"):
+            check_moment_condition(2, 3, bench_params, 0.7, value)
+        with pytest.raises(DomainError, match="finite"):
+            check_moment_conditions(2, bench_params, 0.7, value)
+        with pytest.raises(DomainError, match="finite"):
+            sufficient_moment_condition(2, bench_params, 0.7, value)
+    else:
+        settings = {**dict(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0), field: value}
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            CirParams(**settings)
 
 
 class TestDrift:
@@ -186,6 +203,11 @@ class TestConditionChecks:
         ]
         assert report.worst_margin == pytest.approx(min(margins), rel=1e-12)
         assert all(report.worst_margin <= m + 1e-15 for m in margins)
+
+    def test_condition_pair(self, bench_params):
+        low, high = check_moment_conditions(6, bench_params, 0.7, 1.0)
+        assert low == check_moment_condition(6, 7, bench_params, 0.7, 1.0)
+        assert high == check_moment_condition(6, 19, bench_params, 0.7, 1.0)
 
     def test_multiplier_validation(self, bench_params):
         with pytest.raises(DomainError):
