@@ -9,7 +9,9 @@ manifest reproduces its data files byte-for-byte (data files never contain
 timing or environment information).
 
 Exit codes: 0 on success, 2 on invalid flags or unknown subcommands, 3 on
-domain or numerical errors raised by the library.
+domain or numerical errors raised by the library, including arithmetic and
+memory errors that escape it.  `--workers` must be at least 1; larger values
+are clamped to the CPU count, and the manifest records the effective value.
 """
 
 from __future__ import annotations
@@ -48,7 +50,17 @@ def _add_model_flags(parser: argparse.ArgumentParser, horizon: float) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=str, default="runs")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
@@ -258,6 +270,7 @@ def _make_outdir(root: str, command: str) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.workers = min(args.workers, os.cpu_count() or 1)
     outdir = _make_outdir(args.out, args.command)
 
     manifest = {"command": args.command, "version": __version__}
@@ -266,9 +279,11 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         try:
             summary = _HANDLERS[args.command](args, outdir)
-        except FcirError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            manifest.update(status="error", error=str(exc))
+        except (FcirError, ArithmeticError, MemoryError) as exc:
+            message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
+            message = " ".join(message.split())
+            print(f"error: {message}", file=sys.stderr)
+            manifest.update(status="error", error=message)
             io.write_key_values(outdir / "manifest.txt", manifest)
             return 3
     duration = time.perf_counter() - started

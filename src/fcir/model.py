@@ -4,18 +4,18 @@ The solver works on the square-root transform X = sqrt(r) of the CIR rate,
 whose drift is f(x) = kappa*theta/(2x) - kappa*x/2.  Bounded inverse moments
 of the solution hold under an integral condition comparing kappa*theta
 against a multiple of an exponentially weighted singular-kernel integral;
-this module evaluates that condition by quadrature and also provides the
-closed-form sufficient test.
+this module evaluates that condition exactly, through the closed form of the
+integral (Kummer's function, or the incomplete gamma function for kappa > 0),
+and also provides the closed-form sufficient test.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .errors import DomainError, NumericalError
 from .fbm import HurstParameter, _as_hurst
@@ -129,67 +129,59 @@ def mean_reversion_rescale(x: float, t: float, params: CirParams) -> float:
     return math.exp(0.5 * params.kappa * t) * x
 
 
+def _rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter) -> float:
+    """(sigma^2/2) H(2H-1) * I(s), where I(s) = integral of e^(-kappa*u/2) u^(2H-2) over [0, s].
+
+    With a = 2H-1, I(s) = s^a/a * 1F1(a; a+1; -kappa*s/2) in Kummer's
+    confluent hypergeometric function, or gamma(a, kappa*s/2)/(kappa/2)^a in
+    the lower incomplete gamma function (DLMF 8.5.1, 13.2).  I is the kernel
+    integral in the frame rescaled by e^(-kappa*s/2); it overflows to inf
+    only for kappa < 0 with |kappa|*s/2 beyond about 709.
+    """
+    if not hurst.long_memory:
+        raise DomainError(f"kernel integral requires H > 1/2, got {hurst.value}")
+    a = 2.0 * hurst.value - 1.0
+    rate = 0.5 * params.kappa
+    if rate > 0.0:
+        # scipy's hyp1f1 at negative arguments is nan for small a and |z|
+        # below about 1e-172 or above about 1e11, and takes up to seconds
+        # near 1e10; the incomplete gamma function has neither defect.
+        integral = special.gamma(a) * special.gammainc(a, rate * s) / rate**a
+    else:
+        integral = s**a / a * special.hyp1f1(a, a + 1.0, -rate * s)
+    return 0.5 * params.sigma**2 * hurst.alpha * float(integral)
+
+
 def weighted_kernel_integral(
     s: float, params: CirParams, hurst: HurstParameter | float
 ) -> float:
     """Integral of (sigma^2/2) e^(kappa*tau/2) H(2H-1) (s-tau)^(2H-2) over [0, s].
 
-    The kernel exponent 2H-2 lies in (-1, 0): integrable, but fatal to naive
-    panel quadrature at tau = s.  Substituting u = s - tau moves the
-    singularity to u = 0, where the integral over [0, s/1000] is evaluated by
-    expanding the exponential weight in a power series (each term integrates
-    in closed form); the remainder is handled by adaptive Gauss-Kronrod
-    quadrature.  Relative accuracy is well below 1e-8.
+    Substituting u = s - tau gives e^(kappa*s/2) times the rescaled integral,
+    which has a closed form.  Raises NumericalError when the value does not
+    fit in double precision.
     """
     hurst = _as_hurst(hurst)
-    if not hurst.long_memory:
-        raise DomainError(f"kernel integral requires H > 1/2, got {hurst.value}")
     if s < 0.0:
         raise DomainError(f"s must be nonnegative, got {s}")
-    if s == 0.0:
-        return 0.0
-
-    a = 2.0 * hurst.value - 2.0
-    rate = 0.5 * params.kappa
-    eps = s / 1000.0
-
-    # integral of e^(-rate*u) u^a over [0, eps], term by term
-    head = 0.0
-    coeff = 1.0
-    for k in range(80):
-        term = coeff * eps ** (a + k + 1) / (a + k + 1)
-        head += term
-        if abs(term) <= 1e-17 * abs(head):
-            break
-        coeff *= -rate / (k + 1)
-    else:
-        raise NumericalError("series for the singular slice did not converge")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            tail, _ = integrate.quad(
-                lambda u: math.exp(-rate * u) * u**a,
-                eps,
-                s,
-                epsabs=0.0,
-                epsrel=1e-10,
-                limit=200,
-            )
-        except integrate.IntegrationWarning as exc:
-            raise NumericalError(f"kernel quadrature did not converge: {exc}") from exc
-
-    prefactor = 0.5 * params.sigma**2 * hurst.alpha * math.exp(rate * s)
-    return prefactor * (head + tail)
+    rescaled = _rescaled_kernel_integral(s, params, hurst)
+    try:
+        value = math.exp(0.5 * params.kappa * s) * rescaled
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"kernel integral overflows at s={s}, kappa={params.kappa}")
+    return value
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of an inverse-moment condition check.
 
-    worst_margin is the minimum over s of LHS - RHS; the condition holds iff
-    it is nonnegative.  method records whether the margin came from the
-    quadrature evaluation or the closed-form sufficient bound.
+    worst_margin is the minimum over s in [0, T] of the margin in the frame
+    rescaled by e^(-kappa*s/2), which keeps the sign of LHS - RHS; the
+    condition holds iff it is nonnegative.  method records whether the margin
+    is exact (closed form) or came from the sufficient bound.
     """
 
     holds: bool
@@ -201,7 +193,7 @@ class ConditionReport:
     def __post_init__(self) -> None:
         if self.holds != (self.worst_margin >= 0.0):
             raise DomainError("holds must mirror the sign of worst_margin")
-        if self.method not in ("quadrature", "sufficient-closed-form"):
+        if self.method not in ("exact", "sufficient-closed-form"):
             raise DomainError(f"unknown method {self.method!r}")
 
 
@@ -215,14 +207,15 @@ def check_moment_condition(
     params: CirParams,
     hurst: HurstParameter | float,
     horizon: float,
-    s_grid_size: int = 1000,
 ) -> ConditionReport:
-    """Evaluate the inverse-moment condition margin on a dense s-grid.
+    """Evaluate the inverse-moment condition margin over s in [0, T].
 
-    margin(s) = kappa*theta*e^(kappa*s/2) - multiplier * weighted_kernel_integral(s).
-    multiplier is p+1 (exact-solution moment bound) or 3p+1 (the variant used
-    by the convergence analysis).  The margin is smooth in s, so a 1000-point
-    grid bounds the discretization error far below the margins of interest.
+    In the frame rescaled by e^(-kappa*s/2) the margin is
+    kappa*theta - multiplier * (sigma^2/2) H(2H-1) I(s), with I as in
+    _rescaled_kernel_integral.  I grows strictly in s for either sign of
+    kappa, so the worst margin is always at s = T.  multiplier is p+1
+    (exact-solution moment bound) or 3p+1 (the variant used by the
+    convergence analysis).  A margin that overflows raises NumericalError.
     """
     if p < 1:
         raise DomainError(f"moment order p must be >= 1, got {p}")
@@ -232,26 +225,21 @@ def check_moment_condition(
         )
     if not 0.0 < horizon < math.inf:
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
-    if s_grid_size < 2:
-        raise DomainError("s_grid_size must be at least 2")
     hurst = _as_hurst(hurst)
 
-    s_grid = np.linspace(0.0, horizon, s_grid_size)
-    margins = np.array(
-        [
-            params.kappa * params.theta * math.exp(0.5 * params.kappa * s)
-            - multiplier * weighted_kernel_integral(s, params, hurst)
-            for s in s_grid
-        ]
+    margin = params.kappa * params.theta - multiplier * _rescaled_kernel_integral(
+        horizon, params, hurst
     )
-    worst = int(np.argmin(margins))
-    worst_margin = float(margins[worst])
+    if not math.isfinite(margin):
+        raise NumericalError(
+            f"inverse-moment margin overflows at horizon={horizon}, kappa={params.kappa}"
+        )
     return ConditionReport(
-        holds=worst_margin >= 0.0,
-        worst_margin=worst_margin,
-        worst_s=float(s_grid[worst]),
+        holds=margin >= 0.0,
+        worst_margin=margin,
+        worst_s=float(horizon),
         multiplier=multiplier,
-        method="quadrature",
+        method="exact",
     )
 
 
@@ -266,18 +254,14 @@ def check_moment_conditions(
 
 
 def sufficient_moment_condition(
-    p: int,
-    params: CirParams,
-    hurst: HurstParameter | float,
-    horizon: float,
-    s_grid_size: int = 1000,
+    p: int, params: CirParams, hurst: HurstParameter | float, horizon: float
 ) -> bool:
     """Closed-form sufficient test for the p+1 inverse-moment condition.
 
-    kappa > 0: T^(2H-1) <= 2*kappa*theta / (sigma^2 H (p+1)).
-    kappa < 0: s^(2H-1) <= 2*kappa*theta*e^(kappa*s/2) / (sigma^2 H (p+1))
-    for all s in [0, T], checked on a dense grid.  True implies the
-    quadrature check with multiplier p+1 also holds; the converse can fail.
+    s^(2H-1) <= 2*kappa*theta*e^(min(kappa, 0)*s/2) / (sigma^2 H (p+1)) for
+    all s in [0, T]; the left side rises and the right side does not, so
+    s = T decides.  True implies the exact check with multiplier p+1 also
+    holds; the converse can fail.
     """
     if p < 1:
         raise DomainError(f"moment order p must be >= 1, got {p}")
@@ -287,15 +271,11 @@ def sufficient_moment_condition(
     if not hurst.long_memory:
         raise DomainError(f"sufficient condition requires H > 1/2, got {hurst.value}")
 
-    exponent = 2.0 * hurst.value - 1.0
     scale = 2.0 * params.kappa * params.theta / (
         params.sigma**2 * hurst.value * (p + 1)
     )
-    if params.kappa > 0.0:
-        return horizon**exponent <= scale
-    s_grid = np.linspace(0.0, horizon, s_grid_size)
-    bound = scale * np.exp(0.5 * params.kappa * s_grid)
-    return bool(np.all(s_grid**exponent <= bound))
+    bound = scale * math.exp(0.5 * min(params.kappa, 0.0) * horizon)
+    return horizon ** (2.0 * hurst.value - 1.0) <= bound
 
 
 def max_stable_step(params: CirParams, xi: float = 0.5) -> float:

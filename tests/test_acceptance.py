@@ -199,9 +199,7 @@ def test_criterion_08_condition_checker():
         p = int(rng.integers(1, 9))
         if sufficient_moment_condition(p, params, hurst, horizon):
             sufficient_count += 1
-            if not check_moment_condition(
-                p, p + 1, params, hurst, horizon, s_grid_size=101
-            ).holds:
+            if not check_moment_condition(p, p + 1, params, hurst, horizon).holds:
                 implication_ok = False
     passed = all(holds.values()) and implication_ok and sufficient_count >= 10
     report(

@@ -1,9 +1,11 @@
 """Tests for the command-line interface: subcommands, files, exit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fcir import GridSpec, HurstParameter, sample_fbm_circulant
+from fcir import GridSpec, HurstParameter, cli, sample_fbm_circulant
 from fcir.cli import main
 from fcir.io import write_fbm_path
 
@@ -18,6 +20,11 @@ def run_cli(tmp_path, *argv):
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def read_manifest(run_dir):
+    lines = (run_dir / "manifest.txt").read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
 
 
 class TestSimulate:
@@ -114,9 +121,34 @@ class TestCheckConditions:
         assert header == ["holds", "worst_margin", "worst_s", "multiplier", "method"]
         by_multiplier = {row[3]: row for row in rows}
         assert by_multiplier["7"][0] == "true"
-        assert by_multiplier["7"][4] == "quadrature"
+        assert by_multiplier["7"][4] == "exact"
+        assert all(float(row[2]) == 1.0 for row in rows)
         manifest = (runs[0] / "manifest.txt").read_text()
         assert "sufficient_closed_form = " in manifest
+
+    def test_large_kappa_long_horizon_is_finite(self, tmp_path):
+        code, runs = run_cli(tmp_path, "check-conditions", "--kappa", "50", "--horizon", "30")
+        assert code == 0
+        _, rows = read_rows(runs[0] / "data.csv")
+        assert [row[3] for row in rows] == ["7", "19"]
+        for holds, margin, worst_s, _, method in rows:
+            assert holds == "true"
+            assert math.isfinite(float(margin)) and float(margin) > 0.0
+            assert float(worst_s) == 30.0
+            assert method == "exact"
+
+    def test_overflowing_margin_exits_3(self, tmp_path, capsys):
+        code, runs = run_cli(
+            tmp_path, "check-conditions", "--kappa", "-50", "--theta", "-0.5", "--horizon", "30"
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "overflows" in err
+        assert [f.name for f in runs[0].iterdir()] == ["manifest.txt"]
+        manifest = read_manifest(runs[0])
+        assert manifest["status"] == "error"
+        assert manifest["error"] == err.strip()[len("error: "):]
 
 
 class TestFbmCheck:
@@ -156,6 +188,36 @@ class TestExitCodes:
         assert manifest[:3] == ["command = simulate", "version = 0.1.0", "status = error"]
         assert manifest[3].startswith("error = ")
         assert "H > 1/2" in manifest[3]
+
+    def test_escaped_arithmetic_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def overflow(args, outdir):
+            raise OverflowError("math range error")
+
+        monkeypatch.setitem(cli._HANDLERS, "simulate", overflow)
+        code, runs = run_cli(tmp_path, "simulate", "--steps-exp", "4")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: OverflowError: math range error\n"
+        manifest = read_manifest(runs[0])
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "OverflowError: math range error"
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, tmp_path, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--workers", value, "--out", str(tmp_path / "runs")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_workers_clamped_to_cpu_count(self, tmp_path, monkeypatch):
+        # one CPU reported: the run stays in process whatever --workers says
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        code, runs = run_cli(
+            tmp_path, "converge-grid", "--ref-exp", "6", "--coarse-exps", "3,4",
+            "--samples", "2", "--workers", "64",
+        )
+        assert code == 0
+        assert read_manifest(runs[0])["workers"] == "1"
 
     def test_bad_parameters_exit_3(self, tmp_path):
         code = main(

@@ -1,14 +1,19 @@
 """Tests for model parameters, the transformed drift, and condition checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from fcir import (
     CirParams,
     ConditionReport,
     DomainError,
+    NumericalError,
     check_moment_condition,
     check_moment_conditions,
     drift,
@@ -46,6 +51,43 @@ def brute_force_weighted_integral(
     mids = np.sqrt(edges[:-1] * edges[1:])
     values = np.exp(kappa * (s - mids) / 2.0) * mids**a
     return (sigma**2 / 2.0) * alpha * (np.sum(values * np.diff(edges)) + tail)
+
+
+def quadrature_rescaled_integral(s: float, kappa: float, hvalue: float) -> float:
+    """Series-plus-quadrature oracle for I(s) = int_0^s e^(-kappa*u/2) u^(2H-2) du.
+
+    On [0, s/1000] the exponential is expanded in a power series whose terms
+    integrate in closed form; the rest uses adaptive Gauss-Kronrod quadrature.
+    Relative accuracy is well below 1e-8.
+    """
+    if s == 0.0:
+        return 0.0
+    a = 2.0 * hvalue - 2.0
+    rate = 0.5 * kappa
+    eps = s / 1000.0
+    head = 0.0
+    coeff = 1.0
+    for k in range(80):
+        term = coeff * eps ** (a + k + 1) / (a + k + 1)
+        head += term
+        if abs(term) <= 1e-17 * abs(head):
+            break
+        coeff *= -rate / (k + 1)
+    else:
+        raise AssertionError("oracle series did not converge")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        tail, _ = integrate.quad(
+            lambda u: math.exp(-rate * u) * u**a, eps, s, epsabs=0.0, epsrel=1e-10, limit=200
+        )
+    return head + tail
+
+
+def rescaled_margin(s: float, multiplier: int, params: CirParams, hvalue: float) -> float:
+    """Condition margin divided by e^(kappa*s/2), evaluated with the oracle."""
+    prefactor = 0.5 * params.sigma**2 * hvalue * (2.0 * hvalue - 1.0)
+    integral = quadrature_rescaled_integral(s, params.kappa, hvalue)
+    return params.kappa * params.theta - multiplier * prefactor * integral
 
 
 class TestCirParams:
@@ -174,32 +216,61 @@ class TestWeightedKernelIntegral:
         with pytest.raises(DomainError):
             weighted_kernel_integral(1.0, bench_params, 0.5)
 
+    @pytest.mark.parametrize("H", [0.51, 0.53, 0.55, 0.7])
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100])
+    def test_tiny_interval_is_finite(self, bench_params, H, s):
+        # scipy's hyp1f1(a, a+1, z) is nan or inf for a <= 0.1 and tiny |z|;
+        # here e^(-kappa*u/2) = 1 to double precision, so I(s) = s^(2H-1)/(2H-1)
+        closed = 0.5 * bench_params.sigma**2 * H * s ** (2 * H - 1)
+        assert weighted_kernel_integral(s, bench_params, H) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [50.0, -50.0])
+    def test_overflow_is_numerical_error(self, kappa):
+        params = CirParams(kappa=kappa, theta=math.copysign(0.5, kappa), sigma=0.5, r0=1.0)
+        with pytest.raises(NumericalError):
+            weighted_kernel_integral(30.0, params, 0.7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kappa=st.floats(-3.0, 3.0).filter(lambda k: abs(k) >= 1e-3),
+    hvalue=st.floats(0.51, 0.99),
+    # from 1e-300: at subnormal s the oracle's split point s/1000 underflows to 0
+    s=st.floats(1e-300, 5.0),
+    sigma=st.floats(0.05, 2.0),
+)
+def test_closed_form_matches_quadrature_oracle(kappa, hvalue, s, sigma):
+    params = CirParams(kappa=kappa, theta=math.copysign(0.5, kappa), sigma=sigma, r0=1.0)
+    prefactor = 0.5 * sigma**2 * hvalue * (2.0 * hvalue - 1.0)
+    oracle = prefactor * math.exp(0.5 * kappa * s) * quadrature_rescaled_integral(s, kappa, hvalue)
+    assert weighted_kernel_integral(s, params, hvalue) == pytest.approx(oracle, rel=1e-9)
+
 
 class TestConditionChecks:
     @pytest.mark.parametrize("H", [0.6, 0.7, 0.8])
     def test_benchmark_holds_for_p6(self, bench_params, H):
-        report = check_moment_condition(6, 7, bench_params, H, 1.0, s_grid_size=200)
+        report = check_moment_condition(6, 7, bench_params, H, 1.0)
         assert report.holds
-        assert report.method == "quadrature"
+        assert report.method == "exact"
         assert report.multiplier == 7
 
     def test_large_sigma_fails(self):
         params = CirParams(kappa=2.0, theta=0.5, sigma=100.0, r0=1.0)
-        report = check_moment_condition(6, 7, params, 0.7, 1.0, s_grid_size=200)
+        report = check_moment_condition(6, 7, params, 0.7, 1.0)
         assert not report.holds
         assert report.worst_margin < 0.0
 
     def test_short_horizon_holds(self, bench_params):
-        report = check_moment_condition(6, 7, bench_params, 0.7, 1e-6, s_grid_size=50)
+        report = check_moment_condition(6, 7, bench_params, 0.7, 1e-6)
         assert report.holds
 
     def test_worst_margin_is_grid_minimum(self, bench_params):
-        report = check_moment_condition(2, 3, bench_params, 0.7, 1.0, s_grid_size=101)
-        s_grid = np.linspace(0.0, 1.0, 101)
+        # the margin in the rescaled frame falls in s, so its minimum over a
+        # dense oracle grid is the closed-form value at s = T
+        report = check_moment_condition(2, 3, bench_params, 0.7, 1.0)
+        assert report.worst_s == 1.0
         margins = [
-            bench_params.kappa * bench_params.theta * math.exp(bench_params.kappa * s / 2)
-            - 3 * weighted_kernel_integral(s, bench_params, 0.7)
-            for s in s_grid
+            rescaled_margin(s, 3, bench_params, 0.7) for s in np.linspace(0.0, 1.0, 1001)
         ]
         assert report.worst_margin == pytest.approx(min(margins), rel=1e-12)
         assert all(report.worst_margin <= m + 1e-15 for m in margins)
@@ -218,8 +289,39 @@ class TestConditionChecks:
     def test_report_invariant(self):
         with pytest.raises(DomainError):
             ConditionReport(
-                holds=True, worst_margin=-1.0, worst_s=0.0, multiplier=3, method="quadrature"
+                holds=True, worst_margin=-1.0, worst_s=0.0, multiplier=3, method="exact"
             )
+        with pytest.raises(DomainError):
+            ConditionReport(
+                holds=True, worst_margin=1.0, worst_s=0.0, multiplier=3, method="quadrature"
+            )
+
+    @pytest.mark.parametrize("kappa", [2.0, -1.5])
+    def test_worst_margin_holds_sign_of_original_frame(self, kappa):
+        # dividing by e^(kappa*s/2) > 0 keeps the sign of LHS - RHS at every s
+        params = CirParams(kappa=kappa, theta=math.copysign(0.5, kappa), sigma=0.9, r0=1.0)
+        for horizon in (0.25, 1.0, 3.0):
+            report = check_moment_condition(2, 7, params, 0.7, horizon)
+            original = params.kappa * params.theta * math.exp(
+                0.5 * kappa * horizon
+            ) - 7 * weighted_kernel_integral(horizon, params, 0.7)
+            assert report.worst_margin * math.exp(0.5 * kappa * horizon) == pytest.approx(
+                original, rel=1e-12, abs=1e-14
+            )
+            assert report.holds == (original >= 0.0)
+
+    @pytest.mark.parametrize("H", [0.51, 0.7])
+    def test_long_horizon_margin_is_finite(self, bench_params, H):
+        # for kappa*T/2 >> 1, I(T) = Gamma(2H-1) / (kappa/2)^(2H-1) in double
+        # precision; kappa/2 = 1 here
+        report = check_moment_condition(1, 2, bench_params, H, 1e11)
+        limit = 0.5 * bench_params.sigma**2 * H * (2 * H - 1) * math.gamma(2 * H - 1)
+        assert report.worst_margin == pytest.approx(1.0 - 2 * limit, rel=1e-12)
+
+    def test_overflowing_margin_is_numerical_error(self):
+        params = CirParams(kappa=-50.0, theta=-0.5, sigma=0.5, r0=1.0)
+        with pytest.raises(NumericalError, match="overflows"):
+            check_moment_condition(6, 7, params, 0.7, 30.0)
 
 
 class TestSufficientCondition:
@@ -247,11 +349,9 @@ class TestSufficientCondition:
             p = int(rng.integers(1, 9))
             if sufficient_moment_condition(p, params, H, horizon):
                 hits += 1
-                report = check_moment_condition(
-                    p, p + 1, params, H, horizon, s_grid_size=101
-                )
+                report = check_moment_condition(p, p + 1, params, H, horizon)
                 assert report.holds, (
-                    f"sufficient condition held but quadrature check failed for "
+                    f"sufficient condition held but exact check failed for "
                     f"{params}, H={H}, T={horizon}, p={p}"
                 )
         print(f"sufficient condition held in {hits}/100 sampled parameter sets")
