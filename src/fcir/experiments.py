@@ -3,9 +3,10 @@
 All experiments share a common design: path i of a batch is driven by seed
 base_seed + i (wrapping at 64 bits), the "exact" solution is the same scheme
 run at a fine reference resolution, and coarse solutions are driven by the
-same noise restricted to coarser grids.  Per-path results are always reduced
-in ascending path index, so reports are bit-identical regardless of how the
-paths were chunked across workers.
+same noise restricted to coarser grids.  Paths run in blocks whose size
+follows from the reference grid, and per-path results are always reduced in
+ascending path index, so reports are bit-identical for any block split and
+any number of workers.
 """
 
 from __future__ import annotations
@@ -140,8 +141,6 @@ class ExperimentConfig:
             raise UnsupportedRegimeError(
                 f"experiments drive the solver, which requires H > 1/2; got H={self.hurst.value}"
             )
-        if self.horizon <= 0.0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
         if self.reference_exponent < 0:
             raise DomainError("reference_exponent must be nonnegative")
         if any(e < 0 or e > self.reference_exponent for e in self.coarse_exponents):
@@ -151,8 +150,6 @@ class ExperimentConfig:
             )
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
-        if not 0.0 < self.xi < 1.0:
-            raise DomainError(f"xi must lie in (0, 1), got {self.xi}")
         if self.p < 1:
             raise DomainError(f"moment order p must be >= 1, got {self.p}")
         limit = max_stable_step(self.params, self.xi)
@@ -244,65 +241,78 @@ def regress_order(step_sizes, errors) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(int(workers), total))
-    base, extra = divmod(total, workers)
-    bounds = []
-    start = 0
-    for w in range(workers):
-        stop = start + base + (1 if w < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
+# Reference-grid noise values per block of paths, the bound on working memory.
+# Counted in nodes, not paths, because each block repeats the per-step loop of
+# `simulate_batch`.  400 x (2^14 + 1) nodes fit in one convergence block; the
+# gap kernel holds about 8 (paths, N) temporaries, 31 paths at 2^11.
+_BLOCK_NODES = 2**23
+_GAP_BLOCK_NODES = 2**16
 
 
-def _run_chunks(chunk_fn, config: ExperimentConfig, workers: int) -> list:
-    """Evaluate chunk_fn(config, start, stop) over all paths, in index order."""
-    bounds = _chunk_bounds(config.samples, workers)
-    if len(bounds) == 1:
-        return [chunk_fn(config, *bounds[0])]
-    task = partial(chunk_fn, config)
-    with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-        return list(pool.map(task, *zip(*bounds)))
+def _map_blocks(block_fn, config: ExperimentConfig, workers: int, nodes: int) -> list:
+    """Run block_fn(config, noise) over all paths and join its outputs in path order.
+
+    Paths go in blocks of at most `nodes` reference-grid noise values (at
+    least one path), and no more than samples / workers paths so every worker
+    gets a block.  block_fn returns a tuple of per-path arrays; the result
+    holds each of them concatenated over the blocks in path-index order.
+    """
+    per_path = config.reference_grid.steps + 1
+    workers = max(1, workers)
+    rows = max(1, min(nodes // per_path, -(-config.samples // workers)))
+    starts = range(0, config.samples, rows)
+    task = partial(_sample_block, block_fn, config, rows)
+    workers = min(workers, len(starts))
+    if workers == 1:
+        results = list(map(task, starts))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, starts))
+    return [np.concatenate(parts, axis=0) for parts in zip(*results)]
 
 
-def _reference_levels(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    """Driving noise levels for paths start..stop-1 on the reference grid."""
+def _sample_block(block_fn, config: ExperimentConfig, rows: int, start: int) -> tuple:
+    """block_fn on the reference-grid noise levels of paths start..start+rows-1."""
     grid = config.reference_grid
-    noise = np.empty((stop - start, grid.steps + 1))
-    for row, index in enumerate(range(start, stop)):
+    indices = range(start, min(start + rows, config.samples))
+    noise = np.empty((len(indices), grid.steps + 1))
+    for row, index in enumerate(indices):
         path = sample_fbm_circulant(grid, config.hurst, path_seed(config.base_seed, index))
         noise[row] = path.values
-    return noise
+    return block_fn(config, noise)
+
+
+def _coarse_levels(config: ExperimentConfig, noise: np.ndarray):
+    """Yield (grid, restriction factor, solved levels) for each coarse exponent."""
+    for exponent in config.coarse_exponents:
+        grid = config.coarse_grid(exponent)
+        factor = 2 ** (config.reference_exponent - exponent)
+        levels = simulate_batch(np.diff(noise[:, ::factor], axis=1), grid.step, config.params)
+        yield grid, factor, levels
 
 
 _ERROR_FAMILIES = ("level_grid", "level_uniform", "rate_grid", "rate_uniform")
 
 
-def _convergence_chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
+def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
+    """Per-path sup errors, one array of shape (paths, coarse grids) per family."""
     ref_grid = config.reference_grid
-    noise = _reference_levels(config, start, stop)
     x_ref = simulate_batch(np.diff(noise, axis=1), ref_grid.step, config.params)
     r_ref = x_ref**2
     ref_nodes = ref_grid.nodes()
 
-    m = stop - start
-    errors = {name: np.empty((m, len(config.coarse_exponents))) for name in _ERROR_FAMILIES}
-    for j, exponent in enumerate(config.coarse_exponents):
-        grid = config.coarse_grid(exponent)
-        factor = 2 ** (config.reference_exponent - exponent)
-        x = simulate_batch(np.diff(noise[:, ::factor], axis=1), grid.step, config.params)
+    shape = (len(noise), len(config.coarse_exponents))
+    level_grid, level_uniform, rate_grid, rate_uniform = (np.empty(shape) for _ in range(4))
+    for j, (grid, factor, x) in enumerate(_coarse_levels(config, noise)):
         shared_ref = x_ref[:, ::factor]
-        errors["level_grid"][:, j] = np.abs(shared_ref[:, 1:] - x[:, 1:]).max(axis=1)
-        errors["rate_grid"][:, j] = np.abs(shared_ref[:, 1:] ** 2 - x[:, 1:] ** 2).max(axis=1)
+        level_grid[:, j] = np.abs(shared_ref[:, 1:] - x[:, 1:]).max(axis=1)
+        rate_grid[:, j] = np.abs(shared_ref[:, 1:] ** 2 - x[:, 1:] ** 2).max(axis=1)
         coarse_nodes = grid.nodes()
-        for row in range(m):
+        for row in range(len(noise)):
             interpolated = np.interp(ref_nodes, coarse_nodes, x[row])
-            errors["level_uniform"][row, j] = np.abs(x_ref[row, 1:] - interpolated[1:]).max()
-            errors["rate_uniform"][row, j] = np.abs(
-                r_ref[row, 1:] - interpolated[1:] ** 2
-            ).max()
-    return errors
+            level_uniform[row, j] = np.abs(x_ref[row, 1:] - interpolated[1:]).max()
+            rate_uniform[row, j] = np.abs(r_ref[row, 1:] - interpolated[1:] ** 2).max()
+    return level_grid, level_uniform, rate_grid, rate_uniform
 
 
 def _aggregate_moment(per_path: np.ndarray, p: int) -> np.ndarray:
@@ -313,12 +323,11 @@ def _aggregate_moment(per_path: np.ndarray, p: int) -> np.ndarray:
 def _run_convergence(config: ExperimentConfig, fitted_on: str, workers: int) -> ConvergenceReport:
     if not config.coarse_exponents:
         raise DomainError("a convergence study needs at least one coarse exponent")
-    chunks = _run_chunks(_convergence_chunk, config, workers)
-    per_path = {
-        name: np.concatenate([chunk[name] for chunk in chunks], axis=0)
-        for name in _ERROR_FAMILIES
+    per_path = _map_blocks(_convergence_block, config, workers, _BLOCK_NODES)
+    rms = {
+        name: _aggregate_moment(errors, config.p)
+        for name, errors in zip(_ERROR_FAMILIES, per_path)
     }
-    rms = {name: _aggregate_moment(per_path[name], config.p) for name in _ERROR_FAMILIES}
 
     checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     notes = [
@@ -374,17 +383,15 @@ def run_convergence_uniform(config: ExperimentConfig, workers: int = 1) -> Conve
     return _run_convergence(config, "level_uniform", workers)
 
 
-def _inverse_moment_chunk(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    grid = config.reference_grid
-    noise = _reference_levels(config, start, stop)
-    x = simulate_batch(np.diff(noise, axis=1), grid.step, config.params)
-    return x ** (-float(config.p))
+def _inverse_moment_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
+    """Per-path x_n^(-p) at every reference node, shape (paths, N+1)."""
+    x = simulate_batch(np.diff(noise, axis=1), config.reference_grid.step, config.params)
+    return (x ** (-float(config.p)),)
 
 
 def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> InverseMomentCurve:
     """Sample estimate of E[x_n^(-p)]^(1/p) at every reference-grid node."""
-    chunks = _run_chunks(_inverse_moment_chunk, config, workers)
-    powers = np.concatenate(chunks, axis=0)
+    (powers,) = _map_blocks(_inverse_moment_block, config, workers, _BLOCK_NODES)
     values = np.mean(powers, axis=0) ** (1.0 / config.p)
     return InverseMomentCurve(
         times=config.reference_grid.nodes(),
@@ -395,34 +402,22 @@ def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> Inve
     )
 
 
-# Paths per block of the gap study, a measured constant.  For 200 paths of
-# 2^11 steps (2-vCPU Xeon, numpy 2.4), whole-chunk batches added 16.7 MB of
-# peak RSS over the imports and a one-path-at-a-time loop 4.0 MB; 32-path
-# blocks add 3.8 MB and run in 0.2 s against the loop's 2.8 s.
-_GAP_BLOCK = 32
-
-
-def _malliavin_chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
+def _malliavin_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
     """Per-path mean |product form - exponential form| at the final node.
 
     Both forms use the same numerical levels at the matched perturbation
     times s = t_i, so the gap isolates the formula difference, which is O(h).
+    Returns the gaps and the product-form minima and maxima, each of shape
+    (paths, coarse grids).
     """
-    shape = (stop - start, len(config.coarse_exponents))
+    shape = (len(noise), len(config.coarse_exponents))
     gaps, lows, highs = np.empty(shape), np.empty(shape), np.empty(shape)
-    for low in range(start, stop, _GAP_BLOCK):
-        high = min(low + _GAP_BLOCK, stop)
-        rows = slice(low - start, high - start)
-        noise = _reference_levels(config, low, high)
-        for j, exponent in enumerate(config.coarse_exponents):
-            step = config.coarse_grid(exponent).step
-            factor = 2 ** (config.reference_exponent - exponent)
-            levels = simulate_batch(np.diff(noise[:, ::factor], axis=1), step, config.params)
-            product, exponential = malliavin_terminal_forms(levels, step, config.params)
-            gaps[rows, j] = np.abs(product - exponential).mean(axis=1)
-            lows[rows, j] = product.min(axis=1)
-            highs[rows, j] = product.max(axis=1)
-    return {"gaps": gaps, "lows": lows, "highs": highs}
+    for j, (grid, _, levels) in enumerate(_coarse_levels(config, noise)):
+        product, exponential = malliavin_terminal_forms(levels, grid.step, config.params)
+        gaps[:, j] = np.abs(product - exponential).mean(axis=1)
+        lows[:, j] = product.min(axis=1)
+        highs[:, j] = product.max(axis=1)
+    return gaps, lows, highs
 
 
 def malliavin_gap_study(config: ExperimentConfig, workers: int = 1) -> MalliavinGapReport:
@@ -436,10 +431,8 @@ def malliavin_gap_study(config: ExperimentConfig, workers: int = 1) -> Malliavin
         raise DomainError("a gap study needs at least one coarse exponent")
     if config.params.kappa <= 0.0:
         raise UnsupportedRegimeError("the derivative comparison is defined only for kappa > 0")
-    chunks = _run_chunks(_malliavin_chunk, config, workers)
-    gaps = np.concatenate([c["gaps"] for c in chunks], axis=0).mean(axis=0)
-    lows = np.concatenate([c["lows"] for c in chunks], axis=0).min(axis=0)
-    highs = np.concatenate([c["highs"] for c in chunks], axis=0).max(axis=0)
+    gaps, lows, highs = _map_blocks(_malliavin_block, config, workers, _GAP_BLOCK_NODES)
+    gaps, lows, highs = gaps.mean(axis=0), lows.min(axis=0), highs.max(axis=0)
     ratios = np.full_like(gaps, np.nan)
     ratios[1:] = gaps[:-1] / gaps[1:]
     return MalliavinGapReport(

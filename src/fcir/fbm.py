@@ -41,8 +41,6 @@ __all__ = [
     "holder_statistic",
 ]
 
-# Largest N for which Cholesky factors are kept in the process-level cache.
-_CHOLESKY_CACHE_MAX_N = 2048
 # Relative tolerance on negative embedding eigenvalues: anything in
 # [-EMBEDDING_EIG_TOL * lambda_max, 0) is rounding noise and is clamped.
 EMBEDDING_EIG_TOL = 1e-8
@@ -89,6 +87,11 @@ class GridSpec:
             raise DomainError(f"steps must be a positive integer, got {self.steps}")
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "steps", int(self.steps))
+        if (self.steps + 1) * 8 > np.iinfo(np.intp).max:
+            raise DomainError(
+                f"{self.steps} steps are too many: numpy cannot size an array of "
+                f"{self.steps + 1} float64 nodes"
+            )
 
     @property
     def step(self) -> float:
@@ -178,7 +181,9 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed) % 2**64))
 
 
-@lru_cache(maxsize=8)
+# One factor is kept: every caller samples one grid at a time, and a factor
+# at N = 2^12 already takes 128 MB.
+@lru_cache(maxsize=1)
 def _cholesky_factor(steps: int, step: float, hvalue: float) -> np.ndarray:
     lags = np.arange(steps)
     gamma = fgn_autocovariance(lags, step, hvalue)
@@ -200,14 +205,11 @@ def sample_fbm_cholesky(
 ) -> FbmPath:
     """Exact fBm sample via Cholesky factorization of the fGn covariance.
 
-    Deterministic for a fixed seed. O(N^3) for the factorization (cached for
-    small N) plus O(N^2) per draw.
+    Deterministic for a fixed seed. O(N^3) for the factorization (the factor
+    of the last grid sampled is cached) plus O(N^2) per draw.
     """
     hurst = _as_hurst(hurst)
-    if grid.steps <= _CHOLESKY_CACHE_MAX_N:
-        factor = _cholesky_factor(grid.steps, grid.step, hurst.value)
-    else:
-        factor = _cholesky_factor.__wrapped__(grid.steps, grid.step, hurst.value)
+    factor = _cholesky_factor(grid.steps, grid.step, hurst.value)
     z = _rng(seed).standard_normal(grid.steps)
     increments = factor @ z
     values = np.empty(grid.steps + 1)

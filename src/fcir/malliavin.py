@@ -131,7 +131,8 @@ def malliavin_exponential_form(
 
     `levels` are strictly positive values on the grid nodes; levels at s and
     t themselves are filled in by linear interpolation.  Returns 0 for s > t
-    and sigma/2 for s == t.  For kappa > 0 the result lies in (0, sigma/2].
+    and sigma/2 for s == t.  For kappa > 0 the result lies in [0, sigma/2]:
+    the exp of a trapezoid integral below about -745 underflows to 0.
     """
     if s > t:
         return 0.0

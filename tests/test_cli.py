@@ -202,6 +202,24 @@ class TestExitCodes:
         assert manifest["status"] == "error"
         assert manifest["error"] == "OverflowError: math range error"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--steps-exp", "60"),
+            ("simulate", "--steps-exp", "62"),
+            ("simulate", "--steps-exp", "64"),
+            ("converge-grid", "--ref-exp", "62"),
+        ],
+    )
+    def test_oversized_grid_exits_3(self, tmp_path, capsys, argv):
+        code, runs = run_cli(tmp_path, *argv)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too many" in err
+        assert [f.name for f in runs[0].iterdir()] == ["manifest.txt"]
+        assert read_manifest(runs[0])["status"] == "error"
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, value):
         with pytest.raises(SystemExit) as excinfo:

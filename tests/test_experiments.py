@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: matched paths, reductions, regressions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,12 +15,14 @@ from fcir import (
     check_fbm_samplers,
     coarsen_path,
     estimate_inverse_moments,
+    malliavin_gap_study,
     path_seed,
     regress_order,
     run_convergence_grid,
     run_convergence_uniform,
     sample_fbm_circulant,
 )
+from fcir import experiments
 from fcir.io import write_sampler_checks
 
 
@@ -45,6 +48,9 @@ class TestConfig:
             small_config(bench_params, hurst07, samples=0)
         with pytest.raises(DomainError):
             small_config(bench_params, hurst07, xi=1.0)
+        for horizon in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                small_config(bench_params, hurst07, horizon=horizon)
         with pytest.raises(UnsupportedRegimeError):
             small_config(bench_params, HurstParameter(0.5))
 
@@ -240,6 +246,56 @@ class TestInverseMoments:
         one = estimate_inverse_moments(config, workers=1)
         three = estimate_inverse_moments(config, workers=3)
         assert np.array_equal(one.values, three.values)
+
+
+class TestBlockDriver:
+    # 10 paths of 2^6 + 1 = 65 reference nodes: a 195-node budget gives blocks
+    # of 3 paths with a partial last block, a 64-node budget is below one path
+    # and gives blocks of 1; unpatched, every study runs as one block
+    SPLITS = {3 * 65: [3, 3, 3, 1], 64: [1] * 10}
+    STUDIES = (run_convergence_uniform, estimate_inverse_moments, malliavin_gap_study)
+
+    @pytest.fixture
+    def config(self, bench_params, hurst07):
+        return small_config(
+            bench_params, hurst07, reference_exponent=6, coarse_exponents=(3, 4, 5), samples=10
+        )
+
+    def patch_budgets(self, monkeypatch, nodes):
+        monkeypatch.setattr(experiments, "_BLOCK_NODES", nodes)
+        monkeypatch.setattr(experiments, "_GAP_BLOCK_NODES", nodes)
+
+    @pytest.mark.parametrize("nodes", SPLITS)
+    def test_block_sizes(self, config, monkeypatch, nodes):
+        seen = []
+        for name in ("_convergence_block", "_inverse_moment_block", "_malliavin_block"):
+            kernel = getattr(experiments, name)
+
+            def recording(config, noise, kernel=kernel):
+                seen.append(len(noise))
+                return kernel(config, noise)
+
+            monkeypatch.setattr(experiments, name, recording)
+        for study in self.STUDIES:
+            study(config)
+        assert seen == [10] * 3
+        seen.clear()
+        self.patch_budgets(monkeypatch, nodes)
+        for study in self.STUDIES:
+            study(config)
+        assert seen == self.SPLITS[nodes] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("nodes", SPLITS)
+    def test_reports_independent_of_block_split(self, config, monkeypatch, nodes, workers):
+        one_block = [study(config) for study in self.STUDIES]
+        self.patch_budgets(monkeypatch, nodes)
+        for study, expected in zip(self.STUDIES, one_block):
+            split = study(config, workers=workers)
+            for field in dataclasses.fields(expected):
+                np.testing.assert_equal(
+                    getattr(split, field.name), getattr(expected, field.name), err_msg=field.name
+                )
 
 
 class TestSamplerChecks:

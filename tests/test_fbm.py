@@ -45,6 +45,15 @@ class TestTypes:
         with pytest.raises(DomainError):
             grid.node(9)
 
+    def test_grid_too_large_for_numpy(self):
+        # the largest step count whose float64 node array numpy can size is
+        # accepted (nothing is allocated); one more step is a domain error
+        largest = np.iinfo(np.intp).max // 8 - 1
+        assert GridSpec(1.0, largest).steps == largest
+        for steps in (largest + 1, 2**62, 2**64):
+            with pytest.raises(DomainError, match="too many"):
+                GridSpec(1.0, steps)
+
     def test_fbm_path_starts_at_zero(self):
         grid = GridSpec(1.0, 4)
         with pytest.raises(DomainError):

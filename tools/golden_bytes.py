@@ -1,0 +1,87 @@
+"""Compare the data files two source trees of fcir write for the same runs.
+
+Usage:
+    python3 tools/golden_bytes.py PARENT_SRC CHANGE_SRC [--case "ARGV"]...
+
+PARENT_SRC and CHANGE_SRC are directories that hold the `fcir` package (the
+`src` directory of two checkouts).  Each of the 7 subcommands runs at its
+default flags with `--workers 1` and `--workers 2`, plus every extra
+`--case` (a subcommand with its flags, quoted as one argument), each run in
+a fresh interpreter with a temporary `--out`.  The script prints the sha256
+of every `data.csv` and `sample_path.csv` side by side and exits 1 if any
+pair differs or any run fails.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SUBCOMMANDS = (
+    "simulate",
+    "fbm-check",
+    "converge-grid",
+    "converge-uniform",
+    "inverse-moments",
+    "malliavin-check",
+    "check-conditions",
+)
+DATA_FILES = ("data.csv", "sample_path.csv")
+
+
+def run_digests(src: Path, argv: list[str]) -> dict[str, str]:
+    """Run `python -m fcir argv` against src; sha256 of each data file it wrote."""
+    with tempfile.TemporaryDirectory() as out:
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "fcir", *argv, "--out", out],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        if done.returncode != 0:
+            raise RuntimeError(f"exit {done.returncode}: {done.stderr.strip()}")
+        (run_dir,) = Path(out).iterdir()
+        return {
+            name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in DATA_FILES
+            if (run_dir / name).exists()
+        }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--case", action="append", default=[], help="extra run, quoted")
+    args = parser.parse_args()
+
+    cases = [[name, "--workers", str(w)] for name in SUBCOMMANDS for w in (1, 2)]
+    cases += [shlex.split(case) for case in args.case]
+    mismatches = 0
+    for argv in cases:
+        label = " ".join(argv)
+        try:
+            parent = run_digests(args.parent_src.resolve(), argv)
+            change = run_digests(args.change_src.resolve(), argv)
+        except RuntimeError as exc:
+            print(f"FAIL  {label}: {exc}")
+            mismatches += 1
+            continue
+        for name in sorted(parent.keys() | change.keys()):
+            left, right = parent.get(name, "-"), change.get(name, "-")
+            verdict = "same" if left == right else "DIFF"
+            mismatches += verdict == "DIFF"
+            print(f"{verdict}  {left[:16]}  {right[:16]}  {name:15}  {label}")
+    print(f"{len(cases)} runs, {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
