@@ -21,12 +21,13 @@ from scipy import stats
 
 from .errors import DomainError, UnsupportedRegimeError
 from .fbm import (
+    FbmPath,
     GridSpec,
     HurstParameter,
+    _sample_circulant_block,
     fbm_covariance,
     holder_statistic,
     sample_fbm_cholesky,
-    sample_fbm_circulant,
 )
 from .malliavin import malliavin_terminal_forms
 from .model import CirParams, ConditionReport, check_moment_conditions, max_stable_step
@@ -81,9 +82,7 @@ def check_fbm_samplers(
     chol = np.stack(
         [sample_fbm_cholesky(grid, hurst, path_seed(base_seed, i)).values for i in range(m)]
     )
-    circ = np.stack(
-        [sample_fbm_circulant(grid, hurst, path_seed(base_seed, m + i)).values for i in range(m)]
-    )
+    circ = _sample_circulant_block(grid, hurst, [path_seed(base_seed, m + i) for i in range(m)])
     checks = []
     se_var = terminal_var * np.sqrt(2.0 / m)
     for name, batch in (("cholesky", chol), ("circulant", circ)):
@@ -106,9 +105,10 @@ def check_fbm_samplers(
     quotients = []
     for steps in (grid.steps, 2 * grid.steps):
         fine = GridSpec(grid.horizon, steps)
+        seeds = [path_seed(base_seed, 2 * m + i) for i in range(100)]
         holder_values = [
-            holder_statistic(sample_fbm_circulant(fine, hurst, path_seed(base_seed, 2 * m + i)))
-            for i in range(100)
+            holder_statistic(FbmPath(fine, hurst, values))
+            for values in _sample_circulant_block(fine, hurst, seeds)
         ]
         quotients.append(float(np.percentile(holder_values, 99)))
     ratio = max(quotients) / min(quotients)
@@ -249,13 +249,13 @@ _BLOCK_NODES = 2**23
 _GAP_BLOCK_NODES = 2**16
 
 
-def _map_blocks(block_fn, config: ExperimentConfig, workers: int, nodes: int) -> list:
-    """Run block_fn(config, noise) over all paths and join its outputs in path order.
+def _map_blocks(block_fn, config: ExperimentConfig, workers: int, nodes: int):
+    """Yield block_fn(config, noise) for consecutive blocks of paths, in path order.
 
     Paths go in blocks of at most `nodes` reference-grid noise values (at
     least one path), and no more than samples / workers paths so every worker
-    gets a block.  block_fn returns a tuple of per-path arrays; the result
-    holds each of them concatenated over the blocks in path-index order.
+    gets a block.  block_fn returns a tuple of per-path arrays.  With one
+    worker the blocks are computed as they are consumed.
     """
     per_path = config.reference_grid.steps + 1
     workers = max(1, workers)
@@ -264,22 +264,22 @@ def _map_blocks(block_fn, config: ExperimentConfig, workers: int, nodes: int) ->
     task = partial(_sample_block, block_fn, config, rows)
     workers = min(workers, len(starts))
     if workers == 1:
-        results = list(map(task, starts))
+        yield from map(task, starts)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, starts))
-    return [np.concatenate(parts, axis=0) for parts in zip(*results)]
+            yield from pool.map(task, starts)
+
+
+def _concatenated(blocks) -> list:
+    """Each per-path output of the blocks joined over all paths in path order."""
+    return [np.concatenate(parts, axis=0) for parts in zip(*blocks)]
 
 
 def _sample_block(block_fn, config: ExperimentConfig, rows: int, start: int) -> tuple:
     """block_fn on the reference-grid noise levels of paths start..start+rows-1."""
-    grid = config.reference_grid
     indices = range(start, min(start + rows, config.samples))
-    noise = np.empty((len(indices), grid.steps + 1))
-    for row, index in enumerate(indices):
-        path = sample_fbm_circulant(grid, config.hurst, path_seed(config.base_seed, index))
-        noise[row] = path.values
-    return block_fn(config, noise)
+    seeds = [path_seed(config.base_seed, index) for index in indices]
+    return block_fn(config, _sample_circulant_block(config.reference_grid, config.hurst, seeds))
 
 
 def _coarse_levels(config: ExperimentConfig, noise: np.ndarray):
@@ -298,8 +298,8 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
     """Per-path sup errors, one array of shape (paths, coarse grids) per family."""
     ref_grid = config.reference_grid
     x_ref = simulate_batch(np.diff(noise, axis=1), ref_grid.step, config.params)
-    r_ref = x_ref**2
     ref_nodes = ref_grid.nodes()
+    interpolated, work = np.empty((2, ref_grid.steps + 1))
 
     shape = (len(noise), len(config.coarse_exponents))
     level_grid, level_uniform, rate_grid, rate_uniform = (np.empty(shape) for _ in range(4))
@@ -307,12 +307,36 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
         shared_ref = x_ref[:, ::factor]
         level_grid[:, j] = np.abs(shared_ref[:, 1:] - x[:, 1:]).max(axis=1)
         rate_grid[:, j] = np.abs(shared_ref[:, 1:] ** 2 - x[:, 1:] ** 2).max(axis=1)
+        # The interpolant panel by panel in np.interp's arithmetic, x_i +
+        # slope_i * (t - t_i).  Nested dyadic nodes coincide bit for bit, so
+        # the offsets t - t_i are exactly 0 at coarse nodes and the interpolant
+        # is exact there.  A non-finite level can make this form nan where
+        # np.interp tries the other end of the panel; such paths use np.interp.
+        # Both sups are taken path by path in two N-sized buffers, squaring
+        # x_ref one row at a time, so no (paths, N+1) temporary is made.
         coarse_nodes = grid.nodes()
-        for row in range(len(noise)):
-            interpolated = np.interp(ref_nodes, coarse_nodes, x[row])
-            level_uniform[row, j] = np.abs(x_ref[row, 1:] - interpolated[1:]).max()
-            rate_uniform[row, j] = np.abs(r_ref[row, 1:] - interpolated[1:] ** 2).max()
+        offsets = ref_nodes[:-1].reshape(grid.steps, factor) - coarse_nodes[:-1, None]
+        slopes = np.diff(x, axis=1) / np.diff(coarse_nodes)
+        panels = interpolated[:-1].reshape(grid.steps, factor)
+        for row, finite in enumerate(np.isfinite(x).all(axis=1)):
+            if finite:
+                np.multiply(slopes[row, :, None], offsets, out=panels)
+                panels += x[row, :-1, None]
+                interpolated[-1] = x[row, -1]
+            else:
+                interpolated[:] = np.interp(ref_nodes, coarse_nodes, x[row])
+            level_uniform[row, j] = _sup_distance(x_ref[row], interpolated, work)
+            np.square(interpolated, out=interpolated)
+            np.square(x_ref[row], out=work)
+            rate_uniform[row, j] = _sup_distance(work, interpolated, work)
     return level_grid, level_uniform, rate_grid, rate_uniform
+
+
+def _sup_distance(reference: np.ndarray, values: np.ndarray, work: np.ndarray) -> float:
+    """max |reference - values| over the nodes after the first, computed in work."""
+    np.subtract(reference, values, out=work)
+    np.abs(work, out=work)
+    return work[1:].max()
 
 
 def _aggregate_moment(per_path: np.ndarray, p: int) -> np.ndarray:
@@ -323,7 +347,7 @@ def _aggregate_moment(per_path: np.ndarray, p: int) -> np.ndarray:
 def _run_convergence(config: ExperimentConfig, fitted_on: str, workers: int) -> ConvergenceReport:
     if not config.coarse_exponents:
         raise DomainError("a convergence study needs at least one coarse exponent")
-    per_path = _map_blocks(_convergence_block, config, workers, _BLOCK_NODES)
+    per_path = _concatenated(_map_blocks(_convergence_block, config, workers, _BLOCK_NODES))
     rms = {
         name: _aggregate_moment(errors, config.p)
         for name, errors in zip(_ERROR_FAMILIES, per_path)
@@ -386,13 +410,23 @@ def run_convergence_uniform(config: ExperimentConfig, workers: int = 1) -> Conve
 def _inverse_moment_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
     """Per-path x_n^(-p) at every reference node, shape (paths, N+1)."""
     x = simulate_batch(np.diff(noise, axis=1), config.reference_grid.step, config.params)
-    return (x ** (-float(config.p)),)
+    x **= -float(config.p)
+    return (x,)
 
 
 def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> InverseMomentCurve:
-    """Sample estimate of E[x_n^(-p)]^(1/p) at every reference-grid node."""
-    (powers,) = _map_blocks(_inverse_moment_block, config, workers, _BLOCK_NODES)
-    values = np.mean(powers, axis=0) ** (1.0 / config.p)
+    """Sample estimate of E[x_n^(-p)]^(1/p) at every reference-grid node.
+
+    The per-path powers are added into one running sum in path order and
+    divided by the sample count, the same operations as `np.mean(axis=0)`
+    over all paths, while only one block of paths is held at a time.
+    """
+    total = np.zeros(config.reference_grid.steps + 1)
+    for (powers,) in _map_blocks(_inverse_moment_block, config, workers, _BLOCK_NODES):
+        for row in powers:
+            total += row
+        del powers, row  # free this block before the next one is computed
+    values = (total / config.samples) ** (1.0 / config.p)
     return InverseMomentCurve(
         times=config.reference_grid.nodes(),
         values=values,
@@ -431,7 +465,9 @@ def malliavin_gap_study(config: ExperimentConfig, workers: int = 1) -> Malliavin
         raise DomainError("a gap study needs at least one coarse exponent")
     if config.params.kappa <= 0.0:
         raise UnsupportedRegimeError("the derivative comparison is defined only for kappa > 0")
-    gaps, lows, highs = _map_blocks(_malliavin_block, config, workers, _GAP_BLOCK_NODES)
+    gaps, lows, highs = _concatenated(
+        _map_blocks(_malliavin_block, config, workers, _GAP_BLOCK_NODES)
+    )
     gaps, lows, highs = gaps.mean(axis=0), lows.min(axis=0), highs.max(axis=0)
     ratios = np.full_like(gaps, np.nan)
     ratios[1:] = gaps[:-1] / gaps[1:]

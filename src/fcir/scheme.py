@@ -9,6 +9,7 @@ rate process is recovered by squaring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,11 @@ def backward_euler_step(
     return float(_positive_root(a, c, denom))
 
 
+# Steps per chunk of `simulate_batch`: two (chunk, paths) buffers stay in
+# cache, and the chunk is the unit of the a < 0 re-solve.
+_CHUNK_STEPS = 64
+
+
 def simulate_batch(increments: np.ndarray, step: float, params: CirParams) -> np.ndarray:
     """Run the recursion along the last axis of an increment array.
 
@@ -111,6 +117,14 @@ def simulate_batch(increments: np.ndarray, step: float, params: CirParams) -> np
     initial value x0 in front.  Each path in the batch produces bit-identical
     values to a scalar `backward_euler_step` loop, so batching (and any
     chunking of a batch across workers) never changes results.
+
+    The steps run in chunks of `_CHUNK_STEPS`: the scaled increments of a
+    chunk are copied into a step-major (chunk, paths) buffer, so every step
+    reads and writes contiguous rows, and the chunk's levels go back to the
+    path-major result in one transposed copy.  Each step takes the a >= 0
+    branch of `_positive_root` in place; a chunk in which some a < 0 is solved
+    again from its start level with `_positive_root` itself.  Working memory
+    beyond the result is two (chunk, paths) buffers, whatever N is.
     """
     increments = np.asarray(increments, dtype=float)
     c, denom = _root_constants(step, params)
@@ -119,11 +133,31 @@ def simulate_batch(increments: np.ndarray, step: float, params: CirParams) -> np
     n_steps = increments.shape[-1]
     out = np.empty(increments.shape[:-1] + (n_steps + 1,))
     out[..., 0] = params.x0
-    level = np.full(increments.shape[:-1], params.x0)
-    for n in range(n_steps):
-        a = level + half_sigma * increments[..., n]
-        level = _positive_root(a, c, denom)
-        out[..., n + 1] = level
+    width = math.prod(increments.shape[:-1])
+    rows, levels_out = increments.reshape(width, n_steps), out.reshape(width, n_steps + 1)
+    a_buffer, level_buffer = np.empty((2, _CHUNK_STEPS, width))
+    disc = np.empty(width)
+    start = np.full(width, params.x0)
+    for first in range(0, n_steps, _CHUNK_STEPS):
+        chunk = range(first, min(first + _CHUNK_STEPS, n_steps))
+        a, levels = a_buffer[: len(chunk)], level_buffer[: len(chunk)]
+        np.multiply(rows[:, first : chunk.stop].T, half_sigma, out=a)
+        level = start
+        for a_k, next_level in zip(a, levels):
+            a_k += level
+            np.multiply(a_k, a_k, out=disc)
+            disc += c
+            np.sqrt(disc, out=disc)
+            disc += a_k
+            np.divide(disc, denom, out=next_level)
+            level = next_level
+        if (a < 0.0).any():
+            level = start
+            for n, next_level in zip(chunk, levels):
+                next_level[:] = _positive_root(level + half_sigma * rows[:, n], c, denom)
+                level = next_level
+        levels_out[:, first + 1 : chunk.stop + 1] = levels.T
+        start[:] = levels[-1]
     return out
 
 

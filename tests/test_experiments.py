@@ -21,6 +21,7 @@ from fcir import (
     run_convergence_grid,
     run_convergence_uniform,
     sample_fbm_circulant,
+    simulate_batch,
 )
 from fcir import experiments
 from fcir.io import write_sampler_checks
@@ -152,6 +153,57 @@ class TestMatchedPathDesign:
         assert any("order fit skipped" in note for note in report.warnings)
 
 
+def interp_uniform_errors(config, noise):
+    """Oracle: the uniform-norm level and rate errors through np.interp, path by path."""
+    ref_grid = config.reference_grid
+    x_ref = simulate_batch(np.diff(noise, axis=1), ref_grid.step, config.params)
+    shape = (len(noise), len(config.coarse_exponents))
+    level, rate = np.empty(shape), np.empty(shape)
+    for j, exponent in enumerate(config.coarse_exponents):
+        grid = config.coarse_grid(exponent)
+        factor = 2 ** (config.reference_exponent - exponent)
+        x = simulate_batch(np.diff(noise[:, ::factor], axis=1), grid.step, config.params)
+        for row in range(len(noise)):
+            interpolated = np.interp(ref_grid.nodes(), grid.nodes(), x[row])
+            level[row, j] = np.abs(x_ref[row, 1:] - interpolated[1:]).max()
+            rate[row, j] = np.abs(x_ref[row, 1:] ** 2 - interpolated[1:] ** 2).max()
+    return level, rate
+
+
+class TestUniformReduction:
+    # coarse exponent 0 is one panel over the horizon, 8 is the reference grid
+    # itself (factor 1); horizons 0.3 and 10 have nodes that are not dyadic
+    @pytest.mark.parametrize("horizon", [1.0, 0.3, 10.0])
+    def test_matches_interp_oracle(self, bench_params, hurst07, horizon):
+        config = small_config(
+            bench_params, hurst07, horizon=horizon, reference_exponent=8,
+            coarse_exponents=(0, 1, 3, 6, 8), samples=5,
+        )
+        seeds = [path_seed(config.base_seed, i) for i in range(config.samples)]
+        noise = experiments._sample_circulant_block(config.reference_grid, hurst07, seeds)
+        _, level, _, rate = experiments._convergence_block(config, noise)
+        oracle_level, oracle_rate = interp_uniform_errors(config, noise)
+        assert np.array_equal(level, oracle_level)
+        assert np.array_equal(rate, oracle_rate)
+        assert np.all(level[:, -1] == 0.0) and np.all(rate[:, -1] == 0.0)
+
+    def test_overflowing_coarse_level_matches_interp_oracle(self, bench_params, hurst07):
+        # The coarse step sees a = 1.4e154, whose square overflows, so its
+        # levels read [1, inf, inf] while the reference levels stay finite;
+        # np.interp gives inf inside the panels where x_i + slope_i*(t - t_i)
+        # gives nan, and the sup error is inf, not nan.
+        config = small_config(
+            bench_params, hurst07, reference_exponent=2, coarse_exponents=(1,), samples=1
+        )
+        noise = np.array([[0.0, 2.8e154, 5.6e154, 5.6e154, 5.6e154]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, level, _, rate = experiments._convergence_block(config, noise)
+            oracle_level, oracle_rate = interp_uniform_errors(config, noise)
+        assert oracle_level[0, 0] == oracle_rate[0, 0] == np.inf
+        assert np.array_equal(level, oracle_level)
+        assert np.array_equal(rate, oracle_rate)
+
+
 class TestConvergenceReports:
     def test_deterministic_for_fixed_seed(self, bench_params, hurst07):
         config = small_config(bench_params, hurst07, samples=1)
@@ -238,6 +290,24 @@ class TestInverseMoments:
         se_estimate = se_mean / (p * mean_big ** (1.0 - 1.0 / p))
         gap = np.abs(est_small.values - est_big.values)
         assert np.all(gap <= 3.0 * se_estimate + 1e-15)
+
+    @pytest.mark.parametrize("nodes", [None, 2 * 129])
+    def test_equals_mean_of_path_powers(self, bench_params, hurst07, monkeypatch, nodes):
+        # the running sum over blocks of 2 paths (or one block) is np.mean(axis=0)
+        if nodes is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_NODES", nodes)
+        config = small_config(
+            bench_params, hurst07, coarse_exponents=(), reference_exponent=7, samples=7
+        )
+        grid = config.reference_grid
+        powers = np.stack(
+            [
+                simulate_powers(bench_params, hurst07, grid, path_seed(config.base_seed, i), 2)
+                for i in range(config.samples)
+            ]
+        )
+        curve = estimate_inverse_moments(config)
+        assert np.array_equal(curve.values, np.mean(powers, axis=0) ** 0.5)
 
     def test_worker_invariance(self, bench_params, hurst07):
         config = small_config(

@@ -22,7 +22,23 @@ from fcir import (
     sample_fbm_cholesky,
     sample_fbm_circulant,
 )
-from fcir.fbm import _cholesky_factor, _embedding_coefficients
+from fcir import fbm as fbm_module
+from fcir.fbm import _cholesky_factor, _embedding_coefficients, _rng, _sample_circulant_block
+
+
+def circulant_oracle(grid, hurst, seed):
+    """One-path circulant sampler with the frozen spectrum layout, step by step."""
+    n = grid.steps
+    coefficients = _embedding_coefficients(n, grid.step, hurst)
+    z = _rng(seed).standard_normal(2 * n)
+    spectrum = np.empty(2 * n, dtype=complex)
+    spectrum[0] = z[0]
+    spectrum[n] = z[1]
+    if n > 1:
+        spectrum[1:n] = (z[2 : n + 1] + 1j * z[n + 1 :]) / np.sqrt(2.0)
+        spectrum[n + 1 :] = np.conj(spectrum[1:n][::-1])
+    increments = np.fft.fft(coefficients * spectrum).real[:n]
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 class TestTypes:
@@ -182,13 +198,33 @@ class TestCirculantSampler:
         assert coeffs is not None
 
     def test_fallback_to_cholesky_warns(self, monkeypatch):
-        import fcir.fbm as fbm_module
-
         monkeypatch.setattr(fbm_module, "_embedding_coefficients", lambda *args: None)
         grid = GridSpec(1.0, 16)
         with pytest.warns(EmbeddingFallbackWarning):
             path = sample_fbm_circulant(grid, 0.7, 3)
         assert np.array_equal(path.values, sample_fbm_cholesky(grid, 0.7, 3).values)
+
+    @pytest.mark.parametrize("steps", [1, 2, 64, 2**10])
+    @pytest.mark.parametrize("tile_rows", [None, 3])
+    def test_block_matches_single_paths(self, monkeypatch, steps, tile_rows):
+        # 7 seeds in tiles of 3 rows cross two tile edges and end on a partial tile
+        if tile_rows is not None:
+            monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * 2 * steps)
+        grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)
+        seeds = [5, 2**64 - 1, 0, 17, 3, 99, 12345]
+        block = _sample_circulant_block(grid, hurst, seeds)
+        assert block.shape == (len(seeds), steps + 1)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, sample_fbm_circulant(grid, hurst, seed).values)
+            assert np.array_equal(row, circulant_oracle(grid, 0.7, seed))
+
+    def test_block_fallback_to_cholesky_warns(self, monkeypatch):
+        monkeypatch.setattr(fbm_module, "_embedding_coefficients", lambda *args: None)
+        grid, hurst = GridSpec(1.0, 16), HurstParameter(0.7)
+        with pytest.warns(EmbeddingFallbackWarning):
+            block = _sample_circulant_block(grid, hurst, [4, 5, 6])
+        for row, seed in zip(block, [4, 5, 6]):
+            assert np.array_equal(row, sample_fbm_cholesky(grid, hurst, seed).values)
 
     def test_factorization_failure_diagnostic(self, monkeypatch):
         def explode(matrix):

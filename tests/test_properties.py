@@ -2,12 +2,14 @@
 finite output and positivity of the solver and the Malliavin kernel."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcir import (
     CirParams,
     GridSpec,
+    backward_euler_step,
     malliavin_profile,
     malliavin_terminal_forms,
     path_seed,
@@ -55,3 +57,36 @@ def test_batch_rows_match_single_paths(model, hurst, seed):
     # exp of a trapezoid integral below about -745 rounds to 0 in double
     # precision, which happens where a level nears 0 and f' ~ -1/x^2 is huge.
     assert np.all((exponential >= 0.0) & (exponential <= 0.5 * params.sigma))
+
+
+# sigma/2 = 1 against levels near sqrt(theta) = 0.1: a few percent of the steps
+# have a = x_n + sigma*dB/2 < 0, where the root takes its conjugate form.
+NEGATIVE_A = CirParams(kappa=2.0, theta=0.01, sigma=2.0, r0=0.01)
+BENCH = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0)
+
+
+def scalar_levels(increments, step, params):
+    """Reference recursion, one `backward_euler_step` per step, and its a values."""
+    levels, a = [params.x0], []
+    for increment in increments:
+        a.append(levels[-1] + 0.5 * params.sigma * increment)
+        levels.append(backward_euler_step(levels[-1], increment, step, params))
+    return np.array(levels), np.array(a)
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 3 * 64 + 5])
+@pytest.mark.parametrize("params", [BENCH, NEGATIVE_A], ids=["bench", "negative-a"])
+def test_batch_matches_scalar_loop_across_chunks(steps, params):
+    # simulate_batch runs 64-step chunks; N straddles the chunk edges
+    grid = GridSpec(1.0, steps)
+    increments = np.stack(
+        [sample_fbm_circulant(grid, 0.7, path_seed(7, i)).increments() for i in range(8)]
+    )
+    batch = simulate_batch(increments.reshape(2, 4, steps), grid.step, params).reshape(8, -1)
+    negative = 0
+    for row, path_increments in zip(batch, increments):
+        levels, a = scalar_levels(path_increments, grid.step, params)
+        assert np.array_equal(row, levels)
+        negative += np.count_nonzero(a < 0.0)
+    if params is NEGATIVE_A:
+        assert negative > 0

@@ -5,11 +5,12 @@ Usage:
 
 PARENT_SRC and CHANGE_SRC are directories that hold the `fcir` package (the
 `src` directory of two checkouts).  Each of the 7 subcommands runs at its
-default flags with `--workers 1` and `--workers 2`, plus every extra
-`--case` (a subcommand with its flags, quoted as one argument), each run in
-a fresh interpreter with a temporary `--out`.  The script prints the sha256
-of every `data.csv` and `sample_path.csv` side by side and exits 1 if any
-pair differs or any run fails.  Only the standard library is used.
+default flags with `--workers 1` and `--workers 2`, then the runs in
+`EXTRA_CASES` and every extra `--case` (a subcommand with its flags, quoted
+as one argument), each in a fresh interpreter with a temporary `--out`.
+The script prints the sha256 of every `data.csv` and `sample_path.csv` side
+by side and exits 1 if any pair differs or any run fails.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ SUBCOMMANDS = (
     "inverse-moments",
     "malliavin-check",
     "check-conditions",
+)
+# Runs beyond the default flags, once each with `--workers 1`: the `converge`
+# benchmark op, a horizon whose nodes are not dyadic fractions of 1, and a
+# regime where 3% of the backward Euler steps have a < 0 (23% of the 64-step
+# chunks of `simulate_batch` are solved again).
+EXTRA_CASES = (
+    "converge-uniform --ref-exp 14 --coarse-exps 4,5,6,7,8,9,10,11 --samples 400",
+    "converge-uniform --horizon 0.3",
+    "simulate --sigma 2 --theta 0.01 --r0 0.01",
 )
 DATA_FILES = ("data.csv", "sample_path.csv")
 
@@ -63,6 +73,7 @@ def main() -> int:
     args = parser.parse_args()
 
     cases = [[name, "--workers", str(w)] for name in SUBCOMMANDS for w in (1, 2)]
+    cases += [[*shlex.split(case), "--workers", "1"] for case in EXTRA_CASES]
     cases += [shlex.split(case) for case in args.case]
     mismatches = 0
     for argv in cases:
