@@ -2,7 +2,6 @@
 
 from .errors import (
     DomainError,
-    EmbeddingFallbackWarning,
     FcirError,
     NumericalError,
     SingularityError,

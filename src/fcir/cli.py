@@ -200,9 +200,9 @@ def _cmd_convergence(args: argparse.Namespace, outdir: Path, uniform: bool) -> d
 
 def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> dict:
     config = _experiment_config(args)
+    checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     curve = estimate_inverse_moments(config, workers=args.workers)
     io.write_inverse_moments(outdir / "data.csv", curve)
-    checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     return {
         "steps": str(config.reference_grid.steps),
         "samples": str(config.samples),

@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories shared across the package."""
+"""Exception hierarchy shared across the package."""
 
 
 class FcirError(Exception):
@@ -19,7 +19,3 @@ class UnsupportedRegimeError(FcirError, ValueError):
 
 class NumericalError(FcirError, RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
-
-
-class EmbeddingFallbackWarning(UserWarning):
-    """Circulant embedding was rejected and the sampler fell back to Cholesky."""

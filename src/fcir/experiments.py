@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats
 
-from .errors import DomainError, UnsupportedRegimeError
+from .errors import DomainError, NumericalError, UnsupportedRegimeError
 from .fbm import (
     FbmPath,
     GridSpec,
@@ -148,6 +148,8 @@ class ExperimentConfig:
                 "coarse exponents must lie in [0, reference_exponent] so the "
                 "coarse grids embed in the reference grid"
             )
+        if len(set(self.coarse_exponents)) < len(self.coarse_exponents):
+            raise DomainError(f"coarse exponents must be distinct, got {self.coarse_exponents}")
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if self.p < 1:
@@ -310,21 +312,17 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
         # The interpolant panel by panel in np.interp's arithmetic, x_i +
         # slope_i * (t - t_i).  Nested dyadic nodes coincide bit for bit, so
         # the offsets t - t_i are exactly 0 at coarse nodes and the interpolant
-        # is exact there.  A non-finite level can make this form nan where
-        # np.interp tries the other end of the panel; such paths use np.interp.
-        # Both sups are taken path by path in two N-sized buffers, squaring
-        # x_ref one row at a time, so no (paths, N+1) temporary is made.
+        # is exact there.  Both sups are taken path by path in two N-sized
+        # buffers, squaring x_ref one row at a time, so no (paths, N+1)
+        # temporary is made.
         coarse_nodes = grid.nodes()
         offsets = ref_nodes[:-1].reshape(grid.steps, factor) - coarse_nodes[:-1, None]
         slopes = np.diff(x, axis=1) / np.diff(coarse_nodes)
         panels = interpolated[:-1].reshape(grid.steps, factor)
-        for row, finite in enumerate(np.isfinite(x).all(axis=1)):
-            if finite:
-                np.multiply(slopes[row, :, None], offsets, out=panels)
-                panels += x[row, :-1, None]
-                interpolated[-1] = x[row, -1]
-            else:
-                interpolated[:] = np.interp(ref_nodes, coarse_nodes, x[row])
+        for row in range(len(x)):
+            np.multiply(slopes[row, :, None], offsets, out=panels)
+            panels += x[row, :-1, None]
+            interpolated[-1] = x[row, -1]
             level_uniform[row, j] = _sup_distance(x_ref[row], interpolated, work)
             np.square(interpolated, out=interpolated)
             np.square(x_ref[row], out=work)
@@ -340,8 +338,15 @@ def _sup_distance(reference: np.ndarray, values: np.ndarray, work: np.ndarray) -
 
 
 def _aggregate_moment(per_path: np.ndarray, p: int) -> np.ndarray:
-    """(E[sup-error^p])^(1/p) along axis 0, reduced in path-index order."""
-    return np.mean(per_path**p, axis=0) ** (1.0 / p)
+    """(E[sup-error^p])^(1/p) along axis 0 in path-index order; raises if e^p under/overflows."""
+    moments = np.mean(per_path**p, axis=0) ** (1.0 / p)
+    lost = ~np.isfinite(moments) | ((moments == 0.0) & per_path.any(axis=0))
+    if lost.any():
+        raise NumericalError(
+            f"(E[sup-error^{p}])^(1/{p}) reads {moments[lost][0]} where per-path errors reach "
+            f"{per_path.max(axis=0)[lost][0]:.3g}: e^{p} under- or overflows; use a smaller p"
+        )
+    return moments
 
 
 def _run_convergence(config: ExperimentConfig, fitted_on: str, workers: int) -> ConvergenceReport:

@@ -15,18 +15,12 @@ harness relies on for matched-path experiments.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmbeddingFallbackWarning,
-    NumericalError,
-    SingularityError,
-)
+from .errors import DomainError, NumericalError, SingularityError
 
 __all__ = [
     "HurstParameter",
@@ -42,7 +36,8 @@ __all__ = [
 ]
 
 # Relative tolerance on negative embedding eigenvalues: anything in
-# [-EMBEDDING_EIG_TOL * lambda_max, 0) is rounding noise and is clamped.
+# [-EMBEDDING_EIG_TOL * lambda_max, 0) is rounding noise and is clamped; a
+# lower eigenvalue means the embedding cannot give an exact sample.
 EMBEDDING_EIG_TOL = 1e-8
 
 
@@ -219,14 +214,18 @@ def sample_fbm_cholesky(
 
 
 @lru_cache(maxsize=32)
-def _embedding_coefficients(steps: int, step: float, hvalue: float) -> np.ndarray | None:
-    """sqrt(eigenvalues / 2N) of the 2N circulant embedding, or None if invalid."""
+def _embedding_coefficients(steps: int, step: float, hvalue: float) -> np.ndarray:
+    """sqrt(eigenvalues / 2N) of the 2N circulant embedding; NumericalError if invalid."""
     gamma = fgn_autocovariance(np.arange(steps + 1), step, hvalue)
     row = np.concatenate([gamma[:-1], gamma[-1:], gamma[1:-1][::-1]])
     eigenvalues = np.fft.fft(row).real
-    lam_max = eigenvalues.max()
-    if eigenvalues.min() < -EMBEDDING_EIG_TOL * lam_max:
-        return None
+    lam_min, lam_max = eigenvalues.min(), eigenvalues.max()
+    if lam_min < -EMBEDDING_EIG_TOL * lam_max:
+        raise NumericalError(
+            f"circulant embedding of fGn for N={steps}, H={hvalue} is not nonnegative "
+            f"definite: min/max eigenvalue ratio {lam_min / lam_max:.3g} is below the "
+            f"tolerance -{EMBEDDING_EIG_TOL:g}; use fewer steps or a smaller H"
+        )
     coefficients = np.sqrt(np.clip(eigenvalues, 0.0, None) / (2.0 * steps))
     coefficients.setflags(write=False)
     return coefficients
@@ -237,21 +236,11 @@ def sample_fbm_circulant(
 ) -> FbmPath:
     """Exact fBm sample via circulant embedding of the fGn covariance.
 
-    Same law as `sample_fbm_cholesky` but O(N log N).  fGn embeddings are
-    nonnegative definite in exact arithmetic; eigenvalues that dip below zero
-    by at most EMBEDDING_EIG_TOL * lambda_max are clamped, anything worse
-    triggers a warning and a fallback to the Cholesky sampler.
+    Same law as `sample_fbm_cholesky` but O(N log N): one row of
+    `_sample_circulant_block`.  Raises NumericalError where the embedding has
+    an eigenvalue below -EMBEDDING_EIG_TOL * lambda_max.
     """
     hurst = _as_hurst(hurst)
-    n = grid.steps
-    if _embedding_coefficients(n, grid.step, hurst.value) is None:
-        warnings.warn(
-            f"circulant embedding for N={n}, H={hurst.value} has eigenvalues below "
-            f"-{EMBEDDING_EIG_TOL:g}*max; falling back to the Cholesky sampler",
-            EmbeddingFallbackWarning,
-            stacklevel=2,
-        )
-        return sample_fbm_cholesky(grid, hurst, seed)
     (values,) = _sample_circulant_block(grid, hurst, (seed,))
     return FbmPath(grid=grid, hurst=hurst, values=values, seed=seed)
 
@@ -263,20 +252,16 @@ _TILE_NODES = 2**15
 
 
 def _sample_circulant_block(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
-    """The `sample_fbm_circulant` levels of every seed, one row each: (paths, N+1).
+    """Circulant-embedding fBm levels for every seed, one row each: (paths, N+1).
 
     A tile of a few rows is transformed at a time with the arithmetic of a
-    single path, so each row has the bits of one `sample_fbm_circulant` call,
-    without its per-path objects.  Where the embedding is invalid every seed
-    goes through `sample_fbm_circulant`, which warns and falls back to Cholesky.
+    single path, so each row has the same bits whatever the other seeds are.
+    The embedding is checked before the output is allocated: an eigenvalue
+    below -EMBEDDING_EIG_TOL * lambda_max raises NumericalError.
     """
     n = grid.steps
-    out = np.empty((len(seeds), n + 1))
     coefficients = _embedding_coefficients(n, grid.step, hurst.value)
-    if coefficients is None:
-        for row, seed in zip(out, seeds):
-            row[:] = sample_fbm_circulant(grid, hurst, seed).values
-        return out
+    out = np.empty((len(seeds), n + 1))
     tile = max(1, min(len(seeds), _TILE_NODES // (2 * n)))
     z = np.empty((tile, 2 * n))
     spectrum = np.empty((tile, 2 * n), dtype=complex)

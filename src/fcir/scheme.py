@@ -45,7 +45,11 @@ def _root_constants(step: float, params: CirParams) -> tuple[float, float]:
     _check_step(step, params)
     denom = 2.0 + params.kappa * step
     c = params.kappa * step * params.theta * denom
-    assert c > 0.0  # guaranteed by kappa*theta > 0 and the step constraint
+    if not 0.0 < c < math.inf:  # positive in exact arithmetic: kappa*theta > 0, denom > 0
+        raise NumericalError(
+            f"kappa*h*theta*(2 + kappa*h) = {c} for kappa={params.kappa}, theta={params.theta}, "
+            f"h={step}: the product under- or overflows double precision"
+        )
     return c, denom
 
 
@@ -123,8 +127,10 @@ def simulate_batch(increments: np.ndarray, step: float, params: CirParams) -> np
     reads and writes contiguous rows, and the chunk's levels go back to the
     path-major result in one transposed copy.  Each step takes the a >= 0
     branch of `_positive_root` in place; a chunk in which some a < 0 is solved
-    again from its start level with `_positive_root` itself.  Working memory
-    beyond the result is two (chunk, paths) buffers, whatever N is.
+    again from its start level with `_positive_root` itself.  A level that is
+    not finite and positive (a*a overflows for |a| > ~1.3e154) raises
+    NumericalError.  Working memory beyond the result is two (chunk, paths)
+    buffers, whatever N is.
     """
     increments = np.asarray(increments, dtype=float)
     c, denom = _root_constants(step, params)
@@ -156,6 +162,13 @@ def simulate_batch(increments: np.ndarray, step: float, params: CirParams) -> np
             for n, next_level in zip(chunk, levels):
                 next_level[:] = _positive_root(level + half_sigma * rows[:, n], c, denom)
                 level = next_level
+        valid = (levels > 0.0) & (levels < math.inf)
+        if not valid.all():
+            k, path = np.argwhere(~valid)[0]
+            raise NumericalError(
+                f"backward Euler level {levels[k, path]} at step {first + k + 1} of path "
+                f"{path} is not finite and positive: the implicit step overflows"
+            )
         levels_out[:, first + 1 : chunk.stop + 1] = levels.T
         start[:] = levels[-1]
     return out

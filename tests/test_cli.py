@@ -220,6 +220,42 @@ class TestExitCodes:
         assert [f.name for f in runs[0].iterdir()] == ["manifest.txt"]
         assert read_manifest(runs[0])["status"] == "error"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # c = kappa*h*theta*(2 + kappa*h) overflows to inf or underflows to 0
+            ("converge-uniform --kappa 1e300 --ref-exp 6 --coarse-exps 2,3 --samples 2 "
+             "--workers 1", "= inf for kappa"),
+            # the same error raised in a pool of two processes, one block each
+            ("converge-uniform --kappa 1e300 --ref-exp 6 --coarse-exps 2,3 --samples 2 "
+             "--workers 2", "= inf for kappa"),
+            ("inverse-moments --kappa 1e300 --steps-exp 4 --samples 2 --workers 1",
+             "= inf for kappa"),
+            ("simulate --kappa 1e-160 --theta 1e-163 --steps-exp 4 --horizon 1 --workers 1",
+             "= 0.0 for kappa"),
+            ("simulate --kappa 1e300 --steps-exp 6 --workers 1", "= inf for kappa"),
+            # a*a overflows in the first step
+            ("simulate --sigma 1e160 --steps-exp 4 --workers 1", "level inf at step 1"),
+            ("converge-grid --coarse-exps 4,4 --ref-exp 8 --samples 4 --workers 1", "distinct"),
+            # e^400 underflows for every error
+            ("converge-grid --p 400 --ref-exp 8 --coarse-exps 4,5 --samples 4 --workers 1",
+             "under- or overflows; use a smaller p"),
+            # the condition margin overflows; no data file is written before it
+            ("inverse-moments --sigma 1e153 --horizon 1 --steps-exp 6 --samples 4 --p 1000 "
+             "--workers 1", "margin overflows"),
+            # the smallest circulant embedding eigenvalue is -4.28e-8 times the largest
+            ("simulate --steps-exp 19 --hurst 0.999 --workers 1", "not nonnegative definite"),
+        ],
+    )
+    def test_invalid_state_exits_3(self, tmp_path, capsys, argv, message):
+        code, runs = run_cli(tmp_path, *argv.split())
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert [f.name for f in runs[0].iterdir()] == ["manifest.txt"]
+        assert read_manifest(runs[0])["status"] == "error"
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, value):
         with pytest.raises(SystemExit) as excinfo:

@@ -11,6 +11,7 @@ from fcir import (
     ExperimentConfig,
     GridSpec,
     HurstParameter,
+    NumericalError,
     UnsupportedRegimeError,
     check_fbm_samplers,
     coarsen_path,
@@ -45,6 +46,8 @@ class TestConfig:
     def test_validation(self, bench_params, hurst07):
         with pytest.raises(DomainError):
             small_config(bench_params, hurst07, coarse_exponents=(4, 10))
+        with pytest.raises(DomainError, match="distinct"):
+            small_config(bench_params, hurst07, coarse_exponents=(4, 5, 4))
         with pytest.raises(DomainError):
             small_config(bench_params, hurst07, samples=0)
         with pytest.raises(DomainError):
@@ -187,21 +190,33 @@ class TestUniformReduction:
         assert np.array_equal(rate, oracle_rate)
         assert np.all(level[:, -1] == 0.0) and np.all(rate[:, -1] == 0.0)
 
-    def test_overflowing_coarse_level_matches_interp_oracle(self, bench_params, hurst07):
+    def test_overflowing_coarse_level_raises(self, bench_params, hurst07):
         # The coarse step sees a = 1.4e154, whose square overflows, so its
-        # levels read [1, inf, inf] while the reference levels stay finite;
-        # np.interp gives inf inside the panels where x_i + slope_i*(t - t_i)
-        # gives nan, and the sup error is inf, not nan.
+        # first level would be inf while the reference levels stay finite.
         config = small_config(
             bench_params, hurst07, reference_exponent=2, coarse_exponents=(1,), samples=1
         )
         noise = np.array([[0.0, 2.8e154, 5.6e154, 5.6e154, 5.6e154]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, level, _, rate = experiments._convergence_block(config, noise)
-            oracle_level, oracle_rate = interp_uniform_errors(config, noise)
-        assert oracle_level[0, 0] == oracle_rate[0, 0] == np.inf
-        assert np.array_equal(level, oracle_level)
-        assert np.array_equal(rate, oracle_rate)
+        message = "level inf at step 1 of path 0 is not finite and positive"
+        with np.errstate(over="ignore"):
+            x_ref = simulate_batch(np.diff(noise, axis=1), 0.25, config.params)
+            assert np.all(np.isfinite(x_ref))
+            with pytest.raises(NumericalError, match=message):
+                simulate_batch(np.diff(noise[:, ::2], axis=1), 0.5, config.params)
+            with pytest.raises(NumericalError, match=message):
+                experiments._convergence_block(config, noise)
+
+
+class TestAggregateMoment:
+    # exactly-zero errors stay legal: see test_identical_grid_gives_zero_error
+    @pytest.mark.parametrize("largest, moment", [(0.02, "0.0"), (1e3, "inf")])
+    def test_lost_moment_raises(self, largest, moment):
+        # 0.02^400 underflows to 0 and 1000^400 overflows to inf
+        per_path = np.array([[0.0, 0.01], [0.0, largest]])
+        with np.errstate(over="ignore", under="ignore"), pytest.raises(
+            NumericalError, match=rf"\(1/400\) reads {moment} where"
+        ):
+            experiments._aggregate_moment(per_path, 400)
 
 
 class TestConvergenceReports:

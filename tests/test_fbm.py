@@ -8,7 +8,6 @@ from scipy import stats
 
 from fcir import (
     DomainError,
-    EmbeddingFallbackWarning,
     FbmPath,
     GridSpec,
     HurstParameter,
@@ -195,14 +194,7 @@ class TestCirculantSampler:
     @pytest.mark.parametrize("H", [0.55, 0.6, 0.7, 0.8, 0.9])
     def test_embedding_valid_for_long_memory(self, H):
         coeffs = _embedding_coefficients(256, 1.0 / 256, H)
-        assert coeffs is not None
-
-    def test_fallback_to_cholesky_warns(self, monkeypatch):
-        monkeypatch.setattr(fbm_module, "_embedding_coefficients", lambda *args: None)
-        grid = GridSpec(1.0, 16)
-        with pytest.warns(EmbeddingFallbackWarning):
-            path = sample_fbm_circulant(grid, 0.7, 3)
-        assert np.array_equal(path.values, sample_fbm_cholesky(grid, 0.7, 3).values)
+        assert coeffs.shape == (512,) and np.all(coeffs >= 0.0)
 
     @pytest.mark.parametrize("steps", [1, 2, 64, 2**10])
     @pytest.mark.parametrize("tile_rows", [None, 3])
@@ -218,13 +210,18 @@ class TestCirculantSampler:
             assert np.array_equal(row, sample_fbm_circulant(grid, hurst, seed).values)
             assert np.array_equal(row, circulant_oracle(grid, 0.7, seed))
 
-    def test_block_fallback_to_cholesky_warns(self, monkeypatch):
-        monkeypatch.setattr(fbm_module, "_embedding_coefficients", lambda *args: None)
-        grid, hurst = GridSpec(1.0, 16), HurstParameter(0.7)
-        with pytest.warns(EmbeddingFallbackWarning):
-            block = _sample_circulant_block(grid, hurst, [4, 5, 6])
-        for row, seed in zip(block, [4, 5, 6]):
-            assert np.array_equal(row, sample_fbm_cholesky(grid, hurst, seed).values)
+    def test_invalid_embedding_raises(self):
+        # the smallest embedding eigenvalue at N = 2^19, H = 0.999 is -4.28e-8
+        # times the largest, beyond the tolerance; 2^45 seeds cannot be sized,
+        # so the block sampler must check the embedding before it allocates
+        grid, hurst = GridSpec(1.0, 2**19), HurstParameter(0.999)
+        message = r"N=524288, H=0\.999 .* ratio -4\.28e-08 is below the tolerance -1e-08"
+        with pytest.raises(NumericalError, match=message):
+            _embedding_coefficients(2**19, 2**-19, 0.999)
+        with pytest.raises(NumericalError, match=message):
+            sample_fbm_circulant(grid, hurst, 1)
+        with pytest.raises(NumericalError, match=message):
+            _sample_circulant_block(grid, hurst, range(2**45))
 
     def test_factorization_failure_diagnostic(self, monkeypatch):
         def explode(matrix):

@@ -11,6 +11,7 @@ from fcir import (
     FbmPath,
     GridSpec,
     HurstParameter,
+    NumericalError,
     UnsupportedRegimeError,
     backward_euler_step,
     coarsen_path,
@@ -92,6 +93,15 @@ class TestBackwardEulerStep:
         # h*max(0,-kappa/2) = 0.55 < 1 is fine even though h > max_stable_step(xi)
         assert backward_euler_step(1.0, 0.0, 0.55, negative_kappa) > 0.0
 
+    @pytest.mark.parametrize("kappa, theta, c", [(1e-160, 1e-163, "0.0"), (1e300, 0.5, "inf")])
+    def test_root_constant_out_of_range(self, kappa, theta, c):
+        # c = kappa*h*theta*(2 + kappa*h) underflows to 0 or overflows to inf
+        params = CirParams(kappa=kappa, theta=theta, sigma=0.5, r0=1.0)
+        with pytest.raises(NumericalError, match=f"= {c} for kappa"):
+            backward_euler_step(1.0, 0.0, 0.0625, params)
+        with pytest.raises(NumericalError, match=f"= {c} for kappa"):
+            simulate_batch(np.zeros((2, 16)), 0.0625, params)
+
 
 class TestSimulatePath:
     def test_zero_noise_decreasing_to_fixed_point(self, bench_params):
@@ -149,6 +159,16 @@ class TestSimulatePath:
         for n, increment in enumerate(increments):
             x = backward_euler_step(x, increment, noise.grid.step, bench_params)
             assert x == path.x[n + 1]
+
+    @pytest.mark.parametrize("increment, level", [(5.6e154, "inf"), (-5.6e154, "0.0")])
+    def test_overflowing_step_raises(self, bench_params, increment, level):
+        # a = x_1 + sigma*dB/2 is about +-1.4e154, so a*a overflows: a > 0 gave
+        # an inf level, a < 0 gave c / inf = 0 through the conjugate form
+        increments = np.array([[0.1, 0.2, 0.3], [0.1, increment, 0.3]])
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match=f"level {level} at step 2 of path 1 is not finite and positive"
+        ):
+            simulate_batch(increments, 0.1, bench_params)
 
     def test_refinement_consistency(self, bench_params):
         # matched-noise solutions at steps h and 2h differ by O(h): halving h

@@ -34,13 +34,18 @@ SUBCOMMANDS = (
     "check-conditions",
 )
 # Runs beyond the default flags, once each with `--workers 1`: the `converge`
-# benchmark op, a horizon whose nodes are not dyadic fractions of 1, and a
+# benchmark op, a horizon whose nodes are not dyadic fractions of 1, a
 # regime where 3% of the backward Euler steps have a < 0 (23% of the 64-step
-# chunks of `simulate_batch` are solved again).
+# chunks of `simulate_batch` are solved again), a short-memory circulant
+# embedding, and the largest power-of-two grid whose embedding is accepted at
+# H = 0.9999 (negative eigenvalues within the tolerance are clamped; 2^18
+# steps are rejected).
 EXTRA_CASES = (
     "converge-uniform --ref-exp 14 --coarse-exps 4,5,6,7,8,9,10,11 --samples 400",
     "converge-uniform --horizon 0.3",
     "simulate --sigma 2 --theta 0.01 --r0 0.01",
+    "fbm-check --hurst 0.3 --steps-exp 10 --samples 200",
+    "simulate --steps-exp 17 --hurst 0.9999",
 )
 DATA_FILES = ("data.csv", "sample_path.csv")
 
