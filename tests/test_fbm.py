@@ -210,17 +210,22 @@ class TestCirculantSampler:
             assert np.array_equal(row, sample_fbm_circulant(grid, hurst, seed).values)
             assert np.array_equal(row, circulant_oracle(grid, 0.7, seed))
 
+    # the smallest embedding eigenvalue at N = 2^19, H = 0.999 is -4.28e-8
+    # times the largest, beyond the tolerance
+    _INVALID_EMBEDDING = r"N=524288, H=0\.999 .* ratio -4\.28e-08 is below the tolerance -1e-08"
+
     def test_invalid_embedding_raises(self):
-        # the smallest embedding eigenvalue at N = 2^19, H = 0.999 is -4.28e-8
-        # times the largest, beyond the tolerance; 2^45 seeds cannot be sized,
-        # so the block sampler must check the embedding before it allocates
         grid, hurst = GridSpec(1.0, 2**19), HurstParameter(0.999)
-        message = r"N=524288, H=0\.999 .* ratio -4\.28e-08 is below the tolerance -1e-08"
-        with pytest.raises(NumericalError, match=message):
+        with pytest.raises(NumericalError, match=self._INVALID_EMBEDDING):
             _embedding_coefficients(2**19, 2**-19, 0.999)
-        with pytest.raises(NumericalError, match=message):
+        with pytest.raises(NumericalError, match=self._INVALID_EMBEDDING):
             sample_fbm_circulant(grid, hurst, 1)
-        with pytest.raises(NumericalError, match=message):
+
+    def test_block_invalid_embedding_raises(self):
+        # 2^45 seeds cannot be sized, so the block sampler must check the
+        # embedding before it allocates
+        grid, hurst = GridSpec(1.0, 2**19), HurstParameter(0.999)
+        with pytest.raises(NumericalError, match=self._INVALID_EMBEDDING):
             _sample_circulant_block(grid, hurst, range(2**45))
 
     def test_factorization_failure_diagnostic(self, monkeypatch):
