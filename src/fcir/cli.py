@@ -1,16 +1,21 @@
 """Command-line front end: reproducible experiment runs with CSV output.
 
-Every run creates `<out>/<subcommand>-<timestamp>/` holding the emitted data
-files plus a `manifest.txt` sidecar recording the resolved configuration,
-seeds, warnings, wall-clock duration and `status = ok`.  A run that fails
-with exit code 3 leaves only the manifest, with `status = error` and the
-error message.  Re-running a subcommand with the flags recorded in a
-manifest reproduces its data files byte-for-byte (data files never contain
-timing or environment information).
+Each subcommand is one entry of `SUBCOMMANDS`: its help text, its handler,
+its `--horizon` default and its own flags.  Every run creates
+`<out>/<subcommand>-<timestamp>/` holding the emitted data files plus a
+`manifest.txt` sidecar.  The manifest records every parsed flag except `--out`
+by its argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`,
+`workers`, ...) in parser order, then the handler's results, `data_files`,
+warnings, wall-clock duration and `status = ok`.  A run that fails with exit
+code 3 leaves only the manifest, with `status = error` and the error message.
+Re-running a subcommand with the flags recorded in a manifest reproduces its
+data files byte-for-byte (data files never contain timing or environment
+information).
 
-`converge-uniform` is an alias of `converge-grid` (the run directory and
-`command` keep the name as typed); its manifest records `slope_<family>` and
-`intercept_<family>` for all four error families, `nan` where none is fitted.
+`converge-uniform` runs the same study as `converge-grid` (the run directory
+and `command` keep the name as typed); its manifest records `slope_<family>`
+and `intercept_<family>` for all four error families, `nan` where none is
+fitted.
 
 Exit codes: 0 on success, 2 on invalid flags or unknown subcommands, 3 on
 domain or numerical errors raised by the library, including arithmetic and
@@ -27,6 +32,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, io
 from .errors import FcirError
@@ -46,17 +52,6 @@ from .scheme import simulate_path
 MODEL_DEFAULTS = {"kappa": 2.0, "theta": 0.5, "sigma": 0.5, "r0": 1.0, "hurst": 0.7}
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, horizon: float) -> None:
-    for name, default in {**MODEL_DEFAULTS, "horizon": horizon}.items():
-        parser.add_argument(f"--{name}", type=float, default=default)
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=str, default="runs")
-    parser.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -72,62 +67,6 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fcir",
-        description="Backward Euler solver and Monte Carlo benchmarks for the "
-        "CIR short-rate model driven by fractional Brownian motion (H > 1/2).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="one trajectory, emitted as t,X,r")
-    _add_model_flags(p, horizon=10.0)
-    p.add_argument("--steps-exp", type=int, default=12, help="grid has 2^k steps")
-    _add_run_flags(p)
-
-    p = sub.add_parser("fbm-check", help="statistical validation of the fBm samplers")
-    _add_model_flags(p, horizon=1.0)
-    p.add_argument("--steps-exp", type=int, default=8)
-    p.add_argument("--samples", type=int, default=2000)
-    _add_run_flags(p)
-
-    p = sub.add_parser(
-        "converge-grid",
-        aliases=["converge-uniform"],
-        help="matched-path strong errors at grid nodes and in the uniform norm",
-    )
-    _add_model_flags(p, horizon=1.0)
-    p.add_argument("--ref-exp", type=int, default=12)
-    p.add_argument("--coarse-exps", type=_parse_exponents, default=(4, 5, 6, 7, 8, 9))
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--xi", type=float, default=0.5)
-    _add_run_flags(p)
-
-    p = sub.add_parser("inverse-moments", help="inverse-moment curve over one grid")
-    _add_model_flags(p, horizon=10.0)
-    p.add_argument("--steps-exp", type=int, default=12)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--p", type=int, default=2)
-    _add_run_flags(p)
-
-    p = sub.add_parser(
-        "malliavin-check", help="gap between the product and exponential derivative forms"
-    )
-    _add_model_flags(p, horizon=1.0)
-    p.add_argument("--ref-exp", type=int, default=8)
-    p.add_argument("--coarse-exps", type=_parse_exponents, default=(5, 6, 7))
-    p.add_argument("--samples", type=int, default=100)
-    _add_run_flags(p)
-
-    p = sub.add_parser("check-conditions", help="inverse-moment condition margins")
-    _add_model_flags(p, horizon=1.0)
-    p.add_argument("--p", type=int, default=6)
-    _add_run_flags(p)
-
-    return parser
 
 
 def _params(args: argparse.Namespace) -> CirParams:
@@ -153,51 +92,32 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> dict:
-    grid = GridSpec(args.horizon, 2**args.steps_exp)
-    noise = sample_fbm_circulant(grid, HurstParameter(args.hurst), args.seed)
+    noise = sample_fbm_circulant(
+        GridSpec.dyadic(args.horizon, args.steps_exp), HurstParameter(args.hurst), args.seed
+    )
     path = simulate_path(noise, _params(args))
     io.write_solution_path(outdir / "data.csv", path)
-    return {
-        "steps": str(grid.steps),
-        "base_seed": str(args.seed),
-        "min_rate": io.format_float(float((path.x**2).min())),
-        "data_files": "data.csv",
-    }
+    return {"min_rate": io.format_float(float((path.x**2).min()))}
 
 
 def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> dict:
     hurst = HurstParameter(args.hurst)
-    grid = GridSpec(args.horizon, 2**args.steps_exp)
+    grid = GridSpec.dyadic(args.horizon, args.steps_exp)
     checks = check_fbm_samplers(grid, hurst, args.samples, args.seed)
     io.write_fbm_path(outdir / "sample_path.csv", sample_fbm_circulant(grid, hurst, args.seed))
     io.write_sampler_checks(outdir / "data.csv", checks)
-    return {
-        "steps": str(grid.steps),
-        "samples": str(args.samples),
-        "base_seed": str(args.seed),
-        "all_checks_passed": str(all(check.passed for check in checks)).lower(),
-        "data_files": "data.csv,sample_path.csv",
-    }
+    return {"all_checks_passed": str(all(check.passed for check in checks)).lower()}
 
 
 def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> dict:
-    config = _experiment_config(args)
-    report = run_convergence(config, workers=args.workers)
+    report = run_convergence(_experiment_config(args), workers=args.workers)
     io.write_convergence(outdir / "data.csv", report)
     return {
-        "reference_exponent": str(config.reference_exponent),
-        "coarse_exponents": ",".join(str(e) for e in config.coarse_exponents),
-        "samples": str(config.samples),
-        "base_seed": str(config.base_seed),
-        "p": str(config.p),
-        "xi": io.format_float(config.xi),
-        "workers": str(args.workers),
         **{
             f"{key}_{family}": io.format_float(value)
             for family, fit in report.fits.items()
             for key, value in zip(("slope", "intercept"), fit or (math.nan, math.nan))
         },
-        "data_files": "data.csv",
         **_condition_summary(report.condition_checks),
         **{f"report_warning_{index}": note for index, note in enumerate(report.warnings)},
     }
@@ -209,30 +129,15 @@ def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> dict:
     curve = estimate_inverse_moments(config, workers=args.workers)
     io.write_inverse_moments(outdir / "data.csv", curve)
     return {
-        "steps": str(config.reference_grid.steps),
-        "samples": str(config.samples),
-        "base_seed": str(config.base_seed),
-        "p": str(config.p),
-        "workers": str(args.workers),
         "max_inverse_moment": io.format_float(float(curve.values.max())),
-        "data_files": "data.csv",
         **_condition_summary(checks),
     }
 
 
 def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> dict:
-    config = _experiment_config(args)
-    report = malliavin_gap_study(config, workers=args.workers)
+    report = malliavin_gap_study(_experiment_config(args), workers=args.workers)
     io.write_malliavin_gaps(outdir / "data.csv", report)
-    return {
-        "reference_exponent": str(config.reference_exponent),
-        "coarse_exponents": ",".join(str(e) for e in config.coarse_exponents),
-        "samples": str(config.samples),
-        "base_seed": str(config.base_seed),
-        "workers": str(args.workers),
-        "profile_max": io.format_float(max(report.profile_max)),
-        "data_files": "data.csv",
-    }
+    return {"profile_max": io.format_float(max(report.profile_max))}
 
 
 def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> dict:
@@ -242,22 +147,75 @@ def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> dict:
     io.write_condition_reports(outdir / "data.csv", reports)
     sufficient = sufficient_moment_condition(args.p, params, hurst, args.horizon)
     return {
-        "p": str(args.p),
         "sufficient_closed_form": str(sufficient).lower(),
-        "data_files": "data.csv",
         **_condition_summary(reports),
     }
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "fbm-check": _cmd_fbm_check,
-    "converge-grid": _cmd_convergence,
-    "converge-uniform": _cmd_convergence,
-    "inverse-moments": _cmd_inverse_moments,
-    "malliavin-check": _cmd_malliavin_check,
-    "check-conditions": _cmd_check_conditions,
+class Subcommand(NamedTuple):
+    """Help text, handler, `--horizon` default and own flags (name -> (type, default))."""
+
+    help: str
+    handler: Callable[[argparse.Namespace, Path], dict]
+    horizon: float
+    flags: dict[str, tuple[Callable[[str], object], object]]
+
+
+_CONVERGENCE = Subcommand(
+    "matched-path strong errors at grid nodes and in the uniform norm", _cmd_convergence, 1.0,
+    {"ref-exp": (int, 12), "coarse-exps": (_parse_exponents, (4, 5, 6, 7, 8, 9)),
+     "samples": (int, 200), "p": (int, 2), "xi": (float, 0.5)},
+)
+
+SUBCOMMANDS = {
+    "simulate": Subcommand(
+        "one trajectory on 2^steps-exp steps, emitted as t,X,r", _cmd_simulate, 10.0,
+        {"steps-exp": (int, 12)},
+    ),
+    "fbm-check": Subcommand(
+        "statistical validation of the fBm samplers", _cmd_fbm_check, 1.0,
+        {"steps-exp": (int, 8), "samples": (int, 2000)},
+    ),
+    "converge-grid": _CONVERGENCE,
+    "converge-uniform": _CONVERGENCE,
+    "inverse-moments": Subcommand(
+        "inverse-moment curve over one grid", _cmd_inverse_moments, 10.0,
+        {"steps-exp": (int, 12), "samples": (int, 100), "p": (int, 2)},
+    ),
+    "malliavin-check": Subcommand(
+        "gap between the product and exponential derivative forms", _cmd_malliavin_check, 1.0,
+        {"ref-exp": (int, 8), "coarse-exps": (_parse_exponents, (5, 6, 7)), "samples": (int, 100)},
+    ),
+    "check-conditions": Subcommand(
+        "inverse-moment condition margins", _cmd_check_conditions, 1.0, {"p": (int, 6)}
+    ),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fcir",
+        description="Backward Euler solver and Monte Carlo benchmarks for the "
+        "CIR short-rate model driven by fractional Brownian motion (H > 1/2).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    workers = os.cpu_count() or 1
+    run_flags = {"seed": (int, 1), "out": (str, "runs"), "workers": (_positive_int, workers)}
+    for name, spec in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for flag, default in {**MODEL_DEFAULTS, "horizon": spec.horizon}.items():
+            p.add_argument(f"--{flag}", type=float, default=default)
+        for flag, (kind, default) in {**spec.flags, **run_flags}.items():
+            p.add_argument(f"--{flag}", type=kind, default=default)
+        p.set_defaults(handler=spec.handler)
+    return parser
+
+
+def _flag_text(value) -> str:
+    """A parsed flag as its manifest value: floats at 17 digits, exponent lists comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return io.format_float(value) if isinstance(value, float) else str(value)
 
 
 def _make_outdir(root: str, command: str) -> Path:
@@ -273,8 +231,7 @@ def _make_outdir(root: str, command: str) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.workers = min(args.workers, os.cpu_count() or 1)
     outdir = _make_outdir(args.out, args.command)
 
@@ -283,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            summary = _HANDLERS[args.command](args, outdir)
+            results = args.handler(args, outdir)
         except (FcirError, ArithmeticError, MemoryError) as exc:
             message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
             message = " ".join(message.split())
@@ -294,9 +251,14 @@ def main(argv: list[str] | None = None) -> int:
     duration = time.perf_counter() - started
 
     manifest["status"] = "ok"
-    manifest.update({k: io.format_float(getattr(args, k)) for k in (*MODEL_DEFAULTS, "horizon")})
-    manifest.update(summary)
-    manifest["seed_rule"] = "path i uses base_seed + i (mod 2^64)"
+    manifest.update(
+        (dest, _flag_text(value))
+        for dest, value in vars(args).items()
+        if dest not in ("command", "out", "handler")
+    )
+    manifest.update(results)
+    manifest["data_files"] = ",".join(sorted(path.name for path in outdir.iterdir()))
+    manifest["seed_rule"] = "path i uses seed + i (mod 2^64)"
     manifest["duration_seconds"] = io.format_float(duration)
     manifest["warnings"] = (
         " | ".join(str(w.message) for w in caught) if caught else "(none)"

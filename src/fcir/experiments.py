@@ -163,10 +163,10 @@ class ExperimentConfig:
 
     @property
     def reference_grid(self) -> GridSpec:
-        return GridSpec(self.horizon, 2**self.reference_exponent)
+        return GridSpec.dyadic(self.horizon, self.reference_exponent)
 
     def coarse_grid(self, exponent: int) -> GridSpec:
-        return GridSpec(self.horizon, 2**exponent)
+        return GridSpec.dyadic(self.horizon, exponent)
 
     def step_sizes(self) -> tuple[float, ...]:
         return tuple(self.coarse_grid(e).step for e in self.coarse_exponents)
@@ -352,13 +352,13 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> ConvergenceRe
     """
     if not config.coarse_exponents:
         raise DomainError("a convergence study needs at least one coarse exponent")
+    checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     per_path = _concatenated(_map_blocks(_convergence_block, config, workers, _BLOCK_NODES))
     rms = {
         name: _aggregate_moment(errors, config.p)
         for name, errors in zip(_ERROR_FAMILIES, per_path)
     }
 
-    checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     notes = [
         f"inverse-moment condition with multiplier {report.multiplier} fails "
         f"(worst margin {report.worst_margin:.3g} at s={report.worst_s:.3g}); "

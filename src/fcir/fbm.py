@@ -40,6 +40,9 @@ __all__ = [
 # lower eigenvalue means the embedding cannot give an exact sample.
 EMBEDDING_EIG_TOL = 1e-8
 
+# Largest step count whose steps + 1 float64 nodes numpy can size.
+_MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
+
 
 @dataclass(frozen=True)
 class HurstParameter:
@@ -82,11 +85,21 @@ class GridSpec:
             raise DomainError(f"steps must be a positive integer, got {self.steps}")
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "steps", int(self.steps))
-        if (self.steps + 1) * 8 > np.iinfo(np.intp).max:
+        if self.steps > _MAX_STEPS:
             raise DomainError(
                 f"{self.steps} steps are too many: numpy cannot size an array of "
                 f"{self.steps + 1} float64 nodes"
             )
+
+    @classmethod
+    def dyadic(cls, horizon: float, exponent: int) -> GridSpec:
+        """Grid with 2^exponent steps; the exponent is checked before 2^exponent is formed."""
+        if exponent >= _MAX_STEPS.bit_length():
+            raise DomainError(
+                f"2^{exponent} steps are too many: numpy cannot size an array of "
+                f"2^{exponent} + 1 float64 nodes"
+            )
+        return cls(horizon, 2**exponent)
 
     @property
     def step(self) -> float:

@@ -149,7 +149,7 @@ def _rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter
         integral = special.gamma(a) * special.gammainc(a, rate * s) / rate**a
     else:
         integral = s**a / a * special.hyp1f1(a, a + 1.0, -rate * s)
-    return 0.5 * params.sigma**2 * hurst.alpha * float(integral)
+    return 0.5 * (params.sigma * params.sigma) * hurst.alpha * float(integral)
 
 
 def weighted_kernel_integral(
@@ -272,7 +272,7 @@ def sufficient_moment_condition(
         raise DomainError(f"sufficient condition requires H > 1/2, got {hurst.value}")
 
     scale = 2.0 * params.kappa * params.theta / (
-        params.sigma**2 * hurst.value * (p + 1)
+        params.sigma * params.sigma * hurst.value * (p + 1)
     )
     bound = scale * math.exp(0.5 * min(params.kappa, 0.0) * horizon)
     return horizon ** (2.0 * hurst.value - 1.0) <= bound

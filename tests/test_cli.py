@@ -192,6 +192,42 @@ class TestFbmCheck:
         assert "data_files = data.csv,sample_path.csv" in manifest
 
 
+# A small run of every subcommand, each with some flags away from their defaults.
+SMALL_RUNS = {
+    "simulate": "--steps-exp 6 --sigma 0.3",
+    "fbm-check": "--steps-exp 4 --samples 50",
+    "converge-grid": "--ref-exp 7 --coarse-exps 3,4,5 --samples 4 --xi 0.25",
+    "converge-uniform": "--ref-exp 7 --coarse-exps 3,4,5 --samples 4 --p 3",
+    "inverse-moments": "--steps-exp 6 --samples 4 --horizon 0.3",
+    "malliavin-check": "--ref-exp 7 --coarse-exps 5,6 --samples 4",
+    "check-conditions": "--p 3 --hurst 0.65",
+}
+
+
+def test_manifest_flags_reproduce_the_data_files(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["converge-uniform", "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fcir converge-uniform ")
+
+    for command in cli.SUBCOMMANDS:
+        argv = [command, *SMALL_RUNS[command].split(), "--seed", "5", "--workers", "1"]
+        flags = [
+            dest
+            for dest in vars(cli.build_parser().parse_args(argv))
+            if dest not in ("command", "out", "handler")
+        ]
+        (run,) = run_cli(tmp_path / command / "first", *argv)[1]
+        manifest = read_manifest(run)
+        rerun_argv = [command]
+        for dest in flags:
+            rerun_argv += [f"--{dest.replace('_', '-')}", manifest[dest]]
+        (rerun,) = run_cli(tmp_path / command / "rerun", *rerun_argv)[1]
+        assert [key for key in read_manifest(rerun) if key in flags] == flags
+        for name in manifest["data_files"].split(","):
+            assert (rerun / name).read_bytes() == (run / name).read_bytes(), (command, name)
+
+
 class TestExitCodes:
     def test_invalid_flag_value_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -216,10 +252,10 @@ class TestExitCodes:
         assert "H > 1/2" in manifest[3]
 
     def test_escaped_arithmetic_error_exits_3(self, tmp_path, monkeypatch, capsys):
-        def overflow(args, outdir):
+        def overflow(noise, params):
             raise OverflowError("math range error")
 
-        monkeypatch.setitem(cli._HANDLERS, "simulate", overflow)
+        monkeypatch.setattr(cli, "simulate_path", overflow)
         code, runs = run_cli(tmp_path, "simulate", "--steps-exp", "4")
         assert code == 3
         err = capsys.readouterr().err
@@ -235,6 +271,9 @@ class TestExitCodes:
             ("simulate", "--steps-exp", "62"),
             ("simulate", "--steps-exp", "64"),
             ("converge-grid", "--ref-exp", "62"),
+            # 2^20000 has more digits than int-to-str conversion allows
+            ("simulate", "--steps-exp", "20000"),
+            ("converge-grid", "--ref-exp", "20000"),
         ],
     )
     def test_oversized_grid_exits_3(self, tmp_path, capsys, argv):
@@ -242,7 +281,7 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "too many" in err
+        assert f"2^{argv[2]} steps are too many" in err
         assert [f.name for f in runs[0].iterdir()] == ["manifest.txt"]
         assert read_manifest(runs[0])["status"] == "error"
 
@@ -269,6 +308,8 @@ class TestExitCodes:
             # the condition margin overflows; no data file is written before it
             ("inverse-moments --sigma 1e153 --horizon 1 --steps-exp 6 --samples 4 --p 1000 "
              "--workers 1", "margin overflows"),
+            # sigma^2 overflows a double
+            ("check-conditions --sigma 2e155", "margin overflows"),
             # the smallest circulant embedding eigenvalue is -4.28e-8 times the largest
             ("simulate --steps-exp 19 --hurst 0.999 --workers 1", "not nonnegative definite"),
             # every level is finite and positive, but x^(-2) overflows below ~1e-154

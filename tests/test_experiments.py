@@ -267,6 +267,18 @@ class TestConvergenceReports:
         assert any("condition" in note for note in report.warnings)
         assert all(e > 0.0 for e in report.rms["level_grid"])
 
+    def test_overflowing_condition_raises_before_any_path(
+        self, bench_params, hurst07, monkeypatch
+    ):
+        def no_paths(*args):
+            raise AssertionError("paths were simulated before the condition check")
+
+        monkeypatch.setattr(experiments, "_map_blocks", no_paths)
+        wild = dataclasses.replace(bench_params, sigma=2e155)
+        config = small_config(wild, hurst07, horizon=1e-6, p=1)
+        with pytest.raises(NumericalError, match="margin overflows"):
+            run_convergence(config)
+
 
 class TestInverseMoments:
     def test_initial_node_is_deterministic(self, bench_params, hurst07):

@@ -69,6 +69,14 @@ class TestTypes:
             with pytest.raises(DomainError, match="too many"):
                 GridSpec(1.0, steps)
 
+    def test_dyadic_grid_checks_the_exponent(self):
+        # 2^59 steps is the largest power of two numpy can size; the message
+        # names 2^e instead of writing out its digits
+        assert GridSpec.dyadic(1.0, 59).steps == 2**59
+        for exponent in (60, 64, 20000):
+            with pytest.raises(DomainError, match=rf"^2\^{exponent} steps are too many"):
+                GridSpec.dyadic(1.0, exponent)
+
     def test_fbm_path_starts_at_zero(self):
         grid = GridSpec(1.0, 4)
         with pytest.raises(DomainError):

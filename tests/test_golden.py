@@ -1,0 +1,73 @@
+"""Byte identity of the data files at default flags, against committed digests.
+
+Each case runs `fcir.cli.main` in process with `--workers 1` and compares the
+sha256 of every data file it writes with the table below.  The frozen PCG64
+variates make the bytes stable per platform only, so the table is keyed by
+(numpy version, scipy version, machine); on any other key the cases skip and
+name the key.  A digest changes only with an output change, which CHANGES.md
+records together with its reason.
+"""
+
+import hashlib
+import platform
+import shlex
+
+import numpy as np
+import pytest
+import scipy
+
+from fcir.cli import main
+
+CASES = (
+    "simulate",
+    "fbm-check",
+    "converge-grid",
+    "converge-uniform",
+    "inverse-moments",
+    "malliavin-check",
+    "check-conditions",
+    # 3% of the backward Euler steps have a < 0
+    "simulate --sigma 2 --theta 0.01 --r0 0.01",
+)
+
+_CONVERGENCE = "220d6a946e160f238a4ffd20481a91f598f8bc081eaddeb47f041c56284ec139"
+DIGESTS = {
+    ("2.4.6", "1.17.1", "x86_64"): {
+        "simulate": {
+            "data.csv": "6823454e094e75a022f55d58596efee7efb431ee83a29745832fc8f80e48b22c",
+        },
+        "fbm-check": {
+            "data.csv": "2d58d12a06c87e792a367a474dfa1dee3d67e111142e59291bb0797fcbe5f121",
+            "sample_path.csv": "481b45911dc0f88002f1bf1be1d93ce436089a507b720fd6dc90dbce8625143b",
+        },
+        "converge-grid": {"data.csv": _CONVERGENCE},
+        "converge-uniform": {"data.csv": _CONVERGENCE},
+        "inverse-moments": {
+            "data.csv": "6391e26f036a0ffce304ee88928372405a1c3440040c6e5ec4047b049ff97816",
+        },
+        "malliavin-check": {
+            "data.csv": "bd3c3377bb3ac435df44c0acac18421cc1c7fc70ed6af1ea885900c6dd76b717",
+        },
+        "check-conditions": {
+            "data.csv": "1bb22d78f62e7b3ad8d38845dbc148d55af82a84b2127f9ad8d6b87f0fac3bf9",
+        },
+        "simulate --sigma 2 --theta 0.01 --r0 0.01": {
+            "data.csv": "016fc572c088c0dd93a5486751db39663033c39437ab8bad2c16c9e247d9ce6b",
+        },
+    },
+}
+
+KEY = (np.__version__, scipy.__version__, platform.machine())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_default_data_files_byte_identical(tmp_path, case):
+    if KEY not in DIGESTS:
+        pytest.skip(f"no golden digests for numpy {KEY[0]}, scipy {KEY[1]}, machine {KEY[2]}")
+    assert main([*shlex.split(case), "--workers", "1", "--out", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in run_dir.glob("*.csv")
+    }
+    assert written == DIGESTS[KEY][case]

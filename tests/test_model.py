@@ -1,5 +1,6 @@
 """Tests for model parameters, the transformed drift, and condition checks."""
 
+import dataclasses
 import math
 import warnings
 
@@ -323,6 +324,12 @@ class TestConditionChecks:
         with pytest.raises(NumericalError, match="overflows"):
             check_moment_condition(6, 7, params, 0.7, 30.0)
 
+    def test_overflowing_sigma_squared_is_numerical_error(self, bench_params):
+        # sigma^2 overflows a double: the margin is -inf, never an OverflowError
+        params = dataclasses.replace(bench_params, sigma=2e155)
+        with pytest.raises(NumericalError, match="margin overflows"):
+            check_moment_condition(6, 7, params, 0.7, 1.0)
+
 
 class TestSufficientCondition:
     def test_benchmark_case(self, bench_params):
@@ -331,6 +338,10 @@ class TestSufficientCondition:
 
     def test_fails_for_long_horizon(self, bench_params):
         assert not sufficient_moment_condition(6, bench_params, 0.6, 100.0)
+
+    def test_overflowing_sigma_squared_fails(self, bench_params):
+        params = dataclasses.replace(bench_params, sigma=2e155)
+        assert not sufficient_moment_condition(6, params, 0.6, 1.0)
 
     def test_implies_quadrature_check(self):
         # one-directional implication over a random admissible parameter sweep
