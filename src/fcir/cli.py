@@ -3,14 +3,15 @@
 Each subcommand is one entry of `SUBCOMMANDS`: its help text, its handler,
 its `--horizon` default and its own flags.  Every run creates
 `<out>/<subcommand>-<timestamp>/` holding the emitted data files plus a
-`manifest.txt` sidecar.  The manifest records every parsed flag except `--out`
-by its argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`,
-`workers`, ...) in parser order, then the handler's results, `data_files`,
-warnings, wall-clock duration and `status = ok`.  A run that fails with exit
-code 3 leaves only the manifest, with `status = error` and the error message.
+`manifest.txt` sidecar.  After `command`, `version` and `status = ok` the
+manifest records every parsed flag except `--out` by its argparse dest name
+(`steps_exp`, `ref_exp`, `coarse_exps`, `seed`, `workers`, ...) in parser
+order, then the handler's results, `data_files`, the seed rule, wall-clock
+duration and warnings.  A run that fails with exit code 3 leaves only the
+manifest: `status = error`, the error message, then the parsed flags.
 Re-running a subcommand with the flags recorded in a manifest reproduces its
-data files byte-for-byte (data files never contain timing or environment
-information).
+data files byte-for-byte, or its error (data files never contain timing or
+environment information).
 
 `converge-uniform` runs the same study as `converge-grid` (the run directory
 and `command` keep the name as typed); its manifest records `slope_<family>`
@@ -236,6 +237,11 @@ def main(argv: list[str] | None = None) -> int:
     outdir = _make_outdir(args.out, args.command)
 
     manifest = {"command": args.command, "version": __version__}
+    flags = {
+        dest: _flag_text(value)
+        for dest, value in vars(args).items()
+        if dest not in ("command", "out", "handler")
+    }
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -245,17 +251,12 @@ def main(argv: list[str] | None = None) -> int:
             message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
             message = " ".join(message.split())
             print(f"error: {message}", file=sys.stderr)
-            manifest.update(status="error", error=message)
+            manifest.update(status="error", error=message, **flags)
             io.write_key_values(outdir / "manifest.txt", manifest)
             return 3
     duration = time.perf_counter() - started
 
-    manifest["status"] = "ok"
-    manifest.update(
-        (dest, _flag_text(value))
-        for dest, value in vars(args).items()
-        if dest not in ("command", "out", "handler")
-    )
+    manifest.update(status="ok", **flags)
     manifest.update(results)
     manifest["data_files"] = ",".join(sorted(path.name for path in outdir.iterdir()))
     manifest["seed_rule"] = "path i uses seed + i (mod 2^64)"

@@ -17,7 +17,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, NumericalError, UnsupportedRegimeError
 from .fbm import (
@@ -97,6 +96,9 @@ def check_fbm_samplers(
         z_matrix = np.where(spread > 0.0, diff / spread, np.where(diff > 0.0, np.inf, 0.0))
     max_z = float(z_matrix.max())
     checks.append(SamplerCheck("covariance_max_z", max_z, 5.0, max_z <= 5.0))
+
+    # imported here, not with the module, so that `import fcir` loads no scipy
+    from scipy import stats
 
     pvalue = float(stats.ks_2samp(chol[:, -1], circ[:, -1]).pvalue)
     checks.append(SamplerCheck("cross_sampler_ks_pvalue", pvalue, 0.01, pvalue >= 0.01))

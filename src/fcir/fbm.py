@@ -94,6 +94,8 @@ class GridSpec:
     @classmethod
     def dyadic(cls, horizon: float, exponent: int) -> GridSpec:
         """Grid with 2^exponent steps; the exponent is checked before 2^exponent is formed."""
+        if exponent < 0:
+            raise DomainError(f"2^{exponent} steps: a grid exponent must be at least 0")
         if exponent >= _MAX_STEPS.bit_length():
             raise DomainError(
                 f"2^{exponent} steps are too many: numpy cannot size an array of "

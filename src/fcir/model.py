@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericalError
 from .fbm import HurstParameter, _as_hurst
@@ -140,6 +139,9 @@ def _rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter
     """
     if not hurst.long_memory:
         raise DomainError(f"kernel integral requires H > 1/2, got {hurst.value}")
+    # imported here, not with the module, so that `import fcir` loads no scipy
+    from scipy import special
+
     a = 2.0 * hurst.value - 1.0
     rate = 0.5 * params.kappa
     if rate > 0.0:

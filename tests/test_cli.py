@@ -1,6 +1,10 @@
 """Tests for the command-line interface: subcommands, files, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,20 @@ def read_rows(path):
 def read_manifest(run_dir):
     lines = (run_dir / "manifest.txt").read_text().splitlines()
     return dict(line.split(" = ", 1) for line in lines)
+
+
+def manifest_flags(argv):
+    """The flag keys a manifest records for argv, in parser order."""
+    args = vars(cli.build_parser().parse_args(argv))
+    return [dest for dest in args if dest not in ("command", "out", "handler")]
+
+
+def rerun_argv(command, manifest, flags):
+    """argv that re-runs command with the flags recorded in a manifest."""
+    argv = [command]
+    for dest in flags:
+        argv += [f"--{dest.replace('_', '-')}", manifest[dest]]
+    return argv
 
 
 class TestSimulate:
@@ -212,17 +230,10 @@ def test_manifest_flags_reproduce_the_data_files(tmp_path, capsys):
 
     for command in cli.SUBCOMMANDS:
         argv = [command, *SMALL_RUNS[command].split(), "--seed", "5", "--workers", "1"]
-        flags = [
-            dest
-            for dest in vars(cli.build_parser().parse_args(argv))
-            if dest not in ("command", "out", "handler")
-        ]
+        flags = manifest_flags(argv)
         (run,) = run_cli(tmp_path / command / "first", *argv)[1]
         manifest = read_manifest(run)
-        rerun_argv = [command]
-        for dest in flags:
-            rerun_argv += [f"--{dest.replace('_', '-')}", manifest[dest]]
-        (rerun,) = run_cli(tmp_path / command / "rerun", *rerun_argv)[1]
+        (rerun,) = run_cli(tmp_path / command / "rerun", *rerun_argv(command, manifest, flags))[1]
         assert [key for key in read_manifest(rerun) if key in flags] == flags
         for name in manifest["data_files"].split(","):
             assert (rerun / name).read_bytes() == (run / name).read_bytes(), (command, name)
@@ -250,6 +261,22 @@ class TestExitCodes:
         assert manifest[:3] == ["command = simulate", "version = 0.1.0", "status = error"]
         assert manifest[3].startswith("error = ")
         assert "H > 1/2" in manifest[3]
+
+    def test_error_manifest_flags_reproduce_the_error(self, tmp_path, capsys):
+        argv = ["check-conditions", "--sigma", "2e155"]
+        flags = manifest_flags(argv)
+        code, (run,) = run_cli(tmp_path / "first", *argv)
+        assert code == 3
+        lines = (run / "manifest.txt").read_text().splitlines()
+        assert lines[:3] == ["command = check-conditions", "version = 0.1.0", "status = error"]
+        assert lines[3].startswith("error = ")
+        manifest = read_manifest(run)
+        assert list(manifest)[4:] == flags
+        capsys.readouterr()
+        code, (rerun,) = run_cli(tmp_path / "rerun", *rerun_argv(argv[0], manifest, flags))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {manifest['error']}\n"
+        assert read_manifest(rerun) == manifest
 
     def test_escaped_arithmetic_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def overflow(noise, params):
@@ -315,6 +342,9 @@ class TestExitCodes:
             # every level is finite and positive, but x^(-2) overflows below ~1e-154
             ("inverse-moments --r0 1e-300 --theta 1e-300 --steps-exp 6 --samples 4 "
              "--workers 1", "E[x^(-2)]^(1/2) reads inf at node 1"),
+            # a negative grid exponent is named by its exponent, not by 2^e
+            ("simulate --steps-exp -1", "2^-1 steps: a grid exponent must be at least 0"),
+            ("fbm-check --steps-exp -3", "2^-3 steps: a grid exponent must be at least 0"),
         ],
     )
     def test_invalid_state_exits_3(self, tmp_path, capsys, argv, message):
@@ -348,3 +378,34 @@ class TestExitCodes:
             ["simulate", "--sigma", "-1", "--steps-exp", "4", "--out", str(tmp_path)]
         )
         assert code == 3
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def scipy_modules_after(code, cwd):
+    """The scipy modules loaded after `code` runs in a fresh interpreter on src."""
+    probe = f"{code}\nimport sys\nprint(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(done.stdout.splitlines()[-1].split())
+
+
+class TestStartup:
+    # scipy takes most of the start-up time; it is imported only by the
+    # functions that call it
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert scipy_modules_after("import fcir, fcir.cli", tmp_path) == set()
+
+    def test_condition_check_loads_scipy_special(self, tmp_path):
+        loaded = scipy_modules_after(
+            "from fcir.cli import main\nmain(['check-conditions', '--out', 'runs'])", tmp_path
+        )
+        assert "scipy.special" in loaded
+        assert "scipy.stats" not in loaded

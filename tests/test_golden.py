@@ -5,17 +5,20 @@ sha256 of every data file it writes with the table below.  The frozen PCG64
 variates make the bytes stable per platform only, so the table is keyed by
 (numpy version, scipy version, machine); on any other key the cases skip and
 name the key.  A digest changes only with an output change, which CHANGES.md
-records together with its reason.
+records together with its reason.  `python3 tools/golden_bytes.py --digests
+SRC` prints the table entry for the current key, computed on the tree SRC.
 """
 
 import hashlib
 import platform
 import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+from fcir import experiments
 from fcir.cli import main
 
 CASES = (
@@ -28,7 +31,12 @@ CASES = (
     "check-conditions",
     # 3% of the backward Euler steps have a < 0
     "simulate --sigma 2 --theta 0.01 --r0 0.01",
+    # nodes that are not dyadic fractions of 1
+    "converge-uniform --horizon 0.3",
 )
+# Runs with `experiments._BLOCK_NODES` patched: label -> (argv, nodes per block).
+# The default study, 200 paths of 2^12 + 1 reference nodes, in 2 blocks of 100.
+SPLIT_CASES = {"converge-grid in 2 blocks": ("converge-grid", 100 * (2**12 + 1))}
 
 _CONVERGENCE = "220d6a946e160f238a4ffd20481a91f598f8bc081eaddeb47f041c56284ec139"
 DIGESTS = {
@@ -54,20 +62,40 @@ DIGESTS = {
         "simulate --sigma 2 --theta 0.01 --r0 0.01": {
             "data.csv": "016fc572c088c0dd93a5486751db39663033c39437ab8bad2c16c9e247d9ce6b",
         },
+        "converge-uniform --horizon 0.3": {
+            "data.csv": "ed4d03bfe275a0ac8b605515dcb85bdee6493b7ef63b4306cf2754b8f2f6cc8c",
+        },
+        "converge-grid in 2 blocks": {"data.csv": _CONVERGENCE},
     },
 }
 
 KEY = (np.__version__, scipy.__version__, platform.machine())
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_default_data_files_byte_identical(tmp_path, case):
-    if KEY not in DIGESTS:
-        pytest.skip(f"no golden digests for numpy {KEY[0]}, scipy {KEY[1]}, machine {KEY[2]}")
-    assert main([*shlex.split(case), "--workers", "1", "--out", str(tmp_path)]) == 0
-    (run_dir,) = tmp_path.iterdir()
-    written = {
+def data_digests(argv: str, out: Path) -> dict[str, str]:
+    """Run `fcir argv --workers 1` in process into out; sha256 of each data file."""
+    assert main([*shlex.split(argv), "--workers", "1", "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in run_dir.glob("*.csv")
     }
-    assert written == DIGESTS[KEY][case]
+
+
+@pytest.fixture
+def digests():
+    if KEY not in DIGESTS:
+        pytest.skip(f"no golden digests for numpy {KEY[0]}, scipy {KEY[1]}, machine {KEY[2]}")
+    return DIGESTS[KEY]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_default_data_files_byte_identical(tmp_path, digests, case):
+    assert data_digests(case, tmp_path) == digests[case]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_study_byte_identical(tmp_path, monkeypatch, digests, case):
+    argv, nodes = SPLIT_CASES[case]
+    monkeypatch.setattr(experiments, "_BLOCK_NODES", nodes)
+    assert data_digests(argv, tmp_path) == digests[case]

@@ -2,6 +2,7 @@
 
 Usage:
     python3 tools/golden_bytes.py PARENT_SRC CHANGE_SRC [--case "ARGV"]...
+    python3 tools/golden_bytes.py --digests SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the `fcir` package (the
 `src` directory of two checkouts).  Each of the 7 subcommands runs at its
@@ -11,6 +12,11 @@ as one argument), each in a fresh interpreter with a temporary `--out`.
 The script prints the sha256 of every `data.csv` and `sample_path.csv` side
 by side and exits 1 if any pair differs or any run fails.  Only the
 standard library is used.
+
+With `--digests SRC` the script instead runs the cases of
+`tests/test_golden.py` on the one tree SRC, in a fresh interpreter, and prints
+the `DIGESTS` entry for that interpreter's (numpy, scipy, machine) key, ready
+to paste into the test.  Pasting a changed digest records an output change.
 """
 
 from __future__ import annotations
@@ -50,6 +56,31 @@ EXTRA_CASES = (
     "simulate --steps-exp 17 --hurst 0.9999",
 )
 DATA_FILES = ("data.csv", "sample_path.csv")
+TESTS = Path(__file__).resolve().parents[1] / "tests"
+# Run in the fresh interpreter of `--digests`, with the tests directory as argv[1].
+DIGEST_ENTRY = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_golden as golden
+
+def digests(argv):
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        return golden.data_digests(argv, Path(out))
+
+entry = {case: digests(case) for case in golden.CASES}
+for case, (argv, nodes) in golden.SPLIT_CASES.items():
+    golden.experiments._BLOCK_NODES = nodes
+    entry[case] = digests(argv)
+q = json.dumps
+print(f"    ({', '.join(map(q, golden.KEY))}): {{")
+for case, files in entry.items():
+    print(f"        {q(case)}: {{")
+    for name, digest in sorted(files.items()):
+        print(f"            {q(name)}: {q(digest)},")
+    print("        },")
+print("    },")
+"""
 
 
 def run_digests(src: Path, argv: list[str]) -> dict[str, str]:
@@ -72,12 +103,28 @@ def run_digests(src: Path, argv: list[str]) -> dict[str, str]:
         }
 
 
+def print_digest_entry(src: Path) -> int:
+    """Print the test_golden DIGESTS entry of the cases run against src."""
+    done = subprocess.run(
+        [sys.executable, "-c", DIGEST_ENTRY, str(TESTS)],
+        env={**os.environ, "PYTHONPATH": str(src.resolve())},
+    )
+    return done.returncode
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent_src", type=Path)
-    parser.add_argument("change_src", type=Path)
+    parser.add_argument("parent_src", type=Path, nargs="?")
+    parser.add_argument("change_src", type=Path, nargs="?")
     parser.add_argument("--case", action="append", default=[], help="extra run, quoted")
+    parser.add_argument("--digests", type=Path, metavar="SRC", help="print DIGESTS for SRC")
     args = parser.parse_args()
+    if args.digests is not None:
+        if args.parent_src or args.case:
+            parser.error("--digests takes no other arguments")
+        return print_digest_entry(args.digests)
+    if args.change_src is None:
+        parser.error("PARENT_SRC and CHANGE_SRC are required")
 
     cases = [[name, "--workers", str(w)] for name in SUBCOMMANDS for w in (1, 2)]
     cases += [[*shlex.split(case), "--workers", "1"] for case in EXTRA_CASES]
