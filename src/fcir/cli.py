@@ -7,8 +7,9 @@ its `--horizon` default and its own flags.  Every run creates
 manifest records every parsed flag except `--out` by its argparse dest name
 (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`, `workers`, ...) in parser
 order, then the handler's results, `data_files`, the seed rule, wall-clock
-duration and warnings.  A run that fails with exit code 3 leaves only the
-manifest: `status = error`, the error message, then the parsed flags.
+duration, peak resident memory (`peak_rss_mb`, the larger of this process and
+its largest worker) and warnings.  A run that fails with exit code 3 leaves
+only the manifest: `status = error`, the error message, then the parsed flags.
 Re-running a subcommand with the flags recorded in a manifest reproduces its
 data files byte-for-byte, or its error (data files never contain timing or
 environment information).
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 import warnings
@@ -219,6 +221,15 @@ def _flag_text(value) -> str:
     return io.format_float(value) if isinstance(value, float) else str(value)
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident memory of this process or its largest finished child, in MB."""
+    kilobytes = max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+    return kilobytes / 1024
+
+
 def _make_outdir(root: str, command: str) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = Path(root) / f"{command}-{stamp}"
@@ -261,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest["data_files"] = ",".join(sorted(path.name for path in outdir.iterdir()))
     manifest["seed_rule"] = "path i uses seed + i (mod 2^64)"
     manifest["duration_seconds"] = io.format_float(duration)
+    manifest["peak_rss_mb"] = io.format_float(_peak_rss_mb())
     manifest["warnings"] = (
         " | ".join(str(w.message) for w in caught) if caught else "(none)"
     )

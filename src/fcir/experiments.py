@@ -239,7 +239,8 @@ def regress_order(step_sizes, errors) -> tuple[float, float]:
 
 # Reference-grid noise values per block of paths, the bound on working memory.
 # Counted in nodes, not paths, because each block repeats the per-step loop of
-# `simulate_batch`.  400 x (2^14 + 1) nodes fit in one convergence block; the
+# `simulate_batch`.  400 x (2^14 + 1) nodes fit in one convergence block, which
+# holds one noise-sized array (solved in place) plus the coarse levels; the
 # gap kernel holds about 8 (paths, N) temporaries, 31 paths at 2^11.
 _BLOCK_NODES = 2**23
 _GAP_BLOCK_NODES = 2**16
@@ -250,8 +251,9 @@ def _map_blocks(block_fn, config: ExperimentConfig, workers: int, nodes: int):
 
     Paths go in blocks of at most `nodes` reference-grid noise values (at
     least one path), and no more than samples / workers paths so every worker
-    gets a block.  block_fn returns a tuple of per-path arrays.  With one
-    worker the blocks are computed as they are consumed.
+    gets a block.  block_fn owns the noise array it is handed and may
+    overwrite it; it returns a tuple of per-path arrays.  With one worker the
+    blocks are computed as they are consumed.
     """
     per_path = config.reference_grid.steps + 1
     workers = max(1, workers)
@@ -278,12 +280,23 @@ def _sample_block(block_fn, config: ExperimentConfig, rows: int, start: int) -> 
     return block_fn(config, _sample_circulant_block(config.reference_grid, config.hurst, seeds))
 
 
+def _solve_in_place(noise: np.ndarray, step: float, params: CirParams) -> np.ndarray:
+    """Overwrite each row of noise levels with the backward Euler levels it drives.
+
+    Each row is differenced in place, the same subtraction as `np.diff` (numpy
+    buffers the overlapping operand), and then solved over its own increments.
+    """
+    for row in noise:
+        np.subtract(row[1:], row[:-1], out=row[1:])
+    return simulate_batch(noise[:, 1:], step, params, out=noise)
+
+
 def _coarse_levels(config: ExperimentConfig, noise: np.ndarray):
-    """Yield (grid, restriction factor, solved levels) for each coarse exponent."""
+    """Yield (grid, restriction factor, solved levels) per coarse exponent; noise is kept."""
     for exponent in config.coarse_exponents:
         grid = config.coarse_grid(exponent)
         factor = 2 ** (config.reference_exponent - exponent)
-        levels = simulate_batch(np.diff(noise[:, ::factor], axis=1), grid.step, config.params)
+        levels = _solve_in_place(noise[:, ::factor].copy(), grid.step, config.params)
         yield grid, factor, levels
 
 
@@ -291,36 +304,44 @@ _ERROR_FAMILIES = ("level_grid", "level_uniform", "rate_grid", "rate_uniform")
 
 
 def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
-    """Per-path sup errors, one array of shape (paths, coarse grids) per family."""
+    """Per-path sup errors, one array of shape (paths, coarse grids) per family.
+
+    The coarse grids are solved first; the noise is then overwritten by the
+    reference solution.
+    """
     ref_grid = config.reference_grid
-    x_ref = simulate_batch(np.diff(noise, axis=1), ref_grid.step, config.params)
+    coarse = list(_coarse_levels(config, noise))
+    x_ref = _solve_in_place(noise, ref_grid.step, config.params)
     ref_nodes = ref_grid.nodes()
     interpolated, work = np.empty((2, ref_grid.steps + 1))
 
     shape = (len(noise), len(config.coarse_exponents))
     level_grid, level_uniform, rate_grid, rate_uniform = (np.empty(shape) for _ in range(4))
-    for j, (grid, factor, x) in enumerate(_coarse_levels(config, noise)):
-        shared_ref = x_ref[:, ::factor]
-        level_grid[:, j] = np.abs(shared_ref[:, 1:] - x[:, 1:]).max(axis=1)
-        rate_grid[:, j] = np.abs(shared_ref[:, 1:] ** 2 - x[:, 1:] ** 2).max(axis=1)
+    for j, (grid, factor, x) in enumerate(coarse):
         # The interpolant panel by panel in np.interp's arithmetic, x_i +
         # slope_i * (t - t_i).  Nested dyadic nodes coincide bit for bit, so
         # the offsets t - t_i are exactly 0 at coarse nodes and the interpolant
-        # is exact there.  Both sups are taken path by path in two N-sized
-        # buffers, squaring x_ref one row at a time, so no (paths, N+1)
-        # temporary is made.
+        # is exact there (the last node is copied): every `factor`-th entry of
+        # a uniform distance is the grid distance at a coarse node.  All four
+        # sups are taken path by path in two N-sized buffers and one slope
+        # row, squaring x_ref one row at a time, so beyond the coarse levels
+        # no array with a paths axis is made.
         coarse_nodes = grid.nodes()
         offsets = ref_nodes[:-1].reshape(grid.steps, factor) - coarse_nodes[:-1, None]
-        slopes = np.diff(x, axis=1) / np.diff(coarse_nodes)
+        widths, slope = np.diff(coarse_nodes), np.empty(grid.steps)
         panels = interpolated[:-1].reshape(grid.steps, factor)
-        for row in range(len(x)):
-            np.multiply(slopes[row, :, None], offsets, out=panels)
-            panels += x[row, :-1, None]
-            interpolated[-1] = x[row, -1]
+        for row, levels in enumerate(x):
+            np.subtract(levels[1:], levels[:-1], out=slope)
+            slope /= widths
+            np.multiply(slope[:, None], offsets, out=panels)
+            panels += levels[:-1, None]
+            interpolated[-1] = levels[-1]
             level_uniform[row, j] = _sup_distance(x_ref[row], interpolated, work)
+            level_grid[row, j] = work[factor::factor].max()
             np.square(interpolated, out=interpolated)
             np.square(x_ref[row], out=work)
             rate_uniform[row, j] = _sup_distance(work, interpolated, work)
+            rate_grid[row, j] = work[factor::factor].max()
     return level_grid, level_uniform, rate_grid, rate_uniform
 
 
@@ -395,8 +416,8 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> ConvergenceRe
 
 
 def _inverse_moment_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
-    """Per-path x_n^(-p) at every reference node, shape (paths, N+1)."""
-    x = simulate_batch(np.diff(noise, axis=1), config.reference_grid.step, config.params)
+    """Per-path x_n^(-p) at every reference node, shape (paths, N+1), in the noise array."""
+    x = _solve_in_place(noise, config.reference_grid.step, config.params)
     x **= -float(config.p)
     return (x,)
 

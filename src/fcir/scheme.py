@@ -110,12 +110,20 @@ def backward_euler_step(
     return float(_positive_root(a, c, denom))
 
 
+def _is_tail(increments: np.ndarray, out: np.ndarray) -> bool:
+    """Whether increments is exactly the view out[..., 1:]."""
+    tail = out[..., 1:]
+    return (increments.ctypes.data, increments.strides) == (tail.ctypes.data, tail.strides)
+
+
 # Steps per chunk of `simulate_batch`: two (chunk, paths) buffers stay in
 # cache, and the chunk is the unit of the a < 0 re-solve.
 _CHUNK_STEPS = 64
 
 
-def simulate_batch(increments: np.ndarray, step: float, params: CirParams) -> np.ndarray:
+def simulate_batch(
+    increments: np.ndarray, step: float, params: CirParams, out: np.ndarray | None = None
+) -> np.ndarray:
     """Run the recursion along the last axis of an increment array.
 
     increments has shape (..., N); the result has shape (..., N+1) with the
@@ -132,13 +140,29 @@ def simulate_batch(increments: np.ndarray, step: float, params: CirParams) -> np
     not finite and positive (a*a overflows for |a| > ~1.3e154) raises
     NumericalError.  Working memory beyond the result is two (chunk, paths)
     buffers, whatever N is.
+
+    The levels are written into `out` when given: a C-contiguous float64
+    array of the result's shape, returned.  `out` may hold the increments
+    themselves as `out[..., 1:]`, so a noise-sized array is solved in place:
+    a chunk's increments are copied into the step-major buffer, and its a < 0
+    re-solve runs, before that chunk's levels are written back.  Any other
+    overlap of `out` and `increments` raises DomainError.
     """
     increments = np.asarray(increments, dtype=float)
     c, denom = _root_constants(step, params)
     half_sigma = 0.5 * params.sigma
 
     n_steps = increments.shape[-1]
-    out = np.empty(increments.shape[:-1] + (n_steps + 1,))
+    shape = increments.shape[:-1] + (n_steps + 1,)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DomainError(
+            f"out must be a C-contiguous float64 array of shape {shape}, got "
+            f"{out.dtype} of shape {out.shape} (C-contiguous: {out.flags.c_contiguous})"
+        )
+    elif np.may_share_memory(out, increments) and not _is_tail(increments, out):
+        raise DomainError("out may overlap the increments only as out[..., 1:]")
     out[..., 0] = params.x0
     width = math.prod(increments.shape[:-1])
     rows, levels_out = increments.reshape(width, n_steps), out.reshape(width, n_steps + 1)

@@ -71,6 +71,15 @@ class TestSimulate:
         assert code == 0
         assert read_manifest(runs[0])["warnings"] == "(none)"
 
+    def test_manifest_records_peak_memory(self, tmp_path):
+        code, runs = run_cli(tmp_path, "simulate", "--steps-exp", "6", "--workers", "1")
+        assert code == 0
+        manifest = read_manifest(runs[0])
+        keys = list(manifest)
+        assert keys.index("peak_rss_mb") == keys.index("duration_seconds") + 1
+        peak = float(manifest["peak_rss_mb"])
+        assert math.isfinite(peak) and peak > 0.0
+
     def test_full_precision_round_trip(self, tmp_path):
         # 17 significant digits reproduce the doubles exactly
         path = sample_fbm_circulant(GridSpec(1.0, 16), HurstParameter(0.7), 5)
@@ -128,7 +137,7 @@ class TestConvergeSubcommands:
         assert (grid["command"], uniform["command"]) == ("converge-grid", "converge-uniform")
         assert grid.keys() == uniform.keys()
         differing = {key for key in grid if grid[key] != uniform[key]}
-        assert differing <= {"command", "duration_seconds"}
+        assert differing <= {"command", "duration_seconds", "peak_rss_mb"}
 
 
 class TestInverseMoments:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,21 @@ class TestMatchedPathDesign:
         assert all(family in skipped[0] for family in experiments._ERROR_FAMILIES)
 
 
+def grid_errors(config, noise):
+    """Oracle: the level and rate errors at shared nodes, one (paths, 2^e) array per grid."""
+    x_ref = simulate_batch(np.diff(noise, axis=1), config.reference_grid.step, config.params)
+    shape = (len(noise), len(config.coarse_exponents))
+    level, rate = np.empty(shape), np.empty(shape)
+    for j, exponent in enumerate(config.coarse_exponents):
+        grid = config.coarse_grid(exponent)
+        factor = 2 ** (config.reference_exponent - exponent)
+        x = simulate_batch(np.diff(noise[:, ::factor], axis=1), grid.step, config.params)
+        shared_ref = x_ref[:, ::factor]
+        level[:, j] = np.abs(shared_ref[:, 1:] - x[:, 1:]).max(axis=1)
+        rate[:, j] = np.abs(shared_ref[:, 1:] ** 2 - x[:, 1:] ** 2).max(axis=1)
+    return level, rate
+
+
 def interp_uniform_errors(config, noise):
     """Oracle: the uniform-norm level and rate errors through np.interp, path by path."""
     ref_grid = config.reference_grid
@@ -185,11 +201,16 @@ class TestUniformReduction:
         )
         seeds = [path_seed(config.base_seed, i) for i in range(config.samples)]
         noise = experiments._sample_circulant_block(config.reference_grid, hurst07, seeds)
-        _, level, _, rate = experiments._convergence_block(config, noise)
+        # the block overwrites the noise it is handed, and the oracles reuse it
+        level_grid, level, rate_grid, rate = experiments._convergence_block(config, noise.copy())
         oracle_level, oracle_rate = interp_uniform_errors(config, noise)
         assert np.array_equal(level, oracle_level)
         assert np.array_equal(rate, oracle_rate)
         assert np.all(level[:, -1] == 0.0) and np.all(rate[:, -1] == 0.0)
+        # the grid families are read off the same pass at the coarse nodes
+        oracle_level_grid, oracle_rate_grid = grid_errors(config, noise)
+        assert np.array_equal(level_grid, oracle_level_grid)
+        assert np.array_equal(rate_grid, oracle_rate_grid)
 
     def test_overflowing_coarse_level_raises(self, bench_params, hurst07):
         # The coarse step sees a = 1.4e154, whose square overflows, so its
@@ -391,6 +412,29 @@ class TestBlockDriver:
                 np.testing.assert_equal(
                     getattr(split, field.name), getattr(expected, field.name), err_msg=field.name
                 )
+
+    @pytest.mark.parametrize("block", ["_convergence_block", "_inverse_moment_block"])
+    def test_block_holds_one_noise_sized_array(self, bench_params, hurst07, block):
+        # The block solves the reference grid over the noise it is handed, so
+        # beyond that array it holds the coarse levels and buffers of one path
+        # or one 64-step chunk.  A block that keeps the increments and the
+        # reference levels beside the noise reaches about 3x the noise.
+        config = small_config(
+            bench_params, hurst07, reference_exponent=12, coarse_exponents=(4, 5, 6, 7, 8, 9),
+            samples=64,
+        )
+        seeds = [path_seed(config.base_seed, i) for i in range(config.samples)]
+        noise = experiments._sample_circulant_block(config.reference_grid, hurst07, seeds)
+        noise_bytes = noise.nbytes
+        coarse_bytes = sum(config.samples * (2**e + 1) * 8 for e in config.coarse_exponents)
+        tracemalloc.start()
+        try:
+            getattr(experiments, block)(config, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = noise_bytes + peak
+        assert held < 1.5 * noise_bytes + coarse_bytes, (held, noise_bytes, coarse_bytes)
 
 
 class TestSamplerChecks:

@@ -35,10 +35,14 @@ CASES = (
     "converge-uniform --horizon 0.3",
 )
 # Runs with `experiments._BLOCK_NODES` patched: label -> (argv, nodes per block).
-# The default study, 200 paths of 2^12 + 1 reference nodes, in 2 blocks of 100.
-SPLIT_CASES = {"converge-grid in 2 blocks": ("converge-grid", 100 * (2**12 + 1))}
+# The default studies, 200 and 100 paths of 2^12 + 1 reference nodes, in 2 blocks.
+SPLIT_CASES = {
+    "converge-grid in 2 blocks": ("converge-grid", 100 * (2**12 + 1)),
+    "inverse-moments in 2 blocks": ("inverse-moments", 50 * (2**12 + 1)),
+}
 
 _CONVERGENCE = "220d6a946e160f238a4ffd20481a91f598f8bc081eaddeb47f041c56284ec139"
+_INVERSE_MOMENTS = "6391e26f036a0ffce304ee88928372405a1c3440040c6e5ec4047b049ff97816"
 DIGESTS = {
     ("2.4.6", "1.17.1", "x86_64"): {
         "simulate": {
@@ -50,9 +54,7 @@ DIGESTS = {
         },
         "converge-grid": {"data.csv": _CONVERGENCE},
         "converge-uniform": {"data.csv": _CONVERGENCE},
-        "inverse-moments": {
-            "data.csv": "6391e26f036a0ffce304ee88928372405a1c3440040c6e5ec4047b049ff97816",
-        },
+        "inverse-moments": {"data.csv": _INVERSE_MOMENTS},
         "malliavin-check": {
             "data.csv": "bd3c3377bb3ac435df44c0acac18421cc1c7fc70ed6af1ea885900c6dd76b717",
         },
@@ -66,6 +68,7 @@ DIGESTS = {
             "data.csv": "ed4d03bfe275a0ac8b605515dcb85bdee6493b7ef63b4306cf2754b8f2f6cc8c",
         },
         "converge-grid in 2 blocks": {"data.csv": _CONVERGENCE},
+        "inverse-moments in 2 blocks": {"data.csv": _INVERSE_MOMENTS},
     },
 }
 

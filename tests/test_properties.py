@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fcir import (
     CirParams,
+    DomainError,
     GridSpec,
     backward_euler_step,
     malliavin_profile,
@@ -79,14 +80,45 @@ def scalar_levels(increments, step, params):
 def test_batch_matches_scalar_loop_across_chunks(steps, params):
     # simulate_batch runs 64-step chunks; N straddles the chunk edges
     grid = GridSpec(1.0, steps)
-    increments = np.stack(
-        [sample_fbm_circulant(grid, 0.7, path_seed(7, i)).increments() for i in range(8)]
-    )
-    batch = simulate_batch(increments.reshape(2, 4, steps), grid.step, params).reshape(8, -1)
+    noise = np.stack(
+        [sample_fbm_circulant(grid, 0.7, path_seed(7, i)).values for i in range(8)]
+    ).reshape(2, 4, steps + 1)
+    increments = np.diff(noise, axis=-1)
+    batch = simulate_batch(increments, grid.step, params)
     negative = 0
-    for row, path_increments in zip(batch, increments):
+    for row, path_increments in zip(batch.reshape(8, -1), increments.reshape(8, -1)):
         levels, a = scalar_levels(path_increments, grid.step, params)
         assert np.array_equal(row, levels)
         negative += np.count_nonzero(a < 0.0)
     if params is NEGATIVE_A:
         assert negative > 0
+    # solved over its own increments, held in out[..., 1:], an array gives the same bits
+    noise[..., 1:] = increments
+    solved = simulate_batch(noise[..., 1:], grid.step, params, out=noise)
+    assert solved is noise
+    assert np.array_equal(solved, batch)
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [
+        lambda shape: np.empty(shape[:-1] + (shape[-1] + 1,)),
+        lambda shape: np.empty(shape, dtype=np.float32),
+        lambda shape: np.empty(shape[::-1]).T,
+        lambda shape: np.empty(shape[:-1] + (2 * shape[-1],))[..., ::2],
+    ],
+    ids=["shape", "dtype", "fortran-order", "strided"],
+)
+def test_invalid_out_raises(make_out):
+    increments = np.full((3, 5), 0.01)
+    with pytest.raises(DomainError, match="out must be a C-contiguous float64 array"):
+        simulate_batch(increments, 0.2, BENCH, out=make_out((3, 6)))
+
+
+@pytest.mark.parametrize(
+    "view", [lambda out: out[:, :-1], lambda out: out[::-1, 1:]], ids=["head", "reversed"]
+)
+def test_out_overlapping_other_than_as_tail_raises(view):
+    out = np.full((3, 6), 0.01)
+    with pytest.raises(DomainError, match=r"only as out\[\.\.\., 1:\]"):
+        simulate_batch(view(out), 0.2, BENCH, out=out)

@@ -40,15 +40,17 @@ SUBCOMMANDS = (
     "check-conditions",
 )
 # Runs beyond the default flags, once each with `--workers 1`: the `converge`
-# benchmark op, a horizon whose nodes are not dyadic fractions of 1, a
-# regime where 3% of the backward Euler steps have a < 0 (23% of the 64-step
-# chunks of `simulate_batch` are solved again), levels near 1e-150 where c
-# is negligible next to a^2 (the unused conjugate branch of the implicit root
-# would divide by zero), a short-memory circulant embedding, and the largest
-# power-of-two grid whose embedding is accepted at H = 0.9999 (negative
-# eigenvalues within the tolerance are clamped; 2^18 steps are rejected).
+# benchmark op, an inverse-moment study in 2 blocks, a horizon whose nodes are
+# not dyadic fractions of 1, a regime where 3% of the backward Euler steps
+# have a < 0 (23% of the 64-step chunks of `simulate_batch` are solved
+# again), levels near 1e-150 where c is negligible next to a^2 (the unused
+# conjugate branch of the implicit root would divide by zero), a short-memory
+# circulant embedding, and the largest power-of-two grid whose embedding is
+# accepted at H = 0.9999 (negative eigenvalues within the tolerance are
+# clamped; 2^18 steps are rejected).
 EXTRA_CASES = (
     "converge-uniform --ref-exp 14 --coarse-exps 4,5,6,7,8,9,10,11 --samples 400",
+    "inverse-moments --steps-exp 14 --samples 1000",
     "converge-uniform --horizon 0.3",
     "simulate --sigma 2 --theta 0.01 --r0 0.01",
     "simulate --r0 1e-300 --theta 1e-300 --steps-exp 6",
