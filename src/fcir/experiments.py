@@ -94,6 +94,11 @@ def check_fbm_samplers(
     diff = np.abs(empirical - exact)
     with np.errstate(invalid="ignore", divide="ignore"):
         z_matrix = np.where(spread > 0.0, diff / spread, np.where(diff > 0.0, np.inf, 0.0))
+    if not np.isfinite(z_matrix).all():
+        raise NumericalError(
+            f"covariance z-scores are not finite at horizon {grid.horizon}: the squared "
+            "covariances under- or overflow, so the sampler covariance cannot be checked"
+        )
     max_z = float(z_matrix.max())
     checks.append(SamplerCheck("covariance_max_z", max_z, 5.0, max_z <= 5.0))
 
@@ -239,27 +244,32 @@ def regress_order(step_sizes, errors) -> tuple[float, float]:
 
 # Reference-grid noise values per block of paths, the bound on working memory.
 # Counted in nodes, not paths, because each block repeats the per-step loop of
-# `simulate_batch`.  400 x (2^14 + 1) nodes fit in one convergence block, which
-# holds one noise-sized array (solved in place) plus the coarse levels; the
-# gap kernel holds about 8 (paths, N) temporaries, 31 paths at 2^11.
+# `simulate_batch`.  400 x (2^14 + 1) nodes fit in one block.  A block holds one
+# noise-sized array plus the coarse levels solved from it: the convergence and
+# inverse-moment kernels solve the reference grid over the noise itself, and
+# the gap kernel's noise holds only the nodes of its finest coarse grid.
 _BLOCK_NODES = 2**23
-_GAP_BLOCK_NODES = 2**16
+# Coarse-grid nodes per row chunk of the gap kernel.  The derivative forms make
+# about 8 (rows, N) temporaries, so they are formed a few rows at a time, after
+# each coarse grid has been solved over the whole block.
+_GAP_BLOCK_NODES = 2**13
 
 
-def _map_blocks(block_fn, config: ExperimentConfig, workers: int, nodes: int):
+def _map_blocks(block_fn, config: ExperimentConfig, workers: int, stride: int = 1):
     """Yield block_fn(config, noise) for consecutive blocks of paths, in path order.
 
-    Paths go in blocks of at most `nodes` reference-grid noise values (at
-    least one path), and no more than samples / workers paths so every worker
-    gets a block.  block_fn owns the noise array it is handed and may
+    The noise holds each path's levels at every `stride`-th reference node.
+    Paths go in blocks of at most `_BLOCK_NODES` reference-grid noise values
+    (at least one path), and no more than samples / workers paths so every
+    worker gets a block.  block_fn owns the noise array it is handed and may
     overwrite it; it returns a tuple of per-path arrays.  With one worker the
     blocks are computed as they are consumed.
     """
     per_path = config.reference_grid.steps + 1
     workers = max(1, workers)
-    rows = max(1, min(nodes // per_path, -(-config.samples // workers)))
+    rows = max(1, min(_BLOCK_NODES // per_path, -(-config.samples // workers)))
     starts = range(0, config.samples, rows)
-    task = partial(_sample_block, block_fn, config, rows)
+    task = partial(_sample_block, block_fn, config, rows, stride)
     workers = min(workers, len(starts))
     if workers == 1:
         yield from map(task, starts)
@@ -273,11 +283,12 @@ def _concatenated(blocks) -> list:
     return [np.concatenate(parts, axis=0) for parts in zip(*blocks)]
 
 
-def _sample_block(block_fn, config: ExperimentConfig, rows: int, start: int) -> tuple:
-    """block_fn on the reference-grid noise levels of paths start..start+rows-1."""
+def _sample_block(block_fn, config: ExperimentConfig, rows: int, stride: int, start: int):
+    """block_fn on the noise levels of paths start..start+rows-1 at every stride-th node."""
     indices = range(start, min(start + rows, config.samples))
     seeds = [path_seed(config.base_seed, index) for index in indices]
-    return block_fn(config, _sample_circulant_block(config.reference_grid, config.hurst, seeds))
+    grid = config.reference_grid
+    return block_fn(config, _sample_circulant_block(grid, config.hurst, seeds, stride))
 
 
 def _solve_in_place(noise: np.ndarray, step: float, params: CirParams) -> np.ndarray:
@@ -292,10 +303,14 @@ def _solve_in_place(noise: np.ndarray, step: float, params: CirParams) -> np.nda
 
 
 def _coarse_levels(config: ExperimentConfig, noise: np.ndarray):
-    """Yield (grid, restriction factor, solved levels) per coarse exponent; noise is kept."""
+    """Yield (grid, restriction factor, solved levels) per coarse exponent; noise is kept.
+
+    The factor restricts the noise, sampled at the reference nodes or at a
+    subset that holds every coarse grid, to the coarse grid's nodes.
+    """
     for exponent in config.coarse_exponents:
         grid = config.coarse_grid(exponent)
-        factor = 2 ** (config.reference_exponent - exponent)
+        factor = (noise.shape[1] - 1) // grid.steps
         levels = _solve_in_place(noise[:, ::factor].copy(), grid.step, config.params)
         yield grid, factor, levels
 
@@ -376,7 +391,7 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> ConvergenceRe
     if not config.coarse_exponents:
         raise DomainError("a convergence study needs at least one coarse exponent")
     checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
-    per_path = _concatenated(_map_blocks(_convergence_block, config, workers, _BLOCK_NODES))
+    per_path = _concatenated(_map_blocks(_convergence_block, config, workers))
     rms = {
         name: _aggregate_moment(errors, config.p)
         for name, errors in zip(_ERROR_FAMILIES, per_path)
@@ -431,7 +446,7 @@ def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> Inve
     that is not finite (x^(-p) or the sum overflows) raises NumericalError.
     """
     total = np.zeros(config.reference_grid.steps + 1)
-    for (powers,) in _map_blocks(_inverse_moment_block, config, workers, _BLOCK_NODES):
+    for (powers,) in _map_blocks(_inverse_moment_block, config, workers):
         for row in powers:
             total += row
         del powers, row  # free this block before the next one is computed
@@ -458,16 +473,23 @@ def _malliavin_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
 
     Both forms use the same numerical levels at the matched perturbation
     times s = t_i, so the gap isolates the formula difference, which is O(h).
+    Each coarse grid is solved over the whole block; the forms, bit-identical
+    per row, are then taken over chunks of at most `_GAP_BLOCK_NODES` levels.
     Returns the gaps and the product-form minima and maxima, each of shape
     (paths, coarse grids).
     """
     shape = (len(noise), len(config.coarse_exponents))
     gaps, lows, highs = np.empty(shape), np.empty(shape), np.empty(shape)
     for j, (grid, _, levels) in enumerate(_coarse_levels(config, noise)):
-        product, exponential = malliavin_terminal_forms(levels, grid.step, config.params)
-        gaps[:, j] = np.abs(product - exponential).mean(axis=1)
-        lows[:, j] = product.min(axis=1)
-        highs[:, j] = product.max(axis=1)
+        rows = max(1, _GAP_BLOCK_NODES // (grid.steps + 1))
+        for start in range(0, len(levels), rows):
+            chunk = slice(start, start + rows)
+            product, exponential = malliavin_terminal_forms(
+                levels[chunk], grid.step, config.params
+            )
+            gaps[chunk, j] = np.abs(product - exponential).mean(axis=1)
+            lows[chunk, j] = product.min(axis=1)
+            highs[chunk, j] = product.max(axis=1)
     return gaps, lows, highs
 
 
@@ -476,16 +498,25 @@ def malliavin_gap_study(config: ExperimentConfig, workers: int = 1) -> Malliavin
 
     Noise is generated once per sample on the reference grid and restricted to
     each coarse grid, so successive rows are shared-noise pairs and the gap
-    ratio between a step size and its half is close to 2.
+    ratio between a step size and its half is close to 2.  Paths go in the
+    blocks of the other studies, and each block solves every coarse grid once
+    over all of its paths.  A mean gap that is zero or not finite leaves no
+    order to report and raises NumericalError.
     """
     if not config.coarse_exponents:
         raise DomainError("a gap study needs at least one coarse exponent")
     if config.params.kappa <= 0.0:
         raise UnsupportedRegimeError("the derivative comparison is defined only for kappa > 0")
-    gaps, lows, highs = _concatenated(
-        _map_blocks(_malliavin_block, config, workers, _GAP_BLOCK_NODES)
-    )
+    stride = 2 ** (config.reference_exponent - max(config.coarse_exponents))
+    gaps, lows, highs = _concatenated(_map_blocks(_malliavin_block, config, workers, stride))
     gaps, lows, highs = gaps.mean(axis=0), lows.min(axis=0), highs.max(axis=0)
+    lost = ~np.isfinite(gaps) | (gaps == 0.0)
+    if lost.any():
+        j = int(np.argmax(lost))
+        raise NumericalError(
+            f"mean |product - exponential| gap reads {gaps[j]} at h={config.step_sizes()[j]}: "
+            "the forms agree to rounding, or under- or overflow, so no gap ratio can be formed"
+        )
     ratios = np.full_like(gaps, np.nan)
     ratios[1:] = gaps[:-1] / gaps[1:]
     return MalliavinGapReport(

@@ -266,17 +266,21 @@ def sample_fbm_circulant(
 _TILE_NODES = 2**15
 
 
-def _sample_circulant_block(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
-    """Circulant-embedding fBm levels for every seed, one row each: (paths, N+1).
+def _sample_circulant_block(
+    grid: GridSpec, hurst: HurstParameter, seeds, stride: int = 1
+) -> np.ndarray:
+    """Circulant-embedding fBm levels for every seed, one row each: (paths, N/stride+1).
 
     A tile of a few rows is transformed at a time with the arithmetic of a
     single path, so each row has the same bits whatever the other seeds are.
-    The embedding is checked before the output is allocated: an eigenvalue
-    below -EMBEDDING_EIG_TOL * lambda_max raises NumericalError.
+    Only every `stride`-th node (a divisor of N) is kept, with the bits it has
+    in the full path.  The embedding is checked before the output is
+    allocated: an eigenvalue below -EMBEDDING_EIG_TOL * lambda_max raises
+    NumericalError.
     """
     n = grid.steps
     coefficients = _embedding_coefficients(n, grid.step, hurst.value)
-    out = np.empty((len(seeds), n + 1))
+    out = np.empty((len(seeds), n // stride + 1))
     tile = max(1, min(len(seeds), _TILE_NODES // (2 * n)))
     z = np.empty((tile, 2 * n))
     spectrum = np.empty((tile, 2 * n), dtype=complex)
@@ -298,7 +302,11 @@ def _sample_circulant_block(grid: GridSpec, hurst: HurstParameter, seeds) -> np.
             st[:, n + 1 :] = np.conj(st[:, n - 1 : 0 : -1])
         np.multiply(coefficients, st, out=st)
         increments = np.fft.fft(st, axis=1).real[:, :n]
-        np.cumsum(increments, axis=1, out=out[first : first + len(tile_seeds), 1:])
+        rows = out[first : first + len(tile_seeds), 1:]
+        if stride == 1:
+            np.cumsum(increments, axis=1, out=rows)
+        else:
+            rows[...] = np.cumsum(increments, axis=1)[:, stride - 1 :: stride]
     return out
 
 

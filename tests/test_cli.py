@@ -354,6 +354,15 @@ class TestExitCodes:
             # a negative grid exponent is named by its exponent, not by 2^e
             ("simulate --steps-exp -1", "2^-1 steps: a grid exponent must be at least 0"),
             ("fbm-check --steps-exp -3", "2^-3 steps: a grid exponent must be at least 0"),
+            # sigma/2 underflows, so every gap is 0 and every ratio would be nan
+            ("malliavin-check --sigma 5e-324 --ref-exp 7 --coarse-exps 1,7 --samples 7 "
+             "--workers 1", "gap reads 0.0 at h=0.5"),
+            # the levels overflow, so every gap is nan
+            ("malliavin-check --theta 7.43e-182 --sigma 1.44e137 --ref-exp 3 --coarse-exps 0,2 "
+             "--samples 2 --workers 1", "gap reads nan at h=1.0"),
+            # the squared covariances underflow to 0 beside a nonzero difference
+            ("fbm-check --horizon 1e-160 --steps-exp 4 --samples 24",
+             "covariance z-scores are not finite"),
         ],
     )
     def test_invalid_state_exits_3(self, tmp_path, capsys, argv, message):

@@ -379,7 +379,6 @@ class TestBlockDriver:
 
     def patch_budgets(self, monkeypatch, nodes):
         monkeypatch.setattr(experiments, "_BLOCK_NODES", nodes)
-        monkeypatch.setattr(experiments, "_GAP_BLOCK_NODES", nodes)
 
     @pytest.mark.parametrize("nodes", SPLITS)
     def test_block_sizes(self, config, monkeypatch, nodes):
@@ -413,12 +412,44 @@ class TestBlockDriver:
                     getattr(split, field.name), getattr(expected, field.name), err_msg=field.name
                 )
 
-    @pytest.mark.parametrize("block", ["_convergence_block", "_inverse_moment_block"])
+    # The coarse grids have 9, 17 and 33 nodes: one row per chunk; chunks of
+    # 7 + 3, 4 + 4 + 2 and 2 x 5 rows; one chunk just over the whole block.
+    @pytest.mark.parametrize("rows_nodes", [1, 4 * 17, 10 * 33 + 1])
+    def test_gap_report_independent_of_row_chunks(self, config, monkeypatch, rows_nodes):
+        expected = malliavin_gap_study(config)
+        monkeypatch.setattr(experiments, "_GAP_BLOCK_NODES", rows_nodes)
+        chunked = malliavin_gap_study(config)
+        for field in dataclasses.fields(expected):
+            np.testing.assert_equal(
+                getattr(chunked, field.name), getattr(expected, field.name), err_msg=field.name
+            )
+
+    @pytest.mark.parametrize("nodes", [None, *SPLITS])
+    def test_gap_block_solves_each_coarse_grid_once(self, config, monkeypatch, nodes):
+        widths = []
+
+        def recording(increments, *args, **kwargs):
+            widths.append(len(increments))
+            return simulate_batch(increments, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_batch", recording)
+        if nodes is not None:
+            self.patch_budgets(monkeypatch, nodes)
+        malliavin_gap_study(config)
+        blocks = self.SPLITS.get(nodes, [config.samples])
+        coarse = len(config.coarse_exponents)
+        assert widths == [rows for rows in blocks for _ in range(coarse)]
+
+    @pytest.mark.parametrize(
+        "block", ["_convergence_block", "_inverse_moment_block", "_malliavin_block"]
+    )
     def test_block_holds_one_noise_sized_array(self, bench_params, hurst07, block):
-        # The block solves the reference grid over the noise it is handed, so
-        # beyond that array it holds the coarse levels and buffers of one path
-        # or one 64-step chunk.  A block that keeps the increments and the
-        # reference levels beside the noise reaches about 3x the noise.
+        # Beyond the noise it is handed, a block holds the coarse levels and
+        # buffers of one path, one 64-step chunk or one row chunk of the
+        # derivative forms.  A block that keeps the increments and the
+        # reference levels beside the noise reaches about 3x the noise; a gap
+        # block that forms the derivative forms over all paths at once holds
+        # about 8 copies of the finest coarse levels.
         config = small_config(
             bench_params, hurst07, reference_exponent=12, coarse_exponents=(4, 5, 6, 7, 8, 9),
             samples=64,

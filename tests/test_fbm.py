@@ -218,6 +218,16 @@ class TestCirculantSampler:
             assert np.array_equal(row, sample_fbm_circulant(grid, hurst, seed).values)
             assert np.array_equal(row, circulant_oracle(grid, 0.7, seed))
 
+    @pytest.mark.parametrize("stride", [2, 8, 64])
+    @pytest.mark.parametrize("tile_rows", [None, 3])
+    def test_block_at_every_stride_node_matches_full_block(self, monkeypatch, stride, tile_rows):
+        if tile_rows is not None:
+            monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * 2 * 64)
+        grid, hurst = GridSpec(1.0, 64), HurstParameter(0.7)
+        seeds = [5, 2**64 - 1, 0, 17, 3, 99, 12345]
+        strided = _sample_circulant_block(grid, hurst, seeds, stride)
+        assert np.array_equal(strided, _sample_circulant_block(grid, hurst, seeds)[:, ::stride])
+
     # the smallest embedding eigenvalue at N = 2^19, H = 0.999 is -4.28e-8
     # times the largest, beyond the tolerance
     _INVALID_EMBEDDING = r"N=524288, H=0\.999 .* ratio -4\.28e-08 is below the tolerance -1e-08"

@@ -33,16 +33,24 @@ CASES = (
     "simulate --sigma 2 --theta 0.01 --r0 0.01",
     # nodes that are not dyadic fractions of 1
     "converge-uniform --horizon 0.3",
+    # the `malliavin` benchmark op: 200 paths of 2^11 + 1 reference nodes
+    "malliavin-check --ref-exp 11 --coarse-exps 7,8,9,10 --samples 200",
 )
 # Runs with `experiments._BLOCK_NODES` patched: label -> (argv, nodes per block).
-# The default studies, 200 and 100 paths of 2^12 + 1 reference nodes, in 2 blocks.
+# The default studies, 200 and 100 paths of 2^12 + 1 reference nodes, in 2
+# blocks; the `malliavin` op in blocks of 64, 64, 64 and 8 paths.
 SPLIT_CASES = {
     "converge-grid in 2 blocks": ("converge-grid", 100 * (2**12 + 1)),
     "inverse-moments in 2 blocks": ("inverse-moments", 50 * (2**12 + 1)),
+    "malliavin op in 4 blocks": (
+        "malliavin-check --ref-exp 11 --coarse-exps 7,8,9,10 --samples 200",
+        64 * (2**11 + 1),
+    ),
 }
 
 _CONVERGENCE = "220d6a946e160f238a4ffd20481a91f598f8bc081eaddeb47f041c56284ec139"
 _INVERSE_MOMENTS = "6391e26f036a0ffce304ee88928372405a1c3440040c6e5ec4047b049ff97816"
+_MALLIAVIN_OP = "7378f270b9b9a3148d73621671cbc7bcf31338f280a6c027094cc6f94079386f"
 DIGESTS = {
     ("2.4.6", "1.17.1", "x86_64"): {
         "simulate": {
@@ -67,8 +75,12 @@ DIGESTS = {
         "converge-uniform --horizon 0.3": {
             "data.csv": "ed4d03bfe275a0ac8b605515dcb85bdee6493b7ef63b4306cf2754b8f2f6cc8c",
         },
+        "malliavin-check --ref-exp 11 --coarse-exps 7,8,9,10 --samples 200": {
+            "data.csv": _MALLIAVIN_OP,
+        },
         "converge-grid in 2 blocks": {"data.csv": _CONVERGENCE},
         "inverse-moments in 2 blocks": {"data.csv": _INVERSE_MOMENTS},
+        "malliavin op in 4 blocks": {"data.csv": _MALLIAVIN_OP},
     },
 }
 

@@ -40,7 +40,8 @@ SUBCOMMANDS = (
     "check-conditions",
 )
 # Runs beyond the default flags, once each with `--workers 1`: the `converge`
-# benchmark op, an inverse-moment study in 2 blocks, a horizon whose nodes are
+# benchmark op, an inverse-moment study in 2 blocks, the `malliavin` benchmark
+# op (one block, each coarse grid solved once), a horizon whose nodes are
 # not dyadic fractions of 1, a regime where 3% of the backward Euler steps
 # have a < 0 (23% of the 64-step chunks of `simulate_batch` are solved
 # again), levels near 1e-150 where c is negligible next to a^2 (the unused
@@ -51,6 +52,7 @@ SUBCOMMANDS = (
 EXTRA_CASES = (
     "converge-uniform --ref-exp 14 --coarse-exps 4,5,6,7,8,9,10,11 --samples 400",
     "inverse-moments --steps-exp 14 --samples 1000",
+    "malliavin-check --ref-exp 11 --coarse-exps 7,8,9,10 --samples 200",
     "converge-uniform --horizon 0.3",
     "simulate --sigma 2 --theta 0.01 --r0 0.01",
     "simulate --r0 1e-300 --theta 1e-300 --steps-exp 6",
