@@ -4,7 +4,6 @@ from .errors import (
     DomainError,
     FcirError,
     NumericalError,
-    SingularityError,
     UnsupportedRegimeError,
 )
 from .experiments import (
@@ -24,21 +23,13 @@ from .fbm import (
     FbmPath,
     GridSpec,
     HurstParameter,
-    coarsen_path,
-    covariance_density,
     fbm_covariance,
     fgn_autocovariance,
     holder_statistic,
     sample_fbm_cholesky,
     sample_fbm_circulant,
 )
-from .malliavin import (
-    MalliavinProfile,
-    malliavin_exponential_form,
-    malliavin_interpolated,
-    malliavin_profile,
-    malliavin_terminal_forms,
-)
+from .malliavin import malliavin_profile, malliavin_terminal_forms
 from .model import (
     CirParams,
     ConditionReport,
@@ -46,20 +37,12 @@ from .model import (
     check_moment_conditions,
     drift,
     drift_derivative,
-    drift_second_derivative,
-    lamperti_forward,
-    lamperti_inverse,
     max_stable_step,
-    mean_reversion_rescale,
     sufficient_moment_condition,
-    weighted_kernel_integral,
 )
 from .scheme import (
     SolutionPath,
     backward_euler_step,
-    interpolate,
-    interpolate_many,
-    rate_interpolate,
     rate_path,
     residuals,
     simulate_batch,

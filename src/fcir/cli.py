@@ -1,18 +1,19 @@
 """Command-line front end: reproducible experiment runs with CSV output.
 
 Each subcommand is one entry of `SUBCOMMANDS`: its help text, its handler,
-its `--horizon` default and its own flags.  Every run creates
-`<out>/<subcommand>-<timestamp>/` holding the emitted data files plus a
-`manifest.txt` sidecar.  After `command`, `version` and `status = ok` the
-manifest records every parsed flag except `--out` by its argparse dest name
-(`steps_exp`, `ref_exp`, `coarse_exps`, `seed`, `workers`, ...) in parser
-order, then the handler's results, `data_files`, the seed rule, wall-clock
-duration, peak resident memory (`peak_rss_mb`, the larger of this process and
-its largest worker) and warnings.  A run that fails with exit code 3 leaves
-only the manifest: `status = error`, the error message, then the parsed flags.
-Re-running a subcommand with the flags recorded in a manifest reproduces its
-data files byte-for-byte, or its error (data files never contain timing or
-environment information).
+its model flags with their defaults and its own flags.  `fbm-check` samples
+noise only, so of the model flags it takes just `--hurst` and `--horizon`.
+Every run creates `<out>/<subcommand>-<timestamp>/` holding the emitted data
+files plus a `manifest.txt` sidecar.  After `command`, `version` and
+`status = ok` the manifest records every parsed flag except `--out` by its
+argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`, `workers`,
+...) in parser order, then the handler's results, `data_files`, the seed rule,
+wall-clock duration, peak resident memory (`peak_rss_mb`, the larger of this
+process and its largest worker) and warnings.  A run that fails with exit
+code 3 leaves only the manifest: `status = error`, the error message, then
+the parsed flags.  Re-running a subcommand with the flags recorded in a
+manifest reproduces its data files byte-for-byte, or its error (data files
+never contain timing or environment information).
 
 `converge-uniform` runs the same study as `converge-grid` (the run directory
 and `command` keep the name as typed); its manifest records `slope_<family>`
@@ -50,9 +51,11 @@ from .fbm import GridSpec, HurstParameter, sample_fbm_circulant
 from .model import CirParams, ConditionReport, check_moment_conditions, sufficient_moment_condition
 from .scheme import simulate_path
 
-# Model flags with the benchmark defaults used throughout the experiments;
-# the --horizon default depends on the subcommand.
-MODEL_DEFAULTS = {"kappa": 2.0, "theta": 0.5, "sigma": 0.5, "r0": 1.0, "hurst": 0.7}
+# Model flags with the benchmark defaults used throughout the experiments.
+# Each subcommand adds its own --horizon default; fbm-check takes the noise
+# flags only.
+NOISE_DEFAULTS = {"hurst": 0.7}
+MODEL_DEFAULTS = {"kappa": 2.0, "theta": 0.5, "sigma": 0.5, "r0": 1.0, **NOISE_DEFAULTS}
 
 
 def _positive_int(text: str) -> int:
@@ -156,41 +159,47 @@ def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> dict:
 
 
 class Subcommand(NamedTuple):
-    """Help text, handler, `--horizon` default and own flags (name -> (type, default))."""
+    """Help text, handler, model flags (name -> default), own flags (name -> (type, default))."""
 
     help: str
     handler: Callable[[argparse.Namespace, Path], dict]
-    horizon: float
+    model: dict[str, float]
     flags: dict[str, tuple[Callable[[str], object], object]]
 
 
 _CONVERGENCE = Subcommand(
-    "matched-path strong errors at grid nodes and in the uniform norm", _cmd_convergence, 1.0,
+    "matched-path strong errors at grid nodes and in the uniform norm", _cmd_convergence,
+    {**MODEL_DEFAULTS, "horizon": 1.0},
     {"ref-exp": (int, 12), "coarse-exps": (_parse_exponents, (4, 5, 6, 7, 8, 9)),
      "samples": (int, 200), "p": (int, 2), "xi": (float, 0.5)},
 )
 
 SUBCOMMANDS = {
     "simulate": Subcommand(
-        "one trajectory on 2^steps-exp steps, emitted as t,X,r", _cmd_simulate, 10.0,
+        "one trajectory on 2^steps-exp steps, emitted as t,X,r", _cmd_simulate,
+        {**MODEL_DEFAULTS, "horizon": 10.0},
         {"steps-exp": (int, 12)},
     ),
     "fbm-check": Subcommand(
-        "statistical validation of the fBm samplers", _cmd_fbm_check, 1.0,
+        "statistical validation of the fBm samplers", _cmd_fbm_check,
+        {**NOISE_DEFAULTS, "horizon": 1.0},
         {"steps-exp": (int, 8), "samples": (int, 2000)},
     ),
     "converge-grid": _CONVERGENCE,
     "converge-uniform": _CONVERGENCE,
     "inverse-moments": Subcommand(
-        "inverse-moment curve over one grid", _cmd_inverse_moments, 10.0,
+        "inverse-moment curve over one grid", _cmd_inverse_moments,
+        {**MODEL_DEFAULTS, "horizon": 10.0},
         {"steps-exp": (int, 12), "samples": (int, 100), "p": (int, 2)},
     ),
     "malliavin-check": Subcommand(
-        "gap between the product and exponential derivative forms", _cmd_malliavin_check, 1.0,
+        "gap between the product and exponential derivative forms", _cmd_malliavin_check,
+        {**MODEL_DEFAULTS, "horizon": 1.0},
         {"ref-exp": (int, 8), "coarse-exps": (_parse_exponents, (5, 6, 7)), "samples": (int, 100)},
     ),
     "check-conditions": Subcommand(
-        "inverse-moment condition margins", _cmd_check_conditions, 1.0, {"p": (int, 6)}
+        "inverse-moment condition margins", _cmd_check_conditions,
+        {**MODEL_DEFAULTS, "horizon": 1.0}, {"p": (int, 6)},
     ),
 }
 
@@ -206,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags = {"seed": (int, 1), "out": (str, "runs"), "workers": (_positive_int, workers)}
     for name, spec in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
-        for flag, default in {**MODEL_DEFAULTS, "horizon": spec.horizon}.items():
+        for flag, default in spec.model.items():
             p.add_argument(f"--{flag}", type=float, default=default)
         for flag, (kind, default) in {**spec.flags, **run_flags}.items():
             p.add_argument(f"--{flag}", type=kind, default=default)

@@ -9,10 +9,6 @@ class DomainError(FcirError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """Evaluation was requested exactly on a kernel singularity."""
-
-
 class UnsupportedRegimeError(FcirError, ValueError):
     """Parameter regime outside what the implemented analysis covers."""
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SingularityError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "HurstParameter",
@@ -28,10 +28,8 @@ __all__ = [
     "FbmPath",
     "fbm_covariance",
     "fgn_autocovariance",
-    "covariance_density",
     "sample_fbm_cholesky",
     "sample_fbm_circulant",
-    "coarsen_path",
     "holder_statistic",
 ]
 
@@ -107,11 +105,6 @@ class GridSpec:
     def step(self) -> float:
         return self.horizon / self.steps
 
-    def node(self, n: int) -> float:
-        if not 0 <= n <= self.steps:
-            raise DomainError(f"node index {n} outside 0..{self.steps}")
-        return n * self.step
-
     def nodes(self) -> np.ndarray:
         return self.step * np.arange(self.steps + 1)
 
@@ -123,7 +116,6 @@ class FbmPath:
     grid: GridSpec
     hurst: HurstParameter
     values: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -169,21 +161,6 @@ def fgn_autocovariance(lag, step: float, hurst: HurstParameter | float):
     return float(out) if out.ndim == 0 else out
 
 
-def covariance_density(tau: float, u: float, hurst: HurstParameter | float) -> float:
-    """Mixed-derivative density of the fBm covariance: H(2H-1)|u - tau|^(2H-2).
-
-    Only defined for H > 1/2, where the density is positive and integrable;
-    it blows up on the diagonal, so tau == u is rejected and callers must
-    integrate around that point.
-    """
-    hurst = _as_hurst(hurst)
-    if not hurst.long_memory:
-        raise DomainError(f"covariance density requires H > 1/2, got {hurst.value}")
-    if tau == u:
-        raise SingularityError("covariance density is singular at tau == u")
-    return hurst.alpha * abs(u - tau) ** (2.0 * hurst.value - 2.0)
-
-
 def _rng(seed: int) -> np.random.Generator:
     # Frozen variate source: PCG64 + ziggurat standard_normal. Changing this
     # silently changes every seeded path, so treat it as part of the contract.
@@ -225,7 +202,7 @@ def sample_fbm_cholesky(
     values = np.empty(grid.steps + 1)
     values[0] = 0.0
     np.cumsum(increments, out=values[1:])
-    return FbmPath(grid=grid, hurst=hurst, values=values, seed=seed)
+    return FbmPath(grid=grid, hurst=hurst, values=values)
 
 
 @lru_cache(maxsize=32)
@@ -257,7 +234,7 @@ def sample_fbm_circulant(
     """
     hurst = _as_hurst(hurst)
     (values,) = _sample_circulant_block(grid, hurst, (seed,))
-    return FbmPath(grid=grid, hurst=hurst, values=values, seed=seed)
+    return FbmPath(grid=grid, hurst=hurst, values=values)
 
 
 # Embedding nodes (2N per path) that `_sample_circulant_block` transforms as one
@@ -308,28 +285,6 @@ def _sample_circulant_block(
         else:
             rows[...] = np.cumsum(increments, axis=1)[:, stride - 1 :: stride]
     return out
-
-
-def coarsen_path(path: FbmPath, factor: int) -> FbmPath:
-    """Restrict a path to every `factor`-th node; retained values are unchanged.
-
-    Coarse increments are therefore exactly the block sums of fine increments,
-    which is what matched-path convergence studies require.
-    """
-    if int(factor) != factor or factor < 1:
-        raise DomainError(f"factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    if path.grid.steps % factor != 0:
-        raise DomainError(
-            f"factor {factor} does not divide the step count {path.grid.steps}"
-        )
-    coarse_grid = GridSpec(path.grid.horizon, path.grid.steps // factor)
-    return FbmPath(
-        grid=coarse_grid,
-        hurst=path.hurst,
-        values=path.values[::factor].copy(),
-        seed=path.seed,
-    )
 
 
 def holder_statistic(path: FbmPath, epsilon: float = 0.1) -> float:

@@ -1,12 +1,14 @@
 """CIR model parameters, the transformed drift, and inverse-moment conditions.
 
 The solver works on the square-root transform X = sqrt(r) of the CIR rate,
-whose drift is f(x) = kappa*theta/(2x) - kappa*x/2.  Bounded inverse moments
-of the solution hold under an integral condition comparing kappa*theta
-against a multiple of an exponentially weighted singular-kernel integral;
-this module evaluates that condition exactly, through the closed form of the
-integral (Kummer's function, or the incomplete gamma function for kappa > 0),
-and also provides the closed-form sufficient test.
+whose drift is f(x) = kappa*theta/(2x) - kappa*x/2; the Malliavin forms use
+its derivative f'.  Bounded inverse moments of the solution hold under an
+integral condition comparing kappa*theta against a multiple of an
+exponentially weighted singular-kernel integral; this module evaluates that
+condition exactly in the frame rescaled by e^(-kappa*s/2), through the closed
+form of the integral (Kummer's function, or the incomplete gamma function for
+kappa > 0), and also provides the closed-form sufficient test and the step
+bound of the convergence analysis.
 """
 
 from __future__ import annotations
@@ -24,11 +26,6 @@ __all__ = [
     "ConditionReport",
     "drift",
     "drift_derivative",
-    "drift_second_derivative",
-    "lamperti_forward",
-    "lamperti_inverse",
-    "mean_reversion_rescale",
-    "weighted_kernel_integral",
     "check_moment_condition",
     "check_moment_conditions",
     "sufficient_moment_condition",
@@ -91,43 +88,6 @@ def drift_derivative(x, params: CirParams):
     return float(out) if out.ndim == 0 else out
 
 
-def drift_second_derivative(x, params: CirParams):
-    """Second derivative of the drift: kappa*theta/x^3."""
-    x = _require_positive_level(x)
-    out = params.kappa * params.theta / (x * x * x)
-    return float(out) if out.ndim == 0 else out
-
-
-def lamperti_forward(r):
-    """Map a rate to the transformed level: sqrt(r)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise DomainError("rates must be nonnegative")
-    out = np.sqrt(r)
-    return float(out) if out.ndim == 0 else out
-
-
-def lamperti_inverse(x):
-    """Map a transformed level back to a rate: x^2."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("levels must be nonnegative")
-    out = x * x
-    return float(out) if out.ndim == 0 else out
-
-
-def mean_reversion_rescale(x: float, t: float, params: CirParams) -> float:
-    """Rescale a level by the mean-reversion growth factor exp(kappa*t/2).
-
-    The rescaled process has a purely singular drift, which is what makes the
-    inverse-moment argument work; exposed here because condition margins are
-    stated in the rescaled frame.
-    """
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    return math.exp(0.5 * params.kappa * t) * x
-
-
 def _rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter) -> float:
     """(sigma^2/2) H(2H-1) * I(s), where I(s) = integral of e^(-kappa*u/2) u^(2H-2) over [0, s].
 
@@ -152,28 +112,6 @@ def _rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter
     else:
         integral = s**a / a * special.hyp1f1(a, a + 1.0, -rate * s)
     return 0.5 * (params.sigma * params.sigma) * hurst.alpha * float(integral)
-
-
-def weighted_kernel_integral(
-    s: float, params: CirParams, hurst: HurstParameter | float
-) -> float:
-    """Integral of (sigma^2/2) e^(kappa*tau/2) H(2H-1) (s-tau)^(2H-2) over [0, s].
-
-    Substituting u = s - tau gives e^(kappa*s/2) times the rescaled integral,
-    which has a closed form.  Raises NumericalError when the value does not
-    fit in double precision.
-    """
-    hurst = _as_hurst(hurst)
-    if s < 0.0:
-        raise DomainError(f"s must be nonnegative, got {s}")
-    rescaled = _rescaled_kernel_integral(s, params, hurst)
-    try:
-        value = math.exp(0.5 * params.kappa * s) * rescaled
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericalError(f"kernel integral overflows at s={s}, kappa={params.kappa}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 Each implicit step X_{n+1} = X_n + f(X_{n+1}) h + sigma*dB/2 reduces to a
 quadratic with a unique positive root whenever h*max(0, -kappa/2) < 1, so
 the scheme is explicit in practice and every node stays strictly positive.
-Piecewise-linear interpolation extends the node values to [0, T], and the
-rate process is recovered by squaring.
+The rate process is recovered at the nodes by squaring.
 """
 
 from __future__ import annotations
@@ -23,10 +22,7 @@ __all__ = [
     "backward_euler_step",
     "simulate_path",
     "simulate_batch",
-    "interpolate",
-    "interpolate_many",
     "rate_path",
-    "rate_interpolate",
     "residuals",
 ]
 
@@ -68,15 +64,11 @@ def _positive_root(a, c: float, denom: float):
 
 @dataclass(frozen=True, eq=False)
 class SolutionPath:
-    """Backward Euler solution on a grid: strictly positive node values x.
-
-    `seed` carries the provenance of the driving noise when known.
-    """
+    """Backward Euler solution on a grid: strictly positive node values x."""
 
     grid: GridSpec
     params: CirParams
     x: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -211,41 +203,12 @@ def simulate_path(noise: FbmPath, params: CirParams) -> SolutionPath:
             f"the solver requires driving noise with H > 1/2, got H={noise.hurst.value}"
         )
     x = simulate_batch(noise.increments(), noise.grid.step, params)
-    return SolutionPath(grid=noise.grid, params=params, x=x, seed=noise.seed)
-
-
-def _check_time(path: SolutionPath, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > path.grid.horizon):
-        raise DomainError(f"time must lie in [0, {path.grid.horizon}]")
-    return t
-
-
-def interpolate(path: SolutionPath, t: float) -> float:
-    """Piecewise-linear interpolant of the node values at time t.
-
-    Exact at nodes; inside a panel it is a convex combination of the two
-    endpoint values and hence strictly positive.
-    """
-    t = _check_time(path, t)
-    return float(np.interp(t, path.nodes(), path.x))
-
-
-def interpolate_many(path: SolutionPath, times) -> np.ndarray:
-    """Vectorized `interpolate` over an array of times."""
-    times = _check_time(path, times)
-    return np.interp(times, path.nodes(), path.x)
+    return SolutionPath(grid=noise.grid, params=params, x=x)
 
 
 def rate_path(path: SolutionPath) -> np.ndarray:
     """Rate-process values at the nodes: x^2."""
     return path.x**2
-
-
-def rate_interpolate(path: SolutionPath, t: float) -> float:
-    """Rate process at time t: the squared interpolated level."""
-    value = interpolate(path, t)
-    return value * value
 
 
 def residuals(path: SolutionPath, noise: FbmPath) -> np.ndarray:

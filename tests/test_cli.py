@@ -259,6 +259,21 @@ class TestExitCodes:
             main(["frobnicate", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
 
+    def test_fbm_check_takes_no_cir_flag(self, tmp_path):
+        # fbm-check samples noise only; every other subcommand starts with all six model flags
+        model = ["kappa", "theta", "sigma", "r0", "hurst", "horizon"]
+        for command in cli.SUBCOMMANDS.keys() - {"fbm-check"}:
+            assert manifest_flags([command])[: len(model)] == model, command
+        assert manifest_flags(["fbm-check"]) == [
+            "hurst", "horizon", "steps_exp", "samples", "seed", "workers"
+        ]
+        for flag in ("--kappa", "--theta", "--sigma", "--r0"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["fbm-check", flag, "nan", "--steps-exp", "4", "--samples", "8",
+                      "--out", str(tmp_path / "runs")])
+            assert excinfo.value.code == 2
+        assert not (tmp_path / "runs").exists()
+
     def test_domain_error_exits_3(self, tmp_path):
         code = main(
             ["simulate", "--hurst", "0.4", "--steps-exp", "4", "--out", str(tmp_path)]

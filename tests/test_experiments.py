@@ -10,12 +10,12 @@ import pytest
 from fcir import (
     DomainError,
     ExperimentConfig,
+    FbmPath,
     GridSpec,
     HurstParameter,
     NumericalError,
     UnsupportedRegimeError,
     check_fbm_samplers,
-    coarsen_path,
     estimate_inverse_moments,
     malliavin_gap_study,
     path_seed,
@@ -119,14 +119,14 @@ class TestMatchedPathDesign:
         # shared-noise restriction: coarse increments are panel sums of fine
         path = sample_fbm_circulant(GridSpec(1.0, 256), hurst07, 123)
         for factor in (2, 8, 64):
-            coarse = coarsen_path(path, factor)
+            coarse = FbmPath(GridSpec(1.0, 256 // factor), hurst07, path.values[::factor])
             sums = np.add.reduceat(path.increments(), np.arange(0, 256, factor))
             assert np.abs(coarse.increments() - sums).max() <= 1e-12
 
     def test_report_matches_public_operations(self, bench_params, hurst07):
         # with one sample the aggregated error is the per-path sup, which must
         # reproduce a manual reconstruction through the public path operations
-        from fcir import interpolate_many, simulate_path
+        from fcir import simulate_path
 
         config = small_config(
             bench_params, hurst07, reference_exponent=7, coarse_exponents=(4,), samples=1
@@ -136,9 +136,10 @@ class TestMatchedPathDesign:
             config.reference_grid, hurst07, path_seed(config.base_seed, 0)
         )
         reference = simulate_path(noise, bench_params)
-        coarse = simulate_path(coarsen_path(noise, 8), bench_params)
+        coarse_noise = FbmPath(GridSpec(1.0, 2**4), hurst07, noise.values[::8])
+        coarse = simulate_path(coarse_noise, bench_params)
         grid_error = np.abs(reference.x[::8][1:] - coarse.x[1:]).max()
-        interpolated = interpolate_many(coarse, reference.nodes())
+        interpolated = np.interp(reference.nodes(), coarse.nodes(), coarse.x)
         uniform_error = np.abs(reference.x[1:] - interpolated[1:]).max()
         rate_error = np.abs(reference.x[1:] ** 2 - interpolated[1:] ** 2).max()
         assert report.rms["level_grid"][0] == pytest.approx(grid_error, rel=1e-15)

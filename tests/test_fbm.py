@@ -12,9 +12,6 @@ from fcir import (
     GridSpec,
     HurstParameter,
     NumericalError,
-    SingularityError,
-    coarsen_path,
-    covariance_density,
     fbm_covariance,
     fgn_autocovariance,
     holder_statistic,
@@ -51,14 +48,11 @@ class TestTypes:
     def test_grid_spec(self):
         grid = GridSpec(2.0, 8)
         assert grid.step == 0.25
-        assert grid.node(3) == 3 * 0.25
         assert np.array_equal(grid.nodes(), 0.25 * np.arange(9))
         with pytest.raises(DomainError):
             GridSpec(0.0, 8)
         with pytest.raises(DomainError):
             GridSpec(1.0, 0)
-        with pytest.raises(DomainError):
-            grid.node(9)
 
     def test_grid_too_large_for_numpy(self):
         # the largest step count whose float64 node array numpy can size is
@@ -115,20 +109,10 @@ class TestCovarianceFunctions:
         lags = np.arange(64)
         gamma = fgn_autocovariance(lags, grid.step, H)
         cov = gamma[np.abs(lags[:, None] - lags[None, :])]
-        for n in range(1, 65):
+        for n, t in enumerate(grid.nodes()[1:], start=1):
             var_n = cov[:n, :n].sum()
-            exact = fbm_covariance(grid.node(n), grid.node(n), H)
+            exact = fbm_covariance(t, t, H)
             assert abs(var_n - exact) <= 1e-10 * exact
-
-    def test_covariance_density(self):
-        assert covariance_density(0.0, 1.0, 0.75) == pytest.approx(0.375)
-        assert covariance_density(1.0, 0.0, 0.75) == pytest.approx(0.375)
-        assert covariance_density(0.0, 2.0, 0.75) == pytest.approx(0.375 * 2**-0.5)
-        with pytest.raises(SingularityError):
-            covariance_density(1.0, 1.0, 0.75)
-        with pytest.raises(DomainError):
-            covariance_density(0.0, 1.0, 0.5)
-
 
 @pytest.mark.parametrize("sampler", [sample_fbm_cholesky, sample_fbm_circulant])
 class TestSamplerContracts:
@@ -138,7 +122,6 @@ class TestSamplerContracts:
         b = sampler(grid, 0.7, 12345)
         assert np.array_equal(a.values, b.values)
         assert a.values[0] == 0.0
-        assert a.seed == 12345
 
     def test_seed_wraps_at_64_bits(self, sampler):
         grid = GridSpec(1.0, 8)
@@ -255,34 +238,6 @@ class TestCirculantSampler:
         with pytest.raises(NumericalError, match="factorization failed"):
             sample_fbm_cholesky(GridSpec(1.0, 8), 0.7, 1)
         _cholesky_factor.cache_clear()
-
-
-class TestCoarsen:
-    def test_identity_and_telescoping(self):
-        grid = GridSpec(1.0, 8)
-        path = sample_fbm_circulant(grid, 0.7, 3)
-        same = coarsen_path(path, 1)
-        assert np.array_equal(same.values, path.values)
-        two_nodes = coarsen_path(path, 8)
-        assert two_nodes.grid.steps == 1
-        assert np.array_equal(two_nodes.values, [0.0, path.values[-1]])
-
-    def test_node_retention(self):
-        path = sample_fbm_circulant(GridSpec(1.0, 8), 0.7, 4)
-        coarse = coarsen_path(path, 2)
-        assert np.array_equal(coarse.values, path.values[::2])
-        assert coarse.grid.step == pytest.approx(0.25)
-        # coarse increments are block sums of fine increments
-        fine_inc = path.increments()
-        expected = fine_inc.reshape(4, 2).sum(axis=1)
-        assert np.allclose(coarse.increments(), expected, atol=1e-12)
-
-    def test_bad_factor(self):
-        path = sample_fbm_circulant(GridSpec(1.0, 8), 0.7, 5)
-        with pytest.raises(DomainError):
-            coarsen_path(path, 3)
-        with pytest.raises(DomainError):
-            coarsen_path(path, 0)
 
 
 class TestHolderRegularity:

@@ -16,14 +16,21 @@ from fcir import (
     MalliavinGapReport,
     UnsupportedRegimeError,
     drift_derivative,
-    malliavin_exponential_form,
     malliavin_gap_study,
-    malliavin_interpolated,
     malliavin_profile,
     malliavin_terminal_forms,
     sample_fbm_circulant,
     simulate_path,
 )
+
+
+def trapezoid_oracle(levels, grid, s, params):
+    """(sigma/2) * exp(integral of f'(level) over [s, T]), trapezoid rule on s and later nodes."""
+    nodes = grid.nodes()
+    times = np.concatenate([[s], nodes[nodes > s]])
+    slopes = drift_derivative(np.interp(times, nodes, levels), params)
+    integral = np.sum(np.diff(times) * (slopes[1:] + slopes[:-1]) / 2.0)
+    return 0.5 * params.sigma * float(np.exp(integral))
 
 
 @pytest.fixture
@@ -49,13 +56,13 @@ class TestProfile:
             * bench_params.sigma
             / (1.0 - drift_derivative(path.x[n], bench_params) * h)
         )
-        assert profile.values[-1] == pytest.approx(expected, rel=1e-14)
+        assert profile[-1] == pytest.approx(expected, rel=1e-14)
 
     def test_bounded_and_nondecreasing(self, path, bench_params):
         # each factor lies in (0, 1) for kappa > 0, so suffix products grow
         # as factors drop off and everything stays within (0, sigma/2]
         for n in (1, 7, 32):
-            values = malliavin_profile(path, n).values
+            values = malliavin_profile(path, n)
             assert values.shape == (n,)
             assert np.all(values > 0.0)
             assert np.all(values <= 0.5 * bench_params.sigma)
@@ -67,7 +74,7 @@ class TestProfile:
         params = fixed_point_path.params
         h = fixed_point_path.grid.step
         n = 12
-        values = malliavin_profile(fixed_point_path, n).values
+        values = malliavin_profile(fixed_point_path, n)
         exponents = n - np.arange(1, n + 1) + 1
         closed = 0.5 * params.sigma * (1.0 + params.kappa * h) ** -exponents
         assert np.allclose(values, closed, rtol=1e-12)
@@ -85,72 +92,29 @@ class TestProfile:
         with pytest.raises(DomainError):
             malliavin_profile(path, 33)
 
-    def test_value_at_lookup(self, path):
-        n = 10
-        profile = malliavin_profile(path, n)
-        h = path.grid.step
-        # s in (t_{i-1}, t_i] selects interval i; beyond t_n the value is 0
-        assert profile.value_at(0.5 * h) == profile.values[0]
-        assert profile.value_at(h) == profile.values[0]
-        assert profile.value_at(1.5 * h) == profile.values[1]
-        assert profile.value_at(n * h) == profile.values[n - 1]
-        assert profile.value_at(n * h + 0.25 * h) == 0.0
-        assert profile.value_at(0.0) == profile.values[0]
-
-
-class TestInterpolatedDerivative:
-    def test_weight_collapse_at_nodes(self, path):
-        n = 14
-        t = path.grid.node(n)
-        s = path.grid.node(3)
-        expected = malliavin_profile(path, n).value_at(s)
-        assert malliavin_interpolated(path, t, s) == pytest.approx(expected, rel=1e-14)
-
-    def test_zero_beyond_support(self, path):
-        assert malliavin_interpolated(path, 0.3, 0.9) == 0.0
-        assert malliavin_interpolated(path, 0.0, 0.0) == 0.0
-
-    def test_half_weight_midpanel(self, path):
-        # for t mid-panel and s inside (t_n, t_{n+1}], only the G_{n+1} term
-        # survives and carries weight 1/2
-        n = 6
-        h = path.grid.step
-        t = path.grid.node(n) + 0.5 * h
-        s = path.grid.node(n) + 0.7 * h
-        expected = 0.5 * malliavin_profile(path, n + 1).value_at(s)
-        assert malliavin_interpolated(path, t, s) == pytest.approx(expected, rel=1e-14)
-
-    def test_domain(self, path):
-        with pytest.raises(DomainError):
-            malliavin_interpolated(path, 1.2, 0.0)
-        with pytest.raises(DomainError):
-            malliavin_interpolated(path, 0.5, -0.1)
-
-
 class TestExponentialForm:
-    def test_point_mass(self, path, bench_params):
-        value = malliavin_exponential_form(path.x, path.grid, 0.25, 0.25, bench_params)
-        assert value == 0.5 * bench_params.sigma
+    # the exponential column of malliavin_terminal_forms, s = t_i and t = T
 
-    def test_zero_above_diagonal(self, path, bench_params):
-        assert malliavin_exponential_form(path.x, path.grid, 0.5, 0.25, bench_params) == 0.0
+    def test_point_mass(self, path, bench_params):
+        # at s = T the trapezoid is over an empty interval
+        _, exponential = malliavin_terminal_forms(path.x[None, :], path.grid.step, bench_params)
+        assert exponential[0, -1] == 0.5 * bench_params.sigma
 
     def test_constant_levels_closed_form(self):
+        # X == sqrt(theta) makes f' = -kappa, so the form at s = t_i is
+        # (sigma/2) * exp(-kappa * (T - t_i))
         params = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=0.5)
         grid = GridSpec(1.0, 64)
-        levels = np.full(65, math.sqrt(0.5))
-        for s, t in ((0.0, 1.0), (0.25, 0.75), (0.1234, 0.9)):
-            closed = 0.5 * params.sigma * math.exp(-params.kappa * (t - s))
-            value = malliavin_exponential_form(levels, grid, s, t, params)
-            assert value == pytest.approx(closed, rel=1e-12)
+        levels = np.full((1, 65), math.sqrt(0.5))
+        _, exponential = malliavin_terminal_forms(levels, grid.step, params)
+        closed = 0.5 * params.sigma * np.exp(-params.kappa * (1.0 - grid.nodes()[1:]))
+        assert exponential[0] == pytest.approx(closed, rel=1e-12)
 
     def test_domain(self, path, bench_params):
         with pytest.raises(DomainError):
-            malliavin_exponential_form(
-                np.zeros(path.grid.steps + 1), path.grid, 0.0, 0.5, bench_params
+            malliavin_terminal_forms(
+                np.zeros((1, path.grid.steps + 1)), path.grid.step, bench_params
             )
-        with pytest.raises(DomainError):
-            malliavin_exponential_form(path.x, path.grid, 0.0, 1.5, bench_params)
 
 
 class TestTerminalForms:
@@ -158,8 +122,7 @@ class TestTerminalForms:
         # column i-1 is the form at s = t_i, t = T
         _, exponential = malliavin_terminal_forms(path.x[None, :], path.grid.step, bench_params)
         oracle = [
-            malliavin_exponential_form(path.x, path.grid, path.grid.node(i), 1.0, bench_params)
-            for i in range(1, path.grid.steps + 1)
+            trapezoid_oracle(path.x, path.grid, s, bench_params) for s in path.grid.nodes()[1:]
         ]
         assert exponential[0] == pytest.approx(oracle, rel=1e-12)
 
@@ -211,7 +174,7 @@ class TestGapStudy:
         product, _ = malliavin_terminal_forms(
             np.stack([path.x for path in paths]), grid.step, bench_params
         )
-        profiles = [malliavin_profile(path, 64).values for path in paths]
+        profiles = [malliavin_profile(path, 64) for path in paths]
         for row, values in zip(product, profiles):
             assert np.array_equal(row, values)
         assert report.profile_min[0] == min(values.min() for values in profiles)

@@ -14,19 +14,16 @@ from fcir import (
     CirParams,
     ConditionReport,
     DomainError,
+    HurstParameter,
     NumericalError,
     check_moment_condition,
     check_moment_conditions,
     drift,
     drift_derivative,
-    drift_second_derivative,
-    lamperti_forward,
-    lamperti_inverse,
     max_stable_step,
-    mean_reversion_rescale,
     sufficient_moment_condition,
-    weighted_kernel_integral,
 )
+from fcir.model import _rescaled_kernel_integral
 
 # Frozen value of the brute-force oracle below at
 # (s=1, kappa=2, sigma=0.5, H=0.7) with 1e6 panels.
@@ -134,10 +131,9 @@ class TestDrift:
         assert drift(1.0, bench_params) == pytest.approx(-0.5)
         assert drift(0.5, bench_params) == pytest.approx(0.5)
         assert drift_derivative(1.0, bench_params) == pytest.approx(-1.5)
-        assert drift_second_derivative(1.0, bench_params) == pytest.approx(1.0)
 
     def test_domain(self, bench_params):
-        for func in (drift, drift_derivative, drift_second_derivative):
+        for func in (drift, drift_derivative):
             with pytest.raises(DomainError):
                 func(0.0, bench_params)
             with pytest.raises(DomainError):
@@ -163,31 +159,17 @@ class TestDrift:
             assert abs(drift(root, params)) <= 1e-13 * max(1.0, params.kappa)
 
 
-class TestLamperti:
-    def test_round_trip(self):
-        assert lamperti_forward(1.0) == 1.0
-        assert lamperti_forward(0.0) == 0.0
-        assert lamperti_inverse(lamperti_forward(0.49)) == pytest.approx(0.49, abs=1e-15)
-        with pytest.raises(DomainError):
-            lamperti_forward(-0.1)
-        with pytest.raises(DomainError):
-            lamperti_inverse(-0.1)
-
-
-class TestRescale:
-    def test_values(self, bench_params):
-        assert mean_reversion_rescale(3.3, 0.0, bench_params) == 3.3
-        assert mean_reversion_rescale(1.0, 1.0, bench_params) == pytest.approx(math.e)
-        assert mean_reversion_rescale(2.0, 0.5, bench_params) == pytest.approx(
-            2.0 * math.exp(0.5)
-        )
-        with pytest.raises(DomainError):
-            mean_reversion_rescale(1.0, -0.1, bench_params)
+def kernel_integral(s: float, params: CirParams, hvalue: float) -> float:
+    """`_rescaled_kernel_integral` at a float H."""
+    return _rescaled_kernel_integral(s, params, HurstParameter(hvalue))
 
 
 class TestWeightedKernelIntegral:
+    # The integral (sigma^2/2) H(2H-1) int_0^s e^(-kappa*u/2) u^(2H-2) du that
+    # the condition margin holds, in the frame rescaled by e^(-kappa*s/2).
+
     def test_empty_interval(self, bench_params):
-        assert weighted_kernel_integral(0.0, bench_params, 0.7) == 0.0
+        assert kernel_integral(0.0, bench_params, 0.7) == 0.0
 
     def test_vanishing_kappa_closed_form(self):
         # With the exponential weight forced to 1 the integral is
@@ -195,27 +177,27 @@ class TestWeightedKernelIntegral:
         params = CirParams(kappa=1e-12, theta=1.0, sigma=0.5, r0=1.0)
         for s, H in ((1.0, 0.7), (2.5, 0.6), (0.3, 0.9)):
             closed = 0.5 * params.sigma**2 * H * s ** (2 * H - 1)
-            value = weighted_kernel_integral(s, params, H)
+            value = kernel_integral(s, params, H)
             assert value == pytest.approx(closed, rel=1e-9)
 
     def test_against_brute_force_oracle(self, bench_params):
         oracle = brute_force_weighted_integral(1.0, 2.0, 0.5, 0.7)
         assert oracle == pytest.approx(BRUTE_FORCE_REFERENCE, rel=1e-9)
-        value = weighted_kernel_integral(1.0, bench_params, 0.7)
-        print(f"kernel integral: impl={value:.12g} oracle={oracle:.12g}")
-        assert abs(value - oracle) <= 1e-6
+        # the oracle is in the original frame: divide out e^(kappa*s/2) = e,
+        # and the absolute bound 1e-6 with it
+        value = kernel_integral(1.0, bench_params, 0.7)
+        print(f"kernel integral: impl={value:.12g} oracle={oracle / math.e:.12g}")
+        assert abs(value - oracle / math.e) <= 1e-6 / math.e
 
     @pytest.mark.parametrize("kappa,sigma,H,s", [(-1.5, 0.8, 0.6, 2.0), (3.0, 0.3, 0.85, 0.7)])
     def test_oracle_other_parameters(self, kappa, sigma, H, s):
         params = CirParams(kappa=kappa, theta=0.5 if kappa > 0 else -0.5, sigma=sigma, r0=1.0)
-        oracle = brute_force_weighted_integral(s, kappa, sigma, H)
-        assert weighted_kernel_integral(s, params, H) == pytest.approx(oracle, rel=1e-8)
+        oracle = brute_force_weighted_integral(s, kappa, sigma, H) / math.exp(0.5 * kappa * s)
+        assert kernel_integral(s, params, H) == pytest.approx(oracle, rel=1e-8)
 
     def test_domain(self, bench_params):
         with pytest.raises(DomainError):
-            weighted_kernel_integral(-1.0, bench_params, 0.7)
-        with pytest.raises(DomainError):
-            weighted_kernel_integral(1.0, bench_params, 0.5)
+            kernel_integral(1.0, bench_params, 0.5)
 
     @pytest.mark.parametrize("H", [0.51, 0.53, 0.55, 0.7])
     @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100])
@@ -223,13 +205,7 @@ class TestWeightedKernelIntegral:
         # scipy's hyp1f1(a, a+1, z) is nan or inf for a <= 0.1 and tiny |z|;
         # here e^(-kappa*u/2) = 1 to double precision, so I(s) = s^(2H-1)/(2H-1)
         closed = 0.5 * bench_params.sigma**2 * H * s ** (2 * H - 1)
-        assert weighted_kernel_integral(s, bench_params, H) == pytest.approx(closed, rel=1e-12)
-
-    @pytest.mark.parametrize("kappa", [50.0, -50.0])
-    def test_overflow_is_numerical_error(self, kappa):
-        params = CirParams(kappa=kappa, theta=math.copysign(0.5, kappa), sigma=0.5, r0=1.0)
-        with pytest.raises(NumericalError):
-            weighted_kernel_integral(30.0, params, 0.7)
+        assert kernel_integral(s, bench_params, H) == pytest.approx(closed, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,8 +219,8 @@ class TestWeightedKernelIntegral:
 def test_closed_form_matches_quadrature_oracle(kappa, hvalue, s, sigma):
     params = CirParams(kappa=kappa, theta=math.copysign(0.5, kappa), sigma=sigma, r0=1.0)
     prefactor = 0.5 * sigma**2 * hvalue * (2.0 * hvalue - 1.0)
-    oracle = prefactor * math.exp(0.5 * kappa * s) * quadrature_rescaled_integral(s, kappa, hvalue)
-    assert weighted_kernel_integral(s, params, hvalue) == pytest.approx(oracle, rel=1e-9)
+    oracle = prefactor * quadrature_rescaled_integral(s, kappa, hvalue)
+    assert kernel_integral(s, params, hvalue) == pytest.approx(oracle, rel=1e-9)
 
 
 class TestConditionChecks:
@@ -303,9 +279,10 @@ class TestConditionChecks:
         params = CirParams(kappa=kappa, theta=math.copysign(0.5, kappa), sigma=0.9, r0=1.0)
         for horizon in (0.25, 1.0, 3.0):
             report = check_moment_condition(2, 7, params, 0.7, horizon)
-            original = params.kappa * params.theta * math.exp(
-                0.5 * kappa * horizon
-            ) - 7 * weighted_kernel_integral(horizon, params, 0.7)
+            growth = math.exp(0.5 * kappa * horizon)
+            original = params.kappa * params.theta * growth - 7 * (
+                growth * kernel_integral(horizon, params, 0.7)
+            )
             assert report.worst_margin * math.exp(0.5 * kappa * horizon) == pytest.approx(
                 original, rel=1e-12, abs=1e-14
             )

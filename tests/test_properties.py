@@ -1,9 +1,18 @@
 """Property tests over random model parameters: batch-versus-single bit identity,
-finite output and positivity of the solver and the Malliavin kernel."""
+finite output and positivity of the solver and the Malliavin kernel; and the
+exit-code contract of the CLI over random flags."""
+
+import contextlib
+import csv
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fcir import (
@@ -11,6 +20,7 @@ from fcir import (
     DomainError,
     GridSpec,
     backward_euler_step,
+    cli,
     malliavin_profile,
     malliavin_terminal_forms,
     path_seed,
@@ -47,7 +57,7 @@ def test_batch_rows_match_single_paths(model, hurst, seed):
     for row, noise in enumerate(noises):
         path = simulate_path(noise, params)
         assert np.array_equal(batch[row], path.x)
-        assert np.array_equal(product[row], malliavin_profile(path, GRID.steps).values)
+        assert np.array_equal(product[row], malliavin_profile(path, GRID.steps))
         _, single_exponential = malliavin_terminal_forms(path.x[None, :], GRID.step, params)
         assert np.array_equal(exponential[row], single_exponential[0])
 
@@ -122,3 +132,93 @@ def test_out_overlapping_other_than_as_tail_raises(view):
     out = np.full((3, 6), 0.01)
     with pytest.raises(DomainError, match=r"only as out\[\.\.\., 1:\]"):
         simulate_batch(view(out), 0.2, BENCH, out=out)
+
+
+# Extreme float flag values: magnitudes near 1e+-300 and 5e-324, zeros,
+# negatives, infinities and nan.
+EXTREME_FLOATS = [1e300, 1e-300, 5e-324, 0.0, -1.0, -1e-300, -1e300, math.inf, -math.inf, math.nan]
+# Grid exponents and sample counts stay at most 8, so a run takes milliseconds.
+# Hypothesis favours the simplest choice (0, or the first entry), which is a
+# valid value here.
+exponent = st.integers(-1, 8)
+int_flags = {
+    "steps_exp": exponent,
+    "ref_exp": exponent,
+    "coarse_exps": st.lists(exponent, min_size=1, max_size=3, unique=True).map(
+        lambda exps: ",".join(map(str, exps))
+    ),
+    "samples": st.one_of(st.integers(1, 8), st.sampled_from([0, -1])),
+    "p": st.sampled_from([2, 1, 7, 400, 0]),
+    "seed": st.integers(-(2**64), 2**64),
+}
+
+
+def float_flag(default: float):
+    """An ordinary value, the default scaled by up to 1.5, or an extreme one."""
+    return st.one_of(
+        st.floats(0.5, 1.5).map(lambda factor: default * factor), st.sampled_from(EXTREME_FLOATS)
+    ).map(repr)
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand and random values for its flags, read from the parser's defaults."""
+    command = draw(st.sampled_from(sorted(cli.SUBCOMMANDS)))
+    defaults = vars(cli.build_parser().parse_args([command]))
+    argv = [command]
+    for dest, default in defaults.items():
+        if dest in int_flags:
+            value = draw(int_flags[dest])
+        elif isinstance(default, float) and draw(st.booleans()):
+            value = draw(float_flag(default))
+        else:
+            continue
+        # --flag=value, so that argparse reads a value such as -inf as a value
+        argv.append(f"--{dest.replace('_', '-')}={value}")
+    return argv
+
+
+def run_main(argv, out):
+    """Exit code of `cli.main`, argparse's SystemExit included."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main([*argv, "--workers", "1", "--out", str(out)])
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv())
+def test_cli_contract_over_random_flags(argv):
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "runs"
+        code = run_main(argv, out)
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2, 3)
+        runs = sorted(out.iterdir()) if out.exists() else []
+        if code == 2:
+            assert runs == []
+            return
+        assert len(runs) == 1
+        manifest = dict(
+            line.split(" = ", 1) for line in (runs[0] / "manifest.txt").read_text().splitlines()
+        )
+        if code == 3:
+            assert manifest["status"] == "error"
+            return
+        assert manifest["status"] == "ok"
+        for key, value in manifest.items():
+            if not key.startswith(("slope_", "intercept_")):
+                assert not re.search(r"\b(?:nan|inf)\b", value), (key, value)
+        for data in runs[0].glob("*.csv"):
+            with open(data, newline="") as handle:
+                header, *rows = csv.reader(handle)
+            for index, row in enumerate(rows):
+                for column, cell in zip(header, row):
+                    if argv[0] == "malliavin-check" and column == "ratio_vs_prev" and index == 0:
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:  # a check name, boolean or method
+                        continue
+                    assert math.isfinite(value), (data.name, index, column, cell)

@@ -1,4 +1,4 @@
-"""Tests for the backward Euler scheme, interpolation, and the rate process."""
+"""Tests for the backward Euler scheme and the rate process."""
 
 import math
 
@@ -14,11 +14,7 @@ from fcir import (
     NumericalError,
     UnsupportedRegimeError,
     backward_euler_step,
-    coarsen_path,
     drift,
-    interpolate,
-    interpolate_many,
-    rate_interpolate,
     rate_path,
     residuals,
     sample_fbm_circulant,
@@ -193,7 +189,9 @@ class TestSimulatePath:
             noise = sample_fbm_circulant(fine_grid, 0.7, 3000 + seed)
             solutions = {}
             for exponent in (10, 9, 8):
-                coarse = coarsen_path(noise, 2 ** (10 - exponent))
+                coarse = FbmPath(
+                    GridSpec(1.0, 2**exponent), noise.hurst, noise.values[:: 2 ** (10 - exponent)]
+                )
                 solutions[exponent] = simulate_path(coarse, bench_params).x
             gaps[10].append(np.abs(solutions[10][::2][1:] - solutions[9][1:]).max())
             gaps[9].append(np.abs(solutions[9][::2][1:] - solutions[8][1:]).max())
@@ -202,54 +200,9 @@ class TestSimulatePath:
         assert 1.6 <= ratio <= 2.4
 
 
-class TestInterpolation:
-    @pytest.fixture
-    def path(self, bench_params):
-        noise = sample_fbm_circulant(GridSpec(1.0, 16), 0.7, 21)
-        return simulate_path(noise, bench_params)
-
-    def test_exact_at_nodes(self, path):
-        for n, t in enumerate(path.nodes()):
-            assert interpolate(path, float(t)) == path.x[n]
-
-    def test_midpoint(self, path):
-        h = path.grid.step
-        for n in range(path.grid.steps):
-            mid = path.grid.node(n) + 0.5 * h
-            assert interpolate(path, mid) == pytest.approx(
-                0.5 * (path.x[n] + path.x[n + 1]), rel=1e-15
-            )
-
-    def test_monotone_bound_within_panel(self, path):
-        rng = np.random.default_rng(5)
-        h = path.grid.step
-        for _ in range(100):
-            n = int(rng.integers(0, path.grid.steps))
-            t = path.grid.node(n) + rng.uniform(0.0, 1.0) * h
-            value = interpolate(path, t)
-            lo = min(path.x[n], path.x[n + 1])
-            hi = max(path.x[n], path.x[n + 1])
-            assert lo - 1e-15 <= value <= hi + 1e-15
-            assert value > 0.0
-
-    def test_domain(self, path):
-        with pytest.raises(DomainError):
-            interpolate(path, -0.01)
-        with pytest.raises(DomainError):
-            interpolate(path, 1.01)
-
-    def test_many_matches_scalar(self, path):
-        times = np.linspace(0.0, 1.0, 37)
-        batch = interpolate_many(path, times)
-        assert np.array_equal(batch, [interpolate(path, float(t)) for t in times])
-
-
 class TestRateProcess:
     def test_nodes_and_origin(self, bench_params):
         noise = sample_fbm_circulant(GridSpec(1.0, 32), 0.7, 8)
         path = simulate_path(noise, bench_params)
         assert np.array_equal(rate_path(path), path.x**2)
-        assert rate_interpolate(path, 0.0) == bench_params.r0
-        rng = np.random.default_rng(2)
-        for t in rng.uniform(0.0, 1.0, 100):
-            assert rate_interpolate(path, t) == interpolate(path, t) ** 2
+        assert rate_path(path)[0] == bench_params.r0
