@@ -3,10 +3,12 @@
 All experiments share a common design: path i of a batch is driven by seed
 base_seed + i (wrapping at 64 bits), the "exact" solution is the same scheme
 run at a fine reference resolution, and coarse solutions are driven by the
-same noise restricted to coarser grids.  Paths run in blocks whose size
-follows from the reference grid, and per-path results are always reduced in
-ascending path index, so reports are bit-identical for any block split and
-any number of workers.
+same noise restricted to coarser grids.  The solver overwrites the noise it
+is handed, so a block solves each coarse grid over a copy of its restriction
+and the reference grid over the noise itself.  Paths run in blocks whose
+size follows from the reference grid, and per-path results are always
+reduced in ascending path index, so reports are bit-identical for any block
+split and any number of workers.
 """
 
 from __future__ import annotations
@@ -245,7 +247,8 @@ def regress_order(step_sizes, errors) -> tuple[float, float]:
 # Reference-grid noise values per block of paths, the bound on working memory.
 # Counted in nodes, not paths, because each block repeats the per-step loop of
 # `simulate_batch`.  400 x (2^14 + 1) nodes fit in one block.  A block holds one
-# noise-sized array plus the coarse levels solved from it: the convergence and
+# noise-sized array plus the coarse levels solved from it: `simulate_batch`
+# overwrites the fBm levels it is handed, so the convergence and
 # inverse-moment kernels solve the reference grid over the noise itself, and
 # the gap kernel's noise holds only the nodes of its finest coarse grid.
 _BLOCK_NODES = 2**23
@@ -291,17 +294,6 @@ def _sample_block(block_fn, config: ExperimentConfig, rows: int, stride: int, st
     return block_fn(config, _sample_circulant_block(grid, config.hurst, seeds, stride))
 
 
-def _solve_in_place(noise: np.ndarray, step: float, params: CirParams) -> np.ndarray:
-    """Overwrite each row of noise levels with the backward Euler levels it drives.
-
-    Each row is differenced in place, the same subtraction as `np.diff` (numpy
-    buffers the overlapping operand), and then solved over its own increments.
-    """
-    for row in noise:
-        np.subtract(row[1:], row[:-1], out=row[1:])
-    return simulate_batch(noise[:, 1:], step, params, out=noise)
-
-
 def _coarse_levels(config: ExperimentConfig, noise: np.ndarray):
     """Yield (grid, restriction factor, solved levels) per coarse exponent; noise is kept.
 
@@ -311,7 +303,7 @@ def _coarse_levels(config: ExperimentConfig, noise: np.ndarray):
     for exponent in config.coarse_exponents:
         grid = config.coarse_grid(exponent)
         factor = (noise.shape[1] - 1) // grid.steps
-        levels = _solve_in_place(noise[:, ::factor].copy(), grid.step, config.params)
+        levels = simulate_batch(noise[:, ::factor].copy(), grid.step, config.params)
         yield grid, factor, levels
 
 
@@ -326,7 +318,7 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
     """
     ref_grid = config.reference_grid
     coarse = list(_coarse_levels(config, noise))
-    x_ref = _solve_in_place(noise, ref_grid.step, config.params)
+    x_ref = simulate_batch(noise, ref_grid.step, config.params)
     ref_nodes = ref_grid.nodes()
     interpolated, work = np.empty((2, ref_grid.steps + 1))
 
@@ -432,7 +424,7 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> ConvergenceRe
 
 def _inverse_moment_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
     """Per-path x_n^(-p) at every reference node, shape (paths, N+1), in the noise array."""
-    x = _solve_in_place(noise, config.reference_grid.step, config.params)
+    x = simulate_batch(noise, config.reference_grid.step, config.params)
     x **= -float(config.p)
     return (x,)
 

@@ -96,21 +96,35 @@ def _rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter
     the lower incomplete gamma function (DLMF 8.5.1, 13.2).  I is the kernel
     integral in the frame rescaled by e^(-kappa*s/2); it overflows to inf
     only for kappa < 0 with |kappa|*s/2 beyond about 709.
+
+    For kappa < 0 and z = -kappa*s/2, 1F1(a; a+1; z) >= a(e^z - 1)/z, so
+    I(s) >= s^a (e^z - 1)/z; where that bound exceeds the largest double,
+    NumericalError is raised before scipy's hyp1f1, which does not return
+    for z of about 1e50 and beyond.
     """
     if not hurst.long_memory:
         raise DomainError(f"kernel integral requires H > 1/2, got {hurst.value}")
+    a = 2.0 * hurst.value - 1.0
+    rate = 0.5 * params.kappa
+    z = -rate * s
+    if z > 0.0:
+        # finite down to z = 5e-324; an overflowed z gives nan, which is refused
+        log_bound = a * math.log(s) + z + math.log(-math.expm1(-z)) - math.log(z)
+        if not log_bound <= math.log(np.finfo(float).max):
+            raise NumericalError(
+                f"inverse-moment margin overflows at horizon={s}, kappa={params.kappa}: "
+                f"the kernel integral exceeds e^{log_bound:.6g}"
+            )
     # imported here, not with the module, so that `import fcir` loads no scipy
     from scipy import special
 
-    a = 2.0 * hurst.value - 1.0
-    rate = 0.5 * params.kappa
     if rate > 0.0:
         # scipy's hyp1f1 at negative arguments is nan for small a and |z|
         # below about 1e-172 or above about 1e11, and takes up to seconds
         # near 1e10; the incomplete gamma function has neither defect.
         integral = special.gamma(a) * special.gammainc(a, rate * s) / rate**a
     else:
-        integral = s**a / a * special.hyp1f1(a, a + 1.0, -rate * s)
+        integral = s**a / a * special.hyp1f1(a, a + 1.0, z)
     return 0.5 * (params.sigma * params.sigma) * hurst.alpha * float(integral)
 
 

@@ -102,72 +102,58 @@ def backward_euler_step(
     return float(_positive_root(a, c, denom))
 
 
-def _is_tail(increments: np.ndarray, out: np.ndarray) -> bool:
-    """Whether increments is exactly the view out[..., 1:]."""
-    tail = out[..., 1:]
-    return (increments.ctypes.data, increments.strides) == (tail.ctypes.data, tail.strides)
-
-
-# Steps per chunk of `simulate_batch`: two (chunk, paths) buffers stay in
+# Steps per chunk of `simulate_batch`: three (chunk, paths) buffers stay in
 # cache, and the chunk is the unit of the a < 0 re-solve.
 _CHUNK_STEPS = 64
 
 
-def simulate_batch(
-    increments: np.ndarray, step: float, params: CirParams, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Run the recursion along the last axis of an increment array.
+def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndarray:
+    """Overwrite each row of fBm levels with the backward Euler levels it drives.
 
-    increments has shape (..., N); the result has shape (..., N+1) with the
-    initial value x0 in front.  Each path in the batch produces bit-identical
-    values to a scalar `backward_euler_step` loop, so batching (and any
-    chunking of a batch across workers) never changes results.
+    noise is a 2-D float64 array, shape (paths, N+1), of each path's driving
+    fBm at the grid nodes, in any strides; each row is replaced by the path's
+    levels, x0 first, and noise is returned.  Each path gets the bits of a
+    scalar `backward_euler_step` loop over `np.diff` of its row, so batching
+    (and any chunking of a batch across workers) never changes results.
 
-    The steps run in chunks of `_CHUNK_STEPS`: the scaled increments of a
-    chunk are copied into a step-major (chunk, paths) buffer, so every step
-    reads and writes contiguous rows, and the chunk's levels go back to the
-    path-major result in one transposed copy.  Each step takes the a >= 0
-    branch of `_positive_root` in place; a chunk in which some a < 0 is solved
-    again from its start level with `_positive_root` itself.  A level that is
-    not finite and positive (a*a overflows for |a| > ~1.3e154) raises
-    NumericalError.  Working memory beyond the result is two (chunk, paths)
-    buffers, whatever N is.
-
-    The levels are written into `out` when given: a C-contiguous float64
-    array of the result's shape, returned.  `out` may hold the increments
-    themselves as `out[..., 1:]`, so a noise-sized array is solved in place:
-    a chunk's increments are copied into the step-major buffer, and its a < 0
-    re-solve runs, before that chunk's levels are written back.  Any other
-    overlap of `out` and `increments` raises DomainError.
+    The steps run in chunks of `_CHUNK_STEPS`.  A chunk's noise columns are
+    copied into a step-major (chunk, paths) buffer, so every step reads and
+    writes contiguous rows, and differenced as `np.diff` does into a second
+    one, scaled by sigma/2; the column before the chunk, which the previous
+    chunk's write-back overwrote, is carried in a vector.  Each step takes the
+    a >= 0 branch of `_positive_root` in place; a chunk in which some a < 0 is
+    solved again from its start level with `_positive_root` itself.  A level
+    that is not finite and positive (a*a overflows for |a| > ~1.3e154) raises
+    NumericalError, with the chunks before it written back.  Working memory
+    beyond the noise is three (chunk, paths) buffers, whatever N is.
     """
-    increments = np.asarray(increments, dtype=float)
+    if not isinstance(noise, np.ndarray):
+        raise DomainError(f"noise must be a 2-D float64 array of fBm levels, got {type(noise)}")
+    if noise.ndim != 2 or noise.dtype != np.float64 or noise.shape[1] < 1:
+        raise DomainError(
+            "noise must be a 2-D float64 array of fBm levels, shape (paths, N+1), got "
+            f"{noise.dtype} of shape {noise.shape}"
+        )
     c, denom = _root_constants(step, params)
     half_sigma = 0.5 * params.sigma
 
-    n_steps = increments.shape[-1]
-    shape = increments.shape[:-1] + (n_steps + 1,)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise DomainError(
-            f"out must be a C-contiguous float64 array of shape {shape}, got "
-            f"{out.dtype} of shape {out.shape} (C-contiguous: {out.flags.c_contiguous})"
-        )
-    elif np.may_share_memory(out, increments) and not _is_tail(increments, out):
-        raise DomainError("out may overlap the increments only as out[..., 1:]")
-    out[..., 0] = params.x0
-    width = math.prod(increments.shape[:-1])
-    rows, levels_out = increments.reshape(width, n_steps), out.reshape(width, n_steps + 1)
-    a_buffer, level_buffer = np.empty((2, _CHUNK_STEPS, width))
+    width, n_steps = noise.shape[0], noise.shape[1] - 1
+    carry = noise[:, 0].copy()
+    noise[:, 0] = params.x0
+    buffers = np.empty((3, _CHUNK_STEPS, width))
     disc = np.empty(width)
     start = np.full(width, params.x0)
     for first in range(0, n_steps, _CHUNK_STEPS):
-        chunk = range(first, min(first + _CHUNK_STEPS, n_steps))
-        a, levels = a_buffer[: len(chunk)], level_buffer[: len(chunk)]
-        np.multiply(rows[:, first : chunk.stop].T, half_sigma, out=a)
+        stop = min(first + _CHUNK_STEPS, n_steps)
+        scaled, a, levels = buffers[:, : stop - first]
+        levels[:] = noise[:, first + 1 : stop + 1].T
+        np.subtract(levels[0], carry, out=scaled[0])
+        np.subtract(levels[1:], levels[:-1], out=scaled[1:])
+        carry[:] = levels[-1]
+        scaled *= half_sigma
         level = start
-        for a_k, next_level in zip(a, levels):
-            a_k += level
+        for scaled_k, a_k, next_level in zip(scaled, a, levels):
+            np.add(scaled_k, level, out=a_k)
             np.multiply(a_k, a_k, out=disc)
             disc += c
             np.sqrt(disc, out=disc)
@@ -176,8 +162,8 @@ def simulate_batch(
             level = next_level
         if (a < 0.0).any():
             level = start
-            for n, next_level in zip(chunk, levels):
-                next_level[:] = _positive_root(level + half_sigma * rows[:, n], c, denom)
+            for scaled_k, next_level in zip(scaled, levels):
+                next_level[:] = _positive_root(level + scaled_k, c, denom)
                 level = next_level
         valid = (levels > 0.0) & (levels < math.inf)
         if not valid.all():
@@ -186,9 +172,9 @@ def simulate_batch(
                 f"backward Euler level {levels[k, path]} at step {first + k + 1} of path "
                 f"{path} is not finite and positive: the implicit step overflows"
             )
-        levels_out[:, first + 1 : chunk.stop + 1] = levels.T
+        noise[:, first + 1 : stop + 1] = levels.T
         start[:] = levels[-1]
-    return out
+    return noise
 
 
 def simulate_path(noise: FbmPath, params: CirParams) -> SolutionPath:
@@ -202,7 +188,7 @@ def simulate_path(noise: FbmPath, params: CirParams) -> SolutionPath:
         raise UnsupportedRegimeError(
             f"the solver requires driving noise with H > 1/2, got H={noise.hurst.value}"
         )
-    x = simulate_batch(noise.increments(), noise.grid.step, params)
+    x = simulate_batch(noise.values[None].copy(), noise.grid.step, params)[0]
     return SolutionPath(grid=noise.grid, params=params, x=x)
 
 

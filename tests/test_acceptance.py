@@ -103,13 +103,10 @@ def test_criterion_03_rate_process_order(convergence_h07):
 def test_criterion_04_positivity():
     grid = GridSpec(1.0, 2**10)
     hurst = HurstParameter(0.7)
-    increments = np.stack(
-        [
-            sample_fbm_circulant(grid, hurst, 2024 + i).increments()
-            for i in range(10_000)
-        ]
+    noise = np.stack(
+        [sample_fbm_circulant(grid, hurst, 2024 + i).values for i in range(10_000)]
     )
-    levels = simulate_batch(increments, grid.step, BENCH)
+    levels = simulate_batch(noise, grid.step, BENCH)
     nonpositive = int(np.count_nonzero(levels <= 0.0))
     report(4, "positivity over 1e4 paths", nonpositive == 0, f"nonpositive nodes={nonpositive}")
 

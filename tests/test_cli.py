@@ -361,6 +361,10 @@ class TestExitCodes:
              "--workers 1", "margin overflows"),
             # sigma^2 overflows a double
             ("check-conditions --sigma 2e155", "margin overflows"),
+            # kappa < 0: the kernel integral is at least e^(1e60) and at least
+            # e^(5e299), refused before scipy's hyp1f1, which would not return
+            ("check-conditions --kappa=-2 --theta=-0.5 --horizon=1e60", "margin overflows"),
+            ("check-conditions --kappa=-1e+300 --theta=-1e+300", "margin overflows"),
             # the smallest circulant embedding eigenvalue is -4.28e-8 times the largest
             ("simulate --steps-exp 19 --hurst 0.999 --workers 1", "not nonnegative definite"),
             # every level is finite and positive, but x^(-2) overflows below ~1e-154

@@ -161,13 +161,13 @@ class TestMatchedPathDesign:
 
 def grid_errors(config, noise):
     """Oracle: the level and rate errors at shared nodes, one (paths, 2^e) array per grid."""
-    x_ref = simulate_batch(np.diff(noise, axis=1), config.reference_grid.step, config.params)
+    x_ref = simulate_batch(noise.copy(), config.reference_grid.step, config.params)
     shape = (len(noise), len(config.coarse_exponents))
     level, rate = np.empty(shape), np.empty(shape)
     for j, exponent in enumerate(config.coarse_exponents):
         grid = config.coarse_grid(exponent)
         factor = 2 ** (config.reference_exponent - exponent)
-        x = simulate_batch(np.diff(noise[:, ::factor], axis=1), grid.step, config.params)
+        x = simulate_batch(noise[:, ::factor].copy(), grid.step, config.params)
         shared_ref = x_ref[:, ::factor]
         level[:, j] = np.abs(shared_ref[:, 1:] - x[:, 1:]).max(axis=1)
         rate[:, j] = np.abs(shared_ref[:, 1:] ** 2 - x[:, 1:] ** 2).max(axis=1)
@@ -177,13 +177,13 @@ def grid_errors(config, noise):
 def interp_uniform_errors(config, noise):
     """Oracle: the uniform-norm level and rate errors through np.interp, path by path."""
     ref_grid = config.reference_grid
-    x_ref = simulate_batch(np.diff(noise, axis=1), ref_grid.step, config.params)
+    x_ref = simulate_batch(noise.copy(), ref_grid.step, config.params)
     shape = (len(noise), len(config.coarse_exponents))
     level, rate = np.empty(shape), np.empty(shape)
     for j, exponent in enumerate(config.coarse_exponents):
         grid = config.coarse_grid(exponent)
         factor = 2 ** (config.reference_exponent - exponent)
-        x = simulate_batch(np.diff(noise[:, ::factor], axis=1), grid.step, config.params)
+        x = simulate_batch(noise[:, ::factor].copy(), grid.step, config.params)
         for row in range(len(noise)):
             interpolated = np.interp(ref_grid.nodes(), grid.nodes(), x[row])
             level[row, j] = np.abs(x_ref[row, 1:] - interpolated[1:]).max()
@@ -222,10 +222,10 @@ class TestUniformReduction:
         noise = np.array([[0.0, 2.8e154, 5.6e154, 5.6e154, 5.6e154]])
         message = "level inf at step 1 of path 0 is not finite and positive"
         with np.errstate(over="ignore"):
-            x_ref = simulate_batch(np.diff(noise, axis=1), 0.25, config.params)
+            x_ref = simulate_batch(noise.copy(), 0.25, config.params)
             assert np.all(np.isfinite(x_ref))
             with pytest.raises(NumericalError, match=message):
-                simulate_batch(np.diff(noise[:, ::2], axis=1), 0.5, config.params)
+                simulate_batch(noise[:, ::2].copy(), 0.5, config.params)
             with pytest.raises(NumericalError, match=message):
                 experiments._convergence_block(config, noise)
 
@@ -429,9 +429,9 @@ class TestBlockDriver:
     def test_gap_block_solves_each_coarse_grid_once(self, config, monkeypatch, nodes):
         widths = []
 
-        def recording(increments, *args, **kwargs):
-            widths.append(len(increments))
-            return simulate_batch(increments, *args, **kwargs)
+        def recording(noise, *args, **kwargs):
+            widths.append(len(noise))
+            return simulate_batch(noise, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "simulate_batch", recording)
         if nodes is not None:

@@ -35,6 +35,8 @@ CASES = (
     "converge-uniform --horizon 0.3",
     # the `malliavin` benchmark op: 200 paths of 2^11 + 1 reference nodes
     "malliavin-check --ref-exp 11 --coarse-exps 7,8,9,10 --samples 200",
+    # kappa < 0 at z = |kappa|*T/2 = 700, just inside the kernel-integral overflow
+    "check-conditions --kappa -2 --theta -0.5 --horizon 700",
 )
 # Runs with `experiments._BLOCK_NODES` patched: label -> (argv, nodes per block).
 # The default studies, 200 and 100 paths of 2^12 + 1 reference nodes, in 2
@@ -77,6 +79,9 @@ DIGESTS = {
         },
         "malliavin-check --ref-exp 11 --coarse-exps 7,8,9,10 --samples 200": {
             "data.csv": _MALLIAVIN_OP,
+        },
+        "check-conditions --kappa -2 --theta -0.5 --horizon 700": {
+            "data.csv": "af4bc3e6143242e92af5cf205c40683080f6f0bf547303cae3ec11cab5cd2adf",
         },
         "converge-grid in 2 blocks": {"data.csv": _CONVERGENCE},
         "inverse-moments in 2 blocks": {"data.csv": _INVERSE_MOMENTS},

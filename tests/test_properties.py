@@ -51,7 +51,7 @@ model = st.fixed_dictionaries(
 def test_batch_rows_match_single_paths(model, hurst, seed):
     params = CirParams(**model)
     noises = [sample_fbm_circulant(GRID, hurst, path_seed(seed, i)) for i in range(WIDTH)]
-    batch = simulate_batch(np.stack([n.increments() for n in noises]), GRID.step, params)
+    batch = simulate_batch(np.stack([n.values for n in noises]), GRID.step, params)
     product, exponential = malliavin_terminal_forms(batch, GRID.step, params)
 
     for row, noise in enumerate(noises):
@@ -88,50 +88,50 @@ def scalar_levels(increments, step, params):
 @pytest.mark.parametrize("steps", [1, 63, 64, 65, 3 * 64 + 5])
 @pytest.mark.parametrize("params", [BENCH, NEGATIVE_A], ids=["bench", "negative-a"])
 def test_batch_matches_scalar_loop_across_chunks(steps, params):
-    # simulate_batch runs 64-step chunks; N straddles the chunk edges
+    # simulate_batch differences and solves 64-step chunks, carrying the noise
+    # column before each chunk; N straddles the chunk edges
     grid = GridSpec(1.0, steps)
-    noise = np.stack(
-        [sample_fbm_circulant(grid, 0.7, path_seed(7, i)).values for i in range(8)]
-    ).reshape(2, 4, steps + 1)
+    noise = np.stack([sample_fbm_circulant(grid, 0.7, path_seed(7, i)).values for i in range(8)])
     increments = np.diff(noise, axis=-1)
-    batch = simulate_batch(increments, grid.step, params)
+    batch = simulate_batch(noise, grid.step, params)
+    assert batch is noise
     negative = 0
-    for row, path_increments in zip(batch.reshape(8, -1), increments.reshape(8, -1)):
+    for row, path_increments in zip(batch, increments):
         levels, a = scalar_levels(path_increments, grid.step, params)
         assert np.array_equal(row, levels)
         negative += np.count_nonzero(a < 0.0)
     if params is NEGATIVE_A:
         assert negative > 0
-    # solved over its own increments, held in out[..., 1:], an array gives the same bits
-    noise[..., 1:] = increments
-    solved = simulate_batch(noise[..., 1:], grid.step, params, out=noise)
-    assert solved is noise
-    assert np.array_equal(solved, batch)
 
 
 @pytest.mark.parametrize(
-    "make_out",
+    "noise",
     [
-        lambda shape: np.empty(shape[:-1] + (shape[-1] + 1,)),
-        lambda shape: np.empty(shape, dtype=np.float32),
-        lambda shape: np.empty(shape[::-1]).T,
-        lambda shape: np.empty(shape[:-1] + (2 * shape[-1],))[..., ::2],
+        np.zeros((3, 6), dtype=np.float32),
+        np.zeros(6),
+        np.zeros((2, 3, 6)),
+        np.zeros((3, 0)),
+        [[0.0] * 6] * 3,
     ],
-    ids=["shape", "dtype", "fortran-order", "strided"],
+    ids=["float32", "1-d", "3-d", "no-nodes", "list"],
 )
-def test_invalid_out_raises(make_out):
-    increments = np.full((3, 5), 0.01)
-    with pytest.raises(DomainError, match="out must be a C-contiguous float64 array"):
-        simulate_batch(increments, 0.2, BENCH, out=make_out((3, 6)))
+def test_invalid_noise_raises(noise):
+    with pytest.raises(DomainError, match="noise must be a 2-D float64 array of fBm levels"):
+        simulate_batch(noise, 0.2, BENCH)
 
 
-@pytest.mark.parametrize(
-    "view", [lambda out: out[:, :-1], lambda out: out[::-1, 1:]], ids=["head", "reversed"]
-)
-def test_out_overlapping_other_than_as_tail_raises(view):
-    out = np.full((3, 6), 0.01)
-    with pytest.raises(DomainError, match=r"only as out\[\.\.\., 1:\]"):
-        simulate_batch(view(out), 0.2, BENCH, out=out)
+@pytest.mark.parametrize("layout", ["fortran-order", "strided"])
+def test_noise_of_any_layout_is_solved_through_the_view(layout):
+    grid = GridSpec(1.0, 130)
+    noise = np.stack([sample_fbm_circulant(grid, 0.7, path_seed(3, i)).values for i in range(5)])
+    expected = simulate_batch(noise.copy(), grid.step, NEGATIVE_A)
+    base = np.zeros((5, 2 * (grid.steps + 1)))
+    view = np.asfortranarray(noise) if layout == "fortran-order" else base[:, ::2]
+    view[:] = noise
+    assert not view.flags.c_contiguous
+    assert simulate_batch(view, grid.step, NEGATIVE_A) is view
+    assert np.array_equal(view, expected)
+    assert not base[:, 1::2].any()  # a strided view leaves the columns between its own alone
 
 
 # Extreme float flag values: magnitudes near 1e+-300 and 5e-324, zeros,

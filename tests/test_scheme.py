@@ -147,12 +147,11 @@ class TestSimulatePath:
     def test_batch_matches_scalar_loop(self, bench_params):
         noise = sample_fbm_circulant(GridSpec(1.0, 64), 0.7, 99)
         path = simulate_path(noise, bench_params)
-        increments = noise.increments()
-        batch = simulate_batch(np.stack([increments, increments]), noise.grid.step, bench_params)
+        batch = simulate_batch(np.stack([noise.values] * 2), noise.grid.step, bench_params)
         assert np.array_equal(batch[0], path.x)
         assert np.array_equal(batch[1], path.x)
         x = bench_params.x0
-        for n, increment in enumerate(increments):
+        for n, increment in enumerate(noise.increments()):
             x = backward_euler_step(x, increment, noise.grid.step, bench_params)
             assert x == path.x[n + 1]
 
@@ -160,11 +159,11 @@ class TestSimulatePath:
     def test_overflowing_step_raises(self, bench_params, increment, level):
         # a = x_1 + sigma*dB/2 is about +-1.4e154, so a*a overflows: a > 0 gave
         # an inf level, a < 0 gave c / inf = 0 through the conjugate form
-        increments = np.array([[0.1, 0.2, 0.3], [0.1, increment, 0.3]])
+        noise = np.array([[0.0, 0.1, 0.3, 0.6], [0.0, 0.1, 0.1 + increment, 0.4 + increment]])
         with np.errstate(over="ignore"), pytest.raises(
             NumericalError, match=f"level {level} at step 2 of path 1 is not finite and positive"
         ):
-            simulate_batch(increments, 0.1, bench_params)
+            simulate_batch(noise, 0.1, bench_params)
 
     def test_tiny_levels_never_divide_by_zero(self):
         # With theta = r0 = 1e-300, c is negligible next to a^2, so the unused
@@ -173,7 +172,7 @@ class TestSimulatePath:
         params = CirParams(kappa=2.0, theta=1e-300, sigma=0.5, r0=1e-300)
         noise = sample_fbm_circulant(GridSpec(10.0, 64), 0.7, 1)
         with np.errstate(divide="raise", invalid="raise"):
-            batch = simulate_batch(noise.increments(), noise.grid.step, params)
+            (batch,) = simulate_batch(noise.values[None].copy(), noise.grid.step, params)
             x = params.x0
             for n, increment in enumerate(noise.increments()):
                 x = backward_euler_step(x, increment, noise.grid.step, params)

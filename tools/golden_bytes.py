@@ -46,9 +46,10 @@ SUBCOMMANDS = (
 # have a < 0 (23% of the 64-step chunks of `simulate_batch` are solved
 # again), levels near 1e-150 where c is negligible next to a^2 (the unused
 # conjugate branch of the implicit root would divide by zero), a short-memory
-# circulant embedding, and the largest power-of-two grid whose embedding is
+# circulant embedding, the largest power-of-two grid whose embedding is
 # accepted at H = 0.9999 (negative eigenvalues within the tolerance are
-# clamped; 2^18 steps are rejected).
+# clamped; 2^18 steps are rejected), and a kappa < 0 condition at z =
+# |kappa|*T/2 = 700, just inside the kernel integral's overflow refusal.
 EXTRA_CASES = (
     "converge-uniform --ref-exp 14 --coarse-exps 4,5,6,7,8,9,10,11 --samples 400",
     "inverse-moments --steps-exp 14 --samples 1000",
@@ -58,6 +59,7 @@ EXTRA_CASES = (
     "simulate --r0 1e-300 --theta 1e-300 --steps-exp 6",
     "fbm-check --hurst 0.3 --steps-exp 10 --samples 200",
     "simulate --steps-exp 17 --hurst 0.9999",
+    "check-conditions --kappa -2 --theta -0.5 --horizon 700",
 )
 DATA_FILES = ("data.csv", "sample_path.csv")
 TESTS = Path(__file__).resolve().parents[1] / "tests"
