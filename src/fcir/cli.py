@@ -20,10 +20,13 @@ and `command` keep the name as typed); its manifest records `slope_<family>`
 and `intercept_<family>` for all four error families, `nan` where none is
 fitted.
 
-Exit codes: 0 on success, 2 on invalid flags or unknown subcommands, 3 on
-domain or numerical errors raised by the library, including arithmetic and
-memory errors that escape it.  `--workers` must be at least 1; larger values
-are clamped to the CPU count, and the manifest records the effective value.
+Exit codes: 0 on success, 2 on invalid flags, unknown subcommands or an
+`--out` under which no run directory can be made (one `error:` line, no
+manifest), 3 on domain or numerical errors raised by the library, including
+arithmetic and memory errors that escape it.  `--workers` must be at least 1;
+larger values are clamped to the CPU count, and the manifest records the
+effective value.  A negative float given as its own word after its flag, as
+in `--kappa -1e-3` or `--theta -inf`, is that flag's value.
 """
 
 from __future__ import annotations
@@ -251,10 +254,41 @@ def _make_outdir(root: str, command: str) -> Path:
     return candidate
 
 
+def _join_float_values(argv: list[str]) -> list[str]:
+    """Each `--flag VALUE` whose VALUE is a negative float, as `--flag=VALUE`.
+
+    argparse reads a separate word such as `-1e-3` or `-inf` as an option,
+    and takes only plain negative decimals as values.
+    """
+    joined: list[str] = []
+    for word in argv:
+        flag = joined[-1] if joined else ""
+        if word.startswith("-") and flag.startswith("--") and "=" not in flag and _is_float(word):
+            joined[-1] = f"{flag}={word}"
+        else:
+            joined.append(word)
+    return joined
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = _join_float_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     args.workers = min(args.workers, os.cpu_count() or 1)
-    outdir = _make_outdir(args.out, args.command)
+    try:
+        outdir = _make_outdir(args.out, args.command)
+    except OSError as exc:
+        # no directory to hold a manifest, so the message is the only record
+        print(f"error: cannot make a run directory under {args.out!r}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
 
     manifest = {"command": args.command, "version": __version__}
     flags = {

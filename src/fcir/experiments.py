@@ -196,7 +196,6 @@ class ConvergenceReport:
     rms: dict[str, tuple[float, ...]]
     fits: dict[str, tuple[float, float] | None]
     samples: int
-    base_seed: int
     condition_checks: tuple[ConditionReport, ...]
     warnings: tuple[str, ...]
 
@@ -207,9 +206,6 @@ class InverseMomentCurve:
 
     times: np.ndarray
     values: np.ndarray
-    p: int
-    samples: int
-    base_seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +222,6 @@ class MalliavinGapReport:
     ratios: tuple[float, ...]
     profile_min: tuple[float, ...]
     profile_max: tuple[float, ...]
-    samples: int
-    base_seed: int
 
 
 def regress_order(step_sizes, errors) -> tuple[float, float]:
@@ -416,7 +410,6 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> ConvergenceRe
         rms={name: tuple(map(float, errors)) for name, errors in rms.items()},
         fits=fits,
         samples=config.samples,
-        base_seed=config.base_seed,
         condition_checks=checks,
         warnings=tuple(notes),
     )
@@ -451,13 +444,7 @@ def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> Inve
             f"E[x^(-{config.p})]^(1/{config.p}) reads {values[node]} at node {node} "
             f"(t={times[node]:.6g}): x^(-{config.p}) or its sum over paths overflows"
         )
-    return InverseMomentCurve(
-        times=times,
-        values=values,
-        p=config.p,
-        samples=config.samples,
-        base_seed=config.base_seed,
-    )
+    return InverseMomentCurve(times=times, values=values)
 
 
 def _malliavin_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
@@ -517,6 +504,4 @@ def malliavin_gap_study(config: ExperimentConfig, workers: int = 1) -> Malliavin
         ratios=tuple(map(float, ratios)),
         profile_min=tuple(map(float, lows)),
         profile_max=tuple(map(float, highs)),
-        samples=config.samples,
-        base_seed=config.base_seed,
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -134,21 +135,18 @@ class ConditionReport:
 
     worst_margin is the minimum over s in [0, T] of the margin in the frame
     rescaled by e^(-kappa*s/2), which keeps the sign of LHS - RHS; the
-    condition holds iff it is nonnegative.  method records whether the margin
-    is exact (closed form) or came from the sufficient bound.
+    condition holds iff it is nonnegative.  The margin is always evaluated
+    exactly, through the closed form of the kernel integral.
     """
 
-    holds: bool
     worst_margin: float
     worst_s: float
     multiplier: int
-    method: str
+    method: ClassVar[str] = "exact"
 
-    def __post_init__(self) -> None:
-        if self.holds != (self.worst_margin >= 0.0):
-            raise DomainError("holds must mirror the sign of worst_margin")
-        if self.method not in ("exact", "sufficient-closed-form"):
-            raise DomainError(f"unknown method {self.method!r}")
+    @property
+    def holds(self) -> bool:
+        return self.worst_margin >= 0.0
 
 
 def _multipliers(p: int) -> tuple[int, int]:
@@ -188,13 +186,7 @@ def check_moment_condition(
         raise NumericalError(
             f"inverse-moment margin overflows at horizon={horizon}, kappa={params.kappa}"
         )
-    return ConditionReport(
-        holds=margin >= 0.0,
-        worst_margin=margin,
-        worst_s=float(horizon),
-        multiplier=multiplier,
-        method="exact",
-    )
+    return ConditionReport(worst_margin=margin, worst_s=float(horizon), multiplier=multiplier)
 
 
 def check_moment_conditions(

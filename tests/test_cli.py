@@ -365,6 +365,8 @@ class TestExitCodes:
             # e^(5e299), refused before scipy's hyp1f1, which would not return
             ("check-conditions --kappa=-2 --theta=-0.5 --horizon=1e60", "margin overflows"),
             ("check-conditions --kappa=-1e+300 --theta=-1e+300", "margin overflows"),
+            # -inf as its own word is the flag's value, not an option (exit 2)
+            ("check-conditions --theta -inf", "theta must be finite"),
             # the smallest circulant embedding eigenvalue is -4.28e-8 times the largest
             ("simulate --steps-exp 19 --hurst 0.999 --workers 1", "not nonnegative definite"),
             # every level is finite and positive, but x^(-2) overflows below ~1e-154
@@ -409,6 +411,28 @@ class TestExitCodes:
         )
         assert code == 0
         assert read_manifest(runs[0])["workers"] == "1"
+
+    def test_out_at_a_file_exits_2(self, tmp_path, capsys):
+        # no run directory can be made, so there is no manifest either
+        target = tmp_path / "file"
+        target.write_text("kept\n")
+        assert main(["check-conditions", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert target.read_text() == "kept\n"
+
+    def test_negative_float_as_its_own_word_is_a_value(self, tmp_path):
+        code, (spaced,) = run_cli(
+            tmp_path / "spaced", "check-conditions", "--kappa", "-1e-3", "--theta", "-0.5"
+        )
+        assert code == 0
+        code, (joined,) = run_cli(
+            tmp_path / "joined", "check-conditions", "--kappa=-1e-3", "--theta=-0.5"
+        )
+        assert code == 0
+        assert (spaced / "data.csv").read_bytes() == (joined / "data.csv").read_bytes()
+        assert read_manifest(spaced)["kappa"] == "-0.001"
 
     def test_bad_parameters_exit_3(self, tmp_path):
         code = main(

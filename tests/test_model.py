@@ -12,7 +12,6 @@ from scipy import integrate
 
 from fcir import (
     CirParams,
-    ConditionReport,
     DomainError,
     HurstParameter,
     NumericalError,
@@ -262,16 +261,6 @@ class TestConditionChecks:
             check_moment_condition(2, 5, bench_params, 0.7, 1.0)
         with pytest.raises(DomainError):
             check_moment_condition(0, 1, bench_params, 0.7, 1.0)
-
-    def test_report_invariant(self):
-        with pytest.raises(DomainError):
-            ConditionReport(
-                holds=True, worst_margin=-1.0, worst_s=0.0, multiplier=3, method="exact"
-            )
-        with pytest.raises(DomainError):
-            ConditionReport(
-                holds=True, worst_margin=1.0, worst_s=0.0, multiplier=3, method="quadrature"
-            )
 
     @pytest.mark.parametrize("kappa", [2.0, -1.5])
     def test_worst_margin_holds_sign_of_original_frame(self, kappa):

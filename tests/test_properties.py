@@ -173,8 +173,9 @@ def cli_argv(draw):
             value = draw(float_flag(default))
         else:
             continue
-        # --flag=value, so that argparse reads a value such as -inf as a value
-        argv.append(f"--{dest.replace('_', '-')}={value}")
+        flag = f"--{dest.replace('_', '-')}"
+        # `--flag=value` or `--flag value`: either reads a value such as -inf as a value
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, str(value)]
     return argv
 
 
