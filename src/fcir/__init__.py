@@ -49,4 +49,4 @@ from .scheme import (
     simulate_path,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

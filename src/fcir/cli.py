@@ -305,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
             message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
             message = " ".join(message.split())
             print(f"error: {message}", file=sys.stderr)
+            for written in outdir.iterdir():  # a data file written before the error
+                written.unlink()
             manifest.update(status="error", error=message, **flags)
             io.write_key_values(outdir / "manifest.txt", manifest)
             return 3

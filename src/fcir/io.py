@@ -2,14 +2,19 @@
 
 All floating-point output uses 17 significant digits, which round-trips
 double precision losslessly, and a fixed "\n" line ending so repeated runs
-produce byte-identical files.
+produce byte-identical files.  A data file holds finite floats only: every
+row is formatted before the file is opened, and a nan or infinite cell
+raises NumericalError, so no file is written.  The one exception is the
+documented nan `ratio_vs_prev` in the first row of the Malliavin gap study.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterable
 
+from .errors import NumericalError
 from .experiments import ConvergenceReport, InverseMomentCurve, MalliavinGapReport, SamplerCheck
 from .fbm import FbmPath
 from .model import ConditionReport
@@ -47,9 +52,24 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_rows(target: Path, header: str, rows: Iterable[Iterable]) -> None:
-    """CSV with floats at 17 significant digits and lowercase booleans."""
-    _write_lines(target, [header, *(",".join(map(_cell, row)) for row in rows)])
+def _write_rows(target: Path, header: str, rows: Iterable[tuple], nan_cell=None) -> None:
+    """CSV with floats at 17 significant digits and lowercase booleans.
+
+    Raises NumericalError, before the file is opened, on a float cell that is
+    not finite, unless it is nan at `nan_cell`, a (row index, column name).
+    """
+    columns = header.split(",")
+    lines = [header]
+    for index, row in enumerate(rows):
+        for column, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                if not (math.isnan(value) and (index, column) == nan_cell):
+                    raise NumericalError(
+                        f"{target.name} would hold {column} = {format_float(value)} in data "
+                        f"row {index + 1}; data files hold finite values only"
+                    )
+        lines.append(",".join(map(_cell, row)))
+    _write_lines(target, lines)
 
 
 def write_fbm_path(target: Path, path: FbmPath) -> None:
@@ -77,10 +97,17 @@ def write_condition_reports(target: Path, reports: Iterable[ConditionReport]) ->
 
 
 def write_convergence(target: Path, report: ConvergenceReport) -> None:
-    """Errors as `h,rms_sup_error_grid,rms_sup_error_uniform,samples`."""
-    rows = zip(report.step_sizes, report.rms["level_grid"], report.rms["level_uniform"])
-    header = "h,rms_sup_error_grid,rms_sup_error_uniform,samples"
-    _write_rows(target, header, ((*row, report.samples) for row in rows))
+    """Errors as `h,rms_sup_error_grid,rms_sup_error_uniform,samples,rms_rate_sup_error_grid,
+    rms_rate_sup_error_uniform`: the level X at the grid and uniformly, then the rate r = X^2."""
+    header = (
+        "h,rms_sup_error_grid,rms_sup_error_uniform,samples,"
+        "rms_rate_sup_error_grid,rms_rate_sup_error_uniform"
+    )
+    rms = report.rms
+    rows = zip(report.step_sizes, rms["level_grid"], rms["level_uniform"],
+               rms["rate_grid"], rms["rate_uniform"])
+    _write_rows(target, header, ((h, x_grid, x_uniform, report.samples, *rate)
+                                 for h, x_grid, x_uniform, *rate in rows))
 
 
 def write_inverse_moments(target: Path, curve: InverseMomentCurve) -> None:
@@ -91,7 +118,7 @@ def write_inverse_moments(target: Path, curve: InverseMomentCurve) -> None:
 def write_malliavin_gaps(target: Path, report: MalliavinGapReport) -> None:
     """Gap study as `h,mean_abs_gap,ratio_vs_prev` (nan ratio on the first row)."""
     rows = zip(report.step_sizes, report.mean_abs_gaps, report.ratios)
-    _write_rows(target, "h,mean_abs_gap,ratio_vs_prev", rows)
+    _write_rows(target, "h,mean_abs_gap,ratio_vs_prev", rows, nan_cell=(0, "ratio_vs_prev"))
 
 
 def write_sampler_checks(target: Path, checks: Iterable[SamplerCheck]) -> None:

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fcir import GridSpec, HurstParameter, cli, sample_fbm_circulant
+from fcir import GridSpec, HurstParameter, __version__, cli, sample_fbm_circulant
 from fcir.cli import main
+from fcir.experiments import SamplerCheck
 from fcir.io import write_fbm_path
 
 
@@ -112,7 +113,10 @@ class TestConvergeSubcommands:
         )
         assert code == 0
         header, rows = read_rows(runs[0] / "data.csv")
-        assert header == ["h", "rms_sup_error_grid", "rms_sup_error_uniform", "samples"]
+        assert header == [
+            "h", "rms_sup_error_grid", "rms_sup_error_uniform", "samples",
+            "rms_rate_sup_error_grid", "rms_rate_sup_error_uniform",
+        ]
         assert len(rows) == 3
         assert [row[3] for row in rows] == ["5", "5", "5"]
         manifest = read_manifest(runs[0])
@@ -282,7 +286,7 @@ class TestExitCodes:
         (run_dir,) = tmp_path.iterdir()
         assert [f.name for f in run_dir.iterdir()] == ["manifest.txt"]
         manifest = (run_dir / "manifest.txt").read_text().splitlines()
-        assert manifest[:3] == ["command = simulate", "version = 0.1.0", "status = error"]
+        assert manifest[:3] == ["command = simulate", f"version = {__version__}", "status = error"]
         assert manifest[3].startswith("error = ")
         assert "H > 1/2" in manifest[3]
 
@@ -292,7 +296,9 @@ class TestExitCodes:
         code, (run,) = run_cli(tmp_path / "first", *argv)
         assert code == 3
         lines = (run / "manifest.txt").read_text().splitlines()
-        assert lines[:3] == ["command = check-conditions", "version = 0.1.0", "status = error"]
+        assert lines[:3] == [
+            "command = check-conditions", f"version = {__version__}", "status = error"
+        ]
         assert lines[3].startswith("error = ")
         manifest = read_manifest(run)
         assert list(manifest)[4:] == flags
@@ -301,6 +307,24 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == f"error: {manifest['error']}\n"
         assert read_manifest(rerun) == manifest
+
+    def test_non_finite_data_cell_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the checks are written after the sample path, which is then removed
+        def nan_check(grid, hurst, samples, seed):
+            return [SamplerCheck("variance", math.nan, 0.1, False)]
+
+        monkeypatch.setattr(cli, "check_fbm_samplers", nan_check)
+        code, (run,) = run_cli(tmp_path, "fbm-check", "--steps-exp", "4", "--samples", "8")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: data.csv would hold statistic = nan in data row 1; "
+            "data files hold finite values only\n"
+        )
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+        manifest = read_manifest(run)
+        assert manifest["status"] == "error"
+        assert manifest["error"] == err.strip()[len("error: "):]
 
     def test_escaped_arithmetic_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def overflow(noise, params):

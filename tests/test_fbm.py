@@ -23,9 +23,24 @@ from fcir.fbm import _cholesky_factor, _embedding_coefficients, _rng, _sample_ci
 
 
 def circulant_oracle(grid, hurst, seed):
-    """One-path circulant sampler with the frozen spectrum layout, step by step."""
+    """One-path half-spectrum sampler with the frozen spectrum layout, step by step."""
     n = grid.steps
     coefficients = _embedding_coefficients(n, grid.step, hurst)
+    z = _rng(seed).standard_normal(2 * n)
+    scale = coefficients[1:n] * np.sqrt(0.5)
+    real = np.concatenate([[z[0] * coefficients[0]], z[2 : n + 1] * scale, [z[1] * coefficients[n]]])
+    imag = np.concatenate([[0.0], z[n + 1 :] * scale, [0.0]])
+    spectrum = np.conj(real + 1j * imag)
+    increments = np.fft.irfft(spectrum, 2 * n, norm="forward")[:n]
+    return np.concatenate([[0.0], np.cumsum(increments)])
+
+
+def complex_fft_oracle(grid, hurst, seed):
+    """The same path through the full 2N complex FFT of the mirrored spectrum."""
+    n = grid.steps
+    gamma = fgn_autocovariance(np.arange(n + 1), grid.step, hurst)
+    eigenvalues = np.fft.fft(np.concatenate([gamma, gamma[1:-1][::-1]])).real
+    coefficients = np.sqrt(np.clip(eigenvalues, 0.0, None) / (2.0 * n))
     z = _rng(seed).standard_normal(2 * n)
     spectrum = np.empty(2 * n, dtype=complex)
     spectrum[0] = z[0]
@@ -184,8 +199,20 @@ class TestCirculantSampler:
 
     @pytest.mark.parametrize("H", [0.55, 0.6, 0.7, 0.8, 0.9])
     def test_embedding_valid_for_long_memory(self, H):
+        # the half spectrum: bins 0..N of the 2N embedding
         coeffs = _embedding_coefficients(256, 1.0 / 256, H)
-        assert coeffs.shape == (512,) and np.all(coeffs >= 0.0)
+        assert coeffs.shape == (257,) and np.all(coeffs >= 0.0)
+
+    @pytest.mark.parametrize("steps", [1, 2, 64, 2**10, 2**14])
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_block_matches_complex_fft_to_rounding(self, steps, H):
+        # the real-output transform of the half spectrum and the complex FFT
+        # of the full spectrum give the same path up to rounding
+        grid, hurst = GridSpec(1.0, steps), HurstParameter(H)
+        seeds = [5, 2**64 - 1, 0]
+        for row, seed in zip(_sample_circulant_block(grid, hurst, seeds), seeds):
+            expected = complex_fft_oracle(grid, H, seed)
+            assert np.abs(row - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("steps", [1, 2, 64, 2**10])
     @pytest.mark.parametrize("tile_rows", [None, 3])

@@ -60,22 +60,22 @@ SPLIT_CASES = {
     ),
 }
 
-_CONVERGENCE = "220d6a946e160f238a4ffd20481a91f598f8bc081eaddeb47f041c56284ec139"
-_INVERSE_MOMENTS = "6391e26f036a0ffce304ee88928372405a1c3440040c6e5ec4047b049ff97816"
-_MALLIAVIN_OP = "7378f270b9b9a3148d73621671cbc7bcf31338f280a6c027094cc6f94079386f"
+_CONVERGENCE = "abac9379310ef122105d1bd94f8008228b33ed8e52519a3507bc7ae064354b1e"
+_INVERSE_MOMENTS = "f92eaeacbb16d30d4f5f78a7b71a961997a3cc6297bd31d7d777ef8caa57ffa6"
+_MALLIAVIN_OP = "e825ae4d8b011f78234ff7ebe13151ae9212cb0b604b4433fbe7e9a32baa0df6"
 _DEFAULTS = {
     "simulate": {
-        "data.csv": "6823454e094e75a022f55d58596efee7efb431ee83a29745832fc8f80e48b22c",
+        "data.csv": "0ed947e5c766ecb8143c6f0ba85d182272033c9aa0ffbba1f265174c511d8630",
     },
     "fbm-check": {
-        "data.csv": "2d58d12a06c87e792a367a474dfa1dee3d67e111142e59291bb0797fcbe5f121",
-        "sample_path.csv": "481b45911dc0f88002f1bf1be1d93ce436089a507b720fd6dc90dbce8625143b",
+        "data.csv": "0e156cc41263f8bb21a39dbad1bc63dcfe12b9a77876241bf4f3410a21321bf1",
+        "sample_path.csv": "03cac62f5d7416eac4bbf289d57fc3450df0463fc592110988ab2177931af75f",
     },
     "converge-grid": {"data.csv": _CONVERGENCE},
     "converge-uniform": {"data.csv": _CONVERGENCE},
     "inverse-moments": {"data.csv": _INVERSE_MOMENTS},
     "malliavin-check": {
-        "data.csv": "bd3c3377bb3ac435df44c0acac18421cc1c7fc70ed6af1ea885900c6dd76b717",
+        "data.csv": "df15b6a0665a1b0befa16283723e9c5c4a7e1677982249e547406be018687626",
     },
     "check-conditions": {
         "data.csv": "1bb22d78f62e7b3ad8d38845dbc148d55af82a84b2127f9ad8d6b87f0fac3bf9",
@@ -87,26 +87,26 @@ DIGESTS = {
         # the data files are the same for any --workers
         **{f"{name} --workers 2": files for name, files in _DEFAULTS.items()},
         "simulate --sigma 2 --theta 0.01 --r0 0.01": {
-            "data.csv": "016fc572c088c0dd93a5486751db39663033c39437ab8bad2c16c9e247d9ce6b",
+            "data.csv": "41bde5bb0d0b83baba0fe6e0206b828fbe9f7607fa2a42e08a0f1d8964148d56",
         },
         "simulate --r0 1e-300 --theta 1e-300 --steps-exp 6": {
-            "data.csv": "8779c3c67115260475cbf88efa1a51f0673101a90c107954ac001c719e5f0414",
+            "data.csv": "7775d99440893a8870144517ded3687c053c0078ed63ea4991004be1373a0d55",
         },
         "simulate --steps-exp 17 --hurst 0.9999": {
-            "data.csv": "99c61d8daf962044be3cc40318c21686d69929688018fa795291ef4955ad8230",
+            "data.csv": "79831ff7d3881cde4b8bce2c19147d317e824216d307505f6548e6ff126caebc",
         },
         "fbm-check --hurst 0.3 --steps-exp 10 --samples 200": {
-            "data.csv": "be14d374e2c0667f229dd0da203efeedc405e8166be98d3d273e5098b015e21b",
-            "sample_path.csv": "4cd7167ef5b50d49544e839305881d8fd46f4311c631b0d9dc2b9561bb2a509a",
+            "data.csv": "d83d7599fb1c0d11c991569fa893a3c907b05dde635e2657775f85a4660279f8",
+            "sample_path.csv": "8c0d5b465798c789f93c8352ecb52888627d0509f9ed20e06127a7dd50249a94",
         },
         "converge-uniform --horizon 0.3": {
-            "data.csv": "ed4d03bfe275a0ac8b605515dcb85bdee6493b7ef63b4306cf2754b8f2f6cc8c",
+            "data.csv": "8570c675c3e44c2bf0b8bae005b96bbcec8ef0b3df730ebe5ebcbfef706c48ce",
         },
         "converge-uniform --ref-exp 14 --coarse-exps 4,5,6,7,8,9,10,11 --samples 400": {
-            "data.csv": "dd6e5497f139a56edac41e02350ff8d24b50127b4e189a6299c615cca1a8950c",
+            "data.csv": "20e1bdd11aaa6abdf41c7e4b067b1d664a0fe27244d7c910ae27c8e1027c3c99",
         },
         "inverse-moments --steps-exp 14 --samples 1000": {
-            "data.csv": "b6bfe37c3feb929fddbfa7f25d505e8d9d7d72a17cd41ffaaa6b09b4edb5a685",
+            "data.csv": "037589b4a891a2fcf2fb6c8d55faab52b73c96c3451ec3b0b9578bf21f4a2b12",
         },
         "malliavin-check --ref-exp 11 --coarse-exps 7,8,9,10 --samples 200": {
             "data.csv": _MALLIAVIN_OP,

@@ -1,0 +1,61 @@
+"""Tests for the CSV writers: the convergence columns and the finiteness gate."""
+
+import math
+
+import pytest
+
+from fcir import CirParams, ExperimentConfig, HurstParameter, NumericalError, io, run_convergence
+from fcir.experiments import MalliavinGapReport
+
+
+def read_cells(path):
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return header, rows
+
+
+def test_convergence_writes_level_then_rate_errors(tmp_path):
+    config = ExperimentConfig(
+        params=CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0),
+        hurst=HurstParameter(0.7), horizon=1.0, reference_exponent=7,
+        coarse_exponents=(3, 4, 5), samples=4, base_seed=7,
+    )
+    report = run_convergence(config)
+    io.write_convergence(tmp_path / "data.csv", report)
+    header, rows = read_cells(tmp_path / "data.csv")
+    assert header == [
+        "h", "rms_sup_error_grid", "rms_sup_error_uniform", "samples",
+        "rms_rate_sup_error_grid", "rms_rate_sup_error_uniform",
+    ]
+    rms = report.rms
+    expected = zip(report.step_sizes, rms["level_grid"], rms["level_uniform"],
+                   rms["rate_grid"], rms["rate_uniform"])
+    assert rows == [
+        [*map(io.format_float, (h, x_grid, x_uniform)), "4", *map(io.format_float, rate)]
+        for h, x_grid, x_uniform, *rate in expected
+    ]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_cell_raises_before_the_file_is_opened(tmp_path, value):
+    target = tmp_path / "data.csv"
+    rows = [(0.5, 1.0, True), (0.25, value, False)]
+    with pytest.raises(NumericalError, match=r"^data\.csv would hold b = -?(nan|inf) in data row 2;"):
+        io._write_rows(target, "a,b,c", rows)
+    assert not target.exists()
+
+
+def gap_report(ratios):
+    return MalliavinGapReport(
+        step_sizes=(0.5, 0.25), mean_abs_gaps=(0.2, 0.1), ratios=ratios,
+        profile_min=(0.1, 0.1), profile_max=(1.0, 1.0),
+    )
+
+
+def test_only_the_first_gap_ratio_may_be_nan(tmp_path):
+    io.write_malliavin_gaps(tmp_path / "data.csv", gap_report((math.nan, 2.0)))
+    _, rows = read_cells(tmp_path / "data.csv")
+    assert [row[2] for row in rows] == ["nan", "2"]
+    for ratios in ((math.inf, 2.0), (2.0, math.nan)):
+        with pytest.raises(NumericalError, match="ratio_vs_prev"):
+            io.write_malliavin_gaps(tmp_path / "other.csv", gap_report(ratios))
+    assert not (tmp_path / "other.csv").exists()

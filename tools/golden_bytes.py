@@ -12,48 +12,57 @@ Each tree runs them in one fresh interpreter, through that module's
 `data_digests`, with a temporary `--out`.
 
 Given two trees, the script prints the sha256 of every data file side by
-side and exits 1 if any pair differs or any run fails.  With `--digests SRC`
-it instead prints the `DIGESTS` entry of the cases for that interpreter's
-(numpy, scipy, machine) key, ready to paste into the test; pasting a changed
-digest records an output change.  Only the standard library is used here.
+side and exits 1 if any pair differs or any run fails.  Under each differing
+CSV it prints, per differing numeric column the two files share, the largest
+absolute and relative difference of a cell, and names the columns only one
+file has.  With `--digests SRC` it instead prints the `DIGESTS` entry of the
+cases for that interpreter's (numpy, scipy, machine) key, ready to paste into
+the test; pasting a changed digest records an output change.  Only the
+standard library is used here.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parents[1] / "tests"
-# Run in a fresh interpreter with the tests directory as argv[1] and the extra
-# cases after it; prints the key and, per case, its digests or why it failed.
+# Run in a fresh interpreter with the tests directory as argv[1], the output
+# directory as argv[2] and the extra cases after them; case i writes its run
+# directory under <output>/<i>.  Prints the key and, per case, its digests or
+# why it failed.
 ENTRY = """
-import contextlib, io, json, sys, tempfile
+import contextlib, io, json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import test_golden as golden
 
-def run(case):
+def run(case, out):
+    out.mkdir()
     stderr = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        with contextlib.redirect_stderr(stderr):
-            try:
-                return golden.data_digests(case, Path(out))
-            except (Exception, SystemExit) as exc:
-                return " ".join(f"{type(exc).__name__}: {exc} {stderr.getvalue()}".split())
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            return golden.data_digests(case, out)
+        except (Exception, SystemExit) as exc:
+            return " ".join(f"{type(exc).__name__}: {exc} {stderr.getvalue()}".split())
 
-cases = [*golden.CASES, *golden.SPLIT_CASES, *sys.argv[2:]]
-print(json.dumps([golden.KEY, {case: run(case) for case in cases}]))
+cases = [*golden.CASES, *golden.SPLIT_CASES, *sys.argv[3:]]
+out = Path(sys.argv[2])
+print(json.dumps([golden.KEY, {case: run(case, out / str(i)) for i, case in enumerate(cases)}]))
 """
 
 
-def run_cases(src: Path, extra: list[str]) -> tuple[list[str], dict]:
+def run_cases(src: Path, extra: list[str], out: Path) -> tuple[list[str], dict]:
     """The key and the per-case digests (or failure text) of the cases run against src."""
     done = subprocess.run(
-        [sys.executable, "-c", ENTRY, str(TESTS), *extra],
+        [sys.executable, "-c", ENTRY, str(TESTS), str(out), *extra],
         env={**os.environ, "PYTHONPATH": str(src.resolve())},
         capture_output=True,
         text=True,
@@ -66,7 +75,8 @@ def run_cases(src: Path, extra: list[str]) -> tuple[list[str], dict]:
 
 def print_digest_entry(src: Path) -> int:
     """Print the test_golden DIGESTS entry of the cases run against src."""
-    key, results = run_cases(src, [])
+    with tempfile.TemporaryDirectory() as out:
+        key, results = run_cases(src, [], Path(out))
     failed = {case: result for case, result in results.items() if isinstance(result, str)}
     for case, reason in failed.items():
         print(f"FAIL  {case}: {reason}", file=sys.stderr)
@@ -83,6 +93,42 @@ def print_digest_entry(src: Path) -> int:
     return 0
 
 
+def read_columns(path: Path) -> dict[str, list[str]]:
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    return {name: [row[index] for row in rows] for index, name in enumerate(header)}
+
+
+def column_differences(old: Path, new: Path) -> list[str]:
+    """Per differing numeric column of two CSVs: the largest absolute and relative cell difference.
+
+    A relative difference is |a - b| / max(|a|, |b|).  Identical columns are
+    left out; a differing column that holds text, or a different number of
+    rows, is named instead.
+    """
+    left, right = read_columns(old), read_columns(new)
+    lines = [f"only in parent: {name}" for name in left if name not in right]
+    lines += [f"only in change: {name}" for name in right if name not in left]
+    for name in (name for name in left if name in right):
+        if len(left[name]) != len(right[name]):
+            lines.append(f"{name}: {len(left[name])} rows vs {len(right[name])}")
+            continue
+        try:
+            pairs = [(float(a), float(b)) for a, b in zip(left[name], right[name]) if a != b]
+        except ValueError:
+            lines.append(f"{name}: text cells differ")
+            continue
+        if not pairs:
+            continue
+        absolute = [abs(a - b) for a, b in pairs]
+        relative = [d and d / max(abs(a), abs(b)) for d, (a, b) in zip(absolute, pairs)]
+        # a nan or infinite cell on one side only is the largest difference there is
+        biggest = [max((math.inf if math.isnan(d) else d for d in diffs), default=0.0)
+                   for diffs in (absolute, relative)]
+        lines.append(f"{name}: max abs {biggest[0]:.3g}, max rel {biggest[1]:.3g}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path, nargs="?")
@@ -97,20 +143,28 @@ def main() -> int:
     if args.change_src is None:
         parser.error("PARENT_SRC and CHANGE_SRC are required")
 
-    _, parent = run_cases(args.parent_src, args.case)
-    _, change = run_cases(args.change_src, args.case)
-    mismatches = 0
-    for case, left in parent.items():
-        right = change[case]
-        if isinstance(left, str) or isinstance(right, str):
-            print(f"FAIL  {case}: {left if isinstance(left, str) else right}")
-            mismatches += 1
-            continue
-        for name in sorted(left.keys() | right.keys()):
-            old, new = left.get(name, "-"), right.get(name, "-")
-            verdict = "same" if old == new else "DIFF"
-            mismatches += verdict == "DIFF"
-            print(f"{verdict}  {old[:16]}  {new[:16]}  {name:15}  {case}")
+    with tempfile.TemporaryDirectory() as scratch:
+        outs = Path(scratch, "parent"), Path(scratch, "change")
+        for out in outs:
+            out.mkdir()
+        _, parent = run_cases(args.parent_src, args.case, outs[0])
+        _, change = run_cases(args.change_src, args.case, outs[1])
+        mismatches = 0
+        for index, (case, left) in enumerate(parent.items()):
+            right = change[case]
+            if isinstance(left, str) or isinstance(right, str):
+                print(f"FAIL  {case}: {left if isinstance(left, str) else right}")
+                mismatches += 1
+                continue
+            for name in sorted(left.keys() | right.keys()):
+                old, new = left.get(name, "-"), right.get(name, "-")
+                verdict = "same" if old == new else "DIFF"
+                mismatches += verdict == "DIFF"
+                print(f"{verdict}  {old[:16]}  {new[:16]}  {name:15}  {case}")
+                if verdict == "DIFF" and "-" not in (old, new):
+                    files = [next(out.joinpath(str(index)).glob(f"*/{name}")) for out in outs]
+                    for line in column_differences(*files):
+                        print(f"      {line}")
     print(f"{len(parent)} runs, {mismatches} mismatches")
     return 1 if mismatches else 0
 
