@@ -22,13 +22,12 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UnsupportedRegimeError
 from .fbm import (
-    FbmPath,
     GridSpec,
     HurstParameter,
+    _holder_quotients,
+    _sample_cholesky_block,
     _sample_circulant_block,
     fbm_covariance,
-    holder_statistic,
-    sample_fbm_cholesky,
 )
 from .malliavin import malliavin_terminal_forms
 from .model import CirParams, ConditionReport, check_moment_conditions, max_stable_step
@@ -78,10 +77,14 @@ def check_fbm_samplers(
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     m = samples
-    terminal_var = grid.horizon ** (2.0 * hurst.value)
-    chol = np.stack(
-        [sample_fbm_cholesky(grid, hurst, path_seed(base_seed, i)).values for i in range(m)]
-    )
+    try:
+        terminal_var = grid.horizon ** (2.0 * hurst.value)
+    except OverflowError:
+        raise NumericalError(
+            f"terminal variance horizon^(2H) overflows double precision at horizon "
+            f"{grid.horizon:g} and H = {hurst.value}: use a smaller horizon"
+        ) from None
+    chol = _sample_cholesky_block(grid, hurst, [path_seed(base_seed, i) for i in range(m)])
     circ = _sample_circulant_block(grid, hurst, [path_seed(base_seed, m + i) for i in range(m)])
     checks = []
     se_var = terminal_var * np.sqrt(2.0 / m)
@@ -93,6 +96,12 @@ def check_fbm_samplers(
     exact = fbm_covariance(nodes[:, None], nodes[None, :], hurst)
     empirical = circ.T @ circ / m
     spread = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / m)
+    if not np.isfinite(spread).all():
+        raise NumericalError(
+            f"covariance z-score scale reads {spread.max()} at horizon {grid.horizon}: the "
+            "squared covariances overflow, so every z-score would read 0 and the sampler "
+            "covariance cannot be checked"
+        )
     diff = np.abs(empirical - exact)
     with np.errstate(invalid="ignore", divide="ignore"):
         z_matrix = np.where(spread > 0.0, diff / spread, np.where(diff > 0.0, np.inf, 0.0))
@@ -111,13 +120,11 @@ def check_fbm_samplers(
     checks.append(SamplerCheck("cross_sampler_ks_pvalue", pvalue, 0.01, pvalue >= 0.01))
 
     quotients = []
+    seeds = [path_seed(base_seed, 2 * m + i) for i in range(100)]
     for steps in (grid.steps, 2 * grid.steps):
         fine = GridSpec(grid.horizon, steps)
-        seeds = [path_seed(base_seed, 2 * m + i) for i in range(100)]
-        holder_values = [
-            holder_statistic(FbmPath(fine, hurst, values))
-            for values in _sample_circulant_block(fine, hurst, seeds)
-        ]
+        levels = _sample_circulant_block(fine, hurst, seeds)
+        holder_values = _holder_quotients(levels, fine, hurst)
         quotients.append(float(np.percentile(holder_values, 99)))
     ratio = max(quotients) / min(quotients)
     checks.append(SamplerCheck("holder_p99_stability", ratio, 2.0, ratio <= 2.0))
@@ -308,49 +315,54 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
     """Per-path sup errors, one array of shape (paths, coarse grids) per family.
 
     The coarse grids are solved first; the noise is then overwritten by the
-    reference solution.
+    reference solution.  Paths run outside and coarse grids inside, so each
+    reference row is squared once; each grid's offsets, widths and slope row
+    are made once per block.  Beyond the coarse levels no array with a paths
+    axis is made: the work is three N-sized buffers and the offsets.
     """
     ref_grid = config.reference_grid
     coarse = list(_coarse_levels(config, noise))
     x_ref = simulate_batch(noise, ref_grid.step, config.params)
     ref_nodes = ref_grid.nodes()
-    interpolated, work = np.empty((2, ref_grid.steps + 1))
-
-    shape = (len(noise), len(config.coarse_exponents))
-    level_grid, level_uniform, rate_grid, rate_uniform = (np.empty(shape) for _ in range(4))
-    for j, (grid, factor, x) in enumerate(coarse):
-        # The interpolant panel by panel in np.interp's arithmetic, x_i +
-        # slope_i * (t - t_i).  Nested dyadic nodes coincide bit for bit, so
-        # the offsets t - t_i are exactly 0 at coarse nodes and the interpolant
-        # is exact there (the last node is copied): every `factor`-th entry of
-        # a uniform distance is the grid distance at a coarse node.  All four
-        # sups are taken path by path in two N-sized buffers and one slope
-        # row, squaring x_ref one row at a time, so beyond the coarse levels
-        # no array with a paths axis is made.
+    interpolated, squared, ref_squared = np.empty((3, ref_grid.steps + 1))
+    # The interpolant panel by panel in np.interp's arithmetic, x_i + slope_i *
+    # (t - t_i).  Nested dyadic nodes coincide bit for bit, so the offsets
+    # t - t_i are exactly 0 at coarse nodes and the interpolant is exact there
+    # (the last node is copied): every `factor`-th entry of a uniform distance
+    # is the grid distance at a coarse node.
+    panels = []
+    for grid, factor, x in coarse:
         coarse_nodes = grid.nodes()
         offsets = ref_nodes[:-1].reshape(grid.steps, factor) - coarse_nodes[:-1, None]
-        widths, slope = np.diff(coarse_nodes), np.empty(grid.steps)
-        panels = interpolated[:-1].reshape(grid.steps, factor)
-        for row, levels in enumerate(x):
-            np.subtract(levels[1:], levels[:-1], out=slope)
-            slope /= widths
-            np.multiply(slope[:, None], offsets, out=panels)
-            panels += levels[:-1, None]
+        slope = np.empty(grid.steps)
+        panel = interpolated[:-1].reshape(grid.steps, factor)
+        panels.append((x, factor, offsets, np.diff(coarse_nodes), slope, slope[:, None], panel))
+
+    shape = (len(noise), len(panels))
+    level_grid, level_uniform, rate_grid, rate_uniform = (np.empty(shape) for _ in range(4))
+    subtract, multiply, divide, add, square = (
+        np.subtract, np.multiply, np.divide, np.add, np.square
+    )
+    for row, x_row in enumerate(x_ref):
+        square(x_row, ref_squared)
+        for j, (x, factor, offsets, widths, slope, slope_column, panel) in enumerate(panels):
+            levels = x[row]
+            subtract(levels[1:], levels[:-1], slope)
+            divide(slope, widths, slope)
+            multiply(slope_column, offsets, panel)
+            add(panel, levels[:-1, None], panel)
             interpolated[-1] = levels[-1]
-            level_uniform[row, j] = _sup_distance(x_ref[row], interpolated, work)
-            level_grid[row, j] = work[factor::factor].max()
-            np.square(interpolated, out=interpolated)
-            np.square(x_ref[row], out=work)
-            rate_uniform[row, j] = _sup_distance(work, interpolated, work)
-            rate_grid[row, j] = work[factor::factor].max()
+            # Each distance is formed as interpolant minus reference, bit for
+            # bit the negation of reference minus interpolant, so the sup of
+            # its absolute value is max(max, -min).
+            square(interpolated, squared)
+            subtract(squared, ref_squared, squared)
+            rate_uniform[row, j] = max(squared.max(), -squared.min())
+            rate_grid[row, j] = np.abs(squared[factor::factor]).max()
+            subtract(interpolated, x_row, interpolated)
+            level_uniform[row, j] = max(interpolated.max(), -interpolated.min())
+            level_grid[row, j] = np.abs(interpolated[factor::factor]).max()
     return level_grid, level_uniform, rate_grid, rate_uniform
-
-
-def _sup_distance(reference: np.ndarray, values: np.ndarray, work: np.ndarray) -> float:
-    """max |reference - values| over the nodes after the first, computed in work."""
-    np.subtract(reference, values, out=work)
-    np.abs(work, out=work)
-    return work[1:].max()
 
 
 def _aggregate_moment(per_path: np.ndarray, p: int) -> np.ndarray:

@@ -159,7 +159,14 @@ def fgn_autocovariance(lag, step: float, hurst: HurstParameter | float):
     k = np.asarray(lag, dtype=float)
     if np.any(k < 0):
         raise DomainError("lag must be nonnegative")
-    out = 0.5 * step**H2 * ((k + 1.0) ** H2 - 2.0 * k**H2 + np.abs(k - 1.0) ** H2)
+    try:
+        scale = 0.5 * step**H2
+    except OverflowError:
+        raise NumericalError(
+            f"fGn covariance scale step^(2H) overflows double precision at step "
+            f"{step:g} (horizon / steps) and H = {H2 / 2.0}: use a smaller horizon"
+        ) from None
+    out = scale * ((k + 1.0) ** H2 - 2.0 * k**H2 + np.abs(k - 1.0) ** H2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -195,16 +202,30 @@ def sample_fbm_cholesky(
     """Exact fBm sample via Cholesky factorization of the fGn covariance.
 
     Deterministic for a fixed seed. O(N^3) for the factorization (the factor
-    of the last grid sampled is cached) plus O(N^2) per draw.
+    of the last grid sampled is cached) plus O(N^2) per draw: one row of
+    `_sample_cholesky_block`.
     """
     hurst = _as_hurst(hurst)
-    factor = _cholesky_factor(grid.steps, grid.step, hurst.value)
-    z = _rng(seed).standard_normal(grid.steps)
-    increments = factor @ z
-    values = np.empty(grid.steps + 1)
-    values[0] = 0.0
-    np.cumsum(increments, out=values[1:])
+    (values,) = _sample_cholesky_block(grid, hurst, (seed,))
     return FbmPath(grid=grid, hurst=hurst, values=values)
+
+
+def _sample_cholesky_block(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
+    """Cholesky fBm levels for every seed, one row each: (paths, N+1).
+
+    Each row is one matrix-vector product of the factor with the path's
+    normals, so it has the bits of a single draw whatever the other seeds are
+    (one matrix-matrix product over all paths would round differently).
+    """
+    factor = _cholesky_factor(grid.steps, grid.step, hurst.value)
+    out = np.empty((len(seeds), grid.steps + 1))
+    out[:, 0] = 0.0
+    z, increments = np.empty((2, grid.steps))
+    for row, seed in zip(out, seeds):
+        _rng(seed).standard_normal(out=z)
+        np.matmul(factor, z, out=increments)
+        increments.cumsum(out=row[1:])
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -302,17 +323,30 @@ def holder_statistic(path: FbmPath, epsilon: float = 0.1) -> float:
     max over lags k in {1, 2, 4, ...} and nodes n of
     |B(t_{n+k}) - B(t_n)| / (k h)^(H - epsilon).  Finite per path; its
     distribution stabilizes as the grid is refined because the trajectories
-    are (H - epsilon)-Hoelder continuous.
+    are (H - epsilon)-Hoelder continuous.  One row of `_holder_quotients`.
     """
-    if not 0.0 < epsilon < path.hurst.value:
+    return float(_holder_quotients(path.values[None], path.grid, path.hurst, epsilon)[0])
+
+
+def _holder_quotients(
+    levels: np.ndarray, grid: GridSpec, hurst: HurstParameter, epsilon: float = 0.1
+) -> np.ndarray:
+    """`holder_statistic` of each row of fBm levels on grid, shape (paths, N+1), in one lag loop.
+
+    A lag's quotient is each row's maximum |B(t_{n+k}) - B(t_n)| divided by
+    (k h)^(H - epsilon), and the running maximum skips nan as Python's `max`
+    does, so every row has the bits of a path-by-path loop.
+    """
+    if not 0.0 < epsilon < hurst.value:
         raise DomainError("epsilon must lie in (0, H)")
-    exponent = path.hurst.value - epsilon
-    h = path.grid.step
-    values = path.values
-    best = 0.0
+    exponent = hurst.value - epsilon
+    best = np.zeros(len(levels))
+    gaps = np.empty((len(levels), grid.steps))
     k = 1
-    while k <= path.grid.steps:
-        gap = np.abs(values[k:] - values[:-k]).max()
-        best = max(best, gap / (k * h) ** exponent)
+    while k <= grid.steps:
+        gap = gaps[:, : grid.steps + 1 - k]
+        np.subtract(levels[:, k:], levels[:, :-k], out=gap)
+        np.abs(gap, out=gap)
+        np.fmax(best, gap.max(axis=1) / (k * grid.step) ** exponent, out=best)
         k *= 2
     return best

@@ -57,6 +57,8 @@ def _write_rows(target: Path, header: str, rows: Iterable[tuple], nan_cell=None)
 
     Raises NumericalError, before the file is opened, on a float cell that is
     not finite, unless it is nan at `nan_cell`, a (row index, column name).
+    The path writers pass Python floats (`.tolist()`), which give the text of
+    numpy scalars and are checked and formatted faster.
     """
     columns = header.split(",")
     lines = [header]
@@ -74,12 +76,13 @@ def _write_rows(target: Path, header: str, rows: Iterable[tuple], nan_cell=None)
 
 def write_fbm_path(target: Path, path: FbmPath) -> None:
     """Noise path as `t,B`, one row per node."""
-    _write_rows(target, "t,B", zip(path.grid.nodes(), path.values))
+    _write_rows(target, "t,B", zip(path.grid.nodes().tolist(), path.values.tolist()))
 
 
 def write_solution_path(target: Path, path: SolutionPath) -> None:
     """Solution path as `t,X,r`, one row per node."""
-    _write_rows(target, "t,X,r", zip(path.nodes(), path.x, rate_path(path)))
+    rows = zip(path.nodes().tolist(), path.x.tolist(), rate_path(path).tolist())
+    _write_rows(target, "t,X,r", rows)
 
 
 def _condition_row(report: ConditionReport) -> tuple:
@@ -112,7 +115,7 @@ def write_convergence(target: Path, report: ConvergenceReport) -> None:
 
 def write_inverse_moments(target: Path, curve: InverseMomentCurve) -> None:
     """Inverse-moment curve as `t,inv_moment`, one row per node."""
-    _write_rows(target, "t,inv_moment", zip(curve.times, curve.values))
+    _write_rows(target, "t,inv_moment", zip(curve.times.tolist(), curve.values.tolist()))
 
 
 def write_malliavin_gaps(target: Path, report: MalliavinGapReport) -> None:

@@ -121,11 +121,14 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
     writes contiguous rows, and differenced as `np.diff` does into a second
     one, scaled by sigma/2; the column before the chunk, which the previous
     chunk's write-back overwrote, is carried in a vector.  Each step takes the
-    a >= 0 branch of `_positive_root` in place; a chunk in which some a < 0 is
-    solved again from its start level with `_positive_root` itself.  A level
-    that is not finite and positive (a*a overflows for |a| > ~1.3e154) raises
-    NumericalError, with the chunks before it written back.  Working memory
-    beyond the noise is three (chunk, paths) buffers, whatever N is.
+    a >= 0 branch of `_positive_root` in place, as six ufunc calls with
+    positional outputs on row views made once per call: at a few hundred
+    paths a step costs as much in call overhead as in arithmetic.  A chunk
+    in which some a < 0 is solved again from its start level with
+    `_positive_root` itself.  A level that is not finite and positive (a*a
+    overflows for |a| > ~1.3e154) raises NumericalError, with the chunks
+    before it written back.  Working memory beyond the noise is three
+    (chunk, paths) buffers, whatever N is.
     """
     if not isinstance(noise, np.ndarray):
         raise DomainError(f"noise must be a 2-D float64 array of fBm levels, got {type(noise)}")
@@ -141,28 +144,33 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
     carry = noise[:, 0].copy()
     noise[:, 0] = params.x0
     buffers = np.empty((3, _CHUNK_STEPS, width))
+    rows = [list(buffer) for buffer in buffers]
     disc = np.empty(width)
     start = np.full(width, params.x0)
+    add, multiply, sqrt, divide = np.add, np.multiply, np.sqrt, np.divide
+    # a ufunc converts a Python float operand on every call, a 0-d array not
+    c_array, denom_array = np.array(c), np.array(denom)
     for first in range(0, n_steps, _CHUNK_STEPS):
-        stop = min(first + _CHUNK_STEPS, n_steps)
-        scaled, a, levels = buffers[:, : stop - first]
-        levels[:] = noise[:, first + 1 : stop + 1].T
+        size = min(_CHUNK_STEPS, n_steps - first)
+        scaled, a, levels = buffers[:, :size]
+        levels[:] = noise[:, first + 1 : first + size + 1].T
         np.subtract(levels[0], carry, out=scaled[0])
         np.subtract(levels[1:], levels[:-1], out=scaled[1:])
         carry[:] = levels[-1]
         scaled *= half_sigma
+        scaled_rows, a_rows, level_rows = (chunk_rows[:size] for chunk_rows in rows)
         level = start
-        for scaled_k, a_k, next_level in zip(scaled, a, levels):
-            np.add(scaled_k, level, out=a_k)
-            np.multiply(a_k, a_k, out=disc)
-            disc += c
-            np.sqrt(disc, out=disc)
-            disc += a_k
-            np.divide(disc, denom, out=next_level)
+        for scaled_k, a_k, next_level in zip(scaled_rows, a_rows, level_rows):
+            add(scaled_k, level, a_k)
+            multiply(a_k, a_k, disc)
+            add(disc, c_array, disc)
+            sqrt(disc, disc)
+            add(disc, a_k, disc)
+            divide(disc, denom_array, next_level)
             level = next_level
         if (a < 0.0).any():
             level = start
-            for scaled_k, next_level in zip(scaled, levels):
+            for scaled_k, next_level in zip(scaled_rows, level_rows):
                 next_level[:] = _positive_root(level + scaled_k, c, denom)
                 level = next_level
         valid = (levels > 0.0) & (levels < math.inf)
@@ -172,7 +180,7 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
                 f"backward Euler level {levels[k, path]} at step {first + k + 1} of path "
                 f"{path} is not finite and positive: the implicit step overflows"
             )
-        noise[:, first + 1 : stop + 1] = levels.T
+        noise[:, first + 1 : first + size + 1] = levels.T
         start[:] = levels[-1]
     return noise
 

@@ -408,6 +408,16 @@ class TestExitCodes:
             # the squared covariances underflow to 0 beside a nonzero difference
             ("fbm-check --horizon 1e-160 --steps-exp 4 --samples 24",
              "covariance z-scores are not finite"),
+            # the squared covariances overflow, so every z-score would read 0
+            ("fbm-check --horizon 1e200 --steps-exp 4 --samples 24 --workers 1",
+             "covariance z-score scale reads inf at horizon 1e+200"),
+            # horizon^(2H) overflows a double, though step^(2H) does not
+            ("fbm-check --horizon 1e222 --steps-exp 4 --samples 24",
+             "horizon^(2H) overflows double precision at horizon 1e+222 and H = 0.7"),
+            # step^(2H) overflows a double in the fGn autocovariance
+            ("simulate --horizon 1e300 --steps-exp 4",
+             "step^(2H) overflows double precision at step 6.25e+298 (horizon / steps) "
+             "and H = 0.7"),
         ],
     )
     def test_invalid_state_exits_3(self, tmp_path, capsys, argv, message):

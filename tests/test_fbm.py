@@ -19,7 +19,14 @@ from fcir import (
     sample_fbm_circulant,
 )
 from fcir import fbm as fbm_module
-from fcir.fbm import _cholesky_factor, _embedding_coefficients, _rng, _sample_circulant_block
+from fcir.fbm import (
+    _cholesky_factor,
+    _embedding_coefficients,
+    _holder_quotients,
+    _rng,
+    _sample_cholesky_block,
+    _sample_circulant_block,
+)
 
 
 def circulant_oracle(grid, hurst, seed):
@@ -33,6 +40,22 @@ def circulant_oracle(grid, hurst, seed):
     spectrum = np.conj(real + 1j * imag)
     increments = np.fft.irfft(spectrum, 2 * n, norm="forward")[:n]
     return np.concatenate([[0.0], np.cumsum(increments)])
+
+
+def cholesky_oracle(grid, hurst, seed):
+    """One Cholesky draw: the factor times the path's normals, then prefix sums."""
+    factor = _cholesky_factor(grid.steps, grid.step, hurst)
+    increments = factor @ _rng(seed).standard_normal(grid.steps)
+    return np.concatenate([[0.0], np.cumsum(increments)])
+
+
+def holder_oracle(values, step, exponent):
+    """The Hoelder quotient of one path, lag by lag with Python's max."""
+    best, k = 0.0, 1
+    while k < len(values):
+        best = max(best, np.abs(values[k:] - values[:-k]).max() / (k * step) ** exponent)
+        k *= 2
+    return best
 
 
 def complex_fft_oracle(grid, hurst, seed):
@@ -168,6 +191,16 @@ class TestCholeskySampler:
         worst = np.abs(empirical - exact) - 5.0 * spread
         assert worst.max() <= 0.0, f"covariance entry off by {worst.max():.3g} beyond 5 se"
 
+    @pytest.mark.parametrize("steps", [1, 2, 256])
+    def test_block_matches_single_paths(self, steps):
+        grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)
+        seeds = [5, 2**64 - 1, 0, 17, 3]
+        block = _sample_cholesky_block(grid, hurst, seeds)
+        assert block.shape == (len(seeds), steps + 1)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, sample_fbm_cholesky(grid, hurst, seed).values)
+            assert np.array_equal(row, cholesky_oracle(grid, 0.7, seed))
+
 
 class TestCirculantSampler:
     def test_matches_cholesky_distribution(self):
@@ -268,6 +301,25 @@ class TestCirculantSampler:
 
 
 class TestHolderRegularity:
+    @pytest.mark.parametrize("steps", [1, 2, 3, 256])
+    def test_block_matches_single_paths(self, steps):
+        grid, hurst = GridSpec(0.3, steps), HurstParameter(0.7)
+        levels = _sample_circulant_block(grid, hurst, range(9))
+        levels[4] = 0.0  # a flat path: every quotient is 0
+        levels[5, -1] = np.nan  # the nan lags are skipped, as Python's max skips them
+        quotients = _holder_quotients(levels, grid, hurst)
+        for row, quotient in zip(levels, quotients):
+            assert quotient == holder_statistic(FbmPath(grid, hurst, row))
+            assert quotient == holder_oracle(row, grid.step, 0.6)
+        assert quotients[4] == 0.0 and np.isfinite(quotients).all()
+
+    def test_epsilon_outside_zero_h_raises(self):
+        grid = GridSpec(1.0, 4)
+        with pytest.raises(DomainError, match="epsilon"):
+            _holder_quotients(np.zeros((2, 5)), grid, HurstParameter(0.05))
+        with pytest.raises(DomainError, match="epsilon"):
+            holder_statistic(FbmPath(grid, HurstParameter(0.7), np.zeros(5)), epsilon=0.7)
+
     def test_p99_stable_under_refinement(self):
         # Trajectories are (H - eps)-Hoelder, so the empirical quotient's
         # 99th percentile stays within a factor 2 when the grid doubles.

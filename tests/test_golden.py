@@ -35,8 +35,12 @@ CASES = (
     # the largest power-of-two grid whose circulant embedding is accepted at
     # H = 0.9999 (negative eigenvalues within the tolerance are clamped)
     "simulate --steps-exp 17 --hurst 0.9999",
+    # one short solver chunk, and t cells that are not dyadic fractions
+    "simulate --steps-exp 5 --horizon 0.3",
     # a short-memory circulant embedding
     "fbm-check --hurst 0.3 --steps-exp 10 --samples 200",
+    # the smallest Cholesky and Hoelder blocks: 3 paths of 2 steps
+    "fbm-check --steps-exp 1 --samples 3",
     # nodes that are not dyadic fractions of 1
     "converge-uniform --horizon 0.3",
     # the `converge` benchmark op: one block of 400 paths of 2^14 + 1 nodes
@@ -95,9 +99,16 @@ DIGESTS = {
         "simulate --steps-exp 17 --hurst 0.9999": {
             "data.csv": "79831ff7d3881cde4b8bce2c19147d317e824216d307505f6548e6ff126caebc",
         },
+        "simulate --steps-exp 5 --horizon 0.3": {
+            "data.csv": "129f22f4ceb746cee2678ef59c3919ae901bdac734a1bb53ac9117f48bfaef48",
+        },
         "fbm-check --hurst 0.3 --steps-exp 10 --samples 200": {
             "data.csv": "d83d7599fb1c0d11c991569fa893a3c907b05dde635e2657775f85a4660279f8",
             "sample_path.csv": "8c0d5b465798c789f93c8352ecb52888627d0509f9ed20e06127a7dd50249a94",
+        },
+        "fbm-check --steps-exp 1 --samples 3": {
+            "data.csv": "9162f5ac3bc5e43bd735ed2ac97204eb310bd8bd678b0eb3b6459948121e0776",
+            "sample_path.csv": "c2011fdf901c329bb972919844eeb4e146a54b1c5cd36f09190b00cd2dec606f",
         },
         "converge-uniform --horizon 0.3": {
             "data.csv": "8570c675c3e44c2bf0b8bae005b96bbcec8ef0b3df730ebe5ebcbfef706c48ce",

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fcir import CirParams, ExperimentConfig, HurstParameter, NumericalError, io, run_convergence
@@ -35,10 +36,31 @@ def test_convergence_writes_level_then_rate_errors(tmp_path):
     ]
 
 
+def test_python_floats_write_the_bytes_of_numpy_scalars(tmp_path):
+    # the path writers hand `_write_rows` Python floats from `.tolist()`
+    column = np.array([-0.0, 5e-324, 1.7e308, 1 / 3, 2.0])
+    io._write_rows(tmp_path / "numpy.csv", "i,v", zip(range(5), column))
+    io._write_rows(tmp_path / "python.csv", "i,v", zip(range(5), column.tolist()))
+    assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+    _, rows = read_cells(tmp_path / "python.csv")
+    assert [cell for _, cell in rows] == [
+        "-0", "4.9406564584124654e-324", "1.6999999999999999e+308", "0.33333333333333331", "2"
+    ]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_cell_raises_before_the_file_is_opened(tmp_path, value):
     target = tmp_path / "data.csv"
     rows = [(0.5, 1.0, True), (0.25, value, False)]
+    with pytest.raises(NumericalError, match=r"^data\.csv would hold b = -?(nan|inf) in data row 2;"):
+        io._write_rows(target, "a,b,c", rows)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numpy_scalar_raises_before_the_file_is_opened(tmp_path, value):
+    target = tmp_path / "data.csv"
+    rows = [(0.5, 1.0, True), (np.float64(0.25), np.float64(value), False)]
     with pytest.raises(NumericalError, match=r"^data\.csv would hold b = -?(nan|inf) in data row 2;"):
         io._write_rows(target, "a,b,c", rows)
     assert not target.exists()

@@ -12,8 +12,11 @@ Each tree runs them in one fresh interpreter, through that module's
 `data_digests`, with a temporary `--out`.
 
 Given two trees, the script prints the sha256 of every data file side by
-side and exits 1 if any pair differs or any run fails.  Under each differing
-CSV it prints, per differing numeric column the two files share, the largest
+side and exits 1 if any pair differs or any run fails.  An extra `--case`
+that fails on both trees with the same error text counts as a match and is
+reported as `same-error`, so error messages can be compared too; a failing
+case of the table is always a mismatch.  Under each differing CSV it
+prints, per differing numeric column the two files share, the largest
 absolute and relative difference of a cell, and names the columns only one
 file has.  With `--digests SRC` it instead prints the `DIGESTS` entry of the
 cases for that interpreter's (numpy, scipy, machine) key, ready to paste into
@@ -36,8 +39,8 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 # Run in a fresh interpreter with the tests directory as argv[1], the output
 # directory as argv[2] and the extra cases after them; case i writes its run
-# directory under <output>/<i>.  Prints the key and, per case, its digests or
-# why it failed.
+# directory under <output>/<i>.  Prints the key, per case its digests or why it
+# failed, and the cases of the golden table.
 ENTRY = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -53,14 +56,16 @@ def run(case, out):
         except (Exception, SystemExit) as exc:
             return " ".join(f"{type(exc).__name__}: {exc} {stderr.getvalue()}".split())
 
-cases = [*golden.CASES, *golden.SPLIT_CASES, *sys.argv[3:]]
+table = [*golden.CASES, *golden.SPLIT_CASES]
+cases = [*table, *sys.argv[3:]]
 out = Path(sys.argv[2])
-print(json.dumps([golden.KEY, {case: run(case, out / str(i)) for i, case in enumerate(cases)}]))
+results = {case: run(case, out / str(i)) for i, case in enumerate(cases)}
+print(json.dumps([golden.KEY, results, table]))
 """
 
 
-def run_cases(src: Path, extra: list[str], out: Path) -> tuple[list[str], dict]:
-    """The key and the per-case digests (or failure text) of the cases run against src."""
+def run_cases(src: Path, extra: list[str], out: Path) -> tuple[list[str], dict, list[str]]:
+    """The key, the per-case digests (or failure text) and the table cases, run against src."""
     done = subprocess.run(
         [sys.executable, "-c", ENTRY, str(TESTS), str(out), *extra],
         env={**os.environ, "PYTHONPATH": str(src.resolve())},
@@ -69,14 +74,14 @@ def run_cases(src: Path, extra: list[str], out: Path) -> tuple[list[str], dict]:
     )
     if done.returncode != 0:
         raise SystemExit(f"{src}: exit {done.returncode}: {done.stderr.strip()}")
-    key, results = json.loads(done.stdout.splitlines()[-1])
-    return key, results
+    key, results, table = json.loads(done.stdout.splitlines()[-1])
+    return key, results, table
 
 
 def print_digest_entry(src: Path) -> int:
     """Print the test_golden DIGESTS entry of the cases run against src."""
     with tempfile.TemporaryDirectory() as out:
-        key, results = run_cases(src, [], Path(out))
+        key, results, _ = run_cases(src, [], Path(out))
     failed = {case: result for case, result in results.items() if isinstance(result, str)}
     for case, reason in failed.items():
         print(f"FAIL  {case}: {reason}", file=sys.stderr)
@@ -147,13 +152,18 @@ def main() -> int:
         outs = Path(scratch, "parent"), Path(scratch, "change")
         for out in outs:
             out.mkdir()
-        _, parent = run_cases(args.parent_src, args.case, outs[0])
-        _, change = run_cases(args.change_src, args.case, outs[1])
+        _, parent, table = run_cases(args.parent_src, args.case, outs[0])
+        _, change, _ = run_cases(args.change_src, args.case, outs[1])
         mismatches = 0
         for index, (case, left) in enumerate(parent.items()):
             right = change[case]
+            if case not in table and isinstance(left, str) and left == right:
+                print(f"same-error  {case}: {left}")
+                continue
             if isinstance(left, str) or isinstance(right, str):
-                print(f"FAIL  {case}: {left if isinstance(left, str) else right}")
+                sides = (("parent", left), ("change", right))
+                failed = [f"{side}: {text}" for side, text in sides if isinstance(text, str)]
+                print(f"FAIL  {case}: {' | '.join(failed)}")
                 mismatches += 1
                 continue
             for name in sorted(left.keys() | right.keys()):
