@@ -20,7 +20,6 @@ from .experiments import (
     run_convergence,
 )
 from .fbm import (
-    FbmPath,
     GridSpec,
     HurstParameter,
     fbm_covariance,
@@ -29,7 +28,7 @@ from .fbm import (
     sample_fbm_cholesky,
     sample_fbm_circulant,
 )
-from .malliavin import malliavin_profile, malliavin_terminal_forms
+from .malliavin import malliavin_terminal_forms
 from .model import (
     CirParams,
     ConditionReport,
@@ -40,13 +39,6 @@ from .model import (
     max_stable_step,
     sufficient_moment_condition,
 )
-from .scheme import (
-    SolutionPath,
-    backward_euler_step,
-    rate_path,
-    residuals,
-    simulate_batch,
-    simulate_path,
-)
+from .scheme import backward_euler_step, residuals, simulate_batch, simulate_path
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

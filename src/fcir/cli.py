@@ -101,19 +101,18 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> dict:
-    noise = sample_fbm_circulant(
-        GridSpec.dyadic(args.horizon, args.steps_exp), HurstParameter(args.hurst), args.seed
-    )
-    path = simulate_path(noise, _params(args))
-    io.write_solution_path(outdir / "data.csv", path)
-    return {"min_rate": io.format_float(float((path.x**2).min()))}
+    grid = GridSpec.dyadic(args.horizon, args.steps_exp)
+    x = simulate_path(grid, HurstParameter(args.hurst), _params(args), args.seed)
+    io.write_solution_path(outdir / "data.csv", grid, x)
+    return {"min_rate": io.format_float(float((x**2).min()))}
 
 
 def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> dict:
     hurst = HurstParameter(args.hurst)
     grid = GridSpec.dyadic(args.horizon, args.steps_exp)
     checks = check_fbm_samplers(grid, hurst, args.samples, args.seed)
-    io.write_fbm_path(outdir / "sample_path.csv", sample_fbm_circulant(grid, hurst, args.seed))
+    (path,) = sample_fbm_circulant(grid, hurst, [args.seed])
+    io.write_fbm_path(outdir / "sample_path.csv", grid, path)
     io.write_sampler_checks(outdir / "data.csv", checks)
     return {"all_checks_passed": str(all(check.passed for check in checks)).lower()}
 

@@ -22,12 +22,13 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UnsupportedRegimeError
 from .fbm import (
+    HOLDER_EPSILON,
     GridSpec,
     HurstParameter,
-    _holder_quotients,
-    _sample_cholesky_block,
-    _sample_circulant_block,
     fbm_covariance,
+    holder_statistic,
+    sample_fbm_cholesky,
+    sample_fbm_circulant,
 )
 from .malliavin import malliavin_terminal_forms
 from .model import CirParams, ConditionReport, check_moment_conditions, max_stable_step
@@ -73,9 +74,15 @@ def check_fbm_samplers(
     sampler (seed base_seed + i), so the batches are independent.  Checks:
     terminal variance z-scores, the largest covariance z-score, a two-sample
     KS test, and the 99th-percentile Hoelder statistic under refinement.
+    The last needs H > HOLDER_EPSILON, which is checked before any draw.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if hurst.value <= HOLDER_EPSILON:
+        raise DomainError(
+            f"the sampler checks need H > {HOLDER_EPSILON}, got H = {hurst.value}: their "
+            f"Hoelder statistic measures (H - {HOLDER_EPSILON})-Hoelder quotients"
+        )
     m = samples
     try:
         terminal_var = grid.horizon ** (2.0 * hurst.value)
@@ -84,8 +91,8 @@ def check_fbm_samplers(
             f"terminal variance horizon^(2H) overflows double precision at horizon "
             f"{grid.horizon:g} and H = {hurst.value}: use a smaller horizon"
         ) from None
-    chol = _sample_cholesky_block(grid, hurst, [path_seed(base_seed, i) for i in range(m)])
-    circ = _sample_circulant_block(grid, hurst, [path_seed(base_seed, m + i) for i in range(m)])
+    chol = sample_fbm_cholesky(grid, hurst, [path_seed(base_seed, i) for i in range(m)])
+    circ = sample_fbm_circulant(grid, hurst, [path_seed(base_seed, m + i) for i in range(m)])
     checks = []
     se_var = terminal_var * np.sqrt(2.0 / m)
     for name, batch in (("cholesky", chol), ("circulant", circ)):
@@ -123,9 +130,8 @@ def check_fbm_samplers(
     seeds = [path_seed(base_seed, 2 * m + i) for i in range(100)]
     for steps in (grid.steps, 2 * grid.steps):
         fine = GridSpec(grid.horizon, steps)
-        levels = _sample_circulant_block(fine, hurst, seeds)
-        holder_values = _holder_quotients(levels, fine, hurst)
-        quotients.append(float(np.percentile(holder_values, 99)))
+        levels = sample_fbm_circulant(fine, hurst, seeds)
+        quotients.append(float(np.percentile(holder_statistic(levels, fine, hurst), 99)))
     ratio = max(quotients) / min(quotients)
     checks.append(SamplerCheck("holder_p99_stability", ratio, 2.0, ratio <= 2.0))
     return tuple(checks)
@@ -251,7 +257,7 @@ def regress_order(step_sizes, errors) -> tuple[float, float]:
 # noise-sized array plus the coarse levels solved from it: `simulate_batch`
 # overwrites the fBm levels it is handed, so the convergence and
 # inverse-moment kernels solve the reference grid over the noise itself, and
-# the gap kernel's noise holds only the nodes of its finest coarse grid.
+# the gap kernel solves only copies of its restrictions to the coarse grids.
 _BLOCK_NODES = 2**23
 # Coarse-grid nodes per row chunk of the gap kernel.  The derivative forms make
 # about 8 (rows, N) temporaries, so they are formed a few rows at a time, after
@@ -259,21 +265,21 @@ _BLOCK_NODES = 2**23
 _GAP_BLOCK_NODES = 2**13
 
 
-def _map_blocks(block_fn, config: ExperimentConfig, workers: int, stride: int = 1):
+def _map_blocks(block_fn, config: ExperimentConfig, workers: int):
     """Yield block_fn(config, noise) for consecutive blocks of paths, in path order.
 
-    The noise holds each path's levels at every `stride`-th reference node.
-    Paths go in blocks of at most `_BLOCK_NODES` reference-grid noise values
-    (at least one path), and no more than samples / workers paths so every
-    worker gets a block.  block_fn owns the noise array it is handed and may
-    overwrite it; it returns a tuple of per-path arrays.  With one worker the
-    blocks are computed as they are consumed.
+    The noise holds each path's levels at the reference nodes.  Paths go in
+    blocks of at most `_BLOCK_NODES` noise values (at least one path), and no
+    more than samples / workers paths so every worker gets a block.  block_fn
+    owns the noise array it is handed and may overwrite it; it returns a tuple
+    of per-path arrays.  With one worker the blocks are computed as they are
+    consumed.
     """
     per_path = config.reference_grid.steps + 1
     workers = max(1, workers)
     rows = max(1, min(_BLOCK_NODES // per_path, -(-config.samples // workers)))
     starts = range(0, config.samples, rows)
-    task = partial(_sample_block, block_fn, config, rows, stride)
+    task = partial(_sample_block, block_fn, config, rows)
     workers = min(workers, len(starts))
     if workers == 1:
         yield from map(task, starts)
@@ -287,19 +293,17 @@ def _concatenated(blocks) -> list:
     return [np.concatenate(parts, axis=0) for parts in zip(*blocks)]
 
 
-def _sample_block(block_fn, config: ExperimentConfig, rows: int, stride: int, start: int):
-    """block_fn on the noise levels of paths start..start+rows-1 at every stride-th node."""
+def _sample_block(block_fn, config: ExperimentConfig, rows: int, start: int):
+    """block_fn on the reference noise levels of paths start..start+rows-1."""
     indices = range(start, min(start + rows, config.samples))
     seeds = [path_seed(config.base_seed, index) for index in indices]
-    grid = config.reference_grid
-    return block_fn(config, _sample_circulant_block(grid, config.hurst, seeds, stride))
+    return block_fn(config, sample_fbm_circulant(config.reference_grid, config.hurst, seeds))
 
 
 def _coarse_levels(config: ExperimentConfig, noise: np.ndarray):
     """Yield (grid, restriction factor, solved levels) per coarse exponent; noise is kept.
 
-    The factor restricts the noise, sampled at the reference nodes or at a
-    subset that holds every coarse grid, to the coarse grid's nodes.
+    The factor restricts the reference noise to the coarse grid's nodes.
     """
     for exponent in config.coarse_exponents:
         grid = config.coarse_grid(exponent)
@@ -498,8 +502,7 @@ def malliavin_gap_study(config: ExperimentConfig, workers: int = 1) -> Malliavin
         raise DomainError("a gap study needs at least one coarse exponent")
     if config.params.kappa <= 0.0:
         raise UnsupportedRegimeError("the derivative comparison is defined only for kappa > 0")
-    stride = 2 ** (config.reference_exponent - max(config.coarse_exponents))
-    gaps, lows, highs = _concatenated(_map_blocks(_malliavin_block, config, workers, stride))
+    gaps, lows, highs = _concatenated(_map_blocks(_malliavin_block, config, workers))
     gaps, lows, highs = gaps.mean(axis=0), lows.min(axis=0), highs.max(axis=0)
     lost = ~np.isfinite(gaps) | (gaps == 0.0)
     if lost.any():

@@ -27,7 +27,6 @@ from .errors import DomainError, NumericalError
 __all__ = [
     "HurstParameter",
     "GridSpec",
-    "FbmPath",
     "fbm_covariance",
     "fgn_autocovariance",
     "sample_fbm_cholesky",
@@ -39,6 +38,10 @@ __all__ = [
 # [-EMBEDDING_EIG_TOL * lambda_max, 0) is rounding noise and is clamped; a
 # lower eigenvalue means the embedding cannot give an exact sample.
 EMBEDDING_EIG_TOL = 1e-8
+
+# The Hoelder statistic measures (H - HOLDER_EPSILON)-Hoelder quotients, so it
+# is defined for H > HOLDER_EPSILON only.
+HOLDER_EPSILON = 0.1
 
 # Largest step count whose steps + 1 float64 nodes numpy can size.
 _MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
@@ -111,28 +114,6 @@ class GridSpec:
         return self.step * np.arange(self.steps + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class FbmPath:
-    """A sampled fBm trajectory on a grid; values[0] is pinned to 0."""
-
-    grid: GridSpec
-    hurst: HurstParameter
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.shape[0] != self.grid.steps + 1:
-            raise DomainError(
-                f"path must hold {self.grid.steps + 1} node values, got shape {values.shape}"
-            )
-        if values[0] != 0.0:
-            raise DomainError("fBm paths start at 0")
-        object.__setattr__(self, "values", values)
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
-
 def fbm_covariance(t, s, hurst: HurstParameter | float):
     """Covariance of fBm at times (t, s): (t^2H + s^2H - |t-s|^2H) / 2.
 
@@ -196,28 +177,17 @@ def _cholesky_factor(steps: int, step: float, hvalue: float) -> np.ndarray:
     return factor
 
 
-def sample_fbm_cholesky(
-    grid: GridSpec, hurst: HurstParameter | float, seed: int
-) -> FbmPath:
-    """Exact fBm sample via Cholesky factorization of the fGn covariance.
+def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter | float, seeds) -> np.ndarray:
+    """Exact fBm levels for every seed via Cholesky factorization of the fGn covariance.
 
-    Deterministic for a fixed seed. O(N^3) for the factorization (the factor
-    of the last grid sampled is cached) plus O(N^2) per draw: one row of
-    `_sample_cholesky_block`.
+    Returns one row per seed, shape (paths, N+1), each starting at 0.  O(N^3)
+    for the factorization (the factor of the last grid sampled is cached)
+    plus O(N^2) per path.  Each row is one matrix-vector product of the
+    factor with the path's normals, so it has the bits of a single draw
+    whatever the other seeds are (one matrix-matrix product over all paths
+    would round differently).
     """
-    hurst = _as_hurst(hurst)
-    (values,) = _sample_cholesky_block(grid, hurst, (seed,))
-    return FbmPath(grid=grid, hurst=hurst, values=values)
-
-
-def _sample_cholesky_block(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
-    """Cholesky fBm levels for every seed, one row each: (paths, N+1).
-
-    Each row is one matrix-vector product of the factor with the path's
-    normals, so it has the bits of a single draw whatever the other seeds are
-    (one matrix-matrix product over all paths would round differently).
-    """
-    factor = _cholesky_factor(grid.steps, grid.step, hurst.value)
+    factor = _cholesky_factor(grid.steps, grid.step, _as_hurst(hurst).value)
     out = np.empty((len(seeds), grid.steps + 1))
     out[:, 0] = 0.0
     z, increments = np.empty((2, grid.steps))
@@ -250,46 +220,31 @@ def _embedding_coefficients(steps: int, step: float, hvalue: float) -> np.ndarra
     return coefficients
 
 
-def sample_fbm_circulant(
-    grid: GridSpec, hurst: HurstParameter | float, seed: int
-) -> FbmPath:
-    """Exact fBm sample via circulant embedding of the fGn covariance.
-
-    Same law as `sample_fbm_cholesky` but O(N log N): one row of
-    `_sample_circulant_block`.  Raises NumericalError where the embedding has
-    an eigenvalue below -EMBEDDING_EIG_TOL * lambda_max.
-    """
-    hurst = _as_hurst(hurst)
-    (values,) = _sample_circulant_block(grid, hurst, (seed,))
-    return FbmPath(grid=grid, hurst=hurst, values=values)
-
-
-# Embedding nodes (2N per path) that `_sample_circulant_block` transforms as one
+# Embedding nodes (2N per path) that `sample_fbm_circulant` transforms as one
 # tile: its normals, its half spectrum and the FFT output take 24 bytes per
 # node, 0.8 MB here.  Tiles of 2^13 to 2^17 nodes measured within 15% of each
 # other at N = 2^8, 2^11 and 2^14 (2 vCPUs), with no size best at all three.
 _TILE_NODES = 2**15
 
 
-def _sample_circulant_block(
-    grid: GridSpec, hurst: HurstParameter, seeds, stride: int = 1
-) -> np.ndarray:
-    """Circulant-embedding fBm levels for every seed, one row each: (paths, N/stride+1).
+def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter | float, seeds) -> np.ndarray:
+    """Exact fBm levels for every seed via circulant embedding of the fGn covariance.
 
-    Each path's Gaussian spectrum is Hermitian, so only its N+1 bins are
-    built and one real-output FFT of length 2N turns them into the path's
-    increments (its first N outputs).  A tile of a few rows is transformed at
-    a time with the arithmetic of a single path, so each row has the same
-    bits whatever the other seeds are.  Only every `stride`-th node (a
-    divisor of N) is kept, with the bits it has in the full path.  The
-    embedding is checked before the output is allocated: an eigenvalue below
-    -EMBEDDING_EIG_TOL * lambda_max raises NumericalError.
+    Returns one row per seed, shape (paths, N+1), each starting at 0: the law
+    of `sample_fbm_cholesky` in O(N log N) per path.  Each path's Gaussian
+    spectrum is Hermitian, so only its N+1 bins are built and one real-output
+    FFT of length 2N turns them into the path's increments (its first N
+    outputs).  A tile of a few rows is transformed at a time with the
+    arithmetic of a single path, so each row has the same bits whatever the
+    other seeds are.  The embedding is checked before the output is
+    allocated: an eigenvalue below -EMBEDDING_EIG_TOL * lambda_max raises
+    NumericalError.
     """
     n = grid.steps
-    coefficients = _embedding_coefficients(n, grid.step, hurst.value)
+    coefficients = _embedding_coefficients(n, grid.step, _as_hurst(hurst).value)
     body = coefficients[1:n] * np.sqrt(0.5)
     negated_body = -body
-    out = np.empty((len(seeds), n // stride + 1))
+    out = np.empty((len(seeds), n + 1))
     tile = max(1, min(len(seeds), _TILE_NODES // (2 * n)))
     z = np.empty((tile, 2 * n))
     # the imaginary parts of the DC and Nyquist bins stay 0
@@ -309,37 +264,28 @@ def _sample_circulant_block(
         np.multiply(zt[:, 2 : n + 1], body, out=st.real[:, 1:n])
         np.multiply(zt[:, n + 1 :], negated_body, out=st.imag[:, 1:n])
         increments = np.fft.irfft(st, 2 * n, axis=1, norm="forward")[:, :n]
-        rows = out[first : first + len(tile_seeds), 1:]
-        if stride == 1:
-            np.cumsum(increments, axis=1, out=rows)
-        else:
-            rows[...] = np.cumsum(increments, axis=1)[:, stride - 1 :: stride]
+        np.cumsum(increments, axis=1, out=out[first : first + len(tile_seeds), 1:])
     return out
 
 
-def holder_statistic(path: FbmPath, epsilon: float = 0.1) -> float:
-    """Empirical (H - epsilon)-Hoelder quotient over dyadic lags.
-
-    max over lags k in {1, 2, 4, ...} and nodes n of
-    |B(t_{n+k}) - B(t_n)| / (k h)^(H - epsilon).  Finite per path; its
-    distribution stabilizes as the grid is refined because the trajectories
-    are (H - epsilon)-Hoelder continuous.  One row of `_holder_quotients`.
-    """
-    return float(_holder_quotients(path.values[None], path.grid, path.hurst, epsilon)[0])
-
-
-def _holder_quotients(
-    levels: np.ndarray, grid: GridSpec, hurst: HurstParameter, epsilon: float = 0.1
+def holder_statistic(
+    levels: np.ndarray, grid: GridSpec, hurst: HurstParameter | float
 ) -> np.ndarray:
-    """`holder_statistic` of each row of fBm levels on grid, shape (paths, N+1), in one lag loop.
+    """Empirical (H - HOLDER_EPSILON)-Hoelder quotient of each row of fBm levels.
 
-    A lag's quotient is each row's maximum |B(t_{n+k}) - B(t_n)| divided by
-    (k h)^(H - epsilon), and the running maximum skips nan as Python's `max`
-    does, so every row has the bits of a path-by-path loop.
+    levels has shape (paths, N+1).  Entry i is the max over lags k in {1, 2,
+    4, ...} and nodes n of |B(t_{n+k}) - B(t_n)| / (k h)^(H - HOLDER_EPSILON)
+    along row i.  Finite per path; its distribution stabilizes as the grid is
+    refined because the trajectories are (H - HOLDER_EPSILON)-Hoelder
+    continuous.  The running maximum skips nan as Python's `max` does, so
+    every row has the bits of a path-by-path loop.
     """
-    if not 0.0 < epsilon < hurst.value:
-        raise DomainError("epsilon must lie in (0, H)")
-    exponent = hurst.value - epsilon
+    hurst = _as_hurst(hurst)
+    if hurst.value <= HOLDER_EPSILON:
+        raise DomainError(
+            f"the Hoelder statistic needs H > {HOLDER_EPSILON}, got H = {hurst.value}"
+        )
+    exponent = hurst.value - HOLDER_EPSILON
     best = np.zeros(len(levels))
     gaps = np.empty((len(levels), grid.steps))
     k = 1

@@ -10,15 +10,13 @@ documented nan `ratio_vs_prev` in the first row of the Malliavin gap study.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Iterable
 
 from .errors import NumericalError
 from .experiments import ConvergenceReport, InverseMomentCurve, MalliavinGapReport, SamplerCheck
-from .fbm import FbmPath
+from .fbm import GridSpec
 from .model import ConditionReport
-from .scheme import SolutionPath, rate_path
 
 __all__ = [
     "format_float",
@@ -40,8 +38,7 @@ def format_float(value: float) -> str:
 
 def _write_lines(target: Path, lines: Iterable[str]) -> None:
     with open(target, "w", newline="\n") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+        handle.write("".join(f"{line}\n" for line in lines))
 
 
 def _cell(value) -> str:
@@ -57,32 +54,38 @@ def _write_rows(target: Path, header: str, rows: Iterable[tuple], nan_cell=None)
 
     Raises NumericalError, before the file is opened, on a float cell that is
     not finite, unless it is nan at `nan_cell`, a (row index, column name).
-    The path writers pass Python floats (`.tolist()`), which give the text of
-    numpy scalars and are checked and formatted faster.
+    A float cell is formatted inline and checked on its text (only "inf",
+    "-inf" and "nan" hold an "n"), so it costs no Python call; any other cell
+    costs one.  The path writers pass Python floats (`.tolist()`), which give
+    the text of numpy scalars and are formatted faster.
     """
     columns = header.split(",")
     lines = [header]
     for index, row in enumerate(rows):
+        cells = []
         for column, value in zip(columns, row):
-            if isinstance(value, float) and not math.isfinite(value):
-                if not (math.isnan(value) and (index, column) == nan_cell):
+            if isinstance(value, float):
+                text = f"{value:.17g}"
+                if "n" in text and (text != "nan" or (index, column) != nan_cell):
                     raise NumericalError(
-                        f"{target.name} would hold {column} = {format_float(value)} in data "
+                        f"{target.name} would hold {column} = {text} in data "
                         f"row {index + 1}; data files hold finite values only"
                     )
-        lines.append(",".join(map(_cell, row)))
+            else:
+                text = _cell(value)
+            cells.append(text)
+        lines.append(",".join(cells))
     _write_lines(target, lines)
 
 
-def write_fbm_path(target: Path, path: FbmPath) -> None:
-    """Noise path as `t,B`, one row per node."""
-    _write_rows(target, "t,B", zip(path.grid.nodes().tolist(), path.values.tolist()))
+def write_fbm_path(target: Path, grid: GridSpec, values) -> None:
+    """Noise levels B on grid as `t,B`, one row per node."""
+    _write_rows(target, "t,B", zip(grid.nodes().tolist(), values.tolist()))
 
 
-def write_solution_path(target: Path, path: SolutionPath) -> None:
-    """Solution path as `t,X,r`, one row per node."""
-    rows = zip(path.nodes().tolist(), path.x.tolist(), rate_path(path).tolist())
-    _write_rows(target, "t,X,r", rows)
+def write_solution_path(target: Path, grid: GridSpec, x) -> None:
+    """Solution levels X on grid and the rates r = X^2 as `t,X,r`, one row per node."""
+    _write_rows(target, "t,X,r", zip(grid.nodes().tolist(), x.tolist(), (x**2).tolist()))
 
 
 def _condition_row(report: ConditionReport) -> tuple:

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
 from .model import CirParams, drift_derivative
-from .scheme import SolutionPath
 
-__all__ = ["malliavin_profile", "malliavin_terminal_forms"]
+__all__ = ["malliavin_terminal_forms"]
 
 
 def malliavin_terminal_forms(
@@ -29,6 +28,8 @@ def malliavin_terminal_forms(
     each (paths, N) result belongs to s = t_i: the profile value on
     (t_{i-1}, t_i], and (sigma/2) * exp(trapezoid integral of f' over
     [t_i, t_N]).  Each row is bit-identical to a computation on it alone.
+    The profile of an earlier node X_n is the product form of levels[:, :n+1];
+    for kappa > 0 its values lie in (0, sigma/2] and are nondecreasing in i.
     """
     # The product formula is established only for kappa > 0, where every
     # factor 1 - f'(X_j) h exceeds 1; no claim is made for kappa < 0.
@@ -47,15 +48,3 @@ def malliavin_terminal_forms(
     trapezoids = step * (tail_sums[:, 1:] - 0.5 * (slopes[:, 1:] + slopes[:, -1:]))
     return product, 0.5 * params.sigma * np.exp(trapezoids)
 
-
-def malliavin_profile(path: SolutionPath, node: int) -> np.ndarray:
-    """Piecewise-constant derivative profile of X_n, by one backward sweep.
-
-    Entry i-1 applies on the interval (t_{i-1}, t_i], i = 1..n; the
-    derivative vanishes for s > t_n.  For kappa > 0 every value lies in
-    (0, sigma/2] and the sequence is nondecreasing in i.
-    """
-    if not 1 <= node <= path.grid.steps:
-        raise DomainError(f"node must lie in 1..{path.grid.steps}, got {node}")
-    product, _ = malliavin_terminal_forms(path.x[None, : node + 1], path.grid.step, path.params)
-    return product[0]

@@ -9,36 +9,29 @@ The rate process is recovered at the nodes by squaring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, UnsupportedRegimeError
-from .fbm import FbmPath, GridSpec
+from .fbm import GridSpec, HurstParameter, sample_fbm_circulant
 from .model import CirParams, drift
 
 __all__ = [
-    "SolutionPath",
     "backward_euler_step",
     "simulate_path",
     "simulate_batch",
-    "rate_path",
     "residuals",
 ]
 
 
-def _check_step(step: float, params: CirParams) -> None:
+def _root_constants(step: float, params: CirParams) -> tuple[float, float]:
+    """Checked constants (c, denom) of the quadratic each implicit step solves."""
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step}")
     if step * max(0.0, -0.5 * params.kappa) >= 1.0:
         raise DomainError(
             f"step {step} violates h*max(0, -kappa/2) < 1 for kappa={params.kappa}"
         )
-
-
-def _root_constants(step: float, params: CirParams) -> tuple[float, float]:
-    """Checked constants (c, denom) of the quadratic each implicit step solves."""
-    _check_step(step, params)
     denom = 2.0 + params.kappa * step
     c = params.kappa * step * params.theta * denom
     if not 0.0 < c < math.inf:  # positive in exact arithmetic: kappa*theta > 0, denom > 0
@@ -60,31 +53,6 @@ def _positive_root(a, c: float, denom: float):
     """
     s = np.abs(a) + np.sqrt(a * a + c)
     return np.where(a >= 0.0, s, c / s) / denom
-
-
-@dataclass(frozen=True, eq=False)
-class SolutionPath:
-    """Backward Euler solution on a grid: strictly positive node values x."""
-
-    grid: GridSpec
-    params: CirParams
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.grid.steps + 1:
-            raise DomainError(
-                f"solution must hold {self.grid.steps + 1} node values, got shape {x.shape}"
-            )
-        _check_step(self.grid.step, self.params)
-        if x[0] != self.params.x0:
-            raise DomainError("solution paths start at x0 = sqrt(r0)")
-        if not np.all(x > 0.0):
-            raise NumericalError("positivity of the numerical solution was violated")
-        object.__setattr__(self, "x", x)
-
-    def nodes(self) -> np.ndarray:
-        return self.grid.nodes()
 
 
 def backward_euler_step(
@@ -111,8 +79,8 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
     """Overwrite each row of fBm levels with the backward Euler levels it drives.
 
     noise is a 2-D float64 array, shape (paths, N+1), of each path's driving
-    fBm at the grid nodes, in any strides; each row is replaced by the path's
-    levels, x0 first, and noise is returned.  Each path gets the bits of a
+    fBm at the grid nodes, in any memory layout; each row is replaced by the
+    path's levels, x0 first, and noise is returned.  Each path gets the bits of a
     scalar `backward_euler_step` loop over `np.diff` of its row, so batching
     (and any chunking of a batch across workers) never changes results.
 
@@ -185,39 +153,35 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
     return noise
 
 
-def simulate_path(noise: FbmPath, params: CirParams) -> SolutionPath:
-    """Solve along a driving fBm path; requires H > 1/2.
+def simulate_path(
+    grid: GridSpec, hurst: HurstParameter, params: CirParams, seed: int
+) -> np.ndarray:
+    """Levels x_0..x_N of one path on grid, driven by circulant fBm from seed; needs H > 1/2.
 
     The analysis behind the scheme treats the equation pathwise via
     Riemann-Stieltjes integration, which needs H > 1/2; rougher noise is
-    refused outright rather than warned about.
+    refused outright, before any draw, rather than warned about.  The path
+    is row 0 of `simulate_batch` over `sample_fbm_circulant(grid, hurst,
+    [seed])`.
     """
-    if not noise.hurst.long_memory:
+    if not hurst.long_memory:
         raise UnsupportedRegimeError(
-            f"the solver requires driving noise with H > 1/2, got H={noise.hurst.value}"
+            f"the solver requires driving noise with H > 1/2, got H={hurst.value}"
         )
-    x = simulate_batch(noise.values[None].copy(), noise.grid.step, params)[0]
-    return SolutionPath(grid=noise.grid, params=params, x=x)
+    return simulate_batch(sample_fbm_circulant(grid, hurst, [seed]), grid.step, params)[0]
 
 
-def rate_path(path: SolutionPath) -> np.ndarray:
-    """Rate-process values at the nodes: x^2."""
-    return path.x**2
-
-
-def residuals(path: SolutionPath, noise: FbmPath) -> np.ndarray:
+def residuals(x: np.ndarray, noise: np.ndarray, step: float, params: CirParams) -> np.ndarray:
     """Implicit-relation residual at every step, for verification.
 
-    Entry n is x[n+1] - x[n] - f(x[n+1]) h - sigma*dB_{n+1}/2, which should
-    vanish to rounding for paths produced by this scheme.
+    x holds the levels x_0..x_N of one path and noise its driving fBm at the
+    same nodes.  Entry n is x[n+1] - x[n] - f(x[n+1]) h - sigma*dB_{n+1}/2,
+    which should vanish to rounding for paths produced by this scheme.
     """
-    if noise.grid != path.grid:
-        raise DomainError("noise and solution must share a grid")
-    h = path.grid.step
-    x_next = path.x[1:]
-    return (
-        x_next
-        - path.x[:-1]
-        - drift(x_next, path.params) * h
-        - 0.5 * path.params.sigma * noise.increments()
-    )
+    if np.shape(x) != np.shape(noise):
+        raise DomainError(
+            f"noise and solution must share a grid, got shapes {np.shape(noise)} and "
+            f"{np.shape(x)}"
+        )
+    x_next = x[1:]
+    return x_next - x[:-1] - drift(x_next, params) * step - 0.5 * params.sigma * np.diff(noise)

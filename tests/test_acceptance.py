@@ -15,7 +15,6 @@ from scipy import stats
 from fcir import (
     CirParams,
     ExperimentConfig,
-    FbmPath,
     GridSpec,
     HurstParameter,
     check_moment_condition,
@@ -103,9 +102,7 @@ def test_criterion_03_rate_process_order(convergence_h07):
 def test_criterion_04_positivity():
     grid = GridSpec(1.0, 2**10)
     hurst = HurstParameter(0.7)
-    noise = np.stack(
-        [sample_fbm_circulant(grid, hurst, 2024 + i).values for i in range(10_000)]
-    )
+    noise = sample_fbm_circulant(grid, hurst, range(2024, 2024 + 10_000))
     levels = simulate_batch(noise, grid.step, BENCH)
     nonpositive = int(np.count_nonzero(levels <= 0.0))
     report(4, "positivity over 1e4 paths", nonpositive == 0, f"nonpositive nodes={nonpositive}")
@@ -113,10 +110,8 @@ def test_criterion_04_positivity():
 
 def test_criterion_05_fixed_point_exactness():
     params = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=0.5)
-    noise = FbmPath(
-        grid=GridSpec(1.0, 1000), hurst=HurstParameter(0.7), values=np.zeros(1001)
-    )
-    drift_from_root = np.abs(simulate_path(noise, params).x - math.sqrt(0.5)).max()
+    levels = simulate_batch(np.zeros((1, 1001)), GridSpec(1.0, 1000).step, params)
+    drift_from_root = np.abs(levels - math.sqrt(0.5)).max()
     report(
         5,
         "fixed-point exactness over 1e3 steps",
@@ -130,9 +125,9 @@ def test_criterion_06_implicit_residual():
     hurst = HurstParameter(0.7)
     worst = 0.0
     for seed in range(100):
-        noise = sample_fbm_circulant(grid, hurst, seed)
-        path = simulate_path(noise, BENCH)
-        scaled = np.abs(residuals(path, noise)) / (1.0 + np.abs(path.x[1:]))
+        (noise,) = sample_fbm_circulant(grid, hurst, [seed])
+        path = simulate_path(grid, hurst, BENCH, seed)
+        scaled = np.abs(residuals(path, noise, grid.step, BENCH)) / (1.0 + np.abs(path[1:]))
         worst = max(worst, float(scaled.max()))
     report(6, "implicit residual on 100 paths", worst <= 1e-12, f"max residual={worst:.2e}")
 
@@ -145,12 +140,8 @@ def test_criterion_07_fbm_sampler_correctness():
     ks_pvalues = []
     for hv in (0.6, 0.8):
         hurst = HurstParameter(hv)
-        chol = np.stack(
-            [sample_fbm_cholesky(grid, hurst, i).values for i in range(m)]
-        )
-        circ = np.stack(
-            [sample_fbm_circulant(grid, hurst, m + i).values for i in range(m)]
-        )
+        chol = sample_fbm_cholesky(grid, hurst, range(m))
+        circ = sample_fbm_circulant(grid, hurst, range(m, 2 * m))
         exact = fbm_covariance(nodes[:, None], nodes[None, :], hurst)
         spread = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / m)
         for batch in (chol, circ):

@@ -83,13 +83,14 @@ class TestSimulate:
 
     def test_full_precision_round_trip(self, tmp_path):
         # 17 significant digits reproduce the doubles exactly
-        path = sample_fbm_circulant(GridSpec(1.0, 16), HurstParameter(0.7), 5)
+        grid = GridSpec(1.0, 16)
+        (path,) = sample_fbm_circulant(grid, HurstParameter(0.7), [5])
         target = tmp_path / "path.csv"
-        write_fbm_path(target, path)
+        write_fbm_path(target, grid, path)
         header, rows = read_rows(target)
         assert header == ["t", "B"]
         parsed = np.array([float(row[1]) for row in rows])
-        assert np.array_equal(parsed, path.values)
+        assert np.array_equal(parsed, path)
 
 
 class TestConvergeSubcommands:
@@ -222,6 +223,19 @@ class TestFbmCheck:
         assert "all_checks_passed = true" in manifest
         assert "data_files = data.csv,sample_path.csv" in manifest
 
+    @pytest.mark.parametrize("hurst", ["0.05", "0.1"])
+    def test_hurst_at_most_holder_epsilon_exits_3(self, tmp_path, capsys, hurst):
+        # the Hoelder check needs H > 0.1; the README states fbm-check takes H in (0.1, 1)
+        code, (run,) = run_cli(tmp_path, "fbm-check", "--hurst", hurst, "--steps-exp", "4")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: the sampler checks need H > 0.1, got H = {hurst}: their Hoelder "
+            "statistic measures (H - 0.1)-Hoelder quotients\n"
+        )
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+        assert read_manifest(run)["error"] == err.strip()[len("error: "):]
+
 
 # A small run of every subcommand, each with some flags away from their defaults.
 SMALL_RUNS = {
@@ -327,7 +341,7 @@ class TestExitCodes:
         assert manifest["error"] == err.strip()[len("error: "):]
 
     def test_escaped_arithmetic_error_exits_3(self, tmp_path, monkeypatch, capsys):
-        def overflow(noise, params):
+        def overflow(grid, hurst, params, seed):
             raise OverflowError("math range error")
 
         monkeypatch.setattr(cli, "simulate_path", overflow)

@@ -10,7 +10,6 @@ import pytest
 from fcir import (
     DomainError,
     ExperimentConfig,
-    FbmPath,
     GridSpec,
     HurstParameter,
     NumericalError,
@@ -23,6 +22,7 @@ from fcir import (
     run_convergence,
     sample_fbm_circulant,
     simulate_batch,
+    simulate_path,
 )
 from fcir import experiments
 from fcir.io import write_sampler_checks
@@ -117,31 +117,27 @@ class TestRegressOrder:
 class TestMatchedPathDesign:
     def test_coarse_increments_sum_fine(self, hurst07):
         # shared-noise restriction: coarse increments are panel sums of fine
-        path = sample_fbm_circulant(GridSpec(1.0, 256), hurst07, 123)
+        (path,) = sample_fbm_circulant(GridSpec(1.0, 256), hurst07, [123])
         for factor in (2, 8, 64):
-            coarse = FbmPath(GridSpec(1.0, 256 // factor), hurst07, path.values[::factor])
-            sums = np.add.reduceat(path.increments(), np.arange(0, 256, factor))
-            assert np.abs(coarse.increments() - sums).max() <= 1e-12
+            sums = np.add.reduceat(np.diff(path), np.arange(0, 256, factor))
+            assert np.abs(np.diff(path[::factor]) - sums).max() <= 1e-12
 
     def test_report_matches_public_operations(self, bench_params, hurst07):
         # with one sample the aggregated error is the per-path sup, which must
         # reproduce a manual reconstruction through the public path operations
-        from fcir import simulate_path
-
         config = small_config(
             bench_params, hurst07, reference_exponent=7, coarse_exponents=(4,), samples=1
         )
         report = run_convergence(config)
-        noise = sample_fbm_circulant(
-            config.reference_grid, hurst07, path_seed(config.base_seed, 0)
-        )
-        reference = simulate_path(noise, bench_params)
-        coarse_noise = FbmPath(GridSpec(1.0, 2**4), hurst07, noise.values[::8])
-        coarse = simulate_path(coarse_noise, bench_params)
-        grid_error = np.abs(reference.x[::8][1:] - coarse.x[1:]).max()
-        interpolated = np.interp(reference.nodes(), coarse.nodes(), coarse.x)
-        uniform_error = np.abs(reference.x[1:] - interpolated[1:]).max()
-        rate_error = np.abs(reference.x[1:] ** 2 - interpolated[1:] ** 2).max()
+        ref_grid, coarse_grid = config.reference_grid, GridSpec(1.0, 2**4)
+        seed = path_seed(config.base_seed, 0)
+        reference = simulate_path(ref_grid, hurst07, bench_params, seed)
+        noise = sample_fbm_circulant(ref_grid, hurst07, [seed])
+        coarse = simulate_batch(noise[:, ::8].copy(), coarse_grid.step, bench_params)[0]
+        grid_error = np.abs(reference[::8][1:] - coarse[1:]).max()
+        interpolated = np.interp(ref_grid.nodes(), coarse_grid.nodes(), coarse)
+        uniform_error = np.abs(reference[1:] - interpolated[1:]).max()
+        rate_error = np.abs(reference[1:] ** 2 - interpolated[1:] ** 2).max()
         assert report.rms["level_grid"][0] == pytest.approx(grid_error, rel=1e-15)
         assert report.rms["level_uniform"][0] == pytest.approx(uniform_error, rel=1e-15)
         assert report.rms["rate_uniform"][0] == pytest.approx(rate_error, rel=1e-15)
@@ -201,7 +197,7 @@ class TestUniformReduction:
             coarse_exponents=(0, 1, 3, 6, 8), samples=5,
         )
         seeds = [path_seed(config.base_seed, i) for i in range(config.samples)]
-        noise = experiments._sample_circulant_block(config.reference_grid, hurst07, seeds)
+        noise = sample_fbm_circulant(config.reference_grid, hurst07, seeds)
         # the block overwrites the noise it is handed, and the oracles reuse it
         level_grid, level, rate_grid, rate = experiments._convergence_block(config, noise.copy())
         oracle_level, oracle_rate = interp_uniform_errors(config, noise)
@@ -456,7 +452,7 @@ class TestBlockDriver:
             samples=64,
         )
         seeds = [path_seed(config.base_seed, i) for i in range(config.samples)]
-        noise = experiments._sample_circulant_block(config.reference_grid, hurst07, seeds)
+        noise = sample_fbm_circulant(config.reference_grid, hurst07, seeds)
         noise_bytes = noise.nbytes
         coarse_bytes = sum(config.samples * (2**e + 1) * 8 for e in config.coarse_exponents)
         tracemalloc.start()
@@ -493,9 +489,16 @@ class TestSamplerChecks:
         with pytest.raises(DomainError):
             check_fbm_samplers(GridSpec(1.0, 8), hurst07, 0, 3)
 
+    @pytest.mark.parametrize("hurst", [0.05, 0.1])
+    def test_holder_exponent_refused_before_any_draw(self, monkeypatch, hurst):
+        def no_draws(*args):
+            raise AssertionError("sampled noise for H <= 0.1")
+
+        for name in ("sample_fbm_cholesky", "sample_fbm_circulant"):
+            monkeypatch.setattr(experiments, name, no_draws)
+        with pytest.raises(DomainError, match=rf"need H > 0\.1, got H = {hurst}:"):
+            check_fbm_samplers(GridSpec(1.0, 8), HurstParameter(hurst), 4, 3)
+
 
 def simulate_powers(params, hurst, grid, seed, p):
-    from fcir import simulate_path
-
-    path = simulate_path(sample_fbm_circulant(grid, hurst, seed), params)
-    return path.x ** (-float(p))
+    return simulate_path(grid, hurst, params, seed) ** (-float(p))

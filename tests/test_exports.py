@@ -1,6 +1,8 @@
 """The package namespace: every module export resolves and `fcir` re-exports it."""
 
+import ast
 import importlib
+import inspect
 
 import pytest
 
@@ -13,3 +15,35 @@ def test_module_exports_resolve_and_are_reexported(module):
     namespace = importlib.import_module(f"fcir.{module}")
     for name in namespace.__all__:
         assert getattr(fcir, name) is getattr(namespace, name), name
+
+
+KERNELS = ("fbm", "scheme", "malliavin")
+
+
+@pytest.mark.parametrize("module", ["experiments", "cli"])
+def test_studies_and_cli_use_only_public_kernel_names(module):
+    # the benchmark tracer wraps public functions only, so a private kernel
+    # call would hide its layer's time
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"fcir.{module}")))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in KERNELS:
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "fcir"):
+            assert not any(alias.name in KERNELS for alias in node.names), ast.dump(node)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in KERNELS
+            and node.attr.startswith("_")
+        ):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
+
+
+@pytest.mark.parametrize(
+    "function, first", [("sample_fbm_circulant", "grid"), ("simulate_batch", "noise")]
+)
+def test_traced_work_arguments_come_first(function, first):
+    # perfbench/spans.py reads the grid and the noise positionally
+    assert next(iter(inspect.signature(getattr(fcir, function)).parameters)) == first

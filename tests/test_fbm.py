@@ -7,26 +7,24 @@ import pytest
 from scipy import stats
 
 from fcir import (
+    CirParams,
     DomainError,
-    FbmPath,
+    ExperimentConfig,
     GridSpec,
     HurstParameter,
     NumericalError,
     fbm_covariance,
     fgn_autocovariance,
     holder_statistic,
+    malliavin_terminal_forms,
+    path_seed,
     sample_fbm_cholesky,
     sample_fbm_circulant,
+    simulate_batch,
 )
+from fcir import experiments
 from fcir import fbm as fbm_module
-from fcir.fbm import (
-    _cholesky_factor,
-    _embedding_coefficients,
-    _holder_quotients,
-    _rng,
-    _sample_cholesky_block,
-    _sample_circulant_block,
-)
+from fcir.fbm import _cholesky_factor, _embedding_coefficients, _rng
 
 
 def circulant_oracle(grid, hurst, seed):
@@ -110,11 +108,13 @@ class TestTypes:
                 GridSpec.dyadic(1.0, exponent)
 
     def test_fbm_path_starts_at_zero(self):
+        # every sampled row holds N+1 levels and is pinned to 0 at t = 0
         grid = GridSpec(1.0, 4)
-        with pytest.raises(DomainError):
-            FbmPath(grid=grid, hurst=HurstParameter(0.7), values=np.ones(5))
-        with pytest.raises(DomainError):
-            FbmPath(grid=grid, hurst=HurstParameter(0.7), values=np.zeros(4))
+        for sampler in (sample_fbm_cholesky, sample_fbm_circulant):
+            levels = sampler(grid, HurstParameter(0.7), [3, 4])
+            assert levels.shape == (2, 5)
+            assert np.array_equal(levels[:, 0], [0.0, 0.0])
+            assert np.all(levels[:, 1:] != 0.0)
 
 
 class TestCovarianceFunctions:
@@ -156,21 +156,21 @@ class TestCovarianceFunctions:
 class TestSamplerContracts:
     def test_same_seed_bit_identical(self, sampler):
         grid = GridSpec(1.0, 128)
-        a = sampler(grid, 0.7, 12345)
-        b = sampler(grid, 0.7, 12345)
-        assert np.array_equal(a.values, b.values)
-        assert a.values[0] == 0.0
+        a = sampler(grid, 0.7, [12345, 12345])
+        b = sampler(grid, 0.7, [12345])
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[0])
+        assert a[0, 0] == 0.0
 
     def test_seed_wraps_at_64_bits(self, sampler):
         grid = GridSpec(1.0, 8)
-        wrapped = sampler(grid, 0.7, -1)
-        assert np.array_equal(wrapped.values, sampler(grid, 0.7, 2**64 - 1).values)
+        wrapped = sampler(grid, 0.7, [-1])
+        assert np.array_equal(wrapped, sampler(grid, 0.7, [2**64 - 1]))
 
     def test_unit_time_marginal_variance(self, sampler):
         # B(1) is standard normal when T = 1: sample variance over 1e5 seeds
         # within 3 standard errors of 1.
         grid = GridSpec(1.0, 1)
-        draws = np.array([sampler(grid, 0.7, s).values[1] for s in range(100_000)])
+        draws = sampler(grid, 0.7, range(100_000))[:, 1]
         se = np.sqrt(2.0 / draws.size)
         print(f"{sampler.__name__}: var={draws.var():.5f} (3se={3 * se:.5f})")
         assert abs(draws.var() - 1.0) <= 3.0 * se
@@ -181,9 +181,7 @@ class TestCholeskySampler:
         grid = GridSpec(1.0, 32)
         H = 0.7
         m = 2000
-        batch = np.stack(
-            [sample_fbm_cholesky(grid, H, 700 + i).values for i in range(m)]
-        )
+        batch = sample_fbm_cholesky(grid, H, range(700, 700 + m))
         nodes = grid.nodes()
         exact = fbm_covariance(nodes[:, None], nodes[None, :], H)
         empirical = batch.T @ batch / m
@@ -195,10 +193,10 @@ class TestCholeskySampler:
     def test_block_matches_single_paths(self, steps):
         grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)
         seeds = [5, 2**64 - 1, 0, 17, 3]
-        block = _sample_cholesky_block(grid, hurst, seeds)
+        block = sample_fbm_cholesky(grid, hurst, seeds)
         assert block.shape == (len(seeds), steps + 1)
         for row, seed in zip(block, seeds):
-            assert np.array_equal(row, sample_fbm_cholesky(grid, hurst, seed).values)
+            assert np.array_equal(row, sample_fbm_cholesky(grid, hurst, [seed])[0])
             assert np.array_equal(row, cholesky_oracle(grid, 0.7, seed))
 
 
@@ -207,12 +205,8 @@ class TestCirculantSampler:
         # Two-sample KS on B(T) at 1%; independent seed ranges.
         grid = GridSpec(1.0, 2**10)
         m = 5000
-        chol = np.array(
-            [sample_fbm_cholesky(grid, 0.6, 10_000 + i).values[-1] for i in range(m)]
-        )
-        circ = np.array(
-            [sample_fbm_circulant(grid, 0.6, 20_000 + i).values[-1] for i in range(m)]
-        )
+        chol = sample_fbm_cholesky(grid, 0.6, range(10_000, 10_000 + m))[:, -1]
+        circ = sample_fbm_circulant(grid, 0.6, range(20_000, 20_000 + m))[:, -1]
         result = stats.ks_2samp(chol, circ)
         print(f"cross-sampler KS p-value: {result.pvalue:.4f}")
         assert result.pvalue >= 0.01
@@ -222,10 +216,10 @@ class TestCirculantSampler:
         _embedding_coefficients.cache_clear()
         grid = GridSpec(1.0, 2**12)
         start = time.perf_counter()
-        sample_fbm_cholesky(grid, 0.8, 1)
+        sample_fbm_cholesky(grid, 0.8, [1])
         elapsed_cholesky = time.perf_counter() - start
         start = time.perf_counter()
-        sample_fbm_circulant(grid, 0.8, 1)
+        sample_fbm_circulant(grid, 0.8, [1])
         elapsed_circulant = time.perf_counter() - start
         print(f"N=4096: cholesky {elapsed_cholesky:.3f}s circulant {elapsed_circulant:.5f}s")
         assert elapsed_circulant < elapsed_cholesky
@@ -243,7 +237,7 @@ class TestCirculantSampler:
         # of the full spectrum give the same path up to rounding
         grid, hurst = GridSpec(1.0, steps), HurstParameter(H)
         seeds = [5, 2**64 - 1, 0]
-        for row, seed in zip(_sample_circulant_block(grid, hurst, seeds), seeds):
+        for row, seed in zip(sample_fbm_circulant(grid, hurst, seeds), seeds):
             expected = complex_fft_oracle(grid, H, seed)
             assert np.abs(row - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -255,21 +249,37 @@ class TestCirculantSampler:
             monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * 2 * steps)
         grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)
         seeds = [5, 2**64 - 1, 0, 17, 3, 99, 12345]
-        block = _sample_circulant_block(grid, hurst, seeds)
+        block = sample_fbm_circulant(grid, hurst, seeds)
         assert block.shape == (len(seeds), steps + 1)
         for row, seed in zip(block, seeds):
-            assert np.array_equal(row, sample_fbm_circulant(grid, hurst, seed).values)
+            assert np.array_equal(row, sample_fbm_circulant(grid, hurst, [seed])[0])
             assert np.array_equal(row, circulant_oracle(grid, 0.7, seed))
 
     @pytest.mark.parametrize("stride", [2, 8, 64])
     @pytest.mark.parametrize("tile_rows", [None, 3])
     def test_block_at_every_stride_node_matches_full_block(self, monkeypatch, stride, tile_rows):
+        # the gap study samples full reference rows and solves each coarse grid
+        # from every stride-th node of them; those nodes keep the bits of the
+        # single-path samples across tile edges
         if tile_rows is not None:
             monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * 2 * 64)
-        grid, hurst = GridSpec(1.0, 64), HurstParameter(0.7)
-        seeds = [5, 2**64 - 1, 0, 17, 3, 99, 12345]
-        strided = _sample_circulant_block(grid, hurst, seeds, stride)
-        assert np.array_equal(strided, _sample_circulant_block(grid, hurst, seeds)[:, ::stride])
+        params = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0)
+        config = ExperimentConfig(
+            params=params, hurst=HurstParameter(0.7), horizon=1.0, reference_exponent=6,
+            coarse_exponents=(6 - (stride.bit_length() - 1),), samples=7, base_seed=2**64 - 3,
+        )
+        seeds = [path_seed(config.base_seed, i) for i in range(config.samples)]
+        block = sample_fbm_circulant(config.reference_grid, config.hurst, seeds)
+        coarse = block[:, ::stride]
+        for row, seed in zip(coarse, seeds):
+            full = circulant_oracle(config.reference_grid, 0.7, seed)
+            assert np.array_equal(row, full[::stride])
+        levels = simulate_batch(coarse.copy(), stride / 64, params)
+        product, exponential = malliavin_terminal_forms(levels, stride / 64, params)
+        gaps, lows, highs = experiments._malliavin_block(config, block)
+        assert np.array_equal(gaps[:, 0], np.abs(product - exponential).mean(axis=1))
+        assert np.array_equal(lows[:, 0], product.min(axis=1))
+        assert np.array_equal(highs[:, 0], product.max(axis=1))
 
     # the smallest embedding eigenvalue at N = 2^19, H = 0.999 is -4.28e-8
     # times the largest, beyond the tolerance
@@ -280,14 +290,14 @@ class TestCirculantSampler:
         with pytest.raises(NumericalError, match=self._INVALID_EMBEDDING):
             _embedding_coefficients(2**19, 2**-19, 0.999)
         with pytest.raises(NumericalError, match=self._INVALID_EMBEDDING):
-            sample_fbm_circulant(grid, hurst, 1)
+            sample_fbm_circulant(grid, hurst, [1])
 
     def test_block_invalid_embedding_raises(self):
-        # 2^45 seeds cannot be sized, so the block sampler must check the
-        # embedding before it allocates
+        # 2^45 seeds cannot be sized, so the sampler must check the embedding
+        # before it allocates
         grid, hurst = GridSpec(1.0, 2**19), HurstParameter(0.999)
         with pytest.raises(NumericalError, match=self._INVALID_EMBEDDING):
-            _sample_circulant_block(grid, hurst, range(2**45))
+            sample_fbm_circulant(grid, hurst, range(2**45))
 
     def test_factorization_failure_diagnostic(self, monkeypatch):
         def explode(matrix):
@@ -296,7 +306,7 @@ class TestCirculantSampler:
         _cholesky_factor.cache_clear()
         monkeypatch.setattr(np.linalg, "cholesky", explode)
         with pytest.raises(NumericalError, match="factorization failed"):
-            sample_fbm_cholesky(GridSpec(1.0, 8), 0.7, 1)
+            sample_fbm_cholesky(GridSpec(1.0, 8), 0.7, [1])
         _cholesky_factor.cache_clear()
 
 
@@ -304,21 +314,24 @@ class TestHolderRegularity:
     @pytest.mark.parametrize("steps", [1, 2, 3, 256])
     def test_block_matches_single_paths(self, steps):
         grid, hurst = GridSpec(0.3, steps), HurstParameter(0.7)
-        levels = _sample_circulant_block(grid, hurst, range(9))
+        levels = sample_fbm_circulant(grid, hurst, range(9))
         levels[4] = 0.0  # a flat path: every quotient is 0
         levels[5, -1] = np.nan  # the nan lags are skipped, as Python's max skips them
-        quotients = _holder_quotients(levels, grid, hurst)
+        quotients = holder_statistic(levels, grid, hurst)
+        assert quotients.shape == (9,)
         for row, quotient in zip(levels, quotients):
-            assert quotient == holder_statistic(FbmPath(grid, hurst, row))
+            assert quotient == holder_statistic(row[None], grid, hurst)[0]
             assert quotient == holder_oracle(row, grid.step, 0.6)
         assert quotients[4] == 0.0 and np.isfinite(quotients).all()
 
     def test_epsilon_outside_zero_h_raises(self):
+        # the quotient exponent H - HOLDER_EPSILON must be positive
         grid = GridSpec(1.0, 4)
-        with pytest.raises(DomainError, match="epsilon"):
-            _holder_quotients(np.zeros((2, 5)), grid, HurstParameter(0.05))
-        with pytest.raises(DomainError, match="epsilon"):
-            holder_statistic(FbmPath(grid, HurstParameter(0.7), np.zeros(5)), epsilon=0.7)
+        assert fbm_module.HOLDER_EPSILON == 0.1
+        for hurst in (0.05, 0.1):
+            with pytest.raises(DomainError, match=rf"needs H > 0\.1, got H = {hurst}$"):
+                holder_statistic(np.zeros((2, 5)), grid, HurstParameter(hurst))
+        assert np.array_equal(holder_statistic(np.zeros((2, 5)), grid, 0.11), [0.0, 0.0])
 
     def test_p99_stable_under_refinement(self):
         # Trajectories are (H - eps)-Hoelder, so the empirical quotient's
@@ -326,10 +339,8 @@ class TestHolderRegularity:
         quantiles = []
         for exponent in (12, 13):
             grid = GridSpec(1.0, 2**exponent)
-            statistics = [
-                holder_statistic(sample_fbm_circulant(grid, 0.7, 500 + i))
-                for i in range(200)
-            ]
+            levels = sample_fbm_circulant(grid, 0.7, range(500, 700))
+            statistics = holder_statistic(levels, grid, 0.7)
             assert np.all(np.isfinite(statistics))
             quantiles.append(np.percentile(statistics, 99))
         ratio = max(quantiles) / min(quantiles)

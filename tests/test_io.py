@@ -48,6 +48,22 @@ def test_python_floats_write_the_bytes_of_numpy_scalars(tmp_path):
     ]
 
 
+def test_cells_keep_the_text_of_per_cell_formatting(tmp_path):
+    # floats (numpy scalars too) at 17 digits as `format_float` gives them,
+    # lowercase booleans, ints and names as str; a name that spells nan or inf
+    # is text, not a float
+    rows = [
+        ("inf", 1, True, np.float64(-1e-300), 0.1),
+        ("nan_count", -2**70, False, 2.5, np.float64(1e300)),
+    ]
+    io._write_rows(tmp_path / "data.csv", "name,n,flag,x,y", rows)
+    assert (tmp_path / "data.csv").read_bytes() == (
+        b"name,n,flag,x,y\n"
+        b"inf,1,true,-1e-300,0.10000000000000001\n"
+        b"nan_count,-1180591620717411303424,false,2.5,1.0000000000000001e+300\n"
+    )
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_cell_raises_before_the_file_is_opened(tmp_path, value):
     target = tmp_path / "data.csv"

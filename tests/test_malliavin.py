@@ -10,18 +10,19 @@ from fcir import (
     CirParams,
     DomainError,
     ExperimentConfig,
-    FbmPath,
     GridSpec,
     HurstParameter,
     MalliavinGapReport,
     UnsupportedRegimeError,
     drift_derivative,
     malliavin_gap_study,
-    malliavin_profile,
     malliavin_terminal_forms,
-    sample_fbm_circulant,
+    simulate_batch,
     simulate_path,
 )
+
+GRID = GridSpec(1.0, 32)
+FIXED_POINT = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=0.5)
 
 
 def trapezoid_oracle(levels, grid, s, params):
@@ -33,36 +34,41 @@ def trapezoid_oracle(levels, grid, s, params):
     return 0.5 * params.sigma * float(np.exp(integral))
 
 
+def profile(levels, node, params):
+    """Derivative profile of X_node on GRID: the product form of levels 0..node."""
+    product, _ = malliavin_terminal_forms(levels[None, : node + 1], GRID.step, params)
+    return product[0]
+
+
 @pytest.fixture
 def path(bench_params):
-    noise = sample_fbm_circulant(GridSpec(1.0, 32), 0.7, 77)
-    return simulate_path(noise, bench_params)
+    """Levels of one path on GRID."""
+    return simulate_path(GRID, HurstParameter(0.7), bench_params, 77)
 
 
 @pytest.fixture
 def fixed_point_path():
-    params = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=0.5)
-    noise = FbmPath(grid=GridSpec(1.0, 32), hurst=HurstParameter(0.7), values=np.zeros(33))
-    return simulate_path(noise, params)
+    """Levels of one path on GRID that starts at sqrt(theta) and is driven by no noise."""
+    return simulate_batch(np.zeros((1, GRID.steps + 1)), GRID.step, FIXED_POINT)[0]
 
 
 class TestProfile:
     def test_last_interval_single_factor(self, path, bench_params):
         n = 20
-        profile = malliavin_profile(path, n)
-        h = path.grid.step
+        values = profile(path, n, bench_params)
+        h = GRID.step
         expected = (
             0.5
             * bench_params.sigma
-            / (1.0 - drift_derivative(path.x[n], bench_params) * h)
+            / (1.0 - drift_derivative(path[n], bench_params) * h)
         )
-        assert profile[-1] == pytest.approx(expected, rel=1e-14)
+        assert values[-1] == pytest.approx(expected, rel=1e-14)
 
     def test_bounded_and_nondecreasing(self, path, bench_params):
         # each factor lies in (0, 1) for kappa > 0, so suffix products grow
         # as factors drop off and everything stays within (0, sigma/2]
         for n in (1, 7, 32):
-            values = malliavin_profile(path, n)
+            values = profile(path, n, bench_params)
             assert values.shape == (n,)
             assert np.all(values > 0.0)
             assert np.all(values <= 0.5 * bench_params.sigma)
@@ -71,33 +77,30 @@ class TestProfile:
     def test_fixed_point_closed_form(self, fixed_point_path):
         # X_j == sqrt(theta) makes f'(X_j) = -kappa, so the value on interval i
         # is (sigma/2) * (1 + kappa*h)^-(n-i+1)
-        params = fixed_point_path.params
-        h = fixed_point_path.grid.step
+        params = FIXED_POINT
+        h = GRID.step
         n = 12
-        values = malliavin_profile(fixed_point_path, n)
+        values = profile(fixed_point_path, n, params)
         exponents = n - np.arange(1, n + 1) + 1
         closed = 0.5 * params.sigma * (1.0 + params.kappa * h) ** -exponents
         assert np.allclose(values, closed, rtol=1e-12)
 
-    def test_regime_and_domain(self, path):
+    def test_regime_and_domain(self, path, bench_params):
         negative = CirParams(kappa=-1.0, theta=-0.5, sigma=0.5, r0=1.0)
-        noise = FbmPath(
-            grid=GridSpec(1.0, 8), hurst=HurstParameter(0.7), values=np.zeros(9)
-        )
-        neg_path = simulate_path(noise, negative)
+        neg_path = simulate_batch(np.zeros((1, 9)), 0.125, negative)[0]
         with pytest.raises(UnsupportedRegimeError):
-            malliavin_profile(neg_path, 4)
+            profile(neg_path, 4, negative)
+        # node 0 has no interval (0, t_n] to perturb on
         with pytest.raises(DomainError):
-            malliavin_profile(path, 0)
-        with pytest.raises(DomainError):
-            malliavin_profile(path, 33)
+            profile(path, 0, bench_params)
+        assert profile(path, GRID.steps, bench_params).shape == (GRID.steps,)
 
 class TestExponentialForm:
     # the exponential column of malliavin_terminal_forms, s = t_i and t = T
 
     def test_point_mass(self, path, bench_params):
         # at s = T the trapezoid is over an empty interval
-        _, exponential = malliavin_terminal_forms(path.x[None, :], path.grid.step, bench_params)
+        _, exponential = malliavin_terminal_forms(path[None, :], GRID.step, bench_params)
         assert exponential[0, -1] == 0.5 * bench_params.sigma
 
     def test_constant_levels_closed_form(self):
@@ -113,27 +116,27 @@ class TestExponentialForm:
     def test_domain(self, path, bench_params):
         with pytest.raises(DomainError):
             malliavin_terminal_forms(
-                np.zeros((1, path.grid.steps + 1)), path.grid.step, bench_params
+                np.zeros((1, GRID.steps + 1)), GRID.step, bench_params
             )
 
 
 class TestTerminalForms:
     def test_exponential_matches_quadrature_oracle(self, path, bench_params):
         # column i-1 is the form at s = t_i, t = T
-        _, exponential = malliavin_terminal_forms(path.x[None, :], path.grid.step, bench_params)
+        _, exponential = malliavin_terminal_forms(path[None, :], GRID.step, bench_params)
         oracle = [
-            trapezoid_oracle(path.x, path.grid, s, bench_params) for s in path.grid.nodes()[1:]
+            trapezoid_oracle(path, GRID, s, bench_params) for s in GRID.nodes()[1:]
         ]
         assert exponential[0] == pytest.approx(oracle, rel=1e-12)
 
     def test_regime_and_shape(self, path, bench_params):
         negative = CirParams(kappa=-1.0, theta=-0.5, sigma=0.5, r0=1.0)
         with pytest.raises(UnsupportedRegimeError):
-            malliavin_terminal_forms(path.x[None, :], path.grid.step, negative)
+            malliavin_terminal_forms(path[None, :], GRID.step, negative)
         with pytest.raises(DomainError):
-            malliavin_terminal_forms(path.x, path.grid.step, bench_params)
+            malliavin_terminal_forms(path, GRID.step, bench_params)
         with pytest.raises(DomainError):
-            malliavin_terminal_forms(path.x[None, :1], path.grid.step, bench_params)
+            malliavin_terminal_forms(path[None, :1], GRID.step, bench_params)
 
 
 class TestGapStudy:
@@ -155,7 +158,7 @@ class TestGapStudy:
         assert max(report.profile_max) <= 0.5 * bench_params.sigma
 
     def test_profile_matches_module_formula(self, bench_params, hurst07):
-        # the study's product rows and the kernel's rows are malliavin_profile
+        # the study's product rows and the kernel's rows are the profiles of X_N
         config = ExperimentConfig(
             params=bench_params,
             hurst=hurst07,
@@ -167,14 +170,11 @@ class TestGapStudy:
         )
         report = malliavin_gap_study(config)
         grid = GridSpec(1.0, 64)
-        paths = [
-            simulate_path(sample_fbm_circulant(grid, hurst07, 9 + i), bench_params)
-            for i in range(3)
+        paths = [simulate_path(grid, hurst07, bench_params, 9 + i) for i in range(3)]
+        product, _ = malliavin_terminal_forms(np.stack(paths), grid.step, bench_params)
+        profiles = [
+            malliavin_terminal_forms(path[None], grid.step, bench_params)[0][0] for path in paths
         ]
-        product, _ = malliavin_terminal_forms(
-            np.stack([path.x for path in paths]), grid.step, bench_params
-        )
-        profiles = [malliavin_profile(path, 64) for path in paths]
         for row, values in zip(product, profiles):
             assert np.array_equal(row, values)
         assert report.profile_min[0] == min(values.min() for values in profiles)

@@ -19,9 +19,9 @@ from fcir import (
     CirParams,
     DomainError,
     GridSpec,
+    HurstParameter,
     backward_euler_step,
     cli,
-    malliavin_profile,
     malliavin_terminal_forms,
     path_seed,
     sample_fbm_circulant,
@@ -49,16 +49,18 @@ model = st.fixed_dictionaries(
     seed=st.integers(0, 2**64 - 1),
 )
 def test_batch_rows_match_single_paths(model, hurst, seed):
-    params = CirParams(**model)
-    noises = [sample_fbm_circulant(GRID, hurst, path_seed(seed, i)) for i in range(WIDTH)]
-    batch = simulate_batch(np.stack([n.values for n in noises]), GRID.step, params)
+    params, hurst = CirParams(**model), HurstParameter(hurst)
+    seeds = [path_seed(seed, i) for i in range(WIDTH)]
+    batch = simulate_batch(sample_fbm_circulant(GRID, hurst, seeds), GRID.step, params)
     product, exponential = malliavin_terminal_forms(batch, GRID.step, params)
 
-    for row, noise in enumerate(noises):
-        path = simulate_path(noise, params)
-        assert np.array_equal(batch[row], path.x)
-        assert np.array_equal(product[row], malliavin_profile(path, GRID.steps))
-        _, single_exponential = malliavin_terminal_forms(path.x[None, :], GRID.step, params)
+    for row, single_seed in enumerate(seeds):
+        path = simulate_path(GRID, hurst, params, single_seed)
+        assert np.array_equal(batch[row], path)
+        single_product, single_exponential = malliavin_terminal_forms(
+            path[None, :], GRID.step, params
+        )
+        assert np.array_equal(product[row], single_product[0])
         assert np.array_equal(exponential[row], single_exponential[0])
 
     for values in (batch, product, exponential):
@@ -91,7 +93,7 @@ def test_batch_matches_scalar_loop_across_chunks(steps, params):
     # simulate_batch differences and solves 64-step chunks, carrying the noise
     # column before each chunk; N straddles the chunk edges
     grid = GridSpec(1.0, steps)
-    noise = np.stack([sample_fbm_circulant(grid, 0.7, path_seed(7, i)).values for i in range(8)])
+    noise = sample_fbm_circulant(grid, 0.7, [path_seed(7, i) for i in range(8)])
     increments = np.diff(noise, axis=-1)
     batch = simulate_batch(noise, grid.step, params)
     assert batch is noise
@@ -123,7 +125,7 @@ def test_invalid_noise_raises(noise):
 @pytest.mark.parametrize("layout", ["fortran-order", "strided"])
 def test_noise_of_any_layout_is_solved_through_the_view(layout):
     grid = GridSpec(1.0, 130)
-    noise = np.stack([sample_fbm_circulant(grid, 0.7, path_seed(3, i)).values for i in range(5)])
+    noise = sample_fbm_circulant(grid, 0.7, [path_seed(3, i) for i in range(5)])
     expected = simulate_batch(noise.copy(), grid.step, NEGATIVE_A)
     base = np.zeros((5, 2 * (grid.steps + 1)))
     view = np.asfortranarray(noise) if layout == "fortran-order" else base[:, ::2]

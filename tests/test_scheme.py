@@ -8,19 +8,19 @@ import pytest
 from fcir import (
     CirParams,
     DomainError,
-    FbmPath,
     GridSpec,
     HurstParameter,
     NumericalError,
     UnsupportedRegimeError,
     backward_euler_step,
     drift,
-    rate_path,
     residuals,
     sample_fbm_circulant,
     simulate_batch,
     simulate_path,
 )
+from fcir import scheme
+from fcir.io import write_solution_path
 
 
 def bisect_implicit_step(x_n, increment, step, params, tol=1e-14):
@@ -41,12 +41,12 @@ def bisect_implicit_step(x_n, increment, step, params, tol=1e-14):
     return 0.5 * (lo + hi)
 
 
-def zero_noise_path(steps: int, horizon: float = 1.0) -> FbmPath:
-    return FbmPath(
-        grid=GridSpec(horizon, steps),
-        hurst=HurstParameter(0.7),
-        values=np.zeros(steps + 1),
-    )
+H07 = HurstParameter(0.7)
+
+
+def solve_zero_noise(steps: int, params: CirParams, horizon: float = 1.0) -> np.ndarray:
+    """Levels of one path driven by fBm levels that are 0 at every node."""
+    return simulate_batch(np.zeros((1, steps + 1)), horizon / steps, params)[0]
 
 
 class TestBackwardEulerStep:
@@ -102,58 +102,68 @@ class TestBackwardEulerStep:
 class TestSimulatePath:
     def test_zero_noise_decreasing_to_fixed_point(self, bench_params):
         # deterministic recursion oracle over 64 steps
-        noise = zero_noise_path(64)
-        path = simulate_path(noise, bench_params)
+        path = solve_zero_noise(64, bench_params)
         root_theta = math.sqrt(bench_params.theta)
-        assert np.all(np.diff(path.x) < 0.0)
-        assert np.all(path.x >= root_theta)
+        assert np.all(np.diff(path) < 0.0)
+        assert np.all(path >= root_theta)
         x = bench_params.x0
         for n in range(64):
-            x = bisect_implicit_step(x, 0.0, noise.grid.step, bench_params)
-            assert path.x[n + 1] == pytest.approx(x, rel=1e-12)
+            x = bisect_implicit_step(x, 0.0, 1.0 / 64, bench_params)
+            assert path[n + 1] == pytest.approx(x, rel=1e-12)
 
     def test_fixed_point_stays_put(self):
         params = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=0.5)
-        path = simulate_path(zero_noise_path(256), params)
-        assert np.abs(path.x - math.sqrt(0.5)).max() <= 1e-12
+        path = solve_zero_noise(256, params)
+        assert np.abs(path - math.sqrt(0.5)).max() <= 1e-12
 
     def test_single_step_composition(self, bench_params):
-        noise = sample_fbm_circulant(GridSpec(0.25, 1), 0.7, 11)
-        path = simulate_path(noise, bench_params)
-        expected = backward_euler_step(
-            bench_params.x0, noise.increments()[0], 0.25, bench_params
-        )
-        assert path.x[0] == bench_params.x0
-        assert path.x[1] == expected
+        grid = GridSpec(0.25, 1)
+        (noise,) = sample_fbm_circulant(grid, 0.7, [11])
+        path = simulate_path(grid, H07, bench_params, 11)
+        expected = backward_euler_step(bench_params.x0, noise[1], 0.25, bench_params)
+        assert path.shape == (2,)
+        assert path[0] == bench_params.x0
+        assert path[1] == expected
 
     def test_implicit_residual(self, bench_params):
+        grid = GridSpec(1.0, 512)
         for seed in range(5):
-            noise = sample_fbm_circulant(GridSpec(1.0, 512), 0.7, seed)
-            path = simulate_path(noise, bench_params)
-            bound = 1e-12 * (1.0 + np.abs(path.x[1:]))
-            assert np.all(np.abs(residuals(path, noise)) <= bound)
+            (noise,) = sample_fbm_circulant(grid, H07, [seed])
+            path = simulate_path(grid, H07, bench_params, seed)
+            bound = 1e-12 * (1.0 + np.abs(path[1:]))
+            assert np.all(np.abs(residuals(path, noise, grid.step, bench_params)) <= bound)
+        with pytest.raises(DomainError, match="share a grid"):
+            residuals(path, noise[::2], grid.step, bench_params)
 
     def test_positivity_random_paths(self, bench_params):
         grid = GridSpec(1.0, 256)
         for seed in range(100):
-            path = simulate_path(sample_fbm_circulant(grid, 0.7, seed), bench_params)
-            assert np.all(path.x > 0.0)
+            assert np.all(simulate_path(grid, H07, bench_params, seed) > 0.0)
 
-    def test_refuses_rough_noise(self, bench_params):
-        noise = sample_fbm_circulant(GridSpec(1.0, 16), 0.5, 1)
-        with pytest.raises(UnsupportedRegimeError):
-            simulate_path(noise, bench_params)
+    def test_refuses_rough_noise(self, bench_params, monkeypatch):
+        # refused before any draw, with the message the CLI reports
+        def no_draws(*args):
+            raise AssertionError("sampled noise for rough H")
+
+        monkeypatch.setattr(scheme, "sample_fbm_circulant", no_draws)
+        for hurst in (0.5, 0.2):
+            with pytest.raises(
+                UnsupportedRegimeError,
+                match=rf"^the solver requires driving noise with H > 1/2, got H={hurst}$",
+            ):
+                simulate_path(GridSpec(1.0, 16), HurstParameter(hurst), bench_params, 1)
 
     def test_batch_matches_scalar_loop(self, bench_params):
-        noise = sample_fbm_circulant(GridSpec(1.0, 64), 0.7, 99)
-        path = simulate_path(noise, bench_params)
-        batch = simulate_batch(np.stack([noise.values] * 2), noise.grid.step, bench_params)
-        assert np.array_equal(batch[0], path.x)
-        assert np.array_equal(batch[1], path.x)
+        grid = GridSpec(1.0, 64)
+        (noise,) = sample_fbm_circulant(grid, 0.7, [99])
+        path = simulate_path(grid, H07, bench_params, 99)
+        batch = simulate_batch(np.stack([noise] * 2), grid.step, bench_params)
+        assert np.array_equal(batch[0], path)
+        assert np.array_equal(batch[1], path)
         x = bench_params.x0
-        for n, increment in enumerate(noise.increments()):
-            x = backward_euler_step(x, increment, noise.grid.step, bench_params)
-            assert x == path.x[n + 1]
+        for n, increment in enumerate(np.diff(noise)):
+            x = backward_euler_step(x, increment, grid.step, bench_params)
+            assert x == path[n + 1]
 
     @pytest.mark.parametrize("increment, level", [(5.6e154, "inf"), (-5.6e154, "0.0")])
     def test_overflowing_step_raises(self, bench_params, increment, level):
@@ -170,12 +180,14 @@ class TestSimulatePath:
         # conjugate form c / (sqrt(a^2 + c) - a) of an a > 0 step would divide
         # by exactly zero; no step may evaluate it.
         params = CirParams(kappa=2.0, theta=1e-300, sigma=0.5, r0=1e-300)
-        noise = sample_fbm_circulant(GridSpec(10.0, 64), 0.7, 1)
+        grid = GridSpec(10.0, 64)
+        noise = sample_fbm_circulant(grid, 0.7, [1])
+        increments = np.diff(noise[0])
         with np.errstate(divide="raise", invalid="raise"):
-            (batch,) = simulate_batch(noise.values[None].copy(), noise.grid.step, params)
+            (batch,) = simulate_batch(noise, grid.step, params)
             x = params.x0
-            for n, increment in enumerate(noise.increments()):
-                x = backward_euler_step(x, increment, noise.grid.step, params)
+            for n, increment in enumerate(increments):
+                x = backward_euler_step(x, increment, grid.step, params)
                 assert x == batch[n + 1]
         assert np.all(batch > 0.0)
 
@@ -184,14 +196,11 @@ class TestSimulatePath:
         # roughly halves the gap, averaged over 100 paths
         fine_grid = GridSpec(1.0, 2**10)
         gaps = {9: [], 10: []}
-        for seed in range(100):
-            noise = sample_fbm_circulant(fine_grid, 0.7, 3000 + seed)
+        for noise in sample_fbm_circulant(fine_grid, 0.7, range(3000, 3100)):
             solutions = {}
             for exponent in (10, 9, 8):
-                coarse = FbmPath(
-                    GridSpec(1.0, 2**exponent), noise.hurst, noise.values[:: 2 ** (10 - exponent)]
-                )
-                solutions[exponent] = simulate_path(coarse, bench_params).x
+                coarse = noise[None, :: 2 ** (10 - exponent)].copy()
+                solutions[exponent] = simulate_batch(coarse, 2.0**-exponent, bench_params)[0]
             gaps[10].append(np.abs(solutions[10][::2][1:] - solutions[9][1:]).max())
             gaps[9].append(np.abs(solutions[9][::2][1:] - solutions[8][1:]).max())
         ratio = np.mean(gaps[9]) / np.mean(gaps[10])
@@ -200,8 +209,13 @@ class TestSimulatePath:
 
 
 class TestRateProcess:
-    def test_nodes_and_origin(self, bench_params):
-        noise = sample_fbm_circulant(GridSpec(1.0, 32), 0.7, 8)
-        path = simulate_path(noise, bench_params)
-        assert np.array_equal(rate_path(path), path.x**2)
-        assert rate_path(path)[0] == bench_params.r0
+    def test_nodes_and_origin(self, bench_params, tmp_path):
+        # the rate column the solution writer emits is X^2, r0 at t = 0
+        grid = GridSpec(1.0, 32)
+        path = simulate_path(grid, H07, bench_params, 8)
+        write_solution_path(tmp_path / "path.csv", grid, path)
+        table = np.loadtxt(tmp_path / "path.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], grid.nodes())
+        assert np.array_equal(table[:, 1], path)
+        assert np.array_equal(table[:, 2], path**2)
+        assert table[0, 2] == bench_params.r0
