@@ -32,7 +32,6 @@ from .malliavin import malliavin_terminal_forms
 from .model import (
     CirParams,
     ConditionReport,
-    check_moment_condition,
     check_moment_conditions,
     drift,
     drift_derivative,
@@ -41,4 +40,4 @@ from .model import (
 )
 from .scheme import backward_euler_step, residuals, simulate_batch, simulate_path
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

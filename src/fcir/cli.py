@@ -95,8 +95,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         coarse_exponents=getattr(args, "coarse_exps", ()),
         samples=args.samples,
         base_seed=args.seed,
-        xi=getattr(args, "xi", 0.5),
-        p=getattr(args, "p", 2),
+        # a subcommand without --xi or --p leaves ExperimentConfig's default
+        **{name: getattr(args, name) for name in ("xi", "p") if hasattr(args, name)},
     )
 
 

@@ -49,7 +49,11 @@ _MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
 
 @dataclass(frozen=True)
 class HurstParameter:
-    """Hurst index H of the driving noise, constrained to (0, 1)."""
+    """Hurst index H of the driving noise, constrained to (0, 1).
+
+    Every function of fcir takes H as this type.  It is frozen and hashable,
+    so the samplers' factor and embedding caches key on it.
+    """
 
     value: float
 
@@ -66,12 +70,6 @@ class HurstParameter:
     @property
     def long_memory(self) -> bool:
         return self.value > 0.5
-
-
-def _as_hurst(hurst: HurstParameter | float) -> HurstParameter:
-    if isinstance(hurst, HurstParameter):
-        return hurst
-    return HurstParameter(float(hurst))
 
 
 @dataclass(frozen=True)
@@ -114,29 +112,29 @@ class GridSpec:
         return self.step * np.arange(self.steps + 1)
 
 
-def fbm_covariance(t, s, hurst: HurstParameter | float):
+def fbm_covariance(t, s, hurst: HurstParameter):
     """Covariance of fBm at times (t, s): (t^2H + s^2H - |t-s|^2H) / 2.
 
-    Accepts scalars or broadcastable arrays; symmetric in (t, s).
+    Takes scalars or broadcastable arrays and returns numpy values of their
+    broadcast shape (an np.float64 for two scalars); symmetric in (t, s).
     """
-    H2 = 2.0 * _as_hurst(hurst).value
+    H2 = 2.0 * hurst.value
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(t < 0.0) or np.any(s < 0.0):
         raise DomainError("fbm_covariance requires nonnegative times")
-    out = 0.5 * (t**H2 + s**H2 - np.abs(t - s) ** H2)
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * (t**H2 + s**H2 - np.abs(t - s) ** H2)
 
 
-def fgn_autocovariance(lag, step: float, hurst: HurstParameter | float):
-    """Autocovariance of unit-grid fBm increments at the given lag(s).
+def fgn_autocovariance(lag, step: float, hurst: HurstParameter):
+    """Autocovariance of unit-grid fBm increments at the given lag(s), in their shape.
 
     Equals (step^2H / 2) * (|k+1|^2H - 2|k|^2H + |k-1|^2H), the covariance of
     increments over [n*step, (n+1)*step] and [(n+k)*step, (n+k+1)*step].
     """
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step}")
-    H2 = 2.0 * _as_hurst(hurst).value
+    H2 = 2.0 * hurst.value
     k = np.asarray(lag, dtype=float)
     if np.any(k < 0):
         raise DomainError("lag must be nonnegative")
@@ -147,8 +145,7 @@ def fgn_autocovariance(lag, step: float, hurst: HurstParameter | float):
             f"fGn covariance scale step^(2H) overflows double precision at step "
             f"{step:g} (horizon / steps) and H = {H2 / 2.0}: use a smaller horizon"
         ) from None
-    out = scale * ((k + 1.0) ** H2 - 2.0 * k**H2 + np.abs(k - 1.0) ** H2)
-    return float(out) if out.ndim == 0 else out
+    return scale * ((k + 1.0) ** H2 - 2.0 * k**H2 + np.abs(k - 1.0) ** H2)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -161,15 +158,15 @@ def _rng(seed: int) -> np.random.Generator:
 # One factor is kept: every caller samples one grid at a time, and a factor
 # at N = 2^12 already takes 128 MB.
 @lru_cache(maxsize=1)
-def _cholesky_factor(steps: int, step: float, hvalue: float) -> np.ndarray:
+def _cholesky_factor(steps: int, step: float, hurst: HurstParameter) -> np.ndarray:
     lags = np.arange(steps)
-    gamma = fgn_autocovariance(lags, step, hvalue)
+    gamma = fgn_autocovariance(lags, step, hurst)
     cov = gamma[np.abs(lags[:, None] - lags[None, :])]
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"fGn covariance factorization failed (N={steps}, H={hvalue}): {exc}; "
+            f"fGn covariance factorization failed (N={steps}, H={hurst.value}): {exc}; "
             "the matrix is positive definite in exact arithmetic, so this points "
             "at severe rounding for these grid parameters"
         ) from exc
@@ -177,7 +174,7 @@ def _cholesky_factor(steps: int, step: float, hvalue: float) -> np.ndarray:
     return factor
 
 
-def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter | float, seeds) -> np.ndarray:
+def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
     """Exact fBm levels for every seed via Cholesky factorization of the fGn covariance.
 
     Returns one row per seed, shape (paths, N+1), each starting at 0.  O(N^3)
@@ -187,7 +184,7 @@ def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter | float, seeds) ->
     whatever the other seeds are (one matrix-matrix product over all paths
     would round differently).
     """
-    factor = _cholesky_factor(grid.steps, grid.step, _as_hurst(hurst).value)
+    factor = _cholesky_factor(grid.steps, grid.step, hurst)
     out = np.empty((len(seeds), grid.steps + 1))
     out[:, 0] = 0.0
     z, increments = np.empty((2, grid.steps))
@@ -199,19 +196,19 @@ def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter | float, seeds) ->
 
 
 @lru_cache(maxsize=32)
-def _embedding_coefficients(steps: int, step: float, hvalue: float) -> np.ndarray:
+def _embedding_coefficients(steps: int, step: float, hurst: HurstParameter) -> np.ndarray:
     """sqrt(eigenvalue / 2N) at bins 0..N of the 2N circulant embedding; NumericalError if invalid.
 
     The embedding's first row is real and even, so its eigenvalues are too:
     bins N+1..2N-1 mirror bins N-1..1, and the half spectrum holds them all.
     """
-    gamma = fgn_autocovariance(np.arange(steps + 1), step, hvalue)
+    gamma = fgn_autocovariance(np.arange(steps + 1), step, hurst)
     row = np.concatenate([gamma, gamma[1:-1][::-1]])
     eigenvalues = np.fft.rfft(row).real
     lam_min, lam_max = eigenvalues.min(), eigenvalues.max()
     if lam_min < -EMBEDDING_EIG_TOL * lam_max:
         raise NumericalError(
-            f"circulant embedding of fGn for N={steps}, H={hvalue} is not nonnegative "
+            f"circulant embedding of fGn for N={steps}, H={hurst.value} is not nonnegative "
             f"definite: min/max eigenvalue ratio {lam_min / lam_max:.3g} is below the "
             f"tolerance -{EMBEDDING_EIG_TOL:g}; use fewer steps or a smaller H"
         )
@@ -227,7 +224,7 @@ def _embedding_coefficients(steps: int, step: float, hvalue: float) -> np.ndarra
 _TILE_NODES = 2**15
 
 
-def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter | float, seeds) -> np.ndarray:
+def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
     """Exact fBm levels for every seed via circulant embedding of the fGn covariance.
 
     Returns one row per seed, shape (paths, N+1), each starting at 0: the law
@@ -241,7 +238,7 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter | float, seeds) -
     NumericalError.
     """
     n = grid.steps
-    coefficients = _embedding_coefficients(n, grid.step, _as_hurst(hurst).value)
+    coefficients = _embedding_coefficients(n, grid.step, hurst)
     body = coefficients[1:n] * np.sqrt(0.5)
     negated_body = -body
     out = np.empty((len(seeds), n + 1))
@@ -268,9 +265,7 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter | float, seeds) -
     return out
 
 
-def holder_statistic(
-    levels: np.ndarray, grid: GridSpec, hurst: HurstParameter | float
-) -> np.ndarray:
+def holder_statistic(levels: np.ndarray, grid: GridSpec, hurst: HurstParameter) -> np.ndarray:
     """Empirical (H - HOLDER_EPSILON)-Hoelder quotient of each row of fBm levels.
 
     levels has shape (paths, N+1).  Entry i is the max over lags k in {1, 2,
@@ -280,7 +275,11 @@ def holder_statistic(
     continuous.  The running maximum skips nan as Python's `max` does, so
     every row has the bits of a path-by-path loop.
     """
-    hurst = _as_hurst(hurst)
+    if np.ndim(levels) != 2 or np.shape(levels)[1] != grid.steps + 1:
+        raise DomainError(
+            f"levels must have shape (paths, {grid.steps + 1}) on a grid of {grid.steps} "
+            f"steps, got {np.shape(levels)}"
+        )
     if hurst.value <= HOLDER_EPSILON:
         raise DomainError(
             f"the Hoelder statistic needs H > {HOLDER_EPSILON}, got H = {hurst.value}"

@@ -20,14 +20,13 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fbm import HurstParameter, _as_hurst
+from .fbm import HurstParameter
 
 __all__ = [
     "CirParams",
     "ConditionReport",
     "drift",
     "drift_derivative",
-    "check_moment_condition",
     "check_moment_conditions",
     "sufficient_moment_condition",
     "max_stable_step",
@@ -76,17 +75,15 @@ def _require_positive_level(x) -> np.ndarray:
 
 
 def drift(x, params: CirParams):
-    """Drift of the transformed equation: kappa*theta/(2x) - kappa*x/2."""
+    """Drift of the transformed equation, kappa*theta/(2x) - kappa*x/2, in x's shape."""
     x = _require_positive_level(x)
-    out = 0.5 * params.kappa * params.theta / x - 0.5 * params.kappa * x
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * params.kappa * params.theta / x - 0.5 * params.kappa * x
 
 
 def drift_derivative(x, params: CirParams):
-    """First derivative of the drift: -kappa*theta/(2x^2) - kappa/2."""
+    """First derivative of the drift, -kappa*theta/(2x^2) - kappa/2, in x's shape."""
     x = _require_positive_level(x)
-    out = -0.5 * params.kappa * params.theta / (x * x) - 0.5 * params.kappa
-    return float(out) if out.ndim == 0 else out
+    return -0.5 * params.kappa * params.theta / (x * x) - 0.5 * params.kappa
 
 
 def _rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter) -> float:
@@ -149,58 +146,39 @@ class ConditionReport:
         return self.worst_margin >= 0.0
 
 
-def _multipliers(p: int) -> tuple[int, int]:
-    return p + 1, 3 * p + 1
-
-
-def check_moment_condition(
-    p: int,
-    multiplier: int,
-    params: CirParams,
-    hurst: HurstParameter | float,
-    horizon: float,
-) -> ConditionReport:
-    """Evaluate the inverse-moment condition margin over s in [0, T].
+def check_moment_conditions(
+    p: int, params: CirParams, hurst: HurstParameter, horizon: float
+) -> tuple[ConditionReport, ConditionReport]:
+    """Both inverse-moment condition margins over s in [0, T], multiplier p+1 first, then 3p+1.
 
     In the frame rescaled by e^(-kappa*s/2) the margin is
     kappa*theta - multiplier * (sigma^2/2) H(2H-1) I(s), with I as in
-    _rescaled_kernel_integral.  I grows strictly in s for either sign of
-    kappa, so the worst margin is always at s = T.  multiplier is p+1
-    (exact-solution moment bound) or 3p+1 (the variant used by the
-    convergence analysis).  A margin that overflows raises NumericalError.
+    _rescaled_kernel_integral, which is evaluated once for both.  I grows
+    strictly in s for either sign of kappa, so the worst margin is always at
+    s = T.  The multiplier p+1 gives the exact-solution moment bound, 3p+1
+    the variant used by the convergence analysis.  A margin that overflows
+    raises NumericalError.
     """
     if p < 1:
         raise DomainError(f"moment order p must be >= 1, got {p}")
-    if multiplier not in _multipliers(p):
-        raise DomainError(
-            f"multiplier must be p+1 or 3p+1, one of {_multipliers(p)}, got {multiplier}"
-        )
     if not 0.0 < horizon < math.inf:
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
-    hurst = _as_hurst(hurst)
-
-    margin = params.kappa * params.theta - multiplier * _rescaled_kernel_integral(
-        horizon, params, hurst
-    )
-    if not math.isfinite(margin):
-        raise NumericalError(
-            f"inverse-moment margin overflows at horizon={horizon}, kappa={params.kappa}"
+    integral = _rescaled_kernel_integral(horizon, params, hurst)
+    reports = []
+    for multiplier in (p + 1, 3 * p + 1):
+        margin = params.kappa * params.theta - multiplier * integral
+        if not math.isfinite(margin):
+            raise NumericalError(
+                f"inverse-moment margin overflows at horizon={horizon}, kappa={params.kappa}"
+            )
+        reports.append(
+            ConditionReport(worst_margin=margin, worst_s=float(horizon), multiplier=multiplier)
         )
-    return ConditionReport(worst_margin=margin, worst_s=float(horizon), multiplier=multiplier)
-
-
-def check_moment_conditions(
-    p: int, params: CirParams, hurst: HurstParameter | float, horizon: float
-) -> tuple[ConditionReport, ...]:
-    """Both inverse-moment conditions, multiplier p+1 first, then 3p+1."""
-    return tuple(
-        check_moment_condition(p, multiplier, params, hurst, horizon)
-        for multiplier in _multipliers(p)
-    )
+    return tuple(reports)
 
 
 def sufficient_moment_condition(
-    p: int, params: CirParams, hurst: HurstParameter | float, horizon: float
+    p: int, params: CirParams, hurst: HurstParameter, horizon: float
 ) -> bool:
     """Closed-form sufficient test for the p+1 inverse-moment condition.
 
@@ -213,7 +191,6 @@ def sufficient_moment_condition(
         raise DomainError(f"moment order p must be >= 1, got {p}")
     if not 0.0 < horizon < math.inf:
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
-    hurst = _as_hurst(hurst)
     if not hurst.long_memory:
         raise DomainError(f"sufficient condition requires H > 1/2, got {hurst.value}")
 

@@ -17,7 +17,7 @@ from fcir import (
     ExperimentConfig,
     GridSpec,
     HurstParameter,
-    check_moment_condition,
+    check_moment_conditions,
     estimate_inverse_moments,
     fbm_covariance,
     malliavin_gap_study,
@@ -160,7 +160,7 @@ def test_criterion_07_fbm_sampler_correctness():
 
 def test_criterion_08_condition_checker():
     holds = {
-        hv: check_moment_condition(6, 7, BENCH, HurstParameter(hv), 1.0).holds
+        hv: check_moment_conditions(6, BENCH, HurstParameter(hv), 1.0)[0].holds
         for hv in (0.6, 0.7, 0.8)
     }
     rng = np.random.default_rng(2024)
@@ -179,7 +179,7 @@ def test_criterion_08_condition_checker():
         p = int(rng.integers(1, 9))
         if sufficient_moment_condition(p, params, hurst, horizon):
             sufficient_count += 1
-            if not check_moment_condition(p, p + 1, params, hurst, horizon).holds:
+            if not check_moment_conditions(p, params, hurst, horizon)[0].holds:
                 implication_ok = False
     passed = all(holds.values()) and implication_ok and sufficient_count >= 10
     report(

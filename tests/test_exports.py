@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,28 @@ def test_studies_and_cli_use_only_public_kernel_names(module):
         ):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_modules_import_no_private_name_of_another():
+    # a `_` name belongs to its module; dunders such as __version__ are public
+    private = []
+    for path in sorted(Path(fcir.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "fcir"
+            ):
+                private += [
+                    f"{path.stem} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    assert private == []
+
+
+def test_version_matches_the_project_metadata():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        assert fcir.__version__ == tomllib.load(handle)["project"]["version"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Tests for the fBm types, covariance functions, and exact samplers."""
 
+import re
 import time
 
 import numpy as np
@@ -25,6 +26,8 @@ from fcir import (
 from fcir import experiments
 from fcir import fbm as fbm_module
 from fcir.fbm import _cholesky_factor, _embedding_coefficients, _rng
+
+H06, H07 = HurstParameter(0.6), HurstParameter(0.7)
 
 
 def circulant_oracle(grid, hurst, seed):
@@ -119,31 +122,31 @@ class TestTypes:
 
 class TestCovarianceFunctions:
     def test_fbm_covariance_values(self):
-        assert fbm_covariance(1.0, 1.0, 0.75) == pytest.approx(1.0)
-        assert fbm_covariance(3.7, 0.0, 0.6) == 0.0
+        assert fbm_covariance(1.0, 1.0, HurstParameter(0.75)) == pytest.approx(1.0)
+        assert fbm_covariance(3.7, 0.0, H06) == 0.0
         # H = 1/2 reduces to min(s, t)
-        assert fbm_covariance(2.0, 1.0, 0.5) == pytest.approx(1.0)
-        assert fbm_covariance(1.3, 0.4, 0.7) == fbm_covariance(0.4, 1.3, 0.7)
+        assert fbm_covariance(2.0, 1.0, HurstParameter(0.5)) == pytest.approx(1.0)
+        assert fbm_covariance(1.3, 0.4, H07) == fbm_covariance(0.4, 1.3, H07)
         with pytest.raises(DomainError):
-            fbm_covariance(-1.0, 1.0, 0.7)
+            fbm_covariance(-1.0, 1.0, H07)
 
     @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
     def test_diagonal_is_power_law(self, H):
         t = np.linspace(0.1, 3.0, 13)
-        assert np.allclose(fbm_covariance(t, t, H), t ** (2 * H), rtol=1e-14)
+        assert np.allclose(fbm_covariance(t, t, HurstParameter(H)), t ** (2 * H), rtol=1e-14)
 
     def test_fgn_autocovariance_values(self):
-        assert fgn_autocovariance(0, 1.0, 0.7) == pytest.approx(1.0)
-        assert fgn_autocovariance(0, 0.5, 0.5) == pytest.approx(0.5)
-        assert fgn_autocovariance(1, 1.0, 0.5) == pytest.approx(0.0)
+        assert fgn_autocovariance(0, 1.0, H07) == pytest.approx(1.0)
+        assert fgn_autocovariance(0, 0.5, HurstParameter(0.5)) == pytest.approx(0.5)
+        assert fgn_autocovariance(1, 1.0, HurstParameter(0.5)) == pytest.approx(0.0)
         with pytest.raises(DomainError):
-            fgn_autocovariance(0, 0.0, 0.7)
+            fgn_autocovariance(0, 0.0, H07)
 
     def test_increment_sums_reproduce_variance(self):
         # Var(B(t_n)) assembled from increment covariances must match the
         # closed form at every node.
         grid = GridSpec(1.7, 64)
-        H = 0.65
+        H = HurstParameter(0.65)
         lags = np.arange(64)
         gamma = fgn_autocovariance(lags, grid.step, H)
         cov = gamma[np.abs(lags[:, None] - lags[None, :])]
@@ -156,21 +159,21 @@ class TestCovarianceFunctions:
 class TestSamplerContracts:
     def test_same_seed_bit_identical(self, sampler):
         grid = GridSpec(1.0, 128)
-        a = sampler(grid, 0.7, [12345, 12345])
-        b = sampler(grid, 0.7, [12345])
+        a = sampler(grid, H07, [12345, 12345])
+        b = sampler(grid, H07, [12345])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[0])
         assert a[0, 0] == 0.0
 
     def test_seed_wraps_at_64_bits(self, sampler):
         grid = GridSpec(1.0, 8)
-        wrapped = sampler(grid, 0.7, [-1])
-        assert np.array_equal(wrapped, sampler(grid, 0.7, [2**64 - 1]))
+        wrapped = sampler(grid, H07, [-1])
+        assert np.array_equal(wrapped, sampler(grid, H07, [2**64 - 1]))
 
     def test_unit_time_marginal_variance(self, sampler):
         # B(1) is standard normal when T = 1: sample variance over 1e5 seeds
         # within 3 standard errors of 1.
         grid = GridSpec(1.0, 1)
-        draws = sampler(grid, 0.7, range(100_000))[:, 1]
+        draws = sampler(grid, H07, range(100_000))[:, 1]
         se = np.sqrt(2.0 / draws.size)
         print(f"{sampler.__name__}: var={draws.var():.5f} (3se={3 * se:.5f})")
         assert abs(draws.var() - 1.0) <= 3.0 * se
@@ -179,7 +182,7 @@ class TestSamplerContracts:
 class TestCholeskySampler:
     def test_empirical_covariance_matches_closed_form(self):
         grid = GridSpec(1.0, 32)
-        H = 0.7
+        H = H07
         m = 2000
         batch = sample_fbm_cholesky(grid, H, range(700, 700 + m))
         nodes = grid.nodes()
@@ -197,7 +200,7 @@ class TestCholeskySampler:
         assert block.shape == (len(seeds), steps + 1)
         for row, seed in zip(block, seeds):
             assert np.array_equal(row, sample_fbm_cholesky(grid, hurst, [seed])[0])
-            assert np.array_equal(row, cholesky_oracle(grid, 0.7, seed))
+            assert np.array_equal(row, cholesky_oracle(grid, hurst, seed))
 
 
 class TestCirculantSampler:
@@ -205,8 +208,8 @@ class TestCirculantSampler:
         # Two-sample KS on B(T) at 1%; independent seed ranges.
         grid = GridSpec(1.0, 2**10)
         m = 5000
-        chol = sample_fbm_cholesky(grid, 0.6, range(10_000, 10_000 + m))[:, -1]
-        circ = sample_fbm_circulant(grid, 0.6, range(20_000, 20_000 + m))[:, -1]
+        chol = sample_fbm_cholesky(grid, H06, range(10_000, 10_000 + m))[:, -1]
+        circ = sample_fbm_circulant(grid, H06, range(20_000, 20_000 + m))[:, -1]
         result = stats.ks_2samp(chol, circ)
         print(f"cross-sampler KS p-value: {result.pvalue:.4f}")
         assert result.pvalue >= 0.01
@@ -214,12 +217,12 @@ class TestCirculantSampler:
     def test_faster_than_cholesky_at_large_n(self):
         _cholesky_factor.cache_clear()
         _embedding_coefficients.cache_clear()
-        grid = GridSpec(1.0, 2**12)
+        grid, hurst = GridSpec(1.0, 2**12), HurstParameter(0.8)
         start = time.perf_counter()
-        sample_fbm_cholesky(grid, 0.8, [1])
+        sample_fbm_cholesky(grid, hurst, [1])
         elapsed_cholesky = time.perf_counter() - start
         start = time.perf_counter()
-        sample_fbm_circulant(grid, 0.8, [1])
+        sample_fbm_circulant(grid, hurst, [1])
         elapsed_circulant = time.perf_counter() - start
         print(f"N=4096: cholesky {elapsed_cholesky:.3f}s circulant {elapsed_circulant:.5f}s")
         assert elapsed_circulant < elapsed_cholesky
@@ -227,7 +230,7 @@ class TestCirculantSampler:
     @pytest.mark.parametrize("H", [0.55, 0.6, 0.7, 0.8, 0.9])
     def test_embedding_valid_for_long_memory(self, H):
         # the half spectrum: bins 0..N of the 2N embedding
-        coeffs = _embedding_coefficients(256, 1.0 / 256, H)
+        coeffs = _embedding_coefficients(256, 1.0 / 256, HurstParameter(H))
         assert coeffs.shape == (257,) and np.all(coeffs >= 0.0)
 
     @pytest.mark.parametrize("steps", [1, 2, 64, 2**10, 2**14])
@@ -238,7 +241,7 @@ class TestCirculantSampler:
         grid, hurst = GridSpec(1.0, steps), HurstParameter(H)
         seeds = [5, 2**64 - 1, 0]
         for row, seed in zip(sample_fbm_circulant(grid, hurst, seeds), seeds):
-            expected = complex_fft_oracle(grid, H, seed)
+            expected = complex_fft_oracle(grid, hurst, seed)
             assert np.abs(row - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("steps", [1, 2, 64, 2**10])
@@ -253,7 +256,7 @@ class TestCirculantSampler:
         assert block.shape == (len(seeds), steps + 1)
         for row, seed in zip(block, seeds):
             assert np.array_equal(row, sample_fbm_circulant(grid, hurst, [seed])[0])
-            assert np.array_equal(row, circulant_oracle(grid, 0.7, seed))
+            assert np.array_equal(row, circulant_oracle(grid, hurst, seed))
 
     @pytest.mark.parametrize("stride", [2, 8, 64])
     @pytest.mark.parametrize("tile_rows", [None, 3])
@@ -272,7 +275,7 @@ class TestCirculantSampler:
         block = sample_fbm_circulant(config.reference_grid, config.hurst, seeds)
         coarse = block[:, ::stride]
         for row, seed in zip(coarse, seeds):
-            full = circulant_oracle(config.reference_grid, 0.7, seed)
+            full = circulant_oracle(config.reference_grid, config.hurst, seed)
             assert np.array_equal(row, full[::stride])
         levels = simulate_batch(coarse.copy(), stride / 64, params)
         product, exponential = malliavin_terminal_forms(levels, stride / 64, params)
@@ -288,7 +291,7 @@ class TestCirculantSampler:
     def test_invalid_embedding_raises(self):
         grid, hurst = GridSpec(1.0, 2**19), HurstParameter(0.999)
         with pytest.raises(NumericalError, match=self._INVALID_EMBEDDING):
-            _embedding_coefficients(2**19, 2**-19, 0.999)
+            _embedding_coefficients(2**19, 2**-19, hurst)
         with pytest.raises(NumericalError, match=self._INVALID_EMBEDDING):
             sample_fbm_circulant(grid, hurst, [1])
 
@@ -306,7 +309,7 @@ class TestCirculantSampler:
         _cholesky_factor.cache_clear()
         monkeypatch.setattr(np.linalg, "cholesky", explode)
         with pytest.raises(NumericalError, match="factorization failed"):
-            sample_fbm_cholesky(GridSpec(1.0, 8), 0.7, [1])
+            sample_fbm_cholesky(GridSpec(1.0, 8), H07, [1])
         _cholesky_factor.cache_clear()
 
 
@@ -331,7 +334,16 @@ class TestHolderRegularity:
         for hurst in (0.05, 0.1):
             with pytest.raises(DomainError, match=rf"needs H > 0\.1, got H = {hurst}$"):
                 holder_statistic(np.zeros((2, 5)), grid, HurstParameter(hurst))
-        assert np.array_equal(holder_statistic(np.zeros((2, 5)), grid, 0.11), [0.0, 0.0])
+        quotients = holder_statistic(np.zeros((2, 5)), grid, HurstParameter(0.11))
+        assert np.array_equal(quotients, [0.0, 0.0])
+
+    @pytest.mark.parametrize("shape", [(2, 10), (17,)])
+    def test_levels_off_the_grid_raise(self, shape):
+        # rows of another length, or one row without its path axis, are
+        # refused before any lag is formed
+        expected = rf"shape \(paths, 17\) .* got {re.escape(str(shape))}$"
+        with pytest.raises(DomainError, match=expected):
+            holder_statistic(np.zeros(shape), GridSpec(1.0, 16), H07)
 
     def test_p99_stable_under_refinement(self):
         # Trajectories are (H - eps)-Hoelder, so the empirical quotient's
@@ -339,8 +351,8 @@ class TestHolderRegularity:
         quantiles = []
         for exponent in (12, 13):
             grid = GridSpec(1.0, 2**exponent)
-            levels = sample_fbm_circulant(grid, 0.7, range(500, 700))
-            statistics = holder_statistic(levels, grid, 0.7)
+            levels = sample_fbm_circulant(grid, H07, range(500, 700))
+            statistics = holder_statistic(levels, grid, H07)
             assert np.all(np.isfinite(statistics))
             quantiles.append(np.percentile(statistics, 99))
         ratio = max(quantiles) / min(quantiles)

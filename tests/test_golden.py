@@ -14,12 +14,15 @@ PARENT_SRC CHANGE_SRC` runs every case on two trees and compares the bytes.
 import hashlib
 import platform
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import fcir
 from fcir import experiments
 from fcir.cli import SUBCOMMANDS, main
 
@@ -172,3 +175,15 @@ def test_default_data_files_byte_identical(tmp_path, digests, case):
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_split_study_byte_identical(tmp_path, digests, case):
     assert data_digests(case, tmp_path) == digests[case]
+
+
+@pytest.mark.parametrize("cases", [["simulate"], ["check-conditions --p 0"] * 2])
+def test_tool_refuses_a_repeated_case(cases):
+    # the tool keys results by case text: a repeat of an extra case or of a
+    # table case would be run twice and reported once, against another run
+    tool = Path(__file__).resolve().parents[1] / "tools" / "golden_bytes.py"
+    src = str(Path(fcir.__file__).resolve().parents[1])
+    argv = [sys.executable, str(tool), src, src, *(f"--case={case}" for case in cases)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert f"--case repeats a case of {src}: {cases[0]}" in done.stderr

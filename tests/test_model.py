@@ -15,18 +15,20 @@ from fcir import (
     DomainError,
     HurstParameter,
     NumericalError,
-    check_moment_condition,
     check_moment_conditions,
     drift,
     drift_derivative,
     max_stable_step,
     sufficient_moment_condition,
 )
+from fcir import model
 from fcir.model import _rescaled_kernel_integral
 
 # Frozen value of the brute-force oracle below at
 # (s=1, kappa=2, sigma=0.5, H=0.7) with 1e6 panels.
 BRUTE_FORCE_REFERENCE = 0.18582217643643076
+
+H07 = HurstParameter(0.7)
 
 
 def brute_force_weighted_integral(
@@ -113,11 +115,9 @@ class TestCirParams:
 def test_non_finite_inputs_rejected(field, value, bench_params):
     if field == "horizon":
         with pytest.raises(DomainError, match="finite"):
-            check_moment_condition(2, 3, bench_params, 0.7, value)
+            check_moment_conditions(2, bench_params, H07, value)
         with pytest.raises(DomainError, match="finite"):
-            check_moment_conditions(2, bench_params, 0.7, value)
-        with pytest.raises(DomainError, match="finite"):
-            sufficient_moment_condition(2, bench_params, 0.7, value)
+            sufficient_moment_condition(2, bench_params, H07, value)
     else:
         settings = {**dict(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0), field: value}
         with pytest.raises(DomainError, match=f"{field} must be finite"):
@@ -225,25 +225,25 @@ def test_closed_form_matches_quadrature_oracle(kappa, hvalue, s, sigma):
 class TestConditionChecks:
     @pytest.mark.parametrize("H", [0.6, 0.7, 0.8])
     def test_benchmark_holds_for_p6(self, bench_params, H):
-        report = check_moment_condition(6, 7, bench_params, H, 1.0)
+        report = check_moment_conditions(6, bench_params, HurstParameter(H), 1.0)[0]
         assert report.holds
         assert report.method == "exact"
         assert report.multiplier == 7
 
     def test_large_sigma_fails(self):
         params = CirParams(kappa=2.0, theta=0.5, sigma=100.0, r0=1.0)
-        report = check_moment_condition(6, 7, params, 0.7, 1.0)
+        report = check_moment_conditions(6, params, H07, 1.0)[0]
         assert not report.holds
         assert report.worst_margin < 0.0
 
     def test_short_horizon_holds(self, bench_params):
-        report = check_moment_condition(6, 7, bench_params, 0.7, 1e-6)
+        report = check_moment_conditions(6, bench_params, H07, 1e-6)[0]
         assert report.holds
 
     def test_worst_margin_is_grid_minimum(self, bench_params):
         # the margin in the rescaled frame falls in s, so its minimum over a
         # dense oracle grid is the closed-form value at s = T
-        report = check_moment_condition(2, 3, bench_params, 0.7, 1.0)
+        report = check_moment_conditions(2, bench_params, H07, 1.0)[0]
         assert report.worst_s == 1.0
         margins = [
             rescaled_margin(s, 3, bench_params, 0.7) for s in np.linspace(0.0, 1.0, 1001)
@@ -252,22 +252,34 @@ class TestConditionChecks:
         assert all(report.worst_margin <= m + 1e-15 for m in margins)
 
     def test_condition_pair(self, bench_params):
-        low, high = check_moment_conditions(6, bench_params, 0.7, 1.0)
-        assert low == check_moment_condition(6, 7, bench_params, 0.7, 1.0)
-        assert high == check_moment_condition(6, 19, bench_params, 0.7, 1.0)
+        low, high = check_moment_conditions(6, bench_params, H07, 1.0)
+        integral = kernel_integral(1.0, bench_params, 0.7)
+        for report, multiplier in ((low, 7), (high, 19)):
+            assert report.multiplier == multiplier and report.worst_s == 1.0
+            kappa_theta = bench_params.kappa * bench_params.theta
+            assert report.worst_margin == kappa_theta - multiplier * integral
+
+    def test_pair_evaluates_the_kernel_integral_once(self, bench_params, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _rescaled_kernel_integral(*args)
+
+        monkeypatch.setattr(model, "_rescaled_kernel_integral", counted)
+        check_moment_conditions(6, bench_params, H07, 1.0)
+        assert calls == [(1.0, bench_params, H07)]
 
     def test_multiplier_validation(self, bench_params):
         with pytest.raises(DomainError):
-            check_moment_condition(2, 5, bench_params, 0.7, 1.0)
-        with pytest.raises(DomainError):
-            check_moment_condition(0, 1, bench_params, 0.7, 1.0)
+            check_moment_conditions(0, bench_params, H07, 1.0)
 
     @pytest.mark.parametrize("kappa", [2.0, -1.5])
     def test_worst_margin_holds_sign_of_original_frame(self, kappa):
         # dividing by e^(kappa*s/2) > 0 keeps the sign of LHS - RHS at every s
         params = CirParams(kappa=kappa, theta=math.copysign(0.5, kappa), sigma=0.9, r0=1.0)
         for horizon in (0.25, 1.0, 3.0):
-            report = check_moment_condition(2, 7, params, 0.7, horizon)
+            report = check_moment_conditions(2, params, H07, horizon)[1]
             growth = math.exp(0.5 * kappa * horizon)
             original = params.kappa * params.theta * growth - 7 * (
                 growth * kernel_integral(horizon, params, 0.7)
@@ -281,33 +293,33 @@ class TestConditionChecks:
     def test_long_horizon_margin_is_finite(self, bench_params, H):
         # for kappa*T/2 >> 1, I(T) = Gamma(2H-1) / (kappa/2)^(2H-1) in double
         # precision; kappa/2 = 1 here
-        report = check_moment_condition(1, 2, bench_params, H, 1e11)
+        report = check_moment_conditions(1, bench_params, HurstParameter(H), 1e11)[0]
         limit = 0.5 * bench_params.sigma**2 * H * (2 * H - 1) * math.gamma(2 * H - 1)
         assert report.worst_margin == pytest.approx(1.0 - 2 * limit, rel=1e-12)
 
     def test_overflowing_margin_is_numerical_error(self):
         params = CirParams(kappa=-50.0, theta=-0.5, sigma=0.5, r0=1.0)
         with pytest.raises(NumericalError, match="overflows"):
-            check_moment_condition(6, 7, params, 0.7, 30.0)
+            check_moment_conditions(6, params, H07, 30.0)
 
     def test_overflowing_sigma_squared_is_numerical_error(self, bench_params):
         # sigma^2 overflows a double: the margin is -inf, never an OverflowError
         params = dataclasses.replace(bench_params, sigma=2e155)
         with pytest.raises(NumericalError, match="margin overflows"):
-            check_moment_condition(6, 7, params, 0.7, 1.0)
+            check_moment_conditions(6, params, H07, 1.0)
 
 
 class TestSufficientCondition:
     def test_benchmark_case(self, bench_params):
         # closed-form bound 2*kappa*theta/(sigma^2 H (p+1)) = 2/1.05 ~ 1.90 >= 1
-        assert sufficient_moment_condition(6, bench_params, 0.6, 1.0)
+        assert sufficient_moment_condition(6, bench_params, HurstParameter(0.6), 1.0)
 
     def test_fails_for_long_horizon(self, bench_params):
-        assert not sufficient_moment_condition(6, bench_params, 0.6, 100.0)
+        assert not sufficient_moment_condition(6, bench_params, HurstParameter(0.6), 100.0)
 
     def test_overflowing_sigma_squared_fails(self, bench_params):
         params = dataclasses.replace(bench_params, sigma=2e155)
-        assert not sufficient_moment_condition(6, params, 0.6, 1.0)
+        assert not sufficient_moment_condition(6, params, HurstParameter(0.6), 1.0)
 
     def test_implies_quadrature_check(self):
         # one-directional implication over a random admissible parameter sweep
@@ -321,15 +333,15 @@ class TestSufficientCondition:
                 sigma=rng.uniform(0.05, 1.5),
                 r0=rng.uniform(0.1, 4.0),
             )
-            H = rng.uniform(0.55, 0.95)
+            hurst = HurstParameter(rng.uniform(0.55, 0.95))
             horizon = rng.uniform(0.25, 4.0)
             p = int(rng.integers(1, 9))
-            if sufficient_moment_condition(p, params, H, horizon):
+            if sufficient_moment_condition(p, params, hurst, horizon):
                 hits += 1
-                report = check_moment_condition(p, p + 1, params, H, horizon)
+                report = check_moment_conditions(p, params, hurst, horizon)[0]
                 assert report.holds, (
                     f"sufficient condition held but exact check failed for "
-                    f"{params}, H={H}, T={horizon}, p={p}"
+                    f"{params}, H={hurst.value}, T={horizon}, p={p}"
                 )
         print(f"sufficient condition held in {hits}/100 sampled parameter sets")
         assert hits >= 10

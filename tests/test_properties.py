@@ -93,7 +93,7 @@ def test_batch_matches_scalar_loop_across_chunks(steps, params):
     # simulate_batch differences and solves 64-step chunks, carrying the noise
     # column before each chunk; N straddles the chunk edges
     grid = GridSpec(1.0, steps)
-    noise = sample_fbm_circulant(grid, 0.7, [path_seed(7, i) for i in range(8)])
+    noise = sample_fbm_circulant(grid, HurstParameter(0.7), [path_seed(7, i) for i in range(8)])
     increments = np.diff(noise, axis=-1)
     batch = simulate_batch(noise, grid.step, params)
     assert batch is noise
@@ -125,7 +125,7 @@ def test_invalid_noise_raises(noise):
 @pytest.mark.parametrize("layout", ["fortran-order", "strided"])
 def test_noise_of_any_layout_is_solved_through_the_view(layout):
     grid = GridSpec(1.0, 130)
-    noise = sample_fbm_circulant(grid, 0.7, [path_seed(3, i) for i in range(5)])
+    noise = sample_fbm_circulant(grid, HurstParameter(0.7), [path_seed(3, i) for i in range(5)])
     expected = simulate_batch(noise.copy(), grid.step, NEGATIVE_A)
     base = np.zeros((5, 2 * (grid.steps + 1)))
     view = np.asfortranarray(noise) if layout == "fortran-order" else base[:, ::2]

@@ -118,7 +118,7 @@ class TestSimulatePath:
 
     def test_single_step_composition(self, bench_params):
         grid = GridSpec(0.25, 1)
-        (noise,) = sample_fbm_circulant(grid, 0.7, [11])
+        (noise,) = sample_fbm_circulant(grid, H07, [11])
         path = simulate_path(grid, H07, bench_params, 11)
         expected = backward_euler_step(bench_params.x0, noise[1], 0.25, bench_params)
         assert path.shape == (2,)
@@ -155,7 +155,7 @@ class TestSimulatePath:
 
     def test_batch_matches_scalar_loop(self, bench_params):
         grid = GridSpec(1.0, 64)
-        (noise,) = sample_fbm_circulant(grid, 0.7, [99])
+        (noise,) = sample_fbm_circulant(grid, H07, [99])
         path = simulate_path(grid, H07, bench_params, 99)
         batch = simulate_batch(np.stack([noise] * 2), grid.step, bench_params)
         assert np.array_equal(batch[0], path)
@@ -181,7 +181,7 @@ class TestSimulatePath:
         # by exactly zero; no step may evaluate it.
         params = CirParams(kappa=2.0, theta=1e-300, sigma=0.5, r0=1e-300)
         grid = GridSpec(10.0, 64)
-        noise = sample_fbm_circulant(grid, 0.7, [1])
+        noise = sample_fbm_circulant(grid, H07, [1])
         increments = np.diff(noise[0])
         with np.errstate(divide="raise", invalid="raise"):
             (batch,) = simulate_batch(noise, grid.step, params)
@@ -196,7 +196,7 @@ class TestSimulatePath:
         # roughly halves the gap, averaged over 100 paths
         fine_grid = GridSpec(1.0, 2**10)
         gaps = {9: [], 10: []}
-        for noise in sample_fbm_circulant(fine_grid, 0.7, range(3000, 3100)):
+        for noise in sample_fbm_circulant(fine_grid, H07, range(3000, 3100)):
             solutions = {}
             for exponent in (10, 9, 8):
                 coarse = noise[None, :: 2 ** (10 - exponent)].copy()

@@ -9,7 +9,8 @@ PARENT_SRC, CHANGE_SRC and SRC are directories that hold the `fcir` package
 `tests/test_golden.py`, the one golden table: `CASES`, `SPLIT_CASES` and
 every extra `--case` (a subcommand with its flags, quoted as one argument).
 Each tree runs them in one fresh interpreter, through that module's
-`data_digests`, with a temporary `--out`.
+`data_digests`, with a temporary `--out`.  An extra case that repeats
+another, or a case of either tree's table, is refused with exit 2.
 
 Given two trees, the script prints the sha256 of every data file side by
 side and exits 1 if any pair differs or any run fails.  An extra `--case`
@@ -62,26 +63,36 @@ out = Path(sys.argv[2])
 results = {case: run(case, out / str(i)) for i, case in enumerate(cases)}
 print(json.dumps([golden.KEY, results, table]))
 """
+# Prints the cases of the golden table, run like ENTRY with only argv[1].
+TABLE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_golden as golden
+print(json.dumps([*golden.CASES, *golden.SPLIT_CASES]))
+"""
 
 
-def run_cases(src: Path, extra: list[str], out: Path) -> tuple[list[str], dict, list[str]]:
-    """The key, the per-case digests (or failure text) and the table cases, run against src."""
+def run_entry(src: Path, entry: str, *argv: str):
+    """The JSON of the last line entry prints in a fresh interpreter that imports fcir from src.
+
+    ENTRY gives the key, the per-case digests (or failure text) and the table
+    cases; TABLE gives the table cases only.
+    """
     done = subprocess.run(
-        [sys.executable, "-c", ENTRY, str(TESTS), str(out), *extra],
+        [sys.executable, "-c", entry, str(TESTS), *argv],
         env={**os.environ, "PYTHONPATH": str(src.resolve())},
         capture_output=True,
         text=True,
     )
     if done.returncode != 0:
         raise SystemExit(f"{src}: exit {done.returncode}: {done.stderr.strip()}")
-    key, results, table = json.loads(done.stdout.splitlines()[-1])
-    return key, results, table
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def print_digest_entry(src: Path) -> int:
     """Print the test_golden DIGESTS entry of the cases run against src."""
     with tempfile.TemporaryDirectory() as out:
-        key, results, _ = run_cases(src, [], Path(out))
+        key, results, _ = run_entry(src, ENTRY, out)
     failed = {case: result for case, result in results.items() if isinstance(result, str)}
     for case, reason in failed.items():
         print(f"FAIL  {case}: {reason}", file=sys.stderr)
@@ -147,13 +158,20 @@ def main() -> int:
         return print_digest_entry(args.digests)
     if args.change_src is None:
         parser.error("PARENT_SRC and CHANGE_SRC are required")
+    # results are keyed by case text, so a repeated case would be run twice
+    # but reported once, under the run directory of the other
+    for src in (args.parent_src, args.change_src):
+        cases = [*run_entry(src, TABLE), *args.case]
+        repeated = sorted({case for case in args.case if cases.count(case) > 1})
+        if repeated:
+            parser.error(f"--case repeats a case of {src}: {', '.join(repeated)}")
 
     with tempfile.TemporaryDirectory() as scratch:
         outs = Path(scratch, "parent"), Path(scratch, "change")
         for out in outs:
             out.mkdir()
-        _, parent, table = run_cases(args.parent_src, args.case, outs[0])
-        _, change, _ = run_cases(args.change_src, args.case, outs[1])
+        _, parent, table = run_entry(args.parent_src, ENTRY, str(outs[0]), *args.case)
+        _, change, _ = run_entry(args.change_src, ENTRY, str(outs[1]), *args.case)
         mismatches = 0
         for index, (case, left) in enumerate(parent.items()):
             right = change[case]
