@@ -12,7 +12,9 @@ far better conditioned -- and recover levels by prefix sums.
 Randomness is frozen to NumPy's PCG64 bit generator with its ziggurat
 ``standard_normal``.  A given (grid, H, seed) triple therefore reproduces
 the same path bit-for-bit on a given platform, which the Monte Carlo
-harness relies on for matched-path experiments.
+harness relies on for matched-path experiments.  Each path's generator is
+seeded from numpy's SeedSequence hash of its seed (mod 2^64), computed for
+a whole block of seeds at once, so its state equals that of `PCG64(seed)`.
 """
 
 from __future__ import annotations
@@ -148,11 +150,79 @@ def fgn_autocovariance(lag, step: float, hurst: HurstParameter):
     return scale * ((k + 1.0) ** H2 - 2.0 * k**H2 + np.abs(k - 1.0) ** H2)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # Frozen variate source: PCG64 + ziggurat standard_normal. Changing this
-    # silently changes every seeded path, so treat it as part of the contract.
-    # Seeds wrap at 64 bits, matching the batch seed-derivation rule.
-    return np.random.Generator(np.random.PCG64(int(seed) % 2**64))
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).  Each
+# `hashmix` call XORs its word with the hash constant and multiplies it by the
+# next one, so the constant sequences are fixed: _HASH_A for the mixing of the
+# 4-word pool, _HASH_B for the output words.
+_HASH_A = np.array([0x43B0D7E5 * 0x931E8875**k % 2**32 for k in range(17)], dtype=np.uint32)
+_HASH_B = np.array([0x8B51F9DD * 0x58F38DED**k % 2**32 for k in range(9)], dtype=np.uint32)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, k: int) -> np.ndarray:
+    """SeedSequence's `hashmix` of row i of words with constant k + i of _HASH_A."""
+    out = words ^ _HASH_A[k : k + len(words), None]
+    out *= _HASH_A[k + 1 : k + 1 + len(words), None]
+    out ^= out >> 16
+    return out
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """The four uint64 words `SeedSequence(seed % 2**64).generate_state(4, uint64)` per seed.
+
+    Returns shape (len(seeds), 4).  A seed below 2^64 has the entropy words
+    [low, high] (one word below 2^32); padding them with zeros to the pool
+    size of 4 hashes them the same.  SeedSequence's steps run over all seeds
+    at once: `mix_entropy` hashes the pool, then hashes each pool word in
+    turn and mixes it into the three others; `generate_state` hashes 8
+    uint32 words out of the pool, two per uint64.
+    """
+    wrapped = np.fromiter((int(seed) % 2**64 for seed in seeds), np.uint64, len(seeds))
+    pool = np.zeros((4, len(wrapped)), dtype=np.uint32)
+    pool[0] = wrapped & np.uint64(0xFFFFFFFF)
+    pool[1] = wrapped >> np.uint64(32)
+    pool = _hashmix(pool, 0)
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        mixed = pool[others] * _MIX_L - _hashmix(pool[[src] * 3], 4 + 3 * src) * _MIX_R
+        mixed ^= mixed >> 16
+        pool[others] = mixed
+    words = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8, None]
+    words *= _HASH_B[1:, None]
+    words ^= words >> 16
+    words = words.astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
+
+
+@lru_cache(maxsize=1)
+def _fixed_seed_sequence() -> type:
+    # numpy.random is imported here, not at module level, so `import fcir`
+    # does not pay for it
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeedSequence(ISeedSequence):
+        """Hands PCG64 the four uint64 words it asks for, computed by `_seed_words`."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return FixedSeedSequence
+
+
+def _generators(seeds) -> list[np.random.Generator]:
+    """One frozen variate source per seed: PCG64 + ziggurat standard_normal.
+
+    Generator i has the state of `Generator(PCG64(seeds[i] % 2**64))`; seeds
+    wrap at 64 bits, matching the batch seed-derivation rule.  Changing this
+    silently changes every seeded path, so treat it as part of the contract.
+    """
+    from numpy.random import PCG64, Generator
+
+    seed_sequence = _fixed_seed_sequence()
+    return [Generator(PCG64(seed_sequence(words))) for words in _seed_words(seeds)]
 
 
 # One factor is kept: every caller samples one grid at a time, and a factor
@@ -187,11 +257,11 @@ def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndar
     factor = _cholesky_factor(grid.steps, grid.step, hurst)
     out = np.empty((len(seeds), grid.steps + 1))
     out[:, 0] = 0.0
-    z, increments = np.empty((2, grid.steps))
-    for row, seed in zip(out, seeds):
-        _rng(seed).standard_normal(out=z)
-        np.matmul(factor, z, out=increments)
-        increments.cumsum(out=row[1:])
+    z = np.empty(grid.steps)
+    for row, rng in zip(out, _generators(seeds)):
+        rng.standard_normal(out=z)
+        np.matmul(factor, z, out=row[1:])
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 
 
@@ -247,11 +317,12 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.nda
     # the imaginary parts of the DC and Nyquist bins stay 0
     spectrum = np.zeros((tile, n + 1), dtype=complex)
     out[:, 0] = 0.0
+    generators = _generators(seeds)
     for first in range(0, len(seeds), tile):
-        tile_seeds = seeds[first : first + tile]
-        for row, seed in zip(z, tile_seeds):
-            _rng(seed).standard_normal(out=row)
-        zt, st = z[: len(tile_seeds)], spectrum[: len(tile_seeds)]
+        tile_generators = generators[first : first + tile]
+        for row, rng in zip(z, tile_generators):
+            rng.standard_normal(out=row)
+        zt, st = z[: len(tile_generators)], spectrum[: len(tile_generators)]
         # The conjugate of a Hermitian complex Gaussian spectrum, with a frozen
         # layout: z[0] -> DC, z[1] -> Nyquist, then all real parts, then all
         # imaginary parts (negated).  Its inverse real FFT is the forward
@@ -261,7 +332,7 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.nda
         np.multiply(zt[:, 2 : n + 1], body, out=st.real[:, 1:n])
         np.multiply(zt[:, n + 1 :], negated_body, out=st.imag[:, 1:n])
         increments = np.fft.irfft(st, 2 * n, axis=1, norm="forward")[:, :n]
-        np.cumsum(increments, axis=1, out=out[first : first + len(tile_seeds), 1:])
+        np.cumsum(increments, axis=1, out=out[first : first + len(tile_generators), 1:])
     return out
 
 

@@ -492,9 +492,12 @@ class TestExitCodes:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def scipy_modules_after(code, cwd):
-    """The scipy modules loaded after `code` runs in a fresh interpreter on src."""
-    probe = f"{code}\nimport sys\nprint(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def modules_after(code, cwd, package="scipy"):
+    """The modules of package loaded after `code` runs in a fresh interpreter on src."""
+    probe = (
+        f"{code}\nimport sys\n"
+        f"print(*(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -510,10 +513,14 @@ class TestStartup:
     # scipy takes most of the start-up time; it is imported only by the
     # functions that call it
     def test_import_loads_no_scipy(self, tmp_path):
-        assert scipy_modules_after("import fcir, fcir.cli", tmp_path) == set()
+        assert modules_after("import fcir, fcir.cli", tmp_path) == set()
+
+    # numpy.random adds 10-13 ms; only the samplers import it
+    def test_import_loads_no_numpy_random(self, tmp_path):
+        assert modules_after("import fcir, fcir.cli", tmp_path, "numpy.random") == set()
 
     def test_condition_check_loads_scipy_special(self, tmp_path):
-        loaded = scipy_modules_after(
+        loaded = modules_after(
             "from fcir.cli import main\nmain(['check-conditions', '--out', 'runs'])", tmp_path
         )
         assert "scipy.special" in loaded

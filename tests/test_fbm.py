@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fcir import (
@@ -25,16 +27,21 @@ from fcir import (
 )
 from fcir import experiments
 from fcir import fbm as fbm_module
-from fcir.fbm import _cholesky_factor, _embedding_coefficients, _rng
+from fcir.fbm import _cholesky_factor, _embedding_coefficients, _generators
 
 H06, H07 = HurstParameter(0.6), HurstParameter(0.7)
+
+
+def reference_rng(seed):
+    """numpy's own seeding of the path's PCG64 generator, independent of fcir."""
+    return np.random.Generator(np.random.PCG64(int(seed) % 2**64))
 
 
 def circulant_oracle(grid, hurst, seed):
     """One-path half-spectrum sampler with the frozen spectrum layout, step by step."""
     n = grid.steps
     coefficients = _embedding_coefficients(n, grid.step, hurst)
-    z = _rng(seed).standard_normal(2 * n)
+    z = reference_rng(seed).standard_normal(2 * n)
     scale = coefficients[1:n] * np.sqrt(0.5)
     real = np.concatenate([[z[0] * coefficients[0]], z[2 : n + 1] * scale, [z[1] * coefficients[n]]])
     imag = np.concatenate([[0.0], z[n + 1 :] * scale, [0.0]])
@@ -46,7 +53,7 @@ def circulant_oracle(grid, hurst, seed):
 def cholesky_oracle(grid, hurst, seed):
     """One Cholesky draw: the factor times the path's normals, then prefix sums."""
     factor = _cholesky_factor(grid.steps, grid.step, hurst)
-    increments = factor @ _rng(seed).standard_normal(grid.steps)
+    increments = factor @ reference_rng(seed).standard_normal(grid.steps)
     return np.concatenate([[0.0], np.cumsum(increments)])
 
 
@@ -65,7 +72,7 @@ def complex_fft_oracle(grid, hurst, seed):
     gamma = fgn_autocovariance(np.arange(n + 1), grid.step, hurst)
     eigenvalues = np.fft.fft(np.concatenate([gamma, gamma[1:-1][::-1]])).real
     coefficients = np.sqrt(np.clip(eigenvalues, 0.0, None) / (2.0 * n))
-    z = _rng(seed).standard_normal(2 * n)
+    z = reference_rng(seed).standard_normal(2 * n)
     spectrum = np.empty(2 * n, dtype=complex)
     spectrum[0] = z[0]
     spectrum[n] = z[1]
@@ -177,6 +184,32 @@ class TestSamplerContracts:
         se = np.sqrt(2.0 / draws.size)
         print(f"{sampler.__name__}: var={draws.var():.5f} (3se={3 * se:.5f})")
         assert abs(draws.var() - 1.0) <= 3.0 * se
+
+    def test_no_seeds_no_rows(self, sampler):
+        assert sampler(GridSpec(1.0, 8), H07, []).shape == (0, 9)
+
+
+# seeds of one and two entropy words, the wrap at 2^64 and the sign bit
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**64 + 5]
+
+
+class TestSeeding:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seeds=st.lists(st.integers(-(2**66), 2**66), max_size=6))
+    @example(seeds=SEED_EDGES)
+    def test_generators_match_pcg64_seeding(self, seeds):
+        # one hash pass over the block gives each seed numpy's own PCG64 state
+        generators = _generators(seeds)
+        assert len(generators) == len(seeds)
+        for seed, rng in zip(seeds, generators):
+            reference = reference_rng(seed)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5))
+
+    def test_uint64_seed_array(self):
+        seeds = np.array([0, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+        for seed, rng in zip(seeds, _generators(seeds)):
+            assert rng.bit_generator.state == reference_rng(seed).bit_generator.state
 
 
 class TestCholeskySampler:

@@ -54,6 +54,11 @@ CASES = (
     "malliavin-check --ref-exp 11 --coarse-exps 7,8,9,10 --samples 200",
     # kappa < 0 at z = |kappa|*T/2 = 700, just inside the kernel-integral overflow
     "check-conditions --kappa -2 --theta -0.5 --horizon 700",
+    # seeds whose seeding hash words are special: the path seeds wrap at 2^64,
+    # cross 2^32 (one entropy word, then two), and -1 wraps to 2^64 - 1
+    "fbm-check --steps-exp 1 --samples 3 --seed 18446744073709551614",
+    "converge-grid --ref-exp 6 --coarse-exps 2,3,4 --samples 4 --seed 4294967294",
+    "simulate --seed -1 --steps-exp 4",
 )
 # Runs with `experiments._BLOCK_NODES` set: label -> (argv, nodes per block).
 # The default studies, 200 and 100 paths of 2^12 + 1 reference nodes, in 2
@@ -127,6 +132,16 @@ DIGESTS = {
         },
         "check-conditions --kappa -2 --theta -0.5 --horizon 700": {
             "data.csv": "af4bc3e6143242e92af5cf205c40683080f6f0bf547303cae3ec11cab5cd2adf",
+        },
+        "fbm-check --steps-exp 1 --samples 3 --seed 18446744073709551614": {
+            "data.csv": "a874cea2ee11658ff0505cc025a3cc24723084d4a2755e99cb8bed89e149d347",
+            "sample_path.csv": "7a5912185c8369db9360e3a6a601ac8116aed431df4315a9ed4c852deb223823",
+        },
+        "converge-grid --ref-exp 6 --coarse-exps 2,3,4 --samples 4 --seed 4294967294": {
+            "data.csv": "19778556904c68f25600bbca07379f3a2f4742fc36be877f88f25efa1a566893",
+        },
+        "simulate --seed -1 --steps-exp 4": {
+            "data.csv": "cfd21435cff26991ea07fca7670ef951cf4a88c381eff0316f222cc208f48664",
         },
         "converge-grid in 2 blocks": {"data.csv": _CONVERGENCE},
         "inverse-moments in 2 blocks": {"data.csv": _INVERSE_MOMENTS},
