@@ -15,7 +15,6 @@ from .experiments import (
     check_fbm_samplers,
     estimate_inverse_moments,
     malliavin_gap_study,
-    path_seed,
     regress_order,
     run_convergence,
 )
@@ -35,9 +34,8 @@ from .model import (
     check_moment_conditions,
     drift,
     drift_derivative,
-    max_stable_step,
     sufficient_moment_condition,
 )
-from .scheme import backward_euler_step, residuals, simulate_batch, simulate_path
+from .scheme import backward_euler_step, max_stable_step, residuals, simulate_batch, simulate_path
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -23,10 +23,12 @@ fitted.
 Exit codes: 0 on success, 2 on invalid flags, unknown subcommands or an
 `--out` under which no run directory can be made (one `error:` line, no
 manifest), 3 on domain or numerical errors raised by the library, including
-arithmetic and memory errors that escape it.  `--workers` must be at least 1;
-larger values are clamped to the CPU count, and the manifest records the
-effective value.  A negative float given as its own word after its flag, as
-in `--kappa -1e-3` or `--theta -inf`, is that flag's value.
+arithmetic and memory errors that escape it, and on an OS error while the
+run's files are written (the error manifest is then written if it can be).
+`--workers` must be at least 1; larger values are clamped to the CPU count,
+and the manifest records the effective value.  A negative float given as its
+own word after its flag, as in `--kappa -1e-3` or `--theta -inf`, is that
+flag's value.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         coarse_exponents=getattr(args, "coarse_exps", ()),
         samples=args.samples,
         base_seed=args.seed,
-        # a subcommand without --xi or --p leaves ExperimentConfig's default
-        **{name: getattr(args, name) for name in ("xi", "p") if hasattr(args, name)},
+        # a subcommand without --p leaves ExperimentConfig's default
+        **({"p": args.p} if hasattr(args, "p") else {}),
     )
 
 
@@ -173,7 +175,7 @@ _CONVERGENCE = Subcommand(
     "matched-path strong errors at grid nodes and in the uniform norm", _cmd_convergence,
     {**MODEL_DEFAULTS, "horizon": 1.0},
     {"ref-exp": (int, 12), "coarse-exps": (_parse_exponents, (4, 5, 6, 7, 8, 9)),
-     "samples": (int, 200), "p": (int, 2), "xi": (float, 0.5)},
+     "samples": (int, 200), "p": (int, 2)},
 )
 
 SUBCOMMANDS = {
@@ -289,38 +291,40 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    manifest = {"command": args.command, "version": __version__}
+    head = {"command": args.command, "version": __version__}
     flags = {
         dest: _flag_text(value)
         for dest, value in vars(args).items()
         if dest not in ("command", "out", "handler")
     }
     started = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             results = args.handler(args, outdir)
-        except (FcirError, ArithmeticError, MemoryError) as exc:
-            message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
-            message = " ".join(message.split())
-            print(f"error: {message}", file=sys.stderr)
-            for written in outdir.iterdir():  # a data file written before the error
+        duration = time.perf_counter() - started
+        manifest = {**head, "status": "ok", **flags, **results}
+        manifest["data_files"] = ",".join(sorted(path.name for path in outdir.iterdir()))
+        manifest["seed_rule"] = "path i uses seed + i (mod 2^64)"
+        manifest["duration_seconds"] = io.format_float(duration)
+        manifest["peak_rss_mb"] = io.format_float(_peak_rss_mb())
+        manifest["warnings"] = (
+            " | ".join(str(w.message) for w in caught) if caught else "(none)"
+        )
+        io.write_key_values(outdir / "manifest.txt", manifest)
+    except (FcirError, ArithmeticError, MemoryError, OSError) as exc:
+        message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
+        message = " ".join(message.split())
+        print(f"error: {message}", file=sys.stderr)
+        try:
+            for written in outdir.iterdir():  # a file written before the error
                 written.unlink()
-            manifest.update(status="error", error=message, **flags)
-            io.write_key_values(outdir / "manifest.txt", manifest)
-            return 3
-    duration = time.perf_counter() - started
-
-    manifest.update(status="ok", **flags)
-    manifest.update(results)
-    manifest["data_files"] = ",".join(sorted(path.name for path in outdir.iterdir()))
-    manifest["seed_rule"] = "path i uses seed + i (mod 2^64)"
-    manifest["duration_seconds"] = io.format_float(duration)
-    manifest["peak_rss_mb"] = io.format_float(_peak_rss_mb())
-    manifest["warnings"] = (
-        " | ".join(str(w.message) for w in caught) if caught else "(none)"
-    )
-    io.write_key_values(outdir / "manifest.txt", manifest)
+            io.write_key_values(
+                outdir / "manifest.txt", {**head, "status": "error", "error": message, **flags}
+            )
+        except OSError:
+            pass  # the error line is then the only record of the run
+        return 3
     print(f"wrote {outdir}")
     return 0
 

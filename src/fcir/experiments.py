@@ -1,19 +1,18 @@
 """Monte Carlo harness: matched-path convergence studies and moment curves.
 
 All experiments share a common design: path i of a batch is driven by seed
-base_seed + i (wrapping at 64 bits), the "exact" solution is the same scheme
-run at a fine reference resolution, and coarse solutions are driven by the
-same noise restricted to coarser grids.  The solver overwrites the noise it
-is handed, so a block solves each coarse grid over a copy of its restriction
-and the reference grid over the noise itself.  Paths run in blocks whose
-size follows from the reference grid, and per-path results are always
-reduced in ascending path index, so reports are bit-identical for any block
-split and any number of workers.
+base_seed + i (which the samplers take mod 2^64), the "exact" solution is the
+same scheme run at a fine reference resolution, and coarse solutions are
+driven by the same noise restricted to coarser grids.  The solver overwrites
+the noise it is handed, so a block solves each coarse grid over a copy of its
+restriction and the reference grid over the noise itself.  Paths run in
+blocks whose size follows from the reference grid, and per-path results are
+always reduced in ascending path index, so reports are bit-identical for any
+block split and any number of workers.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -31,8 +30,8 @@ from .fbm import (
     sample_fbm_circulant,
 )
 from .malliavin import malliavin_terminal_forms
-from .model import CirParams, ConditionReport, check_moment_conditions, max_stable_step
-from .scheme import simulate_batch
+from .model import CirParams, ConditionReport, check_moment_conditions
+from .scheme import max_stable_step, simulate_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -40,21 +39,12 @@ __all__ = [
     "InverseMomentCurve",
     "MalliavinGapReport",
     "SamplerCheck",
-    "path_seed",
     "check_fbm_samplers",
     "run_convergence",
     "estimate_inverse_moments",
     "malliavin_gap_study",
     "regress_order",
 ]
-
-_SEED_MODULUS = 2**64
-
-
-def path_seed(base_seed: int, index: int) -> int:
-    """Seed for path `index` of a batch: base + index with 64-bit wraparound."""
-    return (base_seed + index) % _SEED_MODULUS
-
 
 class SamplerCheck(NamedTuple):
     """One statistical check of the fBm samplers and whether it passed."""
@@ -91,8 +81,8 @@ def check_fbm_samplers(
             f"terminal variance horizon^(2H) overflows double precision at horizon "
             f"{grid.horizon:g} and H = {hurst.value}: use a smaller horizon"
         ) from None
-    chol = sample_fbm_cholesky(grid, hurst, [path_seed(base_seed, i) for i in range(m)])
-    circ = sample_fbm_circulant(grid, hurst, [path_seed(base_seed, m + i) for i in range(m)])
+    chol = sample_fbm_cholesky(grid, hurst, range(base_seed, base_seed + m))
+    circ = sample_fbm_circulant(grid, hurst, range(base_seed + m, base_seed + 2 * m))
     checks = []
     se_var = terminal_var * np.sqrt(2.0 / m)
     for name, batch in (("cholesky", chol), ("circulant", circ)):
@@ -127,7 +117,7 @@ def check_fbm_samplers(
     checks.append(SamplerCheck("cross_sampler_ks_pvalue", pvalue, 0.01, pvalue >= 0.01))
 
     quotients = []
-    seeds = [path_seed(base_seed, 2 * m + i) for i in range(100)]
+    seeds = range(base_seed + 2 * m, base_seed + 2 * m + 100)
     for steps in (grid.steps, 2 * grid.steps):
         fine = GridSpec(grid.horizon, steps)
         levels = sample_fbm_circulant(fine, hurst, seeds)
@@ -143,7 +133,9 @@ class ExperimentConfig:
 
     The reference grid has 2^reference_exponent steps over the horizon; each
     coarse grid has 2^e steps and must embed in the reference grid (e <=
-    reference_exponent; equality is the degenerate identical-grid case).
+    reference_exponent; equality is the degenerate identical-grid case).  The
+    coarsest step must lie below `max_stable_step(params)`, so a config the
+    solver would refuse is refused before any draw.
     """
 
     params: CirParams
@@ -153,7 +145,6 @@ class ExperimentConfig:
     coarse_exponents: tuple[int, ...]
     samples: int
     base_seed: int
-    xi: float = 0.5
     p: int = 2
 
     def __post_init__(self) -> None:
@@ -162,8 +153,7 @@ class ExperimentConfig:
             raise UnsupportedRegimeError(
                 f"experiments drive the solver, which requires H > 1/2; got H={self.hurst.value}"
             )
-        if self.reference_exponent < 0:
-            raise DomainError("reference_exponent must be nonnegative")
+        reference = self.reference_grid  # GridSpec.dyadic checks the exponent
         if any(e < 0 or e > self.reference_exponent for e in self.coarse_exponents):
             raise DomainError(
                 "coarse exponents must lie in [0, reference_exponent] so the "
@@ -175,12 +165,12 @@ class ExperimentConfig:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if self.p < 1:
             raise DomainError(f"moment order p must be >= 1, got {self.p}")
-        limit = max_stable_step(self.params, self.xi)
-        coarsest = max(self.step_sizes(), default=self.reference_grid.step)
+        limit = max_stable_step(self.params)
+        coarsest = max(self.step_sizes(), default=reference.step)
         if coarsest >= limit:
             raise DomainError(
-                f"largest step {coarsest} violates h*max(0, -kappa/2) < 1 - xi "
-                f"(limit {limit} for kappa={self.params.kappa}, xi={self.xi})"
+                f"largest step {coarsest} violates h*max(0, -kappa/2) < 1 "
+                f"(limit {limit} for kappa={self.params.kappa})"
             )
 
     @property
@@ -284,6 +274,10 @@ def _map_blocks(block_fn, config: ExperimentConfig, workers: int):
     if workers == 1:
         yield from map(task, starts)
     else:
+        # imported here, not with the module, so that `import fcir` loads no
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(task, starts)
 
@@ -295,8 +289,7 @@ def _concatenated(blocks) -> list:
 
 def _sample_block(block_fn, config: ExperimentConfig, rows: int, start: int):
     """block_fn on the reference noise levels of paths start..start+rows-1."""
-    indices = range(start, min(start + rows, config.samples))
-    seeds = [path_seed(config.base_seed, index) for index in indices]
+    seeds = range(config.base_seed + start, config.base_seed + min(start + rows, config.samples))
     return block_fn(config, sample_fbm_circulant(config.reference_grid, config.hurst, seeds))
 
 

@@ -215,8 +215,8 @@ def _fixed_seed_sequence() -> type:
 def _generators(seeds) -> list[np.random.Generator]:
     """One frozen variate source per seed: PCG64 + ziggurat standard_normal.
 
-    Generator i has the state of `Generator(PCG64(seeds[i] % 2**64))`; seeds
-    wrap at 64 bits, matching the batch seed-derivation rule.  Changing this
+    Generator i has the state of `Generator(PCG64(seeds[i] % 2**64))`; this is
+    where the seed rule's 64-bit wrap is applied.  Changing this
     silently changes every seeded path, so treat it as part of the contract.
     """
     from numpy.random import PCG64, Generator
@@ -247,12 +247,12 @@ def _cholesky_factor(steps: int, step: float, hurst: HurstParameter) -> np.ndarr
 def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
     """Exact fBm levels for every seed via Cholesky factorization of the fGn covariance.
 
-    Returns one row per seed, shape (paths, N+1), each starting at 0.  O(N^3)
-    for the factorization (the factor of the last grid sampled is cached)
-    plus O(N^2) per path.  Each row is one matrix-vector product of the
-    factor with the path's normals, so it has the bits of a single draw
-    whatever the other seeds are (one matrix-matrix product over all paths
-    would round differently).
+    Returns one row per seed, shape (paths, N+1), each starting at 0; any
+    integer seed is taken mod 2^64.  O(N^3) for the factorization (the factor
+    of the last grid sampled is cached) plus O(N^2) per path.  Each row is
+    one matrix-vector product of the factor with the path's normals, so it
+    has the bits of a single draw whatever the other seeds are (one
+    matrix-matrix product over all paths would round differently).
     """
     factor = _cholesky_factor(grid.steps, grid.step, hurst)
     out = np.empty((len(seeds), grid.steps + 1))
@@ -297,8 +297,9 @@ _TILE_NODES = 2**15
 def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
     """Exact fBm levels for every seed via circulant embedding of the fGn covariance.
 
-    Returns one row per seed, shape (paths, N+1), each starting at 0: the law
-    of `sample_fbm_cholesky` in O(N log N) per path.  Each path's Gaussian
+    Returns one row per seed, shape (paths, N+1), each starting at 0, with
+    any integer seed taken mod 2^64: the law of `sample_fbm_cholesky` in
+    O(N log N) per path.  Each path's Gaussian
     spectrum is Hermitian, so only its N+1 bins are built and one real-output
     FFT of length 2N turns them into the path's increments (its first N
     outputs).  A tile of a few rows is transformed at a time with the

@@ -7,8 +7,7 @@ integral condition comparing kappa*theta against a multiple of an
 exponentially weighted singular-kernel integral; this module evaluates that
 condition exactly in the frame rescaled by e^(-kappa*s/2), through the closed
 form of the integral (Kummer's function, or the incomplete gamma function for
-kappa > 0), and also provides the closed-form sufficient test and the step
-bound of the convergence analysis.
+kappa > 0), and also provides the closed-form sufficient test.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "drift_derivative",
     "check_moment_conditions",
     "sufficient_moment_condition",
-    "max_stable_step",
 ]
 
 
@@ -199,17 +197,3 @@ def sufficient_moment_condition(
     )
     bound = scale * math.exp(0.5 * min(params.kappa, 0.0) * horizon)
     return horizon ** (2.0 * hurst.value - 1.0) <= bound
-
-
-def max_stable_step(params: CirParams, xi: float = 0.5) -> float:
-    """Supremum of step sizes h with h*max(0, -kappa/2) < 1 - xi.
-
-    Unbounded (inf) when kappa >= 0.  xi defaults to 0.5; it is a slack
-    parameter of the convergence analysis with no canonical experimental
-    value, so runs record which xi was used.
-    """
-    if not 0.0 < xi < 1.0:
-        raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    if params.kappa >= 0.0:
-        return math.inf
-    return (1.0 - xi) / (-0.5 * params.kappa)

@@ -17,11 +17,24 @@ from .fbm import GridSpec, HurstParameter, sample_fbm_circulant
 from .model import CirParams, drift
 
 __all__ = [
+    "max_stable_step",
     "backward_euler_step",
     "simulate_path",
     "simulate_batch",
     "residuals",
 ]
+
+
+def max_stable_step(params: CirParams) -> float:
+    """Supremum of the steps h with h*max(0, -kappa/2) < 1, which the implicit step admits.
+
+    Unbounded (inf) when kappa >= 0.  The convergence analysis asks for
+    h*max(0, -kappa/2) < 1 - xi with some xi in (0, 1); every admitted step
+    meets that with xi = 1 - h*max(0, -kappa/2) > 0.
+    """
+    if params.kappa >= 0.0:
+        return math.inf
+    return 1.0 / (-0.5 * params.kappa)
 
 
 def _root_constants(step: float, params: CirParams) -> tuple[float, float]:

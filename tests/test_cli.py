@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fcir import GridSpec, HurstParameter, __version__, cli, sample_fbm_circulant
+from fcir import GridSpec, HurstParameter, __version__, cli, experiments, sample_fbm_circulant
 from fcir.cli import main
 from fcir.experiments import SamplerCheck
 from fcir.io import write_fbm_path
@@ -144,6 +144,34 @@ class TestConvergeSubcommands:
         differing = {key for key in grid if grid[key] != uniform[key]}
         assert differing <= {"command", "duration_seconds", "peak_rss_mb"}
 
+    NEGATIVE_KAPPA = ("--kappa=-2", "--theta=-0.5", "--ref-exp", "6", "--samples", "4",
+                      "--workers", "1")
+
+    def test_negative_kappa_runs_below_the_step_bound(self, tmp_path):
+        # kappa = -2 admits every step h < 1, so h = 2^-1 runs
+        code, (run,) = run_cli(
+            tmp_path, "converge-grid", *self.NEGATIVE_KAPPA, "--coarse-exps", "1,2,3"
+        )
+        assert code == 0
+        _, rows = read_rows(run / "data.csv")
+        assert len(rows) == 3
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    def test_step_at_the_bound_exits_3_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args):
+            raise AssertionError("sampled before the step bound was checked")
+
+        monkeypatch.setattr(experiments, "sample_fbm_circulant", no_draw)
+        code, (run,) = run_cli(
+            tmp_path, "converge-grid", *self.NEGATIVE_KAPPA, "--coarse-exps", "0,1"
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: largest step 1.0 violates h*max(0, -kappa/2) < 1 "
+            "(limit 1.0 for kappa=-2.0)\n"
+        )
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+
 
 class TestInverseMoments:
     def test_initial_node(self, tmp_path):
@@ -241,7 +269,7 @@ class TestFbmCheck:
 SMALL_RUNS = {
     "simulate": "--steps-exp 6 --sigma 0.3",
     "fbm-check": "--steps-exp 4 --samples 50",
-    "converge-grid": "--ref-exp 7 --coarse-exps 3,4,5 --samples 4 --xi 0.25",
+    "converge-grid": "--ref-exp 7 --coarse-exps 3,4,5 --samples 4 --theta 0.4",
     "converge-uniform": "--ref-exp 7 --coarse-exps 3,4,5 --samples 4 --p 3",
     "inverse-moments": "--steps-exp 6 --samples 4 --horizon 0.3",
     "malliavin-check": "--ref-exp 7 --coarse-exps 5,6 --samples 4",
@@ -353,6 +381,40 @@ class TestExitCodes:
         assert manifest["status"] == "error"
         assert manifest["error"] == "OverflowError: math range error"
 
+    def test_write_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the disk fills while data.csv is written: the partial file is removed
+        write_lines = cli.io._write_lines
+
+        def full_disk(target, lines):
+            if target.name != "data.csv":
+                return write_lines(target, lines)
+            target.write_text("t,X,r\n")
+            raise OSError(28, "No space left on device", str(target))
+
+        monkeypatch.setattr(cli.io, "_write_lines", full_disk)
+        code, (run,) = run_cli(tmp_path, "simulate", "--steps-exp", "4")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: OSError: [Errno 28] No space left on device: ")
+        assert err.count("\n") == 1
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+        manifest = read_manifest(run)
+        assert manifest["status"] == "error"
+        assert manifest["error"] == err.strip()[len("error: "):]
+
+    def test_manifest_write_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # no manifest can be written either: the error line is the only record
+        def full_disk(target, values):
+            raise OSError(28, "No space left on device", str(target))
+
+        monkeypatch.setattr(cli.io, "write_key_values", full_disk)
+        code, (run,) = run_cli(tmp_path, "simulate", "--steps-exp", "4")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: OSError: [Errno 28] No space left on device: ")
+        assert err.endswith("manifest.txt'\n") and err.count("\n") == 1
+        assert list(run.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -413,6 +475,8 @@ class TestExitCodes:
             # a negative grid exponent is named by its exponent, not by 2^e
             ("simulate --steps-exp -1", "2^-1 steps: a grid exponent must be at least 0"),
             ("fbm-check --steps-exp -3", "2^-3 steps: a grid exponent must be at least 0"),
+            ("inverse-moments --steps-exp -1", "2^-1 steps: a grid exponent must be at least 0"),
+            ("converge-grid --ref-exp -1", "2^-1 steps: a grid exponent must be at least 0"),
             # sigma/2 underflows, so every gap is 0 and every ratio would be nan
             ("malliavin-check --sigma 5e-324 --ref-exp 7 --coarse-exps 1,7 --samples 7 "
              "--workers 1", "gap reads 0.0 at h=0.5"),
@@ -518,6 +582,11 @@ class TestStartup:
     # numpy.random adds 10-13 ms; only the samplers import it
     def test_import_loads_no_numpy_random(self, tmp_path):
         assert modules_after("import fcir, fcir.cli", tmp_path, "numpy.random") == set()
+
+    # the process pool loads multiprocessing; only a run with --workers 2 or
+    # more imports it
+    def test_import_loads_no_multiprocessing(self, tmp_path):
+        assert modules_after("import fcir, fcir.cli", tmp_path, "multiprocessing") == set()
 
     def test_condition_check_loads_scipy_special(self, tmp_path):
         loaded = modules_after(

@@ -17,7 +17,6 @@ from fcir import (
     check_fbm_samplers,
     estimate_inverse_moments,
     malliavin_gap_study,
-    path_seed,
     regress_order,
     run_convergence,
     sample_fbm_circulant,
@@ -50,8 +49,9 @@ class TestConfig:
             small_config(bench_params, hurst07, coarse_exponents=(4, 5, 4))
         with pytest.raises(DomainError):
             small_config(bench_params, hurst07, samples=0)
-        with pytest.raises(DomainError):
-            small_config(bench_params, hurst07, xi=1.0)
+        # GridSpec.dyadic names a negative exponent, before the coarse range is checked
+        with pytest.raises(DomainError, match=r"^2\^-1 steps: a grid exponent must be at least"):
+            small_config(bench_params, hurst07, reference_exponent=-1)
         for horizon in (0.0, math.nan):
             with pytest.raises(DomainError):
                 small_config(bench_params, hurst07, horizon=horizon)
@@ -63,36 +63,19 @@ class TestConfig:
         assert config.step_sizes() == (2.0**-4, 2.0**-5, 2.0**-6)
         assert config.reference_grid.steps == 512
 
-    def test_path_seed_wraps(self):
-        assert path_seed(2**64 - 1, 2) == 1
-        assert path_seed(10, 5) == 15
-
     def test_negative_kappa_step_constraint(self, hurst07):
         from fcir import CirParams
 
         params = CirParams(kappa=-2.0, theta=-0.5, sigma=0.5, r0=1.0)
-        # limit is (1 - xi)/(-kappa/2) = 0.5: coarse step 2^-1 = 0.5 is too big
-        with pytest.raises(DomainError):
-            ExperimentConfig(
-                params=params,
-                hurst=hurst07,
-                horizon=1.0,
-                reference_exponent=6,
-                coarse_exponents=(1,),
-                samples=1,
-                base_seed=0,
-                xi=0.5,
-            )
-        ExperimentConfig(
-            params=params,
-            hurst=hurst07,
-            horizon=1.0,
-            reference_exponent=6,
-            coarse_exponents=(2,),
-            samples=1,
+        # the solver admits h*max(0, -kappa/2) < 1, so h < 1: the coarse step
+        # 2^0 = 1 is refused and 2^-1 accepted
+        settings = dict(
+            params=params, hurst=hurst07, horizon=1.0, reference_exponent=6, samples=1,
             base_seed=0,
-            xi=0.5,
         )
+        with pytest.raises(DomainError, match=r"violates h\*max\(0, -kappa/2\) < 1 \(limit 1.0"):
+            ExperimentConfig(coarse_exponents=(0, 1), **settings)
+        ExperimentConfig(coarse_exponents=(1,), **settings)
 
 
 class TestRegressOrder:
@@ -130,7 +113,7 @@ class TestMatchedPathDesign:
         )
         report = run_convergence(config)
         ref_grid, coarse_grid = config.reference_grid, GridSpec(1.0, 2**4)
-        seed = path_seed(config.base_seed, 0)
+        seed = config.base_seed
         reference = simulate_path(ref_grid, hurst07, bench_params, seed)
         noise = sample_fbm_circulant(ref_grid, hurst07, [seed])
         coarse = simulate_batch(noise[:, ::8].copy(), coarse_grid.step, bench_params)[0]
@@ -196,7 +179,7 @@ class TestUniformReduction:
             bench_params, hurst07, horizon=horizon, reference_exponent=8,
             coarse_exponents=(0, 1, 3, 6, 8), samples=5,
         )
-        seeds = [path_seed(config.base_seed, i) for i in range(config.samples)]
+        seeds = [config.base_seed + i for i in range(config.samples)]
         noise = sample_fbm_circulant(config.reference_grid, hurst07, seeds)
         # the block overwrites the noise it is handed, and the oracles reuse it
         level_grid, level, rate_grid, rate = experiments._convergence_block(config, noise.copy())
@@ -324,7 +307,7 @@ class TestInverseMoments:
         grid = base.reference_grid
         powers = np.stack(
             [
-                simulate_powers(bench_params, hurst07, grid, path_seed(base.base_seed, i), p)
+                simulate_powers(bench_params, hurst07, grid, base.base_seed + i, p)
                 for i in range(base.samples)
             ]
         )
@@ -345,7 +328,7 @@ class TestInverseMoments:
         grid = config.reference_grid
         powers = np.stack(
             [
-                simulate_powers(bench_params, hurst07, grid, path_seed(config.base_seed, i), 2)
+                simulate_powers(bench_params, hurst07, grid, config.base_seed + i, 2)
                 for i in range(config.samples)
             ]
         )
@@ -451,7 +434,7 @@ class TestBlockDriver:
             bench_params, hurst07, reference_exponent=12, coarse_exponents=(4, 5, 6, 7, 8, 9),
             samples=64,
         )
-        seeds = [path_seed(config.base_seed, i) for i in range(config.samples)]
+        seeds = [config.base_seed + i for i in range(config.samples)]
         noise = sample_fbm_circulant(config.reference_grid, hurst07, seeds)
         noise_bytes = noise.nbytes
         coarse_bytes = sum(config.samples * (2**e + 1) * 8 for e in config.coarse_exponents)

@@ -59,6 +59,8 @@ CASES = (
     "fbm-check --steps-exp 1 --samples 3 --seed 18446744073709551614",
     "converge-grid --ref-exp 6 --coarse-exps 2,3,4 --samples 4 --seed 4294967294",
     "simulate --seed -1 --steps-exp 4",
+    # block seeds base_seed + i cross 2^64 inside one study block
+    "converge-grid --ref-exp 6 --coarse-exps 2,3,4 --samples 4 --seed 18446744073709551614",
 )
 # Runs with `experiments._BLOCK_NODES` set: label -> (argv, nodes per block).
 # The default studies, 200 and 100 paths of 2^12 + 1 reference nodes, in 2
@@ -142,6 +144,9 @@ DIGESTS = {
         },
         "simulate --seed -1 --steps-exp 4": {
             "data.csv": "cfd21435cff26991ea07fca7670ef951cf4a88c381eff0316f222cc208f48664",
+        },
+        "converge-grid --ref-exp 6 --coarse-exps 2,3,4 --samples 4 --seed 18446744073709551614": {
+            "data.csv": "b1652a0e16b2600a9b86ab9b142a0d7a969ff66313646325d3ddee914fbe506d",
         },
         "converge-grid in 2 blocks": {"data.csv": _CONVERGENCE},
         "inverse-moments in 2 blocks": {"data.csv": _INVERSE_MOMENTS},

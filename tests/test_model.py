@@ -18,7 +18,6 @@ from fcir import (
     check_moment_conditions,
     drift,
     drift_derivative,
-    max_stable_step,
     sufficient_moment_condition,
 )
 from fcir import model
@@ -345,17 +344,3 @@ class TestSufficientCondition:
                 )
         print(f"sufficient condition held in {hits}/100 sampled parameter sets")
         assert hits >= 10
-
-
-class TestMaxStableStep:
-    def test_values(self, bench_params):
-        assert max_stable_step(bench_params) == math.inf
-        negative = CirParams(kappa=-2.0, theta=-0.5, sigma=0.5, r0=1.0)
-        assert max_stable_step(negative, xi=0.5) == pytest.approx(0.5)
-        strong = CirParams(kappa=-4.0, theta=-0.5, sigma=0.5, r0=1.0)
-        assert max_stable_step(strong, xi=0.2) == pytest.approx(0.4)
-
-    def test_xi_domain(self, bench_params):
-        for xi in (0.0, 1.0, -0.5):
-            with pytest.raises(DomainError):
-                max_stable_step(bench_params, xi=xi)

@@ -23,7 +23,6 @@ from fcir import (
     backward_euler_step,
     cli,
     malliavin_terminal_forms,
-    path_seed,
     sample_fbm_circulant,
     simulate_batch,
     simulate_path,
@@ -50,7 +49,7 @@ model = st.fixed_dictionaries(
 )
 def test_batch_rows_match_single_paths(model, hurst, seed):
     params, hurst = CirParams(**model), HurstParameter(hurst)
-    seeds = [path_seed(seed, i) for i in range(WIDTH)]
+    seeds = [seed + i for i in range(WIDTH)]
     batch = simulate_batch(sample_fbm_circulant(GRID, hurst, seeds), GRID.step, params)
     product, exponential = malliavin_terminal_forms(batch, GRID.step, params)
 
@@ -93,7 +92,7 @@ def test_batch_matches_scalar_loop_across_chunks(steps, params):
     # simulate_batch differences and solves 64-step chunks, carrying the noise
     # column before each chunk; N straddles the chunk edges
     grid = GridSpec(1.0, steps)
-    noise = sample_fbm_circulant(grid, HurstParameter(0.7), [path_seed(7, i) for i in range(8)])
+    noise = sample_fbm_circulant(grid, HurstParameter(0.7), range(7, 15))
     increments = np.diff(noise, axis=-1)
     batch = simulate_batch(noise, grid.step, params)
     assert batch is noise
@@ -125,7 +124,7 @@ def test_invalid_noise_raises(noise):
 @pytest.mark.parametrize("layout", ["fortran-order", "strided"])
 def test_noise_of_any_layout_is_solved_through_the_view(layout):
     grid = GridSpec(1.0, 130)
-    noise = sample_fbm_circulant(grid, HurstParameter(0.7), [path_seed(3, i) for i in range(5)])
+    noise = sample_fbm_circulant(grid, HurstParameter(0.7), range(3, 8))
     expected = simulate_batch(noise.copy(), grid.step, NEGATIVE_A)
     base = np.zeros((5, 2 * (grid.steps + 1)))
     view = np.asfortranarray(noise) if layout == "fortran-order" else base[:, ::2]

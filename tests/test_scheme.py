@@ -14,6 +14,7 @@ from fcir import (
     UnsupportedRegimeError,
     backward_euler_step,
     drift,
+    max_stable_step,
     residuals,
     sample_fbm_circulant,
     simulate_batch,
@@ -86,7 +87,7 @@ class TestBackwardEulerStep:
         negative_kappa = CirParams(kappa=-2.0, theta=-0.5, sigma=0.5, r0=1.0)
         with pytest.raises(DomainError):
             backward_euler_step(1.0, 0.0, 1.1, negative_kappa)
-        # h*max(0,-kappa/2) = 0.55 < 1 is fine even though h > max_stable_step(xi)
+        # h*max(0,-kappa/2) = 0.55 < 1
         assert backward_euler_step(1.0, 0.0, 0.55, negative_kappa) > 0.0
 
     @pytest.mark.parametrize("kappa, theta, c", [(1e-160, 1e-163, "0.0"), (1e300, 0.5, "inf")])
@@ -97,6 +98,25 @@ class TestBackwardEulerStep:
             backward_euler_step(1.0, 0.0, 0.0625, params)
         with pytest.raises(NumericalError, match=f"= {c} for kappa"):
             simulate_batch(np.zeros((2, 16)), 0.0625, params)
+
+
+class TestMaxStableStep:
+    def test_values(self, bench_params):
+        assert max_stable_step(bench_params) == math.inf
+        negative = CirParams(kappa=-2.0, theta=-0.5, sigma=0.5, r0=1.0)
+        assert max_stable_step(negative) == 1.0
+        strong = CirParams(kappa=-4.0, theta=-0.5, sigma=0.5, r0=1.0)
+        assert max_stable_step(strong) == 0.5
+
+    def test_is_the_solver_bound(self):
+        # at kappa = -2 the bound is exactly 1.0: the largest double below it
+        # is a step the solver takes, 1.0 itself is refused
+        params = CirParams(kappa=-2.0, theta=-0.5, sigma=0.5, r0=1.0)
+        below = np.nextafter(max_stable_step(params), 0.0)
+        levels = simulate_batch(np.array([[0.0, 0.1, -0.2]]), below, params)
+        assert np.isfinite(levels).all() and (levels > 0.0).all()
+        with pytest.raises(DomainError, match="violates"):
+            simulate_batch(np.zeros((1, 3)), max_stable_step(params), params)
 
 
 class TestSimulatePath:
