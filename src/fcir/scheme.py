@@ -26,15 +26,24 @@ __all__ = [
 
 
 def max_stable_step(params: CirParams) -> float:
-    """Supremum of the steps h with h*max(0, -kappa/2) < 1, which the implicit step admits.
+    """Smallest double h with h*max(0, -kappa/2) >= 1 in floating point.
 
-    Unbounded (inf) when kappa >= 0.  The convergence analysis asks for
-    h*max(0, -kappa/2) < 1 - xi with some xi in (0, 1); every admitted step
-    meets that with xi = 1 - h*max(0, -kappa/2) > 0.
+    The implicit step admits exactly the steps below it, as `_root_constants`
+    checks them, bit for bit.  inf when no double reaches 1 (kappa >= 0).  The
+    convergence analysis asks for h*max(0, -kappa/2) < 1 - xi with some xi in
+    (0, 1); every admitted step meets that with xi = 1 - h*max(0, -kappa/2) > 0.
     """
-    if params.kappa >= 0.0:
+    rate = max(0.0, -0.5 * params.kappa)
+    if rate == 0.0:
         return math.inf
-    return 1.0 / (-0.5 * params.kappa)
+    # 1/rate is within a double or two of the answer; the rounded product is
+    # monotone in h, so step to the first double at which it reaches 1
+    limit = 1.0 / rate
+    while limit * rate < 1.0:
+        limit = math.nextafter(limit, math.inf)
+    while math.nextafter(limit, 0.0) * rate >= 1.0:
+        limit = math.nextafter(limit, 0.0)
+    return limit
 
 
 def _root_constants(step: float, params: CirParams) -> tuple[float, float]:

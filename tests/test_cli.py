@@ -588,6 +588,14 @@ class TestStartup:
     def test_import_loads_no_multiprocessing(self, tmp_path):
         assert modules_after("import fcir, fcir.cli", tmp_path, "multiprocessing") == set()
 
+    def test_sampler_check_loads_no_scipy(self, tmp_path):
+        loaded = modules_after(
+            "from fcir.cli import main\n"
+            "main(['fbm-check', '--steps-exp', '4', '--samples', '8', '--out', 'runs'])",
+            tmp_path,
+        )
+        assert loaded == set()
+
     def test_condition_check_loads_scipy_special(self, tmp_path):
         loaded = modules_after(
             "from fcir.cli import main\nmain(['check-conditions', '--out', 'runs'])", tmp_path

@@ -3,9 +3,11 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fcir import (
     DomainError,
@@ -481,6 +483,51 @@ class TestSamplerChecks:
             monkeypatch.setattr(experiments, name, no_draws)
         with pytest.raises(DomainError, match=rf"need H > 0\.1, got H = {hurst}:"):
             check_fbm_samplers(GridSpec(1.0, 8), HurstParameter(hurst), 4, 3)
+
+
+def ks_cases():
+    """Derandomized pairs of equal-size samples: independent, shifted, tied, identical."""
+    rng = np.random.default_rng(2024)
+    for n in (*range(1, 61), 200, 257, 2000, 10000):
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        yield n, "independent", x, y
+        yield n, "shifted", x, y + 0.5
+        yield n, "tied", np.round(x, 1), np.round(y, 1)
+        yield n, "identical", x, x.copy()
+
+
+class TestKsPvalue:
+    def test_equals_scipy_where_scipy_is_exact(self):
+        compared = 0
+        for n, kind, x, y in ks_cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    expected = float(stats.ks_2samp(x, y).pvalue)
+                except RuntimeWarning:
+                    continue  # scipy fell back to its asymptotic form
+            assert experiments._ks_pvalue_equal_sizes(x, y) == expected, (n, kind)
+            compared += 1
+        assert compared >= 250
+
+    def test_one_step_gap_is_certain(self):
+        # every pair of samples has h >= 1, so P(D >= 1/n) = 1; the series rounds
+        # above 1 at n = 7, where scipy falls back to its asymptotic 0.99996
+        x = np.arange(7.0)
+        assert experiments._ks_pvalue_equal_sizes(x, x + 0.5) == 1.0
+
+    def test_exact_above_ten_thousand_samples(self):
+        # scipy's default switches to the asymptotic form above 10 000 samples
+        rng = np.random.default_rng(10001)
+        x, y = rng.standard_normal(10001), rng.standard_normal(10001)
+        exact = float(stats.ks_2samp(x, y, method="exact").pvalue)
+        assert experiments._ks_pvalue_equal_sizes(x, y) == exact
+        assert exact != float(stats.ks_2samp(x, y).pvalue)
+
+    def test_nan_propagates(self):
+        x, y = np.array([0.0, 1.0, 2.0]), np.array([0.5, np.nan, 1.5])
+        assert math.isnan(experiments._ks_pvalue_equal_sizes(x, y))
+        assert math.isnan(experiments._ks_pvalue_equal_sizes(y, x))
 
 
 def simulate_powers(params, hurst, grid, seed, p):

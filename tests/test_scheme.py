@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fcir import (
     CirParams,
     DomainError,
+    ExperimentConfig,
     GridSpec,
     HurstParameter,
     NumericalError,
@@ -117,6 +120,30 @@ class TestMaxStableStep:
         assert np.isfinite(levels).all() and (levels > 0.0).all()
         with pytest.raises(DomainError, match="violates"):
             simulate_batch(np.zeros((1, 3)), max_stable_step(params), params)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(kappa=st.floats(-10.0, -0.1))
+    @example(kappa=-6.379805312987237)  # 1/(-kappa/2) rounds to a step the solver takes
+    def test_solver_and_config_share_the_bound(self, kappa):
+        params = CirParams(kappa=kappa, theta=-0.5, sigma=0.5, r0=1.0)
+        limit = max_stable_step(params)
+        for step in (math.nextafter(limit, 0.0), limit, math.nextafter(limit, math.inf)):
+            try:
+                simulate_batch(np.zeros((1, 2)), step, params)
+                solver_accepts = True
+            except DomainError:
+                solver_accepts = False
+            try:
+                # the coarse grid 2^0 steps over the horizon has step = horizon
+                ExperimentConfig(
+                    params=params, hurst=HurstParameter(0.7), horizon=step, reference_exponent=2,
+                    coarse_exponents=(0,), samples=1, base_seed=0,
+                )
+                config_accepts = True
+            except DomainError:
+                config_accepts = False
+            assert solver_accepts == config_accepts == (step < limit), step
 
 
 class TestSimulatePath:
