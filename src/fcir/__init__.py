@@ -32,10 +32,9 @@ from .model import (
     CirParams,
     ConditionReport,
     check_moment_conditions,
-    drift,
     drift_derivative,
     sufficient_moment_condition,
 )
-from .scheme import backward_euler_step, max_stable_step, residuals, simulate_batch, simulate_path
+from .scheme import simulate_batch, simulate_path, step_constants
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -32,7 +32,7 @@ from .fbm import (
 )
 from .malliavin import malliavin_terminal_forms
 from .model import CirParams, ConditionReport, check_moment_conditions
-from .scheme import max_stable_step, simulate_batch
+from .scheme import simulate_batch, step_constants
 
 __all__ = [
     "ExperimentConfig",
@@ -162,8 +162,9 @@ class ExperimentConfig:
     The reference grid has 2^reference_exponent steps over the horizon; each
     coarse grid has 2^e steps and must embed in the reference grid (e <=
     reference_exponent; equality is the degenerate identical-grid case).  The
-    coarsest step must lie below `max_stable_step(params)`, so a config the
-    solver would refuse is refused before any draw.
+    reference step and every coarse step must pass `step_constants`, so a
+    config the solver would refuse is refused, with the solver's error,
+    before any draw.
     """
 
     params: CirParams
@@ -193,13 +194,8 @@ class ExperimentConfig:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if self.p < 1:
             raise DomainError(f"moment order p must be >= 1, got {self.p}")
-        limit = max_stable_step(self.params)
-        coarsest = max(self.step_sizes(), default=reference.step)
-        if coarsest >= limit:
-            raise DomainError(
-                f"largest step {coarsest} violates h*max(0, -kappa/2) < 1 "
-                f"(limit {limit} for kappa={self.params.kappa})"
-            )
+        for step in (reference.step, *self.step_sizes()):
+            step_constants(step, self.params)
 
     @property
     def reference_grid(self) -> GridSpec:

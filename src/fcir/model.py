@@ -1,4 +1,4 @@
-"""CIR model parameters, the transformed drift, and inverse-moment conditions.
+"""CIR model parameters, the transformed drift's derivative, and inverse-moment conditions.
 
 The solver works on the square-root transform X = sqrt(r) of the CIR rate,
 whose drift is f(x) = kappa*theta/(2x) - kappa*x/2; the Malliavin forms use
@@ -24,7 +24,6 @@ from .fbm import HurstParameter
 __all__ = [
     "CirParams",
     "ConditionReport",
-    "drift",
     "drift_derivative",
     "check_moment_conditions",
     "sufficient_moment_condition",
@@ -65,22 +64,11 @@ class CirParams:
         return math.sqrt(self.r0)
 
 
-def _require_positive_level(x) -> np.ndarray:
+def drift_derivative(x, params: CirParams):
+    """First derivative of the drift, -kappa*theta/(2x^2) - kappa/2, in x's shape."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("the transformed level must be strictly positive")
-    return x
-
-
-def drift(x, params: CirParams):
-    """Drift of the transformed equation, kappa*theta/(2x) - kappa*x/2, in x's shape."""
-    x = _require_positive_level(x)
-    return 0.5 * params.kappa * params.theta / x - 0.5 * params.kappa * x
-
-
-def drift_derivative(x, params: CirParams):
-    """First derivative of the drift, -kappa*theta/(2x^2) - kappa/2, in x's shape."""
-    x = _require_positive_level(x)
     return -0.5 * params.kappa * params.theta / (x * x) - 0.5 * params.kappa
 
 

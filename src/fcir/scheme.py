@@ -14,40 +14,26 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UnsupportedRegimeError
 from .fbm import GridSpec, HurstParameter, sample_fbm_circulant
-from .model import CirParams, drift
+from .model import CirParams
 
-__all__ = [
-    "max_stable_step",
-    "backward_euler_step",
-    "simulate_path",
-    "simulate_batch",
-    "residuals",
-]
+# `step_constants` is public too, and `fcir` re-exports it; it is left out of
+# `__all__` because the benchmark tracer times every listed function as a
+# layer of its own, while the check is a part of `simulate_batch`.
+__all__ = ["simulate_path", "simulate_batch"]
 
 
-def max_stable_step(params: CirParams) -> float:
-    """Smallest double h with h*max(0, -kappa/2) >= 1 in floating point.
+def step_constants(step: float, params: CirParams) -> tuple[float, float]:
+    """Checked constants (c, denom) of the quadratic each implicit step solves.
 
-    The implicit step admits exactly the steps below it, as `_root_constants`
-    checks them, bit for bit.  inf when no double reaches 1 (kappa >= 0).  The
-    convergence analysis asks for h*max(0, -kappa/2) < 1 - xi with some xi in
-    (0, 1); every admitted step meets that with xi = 1 - h*max(0, -kappa/2) > 0.
+    The scheme's one statement of its step rule: it admits step > 0 with
+    step*max(0, -kappa/2) < 1 in floating point and raises DomainError
+    otherwise.  denom = 2 + kappa*step is then positive, and so is c =
+    kappa*step*theta*denom in exact arithmetic; a c that under- or overflows
+    raises NumericalError.  `simulate_batch` and `ExperimentConfig` both call
+    it, so they refuse the same steps.  The convergence analysis asks for
+    step*max(0, -kappa/2) < 1 - xi with some xi in (0, 1), which every
+    admitted step meets with xi = 1 - step*max(0, -kappa/2).
     """
-    rate = max(0.0, -0.5 * params.kappa)
-    if rate == 0.0:
-        return math.inf
-    # 1/rate is within a double or two of the answer; the rounded product is
-    # monotone in h, so step to the first double at which it reaches 1
-    limit = 1.0 / rate
-    while limit * rate < 1.0:
-        limit = math.nextafter(limit, math.inf)
-    while math.nextafter(limit, 0.0) * rate >= 1.0:
-        limit = math.nextafter(limit, 0.0)
-    return limit
-
-
-def _root_constants(step: float, params: CirParams) -> tuple[float, float]:
-    """Checked constants (c, denom) of the quadratic each implicit step solves."""
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step}")
     if step * max(0.0, -0.5 * params.kappa) >= 1.0:
@@ -77,21 +63,6 @@ def _positive_root(a, c: float, denom: float):
     return np.where(a >= 0.0, s, c / s) / denom
 
 
-def backward_euler_step(
-    x_n: float, increment: float, step: float, params: CirParams
-) -> float:
-    """One implicit step from x_n > 0 driven by a noise increment.
-
-    Returns the unique positive solution of
-    x = x_n + (kappa*theta/(2x) - kappa*x/2) * step + sigma*increment/2.
-    """
-    if x_n <= 0.0:
-        raise DomainError(f"x_n must be strictly positive, got {x_n}")
-    c, denom = _root_constants(step, params)
-    a = x_n + 0.5 * params.sigma * increment
-    return float(_positive_root(a, c, denom))
-
-
 # Steps per chunk of `simulate_batch`: three (chunk, paths) buffers stay in
 # cache, and the chunk is the unit of the a < 0 re-solve.
 _CHUNK_STEPS = 64
@@ -102,8 +73,8 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
 
     noise is a 2-D float64 array, shape (paths, N+1), of each path's driving
     fBm at the grid nodes, in any memory layout; each row is replaced by the
-    path's levels, x0 first, and noise is returned.  Each path gets the bits of a
-    scalar `backward_euler_step` loop over `np.diff` of its row, so batching
+    path's levels, x0 first, and noise is returned.  Each path gets the bits of
+    a scalar loop of `_positive_root` over `np.diff` of its row, so batching
     (and any chunking of a batch across workers) never changes results.
 
     The steps run in chunks of `_CHUNK_STEPS`.  A chunk's noise columns are
@@ -127,7 +98,7 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
             "noise must be a 2-D float64 array of fBm levels, shape (paths, N+1), got "
             f"{noise.dtype} of shape {noise.shape}"
         )
-    c, denom = _root_constants(step, params)
+    c, denom = step_constants(step, params)
     half_sigma = 0.5 * params.sigma
 
     width, n_steps = noise.shape[0], noise.shape[1] - 1
@@ -191,19 +162,3 @@ def simulate_path(
             f"the solver requires driving noise with H > 1/2, got H={hurst.value}"
         )
     return simulate_batch(sample_fbm_circulant(grid, hurst, [seed]), grid.step, params)[0]
-
-
-def residuals(x: np.ndarray, noise: np.ndarray, step: float, params: CirParams) -> np.ndarray:
-    """Implicit-relation residual at every step, for verification.
-
-    x holds the levels x_0..x_N of one path and noise its driving fBm at the
-    same nodes.  Entry n is x[n+1] - x[n] - f(x[n+1]) h - sigma*dB_{n+1}/2,
-    which should vanish to rounding for paths produced by this scheme.
-    """
-    if np.shape(x) != np.shape(noise):
-        raise DomainError(
-            f"noise and solution must share a grid, got shapes {np.shape(noise)} and "
-            f"{np.shape(x)}"
-        )
-    x_next = x[1:]
-    return x_next - x[:-1] - drift(x_next, params) * step - 0.5 * params.sigma * np.diff(noise)

@@ -21,7 +21,6 @@ from fcir import (
     estimate_inverse_moments,
     fbm_covariance,
     malliavin_gap_study,
-    residuals,
     run_convergence,
     sample_fbm_cholesky,
     sample_fbm_circulant,
@@ -29,6 +28,7 @@ from fcir import (
     simulate_path,
     sufficient_moment_condition,
 )
+from oracles import residuals
 
 BENCH = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0)
 BASE_SEED = 1234

@@ -167,8 +167,7 @@ class TestConvergeSubcommands:
         )
         assert code == 3
         assert capsys.readouterr().err == (
-            "error: largest step 1.0 violates h*max(0, -kappa/2) < 1 "
-            "(limit 1.0 for kappa=-2.0)\n"
+            "error: step 1.0 violates h*max(0, -kappa/2) < 1 for kappa=-2.0\n"
         )
         assert [f.name for f in run.iterdir()] == ["manifest.txt"]
 

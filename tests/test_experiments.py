@@ -75,7 +75,9 @@ class TestConfig:
             params=params, hurst=hurst07, horizon=1.0, reference_exponent=6, samples=1,
             base_seed=0,
         )
-        with pytest.raises(DomainError, match=r"violates h\*max\(0, -kappa/2\) < 1 \(limit 1.0"):
+        with pytest.raises(
+            DomainError, match=r"^step 1\.0 violates h\*max\(0, -kappa/2\) < 1 for kappa=-2\.0$"
+        ):
             ExperimentConfig(coarse_exponents=(0, 1), **settings)
         ExperimentConfig(coarse_exponents=(1,), **settings)
 

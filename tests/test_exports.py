@@ -10,12 +10,40 @@ import pytest
 import fcir
 
 
-@pytest.mark.parametrize("module", ["fbm", "scheme", "model", "malliavin", "experiments"])
+EXPORTING = ("fbm", "scheme", "model", "malliavin", "experiments")
+
+
+@pytest.mark.parametrize("module", EXPORTING)
 def test_module_exports_resolve_and_are_reexported(module):
     # the benchmark tracer (perfbench/spans.py) looks up every __all__ entry by name
     namespace = importlib.import_module(f"fcir.{module}")
     for name in namespace.__all__:
         assert getattr(fcir, name) is getattr(namespace, name), name
+
+
+def test_every_exported_function_has_a_caller_in_the_package():
+    # a function only tests call belongs in tests/oracles.py: a reference
+    # counts from any function other than its own def, and not from the
+    # re-export in fcir/__init__.py
+    package = Path(fcir.__file__).parent
+    callers = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text()).body:
+            owner = statement.name if isinstance(statement, ast.FunctionDef) else None
+            for node in ast.walk(statement):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    callers.setdefault(name, set()).add((path.stem, owner))
+    unused = [
+        f"{module}.{name}"
+        for module in EXPORTING
+        for name in importlib.import_module(f"fcir.{module}").__all__
+        if inspect.isfunction(getattr(fcir, name))
+        and not callers.get(name, set()) - {(module, name)}
+    ]
+    assert unused == []
 
 
 KERNELS = ("fbm", "scheme", "malliavin")

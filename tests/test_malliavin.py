@@ -17,9 +17,11 @@ from fcir import (
     drift_derivative,
     malliavin_gap_study,
     malliavin_terminal_forms,
+    sample_fbm_circulant,
     simulate_batch,
     simulate_path,
 )
+from oracles import terminal_sensitivity
 
 GRID = GridSpec(1.0, 32)
 FIXED_POINT = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=0.5)
@@ -94,6 +96,29 @@ class TestProfile:
         with pytest.raises(DomainError):
             profile(path, 0, bench_params)
         assert profile(path, GRID.steps, bench_params).shape == (GRID.steps,)
+
+    @pytest.mark.parametrize(
+        "params",
+        [CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0),
+         CirParams(kappa=5.0, theta=0.2, sigma=0.8, r0=0.3)],
+        ids=["bench", "strong-reversion"],
+    )
+    def test_product_form_is_the_derivative_in_each_increment(self, params):
+        # column i-1 of the product form is dX_N / d(increment i): a central
+        # difference that moves the fBm levels from node i on says the same.
+        # Its own error is rounding of X_N over eps, up to ~2e-7 relative
+        # where the derivative is ~5e-4 (early nodes at kappa = 5).
+        grid = GridSpec(1.0, 2**8)
+        noise = sample_fbm_circulant(grid, HurstParameter(0.7), range(1234, 1244))
+        product, _ = malliavin_terminal_forms(simulate_batch(noise.copy(), grid.step, params),
+                                              grid.step, params)
+        worst = 0.0
+        for node in (1, 2, 64, 200, 256):
+            difference = terminal_sensitivity(noise, node, grid.step, params)
+            gap = np.abs(difference / product[:, node - 1] - 1.0).max()
+            worst = max(worst, float(gap))
+        print(f"largest relative gap to the central difference: {worst:.2e}")
+        assert worst <= 1e-6
 
 class TestExponentialForm:
     # the exponential column of malliavin_terminal_forms, s = t_i and t = T

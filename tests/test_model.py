@@ -16,12 +16,12 @@ from fcir import (
     HurstParameter,
     NumericalError,
     check_moment_conditions,
-    drift,
     drift_derivative,
     sufficient_moment_condition,
 )
 from fcir import model
 from fcir.model import _rescaled_kernel_integral
+from oracles import drift
 
 # Frozen value of the brute-force oracle below at
 # (s=1, kappa=2, sigma=0.5, H=0.7) with 1e6 panels.

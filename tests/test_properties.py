@@ -20,13 +20,13 @@ from fcir import (
     DomainError,
     GridSpec,
     HurstParameter,
-    backward_euler_step,
     cli,
     malliavin_terminal_forms,
     sample_fbm_circulant,
     simulate_batch,
     simulate_path,
 )
+from oracles import backward_euler_step
 
 GRID = GridSpec(1.0, 32)
 WIDTH = 4
@@ -78,7 +78,7 @@ BENCH = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0)
 
 
 def scalar_levels(increments, step, params):
-    """Reference recursion, one `backward_euler_step` per step, and its a values."""
+    """Reference recursion, one oracle `backward_euler_step` per step, and its a values."""
     levels, a = [params.x0], []
     for increment in increments:
         a.append(levels[-1] + 0.5 * params.sigma * increment)

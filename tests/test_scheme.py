@@ -1,5 +1,6 @@
 """Tests for the backward Euler scheme and the rate process."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,35 +16,15 @@ from fcir import (
     HurstParameter,
     NumericalError,
     UnsupportedRegimeError,
-    backward_euler_step,
-    drift,
-    max_stable_step,
-    residuals,
+    regress_order,
     sample_fbm_circulant,
     simulate_batch,
     simulate_path,
+    step_constants,
 )
 from fcir import scheme
 from fcir.io import write_solution_path
-
-
-def bisect_implicit_step(x_n, increment, step, params, tol=1e-14):
-    """Oracle: solve x = x_n + f(x)*step + sigma*increment/2 by bisection."""
-
-    def residual(x):
-        return x - x_n - drift(x, params) * step - 0.5 * params.sigma * increment
-
-    lo, hi = 1e-300, 1.0
-    while residual(hi) < 0.0:
-        hi *= 2.0
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
+from oracles import backward_euler_step, bisect_implicit_step, residuals, rk4_levels
 
 H07 = HurstParameter(0.7)
 
@@ -53,16 +34,20 @@ def solve_zero_noise(steps: int, params: CirParams, horizon: float = 1.0) -> np.
     return simulate_batch(np.zeros((1, steps + 1)), horizon / steps, params)[0]
 
 
+def one_step(params: CirParams, increment: float, step: float) -> float:
+    """The level one `simulate_batch` step takes from x0 = sqrt(r0)."""
+    return simulate_batch(np.array([[0.0, increment]]), step, params)[0, 1]
+
+
 class TestBackwardEulerStep:
     def test_drift_fixed_point(self, bench_params):
-        root_theta = math.sqrt(bench_params.theta)
+        # r0 = theta starts the step at the drift's zero sqrt(theta)
+        at_root = dataclasses.replace(bench_params, r0=bench_params.theta)
         for h in (0.01, 0.1, 0.5, 2.0):
-            assert backward_euler_step(root_theta, 0.0, h, bench_params) == pytest.approx(
-                root_theta, abs=1e-14
-            )
+            assert one_step(at_root, 0.0, h) == pytest.approx(at_root.x0, abs=1e-14)
 
     def test_against_bisection_oracle(self, bench_params):
-        value = backward_euler_step(1.0, 0.0, 0.1, bench_params)
+        value = one_step(bench_params, 0.0, 0.1)
         oracle = bisect_implicit_step(1.0, 0.0, 0.1, bench_params)
         print(f"step: impl={value:.12g} bisection={oracle:.12g}")
         assert value == pytest.approx(oracle, rel=1e-12)
@@ -74,76 +59,92 @@ class TestBackwardEulerStep:
             x_n = rng.uniform(0.05, 3.0)
             increment = rng.normal(scale=0.5)
             h = rng.uniform(0.001, 0.5)
-            value = backward_euler_step(x_n, increment, h, bench_params)
-            oracle = bisect_implicit_step(x_n, increment, h, bench_params)
+            params = dataclasses.replace(bench_params, r0=x_n * x_n)
+            value = one_step(params, increment, h)
+            oracle = bisect_implicit_step(params.x0, increment, h, params)
             assert value == pytest.approx(oracle, rel=1e-11)
 
     def test_positive_under_extreme_noise(self, bench_params):
         # sigma*dB/2 = -10 wipes out the linear part; the root stays positive
         increment = -20.0 / bench_params.sigma
-        value = backward_euler_step(1.0, increment, 0.1, bench_params)
-        assert value > 0.0
+        assert one_step(bench_params, increment, 0.1) > 0.0
 
     def test_domain_errors(self, bench_params):
+        # the start level x0 = sqrt(r0) is strictly positive by construction
         with pytest.raises(DomainError):
-            backward_euler_step(0.0, 0.0, 0.1, bench_params)
+            dataclasses.replace(bench_params, r0=0.0)
         negative_kappa = CirParams(kappa=-2.0, theta=-0.5, sigma=0.5, r0=1.0)
         with pytest.raises(DomainError):
-            backward_euler_step(1.0, 0.0, 1.1, negative_kappa)
+            one_step(negative_kappa, 0.0, 1.1)
         # h*max(0,-kappa/2) = 0.55 < 1
-        assert backward_euler_step(1.0, 0.0, 0.55, negative_kappa) > 0.0
+        assert one_step(negative_kappa, 0.0, 0.55) > 0.0
 
     @pytest.mark.parametrize("kappa, theta, c", [(1e-160, 1e-163, "0.0"), (1e300, 0.5, "inf")])
     def test_root_constant_out_of_range(self, kappa, theta, c):
         # c = kappa*h*theta*(2 + kappa*h) underflows to 0 or overflows to inf
         params = CirParams(kappa=kappa, theta=theta, sigma=0.5, r0=1.0)
         with pytest.raises(NumericalError, match=f"= {c} for kappa"):
-            backward_euler_step(1.0, 0.0, 0.0625, params)
+            step_constants(0.0625, params)
         with pytest.raises(NumericalError, match=f"= {c} for kappa"):
             simulate_batch(np.zeros((2, 16)), 0.0625, params)
+        # a study's config refuses it with the solver's error
+        with pytest.raises(NumericalError, match=f"= {c} for kappa"):
+            ExperimentConfig(
+                params=params, hurst=H07, horizon=1.0, reference_exponent=4,
+                coarse_exponents=(), samples=1, base_seed=0,
+            )
 
 
-class TestMaxStableStep:
+def accepts(params: CirParams, step: float) -> tuple[bool, bool]:
+    """Whether the solver, and a study whose coarsest step is step, admit step."""
+    try:
+        simulate_batch(np.zeros((1, 2)), step, params)
+        solver = True
+    except DomainError:
+        solver = False
+    try:
+        # the coarse grid 2^0 steps over the horizon has step = horizon
+        ExperimentConfig(
+            params=params, hurst=H07, horizon=step, reference_exponent=2,
+            coarse_exponents=(0,), samples=1, base_seed=0,
+        )
+        config = True
+    except DomainError:
+        config = False
+    return solver, config
+
+
+class TestStepConstants:
     def test_values(self, bench_params):
-        assert max_stable_step(bench_params) == math.inf
-        negative = CirParams(kappa=-2.0, theta=-0.5, sigma=0.5, r0=1.0)
-        assert max_stable_step(negative) == 1.0
-        strong = CirParams(kappa=-4.0, theta=-0.5, sigma=0.5, r0=1.0)
-        assert max_stable_step(strong) == 0.5
+        # no bound for kappa >= 0; 1/(-kappa/2) for kappa = -2 and -4
+        assert accepts(bench_params, 1e100) == (True, True)
+        for kappa, limit in ((-2.0, 1.0), (-4.0, 0.5)):
+            params = CirParams(kappa=kappa, theta=-0.5, sigma=0.5, r0=1.0)
+            assert accepts(params, math.nextafter(limit, 0.0)) == (True, True)
+            assert accepts(params, limit) == (False, False)
 
     def test_is_the_solver_bound(self):
         # at kappa = -2 the bound is exactly 1.0: the largest double below it
         # is a step the solver takes, 1.0 itself is refused
         params = CirParams(kappa=-2.0, theta=-0.5, sigma=0.5, r0=1.0)
-        below = np.nextafter(max_stable_step(params), 0.0)
+        below = np.nextafter(1.0, 0.0)
         levels = simulate_batch(np.array([[0.0, 0.1, -0.2]]), below, params)
         assert np.isfinite(levels).all() and (levels > 0.0).all()
-        with pytest.raises(DomainError, match="violates"):
-            simulate_batch(np.zeros((1, 3)), max_stable_step(params), params)
-
+        with pytest.raises(
+            DomainError, match=r"^step 1\.0 violates h\*max\(0, -kappa/2\) < 1 for kappa=-2\.0$"
+        ):
+            simulate_batch(np.zeros((1, 3)), 1.0, params)
 
     @settings(max_examples=200, deadline=None)
     @given(kappa=st.floats(-10.0, -0.1))
     @example(kappa=-6.379805312987237)  # 1/(-kappa/2) rounds to a step the solver takes
     def test_solver_and_config_share_the_bound(self, kappa):
         params = CirParams(kappa=kappa, theta=-0.5, sigma=0.5, r0=1.0)
-        limit = max_stable_step(params)
+        rate = -0.5 * kappa
+        limit = 1.0 / rate
         for step in (math.nextafter(limit, 0.0), limit, math.nextafter(limit, math.inf)):
-            try:
-                simulate_batch(np.zeros((1, 2)), step, params)
-                solver_accepts = True
-            except DomainError:
-                solver_accepts = False
-            try:
-                # the coarse grid 2^0 steps over the horizon has step = horizon
-                ExperimentConfig(
-                    params=params, hurst=HurstParameter(0.7), horizon=step, reference_exponent=2,
-                    coarse_exponents=(0,), samples=1, base_seed=0,
-                )
-                config_accepts = True
-            except DomainError:
-                config_accepts = False
-            assert solver_accepts == config_accepts == (step < limit), step
+            solver_accepts, config_accepts = accepts(params, step)
+            assert solver_accepts == config_accepts == (step * rate < 1.0), step
 
 
 class TestSimulatePath:
@@ -253,6 +254,53 @@ class TestSimulatePath:
         ratio = np.mean(gaps[9]) / np.mean(gaps[10])
         print(f"refinement gap ratio (2h vs h): {ratio:.3f}")
         assert 1.6 <= ratio <= 2.4
+
+
+class TestDossSussmannOracle:
+    # ref 2^10, coarse 2^3..2^7, 40 paths at the bench point; the scheme is
+    # judged against RK4 on the Doss-Sussmann ODE, not against itself
+    BENCH = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0)
+    COARSE = range(3, 8)
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        noise = sample_fbm_circulant(GridSpec(1.0, 2**10), H07, range(1234, 1274))
+        levels = {m: rk4_levels(noise, 2.0**-10, self.BENCH, m) for m in (4, 8)}
+        return noise, levels
+
+    def errors(self, oracle, params):
+        # rms over paths of the sup over coarse nodes of |scheme - oracle|
+        noise, levels = oracle
+        result = []
+        for exponent in self.COARSE:
+            factor = 2 ** (10 - exponent)
+            coarse = simulate_batch(noise[:, ::factor].copy(), 2.0**-exponent, params)
+            sups = np.abs(coarse - levels[8][:, ::factor]).max(axis=1)
+            result.append(math.sqrt(np.mean(sups * sups)))
+        return result
+
+    def slope(self, oracle, params):
+        return regress_order([2.0**-e for e in self.COARSE], self.errors(oracle, params))[0]
+
+    def test_order_one_against_the_oracle(self, oracle):
+        _, levels = oracle
+        substep_gap = np.abs(levels[4] - levels[8]).max()
+        smallest = min(self.errors(oracle, self.BENCH))
+        slope = self.slope(oracle, self.BENCH)
+        print(f"oracle substep gap={substep_gap:.2e} smallest error={smallest:.2e} "
+              f"slope={slope:.4f}")
+        assert substep_gap <= 1e-6 * smallest
+        assert 0.85 <= slope <= 1.15
+
+    @pytest.mark.parametrize(
+        "wrong", [dict(theta=0.505), dict(sigma=1.0)], ids=["theta-x1.01", "sigma-x2"]
+    )
+    def test_wrong_equation_leaves_the_window(self, oracle, wrong):
+        # a scheme that solves another equation still has order one against
+        # itself, but not against the oracle of the true one
+        slope = self.slope(oracle, dataclasses.replace(self.BENCH, **wrong))
+        print(f"slope of the scheme with {wrong} against the true oracle: {slope:.4f}")
+        assert not 0.85 <= slope <= 1.15
 
 
 class TestRateProcess:
