@@ -17,6 +17,7 @@ from .experiments import (
     malliavin_gap_study,
     regress_order,
     run_convergence,
+    simulate_paths,
 )
 from .fbm import (
     GridSpec,
@@ -35,6 +36,6 @@ from .model import (
     drift_derivative,
     sufficient_moment_condition,
 )
-from .scheme import simulate_batch, simulate_path, step_constants
+from .scheme import simulate_batch, step_constants
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -51,10 +51,10 @@ from .experiments import (
     estimate_inverse_moments,
     malliavin_gap_study,
     run_convergence,
+    simulate_paths,
 )
 from .fbm import GridSpec, HurstParameter, sample_fbm_circulant
 from .model import CirParams, ConditionReport, check_moment_conditions, sufficient_moment_condition
-from .scheme import simulate_path
 
 # Model flags with the benchmark defaults used throughout the experiments.
 # Each subcommand adds its own --horizon default; fbm-check takes the noise
@@ -95,7 +95,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         horizon=args.horizon,
         reference_exponent=args.ref_exp if hasattr(args, "ref_exp") else args.steps_exp,
         coarse_exponents=getattr(args, "coarse_exps", ()),
-        samples=args.samples,
+        samples=getattr(args, "samples", 1),  # simulate solves one path
         base_seed=args.seed,
         # a subcommand without --p leaves ExperimentConfig's default
         **({"p": args.p} if hasattr(args, "p") else {}),
@@ -103,9 +103,9 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> dict:
-    grid = GridSpec.dyadic(args.horizon, args.steps_exp)
-    x = simulate_path(grid, HurstParameter(args.hurst), _params(args), args.seed)
-    io.write_solution_path(outdir / "data.csv", grid, x)
+    config = _experiment_config(args)
+    (x,) = simulate_paths(config, workers=args.workers)
+    io.write_solution_path(outdir / "data.csv", config.reference_grid, x)
     return {"min_rate": io.format_float(float((x**2).min()))}
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: matched-path convergence studies and moment curves.
+"""Monte Carlo harness: seeded paths, matched-path convergence studies, moment curves.
 
 All experiments share a common design: path i of a batch is driven by seed
 base_seed + i (which the samplers take mod 2^64), the "exact" solution is the
@@ -42,6 +42,7 @@ __all__ = [
     "SamplerCheck",
     "check_fbm_samplers",
     "run_convergence",
+    "simulate_paths",
     "estimate_inverse_moments",
     "malliavin_gap_study",
     "regress_order",
@@ -162,9 +163,10 @@ class ExperimentConfig:
     The reference grid has 2^reference_exponent steps over the horizon; each
     coarse grid has 2^e steps and must embed in the reference grid (e <=
     reference_exponent; equality is the degenerate identical-grid case).  The
-    reference step and every coarse step must pass `step_constants`, so a
-    config the solver would refuse is refused, with the solver's error,
-    before any draw.
+    reference step and every coarse step must pass `step_constants`, and H
+    must exceed 1/2 (the scheme's pathwise Riemann-Stieltjes analysis needs
+    it), so a config the solver would refuse is refused, with the solver's
+    error, before any draw.
     """
 
     params: CirParams
@@ -180,7 +182,7 @@ class ExperimentConfig:
         object.__setattr__(self, "coarse_exponents", tuple(self.coarse_exponents))
         if not self.hurst.long_memory:
             raise UnsupportedRegimeError(
-                f"experiments drive the solver, which requires H > 1/2; got H={self.hurst.value}"
+                f"the solver requires driving noise with H > 1/2, got H={self.hurst.value}"
             )
         reference = self.reference_grid  # GridSpec.dyadic checks the exponent
         if any(e < 0 or e > self.reference_exponent for e in self.coarse_exponents):
@@ -252,15 +254,16 @@ class MalliavinGapReport:
 
 
 def regress_order(step_sizes, errors) -> tuple[float, float]:
-    """Least-squares fit of log2(error) against log2(step size)."""
+    """Least-squares fit of log2(error) against log2(step size), all finite and positive."""
     step_sizes = np.asarray(step_sizes, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if step_sizes.shape != errors.shape or step_sizes.ndim != 1:
         raise DomainError("step sizes and errors must be 1-d arrays of equal length")
     if step_sizes.size < 2:
         raise DomainError("order regression needs at least two step sizes")
-    if np.any(step_sizes <= 0.0) or np.any(errors <= 0.0):
-        raise DomainError("order regression needs strictly positive inputs")
+    for name, values in (("step sizes", step_sizes), ("errors", errors)):
+        if not np.all((values > 0.0) & (values < math.inf)):  # nan fails both
+            raise DomainError(f"order regression needs finite, positive {name}, got {values}")
     slope, intercept = np.polyfit(np.log2(step_sizes), np.log2(errors), 1)
     return float(slope), float(intercept)
 
@@ -269,8 +272,8 @@ def regress_order(step_sizes, errors) -> tuple[float, float]:
 # Counted in nodes, not paths, because each block repeats the per-step loop of
 # `simulate_batch`.  400 x (2^14 + 1) nodes fit in one block.  A block holds one
 # noise-sized array plus the coarse levels solved from it: `simulate_batch`
-# overwrites the fBm levels it is handed, so the convergence and
-# inverse-moment kernels solve the reference grid over the noise itself, and
+# overwrites the fBm levels it is handed, so the convergence kernel and
+# `_solve_block` solve the reference grid over the noise itself, and
 # the gap kernel solves only copies of its restrictions to the coarse grids.
 _BLOCK_NODES = 2**23
 # Coarse-grid nodes per row chunk of the gap kernel.  The derivative forms make
@@ -448,23 +451,28 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> ConvergenceRe
     )
 
 
-def _inverse_moment_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
-    """Per-path x_n^(-p) at every reference node, shape (paths, N+1), in the noise array."""
-    x = simulate_batch(noise, config.reference_grid.step, config.params)
-    x **= -float(config.p)
-    return (x,)
+def _solve_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
+    """Per-path levels at every reference node, shape (paths, N+1), in the noise array."""
+    return (simulate_batch(noise, config.reference_grid.step, config.params),)
+
+
+def simulate_paths(config: ExperimentConfig, workers: int = 1) -> np.ndarray:
+    """Reference-grid levels of every path, shape (samples, N+1); row i is seed base_seed + i."""
+    return _concatenated(_map_blocks(_solve_block, config, workers))[0]
 
 
 def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> InverseMomentCurve:
     """Sample estimate of E[x_n^(-p)]^(1/p) at every reference-grid node.
 
-    The per-path powers are added into one running sum in path order and
-    divided by the sample count, the same operations as `np.mean(axis=0)`
-    over all paths, while only one block of paths is held at a time.  A value
-    that is not finite (x^(-p) or the sum overflows) raises NumericalError.
+    Each block's levels are raised to -p in place and added into one running
+    sum in path order, which is divided by the sample count: the operations
+    of `np.mean(axis=0)` over all paths, with one block of paths held at a
+    time.  A value that is not finite (x^(-p) or the sum overflows) raises
+    NumericalError.
     """
     total = np.zeros(config.reference_grid.steps + 1)
-    for (powers,) in _map_blocks(_inverse_moment_block, config, workers):
+    for (powers,) in _map_blocks(_solve_block, config, workers):
+        powers **= -float(config.p)
         for row in powers:
             total += row
         del powers, row  # free this block before the next one is computed

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
 from .model import CirParams, drift_derivative
+from .scheme import step_constants
 
 __all__ = ["malliavin_terminal_forms"]
 
@@ -37,6 +38,7 @@ def malliavin_terminal_forms(
         raise UnsupportedRegimeError(
             f"Malliavin derivative formulas require kappa > 0, got {params.kappa}"
         )
+    step_constants(step, params)
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 2 or levels.shape[1] < 2:
         raise DomainError(f"levels must have shape (paths, N+1) with N >= 1, got {levels.shape}")

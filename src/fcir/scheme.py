@@ -3,7 +3,8 @@
 Each implicit step X_{n+1} = X_n + f(X_{n+1}) h + sigma*dB/2 reduces to a
 quadratic with a unique positive root whenever h*max(0, -kappa/2) < 1, so
 the scheme is explicit in practice and every node stays strictly positive.
-The rate process is recovered at the nodes by squaring.
+The rate process is recovered at the nodes by squaring.  The noise comes
+from the caller (the studies in `experiments`): this module draws none.
 """
 
 from __future__ import annotations
@@ -12,30 +13,29 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, UnsupportedRegimeError
-from .fbm import GridSpec, HurstParameter, sample_fbm_circulant
+from .errors import DomainError, NumericalError
 from .model import CirParams
 
 # `step_constants` is public too, and `fcir` re-exports it; it is left out of
 # `__all__` because the benchmark tracer times every listed function as a
-# layer of its own, while the check is a part of `simulate_batch`.
-__all__ = ["simulate_path", "simulate_batch"]
+# layer of its own, while the check is a part of each function that calls it.
+__all__ = ["simulate_batch"]
 
 
 def step_constants(step: float, params: CirParams) -> tuple[float, float]:
     """Checked constants (c, denom) of the quadratic each implicit step solves.
 
-    The scheme's one statement of its step rule: it admits step > 0 with
-    step*max(0, -kappa/2) < 1 in floating point and raises DomainError
+    The scheme's one statement of its step rule: it admits a finite step > 0
+    with step*max(0, -kappa/2) < 1 in floating point and raises DomainError
     otherwise.  denom = 2 + kappa*step is then positive, and so is c =
     kappa*step*theta*denom in exact arithmetic; a c that under- or overflows
-    raises NumericalError.  `simulate_batch` and `ExperimentConfig` both call
-    it, so they refuse the same steps.  The convergence analysis asks for
-    step*max(0, -kappa/2) < 1 - xi with some xi in (0, 1), which every
-    admitted step meets with xi = 1 - step*max(0, -kappa/2).
+    raises NumericalError.  The solver, the studies' config and the Malliavin
+    forms all call it, so they refuse the same steps.  The convergence
+    analysis asks for step*max(0, -kappa/2) < 1 - xi with some xi in (0, 1),
+    which every admitted step meets with xi = 1 - step*max(0, -kappa/2).
     """
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step}")
     if step * max(0.0, -0.5 * params.kappa) >= 1.0:
         raise DomainError(
             f"step {step} violates h*max(0, -kappa/2) < 1 for kappa={params.kappa}"
@@ -145,20 +145,3 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
         start[:] = levels[-1]
     return noise
 
-
-def simulate_path(
-    grid: GridSpec, hurst: HurstParameter, params: CirParams, seed: int
-) -> np.ndarray:
-    """Levels x_0..x_N of one path on grid, driven by circulant fBm from seed; needs H > 1/2.
-
-    The analysis behind the scheme treats the equation pathwise via
-    Riemann-Stieltjes integration, which needs H > 1/2; rougher noise is
-    refused outright, before any draw, rather than warned about.  The path
-    is row 0 of `simulate_batch` over `sample_fbm_circulant(grid, hurst,
-    [seed])`.
-    """
-    if not hurst.long_memory:
-        raise UnsupportedRegimeError(
-            f"the solver requires driving noise with H > 1/2, got H={hurst.value}"
-        )
-    return simulate_batch(sample_fbm_circulant(grid, hurst, [seed]), grid.step, params)[0]

@@ -368,10 +368,10 @@ class TestExitCodes:
         assert manifest["error"] == err.strip()[len("error: "):]
 
     def test_escaped_arithmetic_error_exits_3(self, tmp_path, monkeypatch, capsys):
-        def overflow(grid, hurst, params, seed):
+        def overflow(config, workers):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr(cli, "simulate_path", overflow)
+        monkeypatch.setattr(cli, "simulate_paths", overflow)
         code, runs = run_cli(tmp_path, "simulate", "--steps-exp", "4")
         assert code == 3
         err = capsys.readouterr().err
@@ -491,8 +491,12 @@ class TestExitCodes:
             # horizon^(2H) overflows a double, though step^(2H) does not
             ("fbm-check --horizon 1e222 --steps-exp 4 --samples 24",
              "horizon^(2H) overflows double precision at horizon 1e+222 and H = 0.7"),
-            # step^(2H) overflows a double in the fGn autocovariance
+            # c = kappa*h*theta*(2 + kappa*h) overflows at h = 6.25e+298, as in
+            # converge-grid, and is refused before any draw
             ("simulate --horizon 1e300 --steps-exp 4",
+             "= inf for kappa=2.0, theta=0.5, h=6.25e+298"),
+            # with c finite, step^(2H) overflows a double in the fGn autocovariance
+            ("simulate --horizon 1e300 --steps-exp 4 --kappa 1e-100 --theta 1e-100",
              "step^(2H) overflows double precision at step 6.25e+298 (horizon / steps) "
              "and H = 0.7"),
         ],
@@ -505,6 +509,29 @@ class TestExitCodes:
         assert message in err
         assert [f.name for f in runs[0].iterdir()] == ["manifest.txt"]
         assert read_manifest(runs[0])["status"] == "error"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("simulate --kappa 1e300", "kappa*h*theta*(2 + kappa*h) = inf for kappa=1e+300"),
+            ("simulate --kappa=-2 --theta=-0.5 --steps-exp 0",
+             "step 10.0 violates h*max(0, -kappa/2) < 1 for kappa=-2.0"),
+            ("simulate --hurst 0.4", "the solver requires driving noise with H > 1/2, got H=0.4"),
+        ],
+    )
+    def test_simulate_refused_before_any_draw(self, tmp_path, monkeypatch, capsys, argv, message):
+        # simulate checks its one path as a study config before sampling it;
+        # the sampler is replaced wherever an fcir module binds it
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fcir") and vars(module).get("sample_fbm_circulant") is not None:
+                monkeypatch.setattr(module, "sample_fbm_circulant", no_draw)
+        code, (run,) = run_cli(tmp_path, *argv.split())
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, value):

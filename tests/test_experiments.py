@@ -23,7 +23,7 @@ from fcir import (
     run_convergence,
     sample_fbm_circulant,
     simulate_batch,
-    simulate_path,
+    simulate_paths,
 )
 from fcir import experiments
 from fcir.io import write_sampler_checks
@@ -90,6 +90,16 @@ class TestRegressOrder:
             assert slope == pytest.approx(exponent, abs=1e-12)
             assert intercept == pytest.approx(np.log2(3.7), abs=1e-12)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("argument", ["step_sizes", "errors"])
+    def test_non_finite_input_refused(self, argument, value):
+        # without the check nan or inf errors gave (nan, nan), and a nan step
+        # size raised LinAlgError from LAPACK
+        inputs = {"step_sizes": [0.5, 0.25, 0.125], "errors": [0.1, 0.05, 0.025]}
+        inputs[argument][1] = value
+        with pytest.raises(DomainError, match=f"finite, positive {argument.replace('_', ' ')}"):
+            regress_order(**inputs)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             regress_order([0.5], [0.1])
@@ -118,9 +128,9 @@ class TestMatchedPathDesign:
         report = run_convergence(config)
         ref_grid, coarse_grid = config.reference_grid, GridSpec(1.0, 2**4)
         seed = config.base_seed
-        reference = simulate_path(ref_grid, hurst07, bench_params, seed)
         noise = sample_fbm_circulant(ref_grid, hurst07, [seed])
         coarse = simulate_batch(noise[:, ::8].copy(), coarse_grid.step, bench_params)[0]
+        reference = simulate_batch(noise, ref_grid.step, bench_params)[0]
         grid_error = np.abs(reference[::8][1:] - coarse[1:]).max()
         interpolated = np.interp(ref_grid.nodes(), coarse_grid.nodes(), coarse)
         uniform_error = np.abs(reference[1:] - interpolated[1:]).max()
@@ -348,6 +358,26 @@ class TestInverseMoments:
         assert np.array_equal(one.values, three.values)
 
 
+class TestSimulatePaths:
+    def test_rows_are_single_seed_solves(self, bench_params, hurst07):
+        # row i is the path of seed base_seed + i solved alone
+        config = small_config(bench_params, hurst07, reference_exponent=6, samples=5)
+        grid = config.reference_grid
+        levels = simulate_paths(config)
+        assert levels.shape == (5, grid.steps + 1)
+        for i, row in enumerate(levels):
+            noise = sample_fbm_circulant(grid, hurst07, [config.base_seed + i])
+            assert np.array_equal(row, simulate_batch(noise, grid.step, bench_params)[0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("nodes", [3 * 65, 64])
+    def test_independent_of_block_split(self, bench_params, hurst07, monkeypatch, nodes, workers):
+        config = small_config(bench_params, hurst07, reference_exponent=6, samples=10)
+        one_block = simulate_paths(config)
+        monkeypatch.setattr(experiments, "_BLOCK_NODES", nodes)
+        assert np.array_equal(simulate_paths(config, workers=workers), one_block)
+
+
 class TestBlockDriver:
     # 10 paths of 2^6 + 1 = 65 reference nodes: a 195-node budget gives blocks
     # of 3 paths with a partial last block, a 64-node budget is below one path
@@ -367,7 +397,7 @@ class TestBlockDriver:
     @pytest.mark.parametrize("nodes", SPLITS)
     def test_block_sizes(self, config, monkeypatch, nodes):
         seen = []
-        for name in ("_convergence_block", "_inverse_moment_block", "_malliavin_block"):
+        for name in ("_convergence_block", "_solve_block", "_malliavin_block"):
             kernel = getattr(experiments, name)
 
             def recording(config, noise, kernel=kernel):
@@ -425,7 +455,7 @@ class TestBlockDriver:
         assert widths == [rows for rows in blocks for _ in range(coarse)]
 
     @pytest.mark.parametrize(
-        "block", ["_convergence_block", "_inverse_moment_block", "_malliavin_block"]
+        "block", ["_convergence_block", "_solve_block", "_malliavin_block"]
     )
     def test_block_holds_one_noise_sized_array(self, bench_params, hurst07, block):
         # Beyond the noise it is handed, a block holds the coarse levels and
@@ -533,4 +563,5 @@ class TestKsPvalue:
 
 
 def simulate_powers(params, hurst, grid, seed, p):
-    return simulate_path(grid, hurst, params, seed) ** (-float(p))
+    (levels,) = simulate_batch(sample_fbm_circulant(grid, hurst, [seed]), grid.step, params)
+    return levels ** (-float(p))

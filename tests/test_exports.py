@@ -70,6 +70,19 @@ def test_studies_and_cli_use_only_public_kernel_names(module):
     assert private == []
 
 
+def test_scheme_imports_nothing_from_fbm():
+    # the solver takes the noise it is handed; the studies in experiments
+    # sample it, so H and the seeds are checked in one place
+    tree = ast.parse(Path(fcir.scheme.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if name.split(".")[-1] == "fbm"] == []
+
+
 def test_modules_import_no_private_name_of_another():
     # a `_` name belongs to its module; dunders such as __version__ are public
     private = []

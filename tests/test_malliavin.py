@@ -19,7 +19,7 @@ from fcir import (
     malliavin_terminal_forms,
     sample_fbm_circulant,
     simulate_batch,
-    simulate_path,
+    simulate_paths,
 )
 from oracles import terminal_sensitivity
 
@@ -45,7 +45,8 @@ def profile(levels, node, params):
 @pytest.fixture
 def path(bench_params):
     """Levels of one path on GRID."""
-    return simulate_path(GRID, HurstParameter(0.7), bench_params, 77)
+    noise = sample_fbm_circulant(GRID, HurstParameter(0.7), [77])
+    return simulate_batch(noise, GRID.step, bench_params)[0]
 
 
 @pytest.fixture
@@ -163,6 +164,12 @@ class TestTerminalForms:
         with pytest.raises(DomainError):
             malliavin_terminal_forms(path[None, :1], GRID.step, bench_params)
 
+    @pytest.mark.parametrize("step", [math.nan, -1.0, 0.0, math.inf])
+    def test_step_follows_the_solver_rule(self, path, bench_params, step):
+        # a nan step gave all-nan forms and step = -1 finite ones, both silently
+        with pytest.raises(DomainError, match=rf"^step must be positive and finite, got {step}$"):
+            malliavin_terminal_forms(path[None, :], step, bench_params)
+
 
 class TestGapStudy:
     def test_order_one_consistency(self, bench_params, hurst07):
@@ -195,8 +202,8 @@ class TestGapStudy:
         )
         report = malliavin_gap_study(config)
         grid = GridSpec(1.0, 64)
-        paths = [simulate_path(grid, hurst07, bench_params, 9 + i) for i in range(3)]
-        product, _ = malliavin_terminal_forms(np.stack(paths), grid.step, bench_params)
+        paths = simulate_paths(config)
+        product, _ = malliavin_terminal_forms(paths, grid.step, bench_params)
         profiles = [
             malliavin_terminal_forms(path[None], grid.step, bench_params)[0][0] for path in paths
         ]

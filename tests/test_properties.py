@@ -24,7 +24,6 @@ from fcir import (
     malliavin_terminal_forms,
     sample_fbm_circulant,
     simulate_batch,
-    simulate_path,
 )
 from oracles import backward_euler_step
 
@@ -54,7 +53,8 @@ def test_batch_rows_match_single_paths(model, hurst, seed):
     product, exponential = malliavin_terminal_forms(batch, GRID.step, params)
 
     for row, single_seed in enumerate(seeds):
-        path = simulate_path(GRID, hurst, params, single_seed)
+        single = sample_fbm_circulant(GRID, hurst, [single_seed])
+        (path,) = simulate_batch(single, GRID.step, params)
         assert np.array_equal(batch[row], path)
         single_product, single_exponential = malliavin_terminal_forms(
             path[None, :], GRID.step, params

@@ -19,14 +19,19 @@ from fcir import (
     regress_order,
     sample_fbm_circulant,
     simulate_batch,
-    simulate_path,
+    simulate_paths,
     step_constants,
 )
-from fcir import scheme
+from fcir import experiments
 from fcir.io import write_solution_path
 from oracles import backward_euler_step, bisect_implicit_step, residuals, rk4_levels
 
 H07 = HurstParameter(0.7)
+
+
+def one_path(grid: GridSpec, params: CirParams, seed: int) -> np.ndarray:
+    """Levels of the path that circulant fBm from seed drives on grid."""
+    return simulate_batch(sample_fbm_circulant(grid, H07, [seed]), grid.step, params)[0]
 
 
 def solve_zero_noise(steps: int, params: CirParams, horizon: float = 1.0) -> np.ndarray:
@@ -93,6 +98,16 @@ class TestBackwardEulerStep:
                 params=params, hurst=H07, horizon=1.0, reference_exponent=4,
                 coarse_exponents=(), samples=1, base_seed=0,
             )
+
+
+@pytest.mark.parametrize("kappa", [2.0, -2.0])
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+def test_non_finite_step_is_a_domain_error(kappa, step):
+    # a nan step, and an inf step at kappa > 0, used to reach the product
+    # check and read as an overflow
+    params = CirParams(kappa=kappa, theta=0.5 if kappa > 0 else -0.5, sigma=0.5, r0=1.0)
+    with pytest.raises(DomainError, match=rf"^step must be positive and finite, got {step}$"):
+        step_constants(step, params)
 
 
 def accepts(params: CirParams, step: float) -> tuple[bool, bool]:
@@ -167,7 +182,7 @@ class TestSimulatePath:
     def test_single_step_composition(self, bench_params):
         grid = GridSpec(0.25, 1)
         (noise,) = sample_fbm_circulant(grid, H07, [11])
-        path = simulate_path(grid, H07, bench_params, 11)
+        path = one_path(grid, bench_params, 11)
         expected = backward_euler_step(bench_params.x0, noise[1], 0.25, bench_params)
         assert path.shape == (2,)
         assert path[0] == bench_params.x0
@@ -177,7 +192,7 @@ class TestSimulatePath:
         grid = GridSpec(1.0, 512)
         for seed in range(5):
             (noise,) = sample_fbm_circulant(grid, H07, [seed])
-            path = simulate_path(grid, H07, bench_params, seed)
+            path = one_path(grid, bench_params, seed)
             bound = 1e-12 * (1.0 + np.abs(path[1:]))
             assert np.all(np.abs(residuals(path, noise, grid.step, bench_params)) <= bound)
         with pytest.raises(DomainError, match="share a grid"):
@@ -186,25 +201,28 @@ class TestSimulatePath:
     def test_positivity_random_paths(self, bench_params):
         grid = GridSpec(1.0, 256)
         for seed in range(100):
-            assert np.all(simulate_path(grid, H07, bench_params, seed) > 0.0)
+            assert np.all(one_path(grid, bench_params, seed) > 0.0)
 
     def test_refuses_rough_noise(self, bench_params, monkeypatch):
-        # refused before any draw, with the message the CLI reports
+        # a one-path study is refused before any draw, with the message the CLI reports
         def no_draws(*args):
             raise AssertionError("sampled noise for rough H")
 
-        monkeypatch.setattr(scheme, "sample_fbm_circulant", no_draws)
+        monkeypatch.setattr(experiments, "sample_fbm_circulant", no_draws)
         for hurst in (0.5, 0.2):
             with pytest.raises(
                 UnsupportedRegimeError,
                 match=rf"^the solver requires driving noise with H > 1/2, got H={hurst}$",
             ):
-                simulate_path(GridSpec(1.0, 16), HurstParameter(hurst), bench_params, 1)
+                simulate_paths(ExperimentConfig(
+                    params=bench_params, hurst=HurstParameter(hurst), horizon=1.0,
+                    reference_exponent=4, coarse_exponents=(), samples=1, base_seed=1,
+                ))
 
     def test_batch_matches_scalar_loop(self, bench_params):
         grid = GridSpec(1.0, 64)
         (noise,) = sample_fbm_circulant(grid, H07, [99])
-        path = simulate_path(grid, H07, bench_params, 99)
+        path = one_path(grid, bench_params, 99)
         batch = simulate_batch(np.stack([noise] * 2), grid.step, bench_params)
         assert np.array_equal(batch[0], path)
         assert np.array_equal(batch[1], path)
@@ -307,7 +325,7 @@ class TestRateProcess:
     def test_nodes_and_origin(self, bench_params, tmp_path):
         # the rate column the solution writer emits is X^2, r0 at t = 0
         grid = GridSpec(1.0, 32)
-        path = simulate_path(grid, H07, bench_params, 8)
+        path = one_path(grid, bench_params, 8)
         write_solution_path(tmp_path / "path.csv", grid, path)
         table = np.loadtxt(tmp_path / "path.csv", delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 0], grid.nodes())
