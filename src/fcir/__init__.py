@@ -38,4 +38,4 @@ from .model import (
 )
 from .scheme import simulate_batch, step_constants
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"

@@ -259,11 +259,13 @@ def regress_order(step_sizes, errors) -> tuple[float, float]:
     errors = np.asarray(errors, dtype=float)
     if step_sizes.shape != errors.shape or step_sizes.ndim != 1:
         raise DomainError("step sizes and errors must be 1-d arrays of equal length")
-    if step_sizes.size < 2:
-        raise DomainError("order regression needs at least two step sizes")
     for name, values in (("step sizes", step_sizes), ("errors", errors)):
         if not np.all((values > 0.0) & (values < math.inf)):  # nan fails both
             raise DomainError(f"order regression needs finite, positive {name}, got {values}")
+    if np.unique(step_sizes).size < 2:
+        raise DomainError(
+            f"order regression needs at least two distinct step sizes, got {step_sizes}"
+        )
     slope, intercept = np.polyfit(np.log2(step_sizes), np.log2(errors), 1)
     return float(slope), float(intercept)
 

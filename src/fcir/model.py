@@ -5,15 +5,18 @@ whose drift is f(x) = kappa*theta/(2x) - kappa*x/2; the Malliavin forms use
 its derivative f'.  Bounded inverse moments of the solution hold under an
 integral condition comparing kappa*theta against a multiple of an
 exponentially weighted singular-kernel integral; this module evaluates that
-condition exactly in the frame rescaled by e^(-kappa*s/2), through the closed
-form of the integral (Kummer's function, or the incomplete gamma function for
-kappa > 0), and also provides the closed-form sufficient test.
+condition exactly in the frame rescaled by e^(-kappa*s/2), through the
+incomplete gamma function (kappa > 0) or Kummer's function (kappa < 0) that
+the integral equals, each summed to double precision with the `math` module
+alone, and also provides the closed-form sufficient test.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -72,44 +75,114 @@ def drift_derivative(x, params: CirParams):
     return -0.5 * params.kappa * params.theta / (x * x) - 0.5 * params.kappa
 
 
+# ln of the largest double: a kernel integral beyond e^_LOG_MAX is refused
+_LOG_MAX = math.log(sys.float_info.max)
+# A sum or continued fraction stops at the first term or factor that moves it
+# by at most a rounding unit, and raises if that takes more than _MAX_TERMS.
+_EPS = sys.float_info.epsilon / 2.0
+_TINY = sys.float_info.min
+_MAX_TERMS = 1000
+
+
+def _series(terms) -> float:
+    """Sum of positive terms, up to the first that moves it by at most a rounding unit.
+
+    Every caller hands it _MAX_TERMS terms at most; if none is small enough
+    the sum has not converged.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+        if term <= _EPS * total:
+            return total
+    raise NumericalError(f"a kernel-integral series did not converge in {_MAX_TERMS} terms")
+
+
+def _legendre_fraction(x: float, a: float) -> float:
+    """e^x x^(-a) Gamma(a, x) for x >= a+1, from its continued fraction by modified Lentz.
+
+    The fraction is 1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))), DLMF 8.9.2.
+    """
+    b = x + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    fraction = d
+    for i in range(1, _MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        delta = c * d
+        fraction *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return fraction
+    raise NumericalError(
+        f"the incomplete gamma fraction did not converge in {_MAX_TERMS} terms at x={x}"
+    )
+
+
+def _kernel_integral(s: float, kappa: float, a: float) -> float:
+    """I(s), the integral of e^(-kappa*u/2) u^(a-1) over [0, s], for 0 < a < 1 and s >= 0.
+
+    With x = kappa*s/2 and z = -x, I(s) = gamma(a, x)/(kappa/2)^a for
+    kappa > 0, in the lower incomplete gamma function, and s^a/a *
+    1F1(a; a+1; z) for kappa < 0, in Kummer's function (DLMF 8.2.1, 13.2.2).
+    Each is summed where it converges fast:
+
+    - 0 <= x < a+1: e^(-x) s^a sum x^k/(a(a+1)...(a+k)), DLMF 8.7.1;
+    - x >= a+1: (Gamma(a) - Gamma(a, x))/(kappa/2)^a, with Gamma(a, x) from
+      its Legendre continued fraction;
+    - 0 < z <= 100: s^a sum z^k/(k!(a+k));
+    - z > 100: e^z (s^a/z) sum (1-a)_k z^(-k), DLMF 13.7.2, whose other term
+      is below e^(-z) times this one.  Where that product overflows it is
+      formed in the log domain, and where I(s) exceeds the largest double
+      NumericalError is raised.
+    """
+    x = 0.5 * kappa * s
+    z = -x
+    if 0.0 <= x < a + 1.0:
+        terms = accumulate(range(1, _MAX_TERMS), lambda t, k: t * (x / (a + k)), initial=1.0 / a)
+        return math.exp(-x) * s**a * _series(terms)
+    if x >= a + 1.0:
+        rate = 0.5 * kappa
+        # Gamma(a, x)/rate^a; e^(-x) underflows to 0 beyond x of about 745
+        upper = math.exp(-x) * s**a
+        if upper > 0.0:
+            upper *= _legendre_fraction(x, a)
+        return math.gamma(a) / rate**a - upper
+    if z <= 100.0:
+        powers = accumulate(range(1, _MAX_TERMS), lambda p, k: p * (z / k), initial=1.0)
+        return s**a * _series(p / (a + k) for k, p in enumerate(powers))
+    total = _series(accumulate(range(1, _MAX_TERMS), lambda t, k: t * ((k - a) / z), initial=1.0))
+    if z < _LOG_MAX:
+        # e^z first, then the rest, so that the product overflows only with I(s)
+        integral = math.exp(z) * (s**a / z) * total
+        if integral < math.inf:
+            return integral
+    # finite down to s = 5e-324; an overflowed z gives nan, which is refused
+    log_integral = z + a * math.log(s) - math.log(z) + math.log(total)
+    if not log_integral <= _LOG_MAX:
+        raise NumericalError(
+            f"inverse-moment margin overflows at horizon={s}, kappa={kappa}: "
+            f"the kernel integral exceeds e^{log_integral:.6g}"
+        )
+    return math.exp(log_integral)
+
+
 def _rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter) -> float:
     """(sigma^2/2) H(2H-1) * I(s), where I(s) = integral of e^(-kappa*u/2) u^(2H-2) over [0, s].
 
-    With a = 2H-1, I(s) = s^a/a * 1F1(a; a+1; -kappa*s/2) in Kummer's
-    confluent hypergeometric function, or gamma(a, kappa*s/2)/(kappa/2)^a in
-    the lower incomplete gamma function (DLMF 8.5.1, 13.2).  I is the kernel
-    integral in the frame rescaled by e^(-kappa*s/2); it overflows to inf
-    only for kappa < 0 with |kappa|*s/2 beyond about 709.
-
-    For kappa < 0 and z = -kappa*s/2, 1F1(a; a+1; z) >= a(e^z - 1)/z, so
-    I(s) >= s^a (e^z - 1)/z; where that bound exceeds the largest double,
-    NumericalError is raised before scipy's hyp1f1, which does not return
-    for z of about 1e50 and beyond.
+    I is the kernel integral in the frame rescaled by e^(-kappa*s/2), summed
+    by `_kernel_integral` with a = 2H-1; it exceeds the largest double only
+    for kappa < 0 with |kappa|*s/2 beyond about 709, where NumericalError
+    is raised.
     """
     if not hurst.long_memory:
         raise DomainError(f"kernel integral requires H > 1/2, got {hurst.value}")
-    a = 2.0 * hurst.value - 1.0
-    rate = 0.5 * params.kappa
-    z = -rate * s
-    if z > 0.0:
-        # finite down to z = 5e-324; an overflowed z gives nan, which is refused
-        log_bound = a * math.log(s) + z + math.log(-math.expm1(-z)) - math.log(z)
-        if not log_bound <= math.log(np.finfo(float).max):
-            raise NumericalError(
-                f"inverse-moment margin overflows at horizon={s}, kappa={params.kappa}: "
-                f"the kernel integral exceeds e^{log_bound:.6g}"
-            )
-    # imported here, not with the module, so that `import fcir` loads no scipy
-    from scipy import special
-
-    if rate > 0.0:
-        # scipy's hyp1f1 at negative arguments is nan for small a and |z|
-        # below about 1e-172 or above about 1e11, and takes up to seconds
-        # near 1e10; the incomplete gamma function has neither defect.
-        integral = special.gamma(a) * special.gammainc(a, rate * s) / rate**a
-    else:
-        integral = s**a / a * special.hyp1f1(a, a + 1.0, z)
-    return 0.5 * (params.sigma * params.sigma) * hurst.alpha * float(integral)
+    integral = _kernel_integral(s, params.kappa, 2.0 * hurst.value - 1.0)
+    return 0.5 * (params.sigma * params.sigma) * hurst.alpha * integral
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Reference computations the tests judge the library against.
 
-All but the last share no code with `fcir.scheme`:
+All but `terminal_sensitivity` share no code with `fcir`:
 
 - `drift`, `residuals`: the transformed drift f(x) = kappa*theta/(2x) -
   kappa*x/2 and the implicit relation of a solved path;
@@ -11,14 +11,17 @@ All but the last share no code with `fcir.scheme`:
   Runge-Kutta, an independent reference for the order-one claim;
 - `terminal_sensitivity`: the central difference of `simulate_batch`'s X_N
   in one noise increment, the derivative the Malliavin product form claims
-  to be.
+  to be;
+- `scipy_rescaled_kernel_integral`: the inverse-moment kernel integral in
+  scipy's incomplete gamma and Kummer functions.
 """
 
 import math
 
 import numpy as np
+from scipy import special
 
-from fcir import CirParams, DomainError, simulate_batch
+from fcir import CirParams, DomainError, HurstParameter, simulate_batch
 
 
 def drift(x, params: CirParams):
@@ -126,3 +129,22 @@ def terminal_sensitivity(
         shifted[:, node:] += shift
         solutions.append(simulate_batch(shifted, step, params)[:, -1])
     return (solutions[0] - solutions[1]) / (2.0 * eps)
+
+
+def scipy_rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter) -> float:
+    """(sigma^2/2) H(2H-1) I(s), I(s) = integral of e^(-kappa*u/2) u^(2H-2) over [0, s], in scipy.
+
+    I(s) = gamma(a, kappa*s/2)/(kappa/2)^a for kappa > 0 and s^a/a *
+    1F1(a; a+1; -kappa*s/2) for kappa < 0, with a = 2H-1.  It is inf where
+    I(s) overflows, and also wherever hyp1f1 does, beyond |kappa|*s/2 of about
+    716; it is wrong by up to 100% where kappa*s/2 is subnormal, and hyp1f1
+    does not return for |kappa|*s/2 of about 1e50 and beyond.
+    """
+    a = 2.0 * hurst.value - 1.0
+    rate = 0.5 * params.kappa
+    with np.errstate(over="ignore"):
+        if rate > 0.0:
+            integral = special.gamma(a) * special.gammainc(a, rate * s) / rate**a
+        else:
+            integral = s**a / a * special.hyp1f1(a, a + 1.0, -rate * s)
+    return 0.5 * (params.sigma * params.sigma) * hurst.alpha * float(integral)

@@ -100,6 +100,16 @@ class TestRegressOrder:
         with pytest.raises(DomainError, match=f"finite, positive {argument.replace('_', ' ')}"):
             regress_order(**inputs)
 
+    @pytest.mark.parametrize(
+        "step_sizes, errors", [([0.5, 0.5], [0.1, 0.2]), ([0.25] * 3, [0.1] * 3)]
+    )
+    def test_repeated_step_size_refused(self, step_sizes, errors):
+        # np.polyfit fits a single step size with only a RankWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="at least two distinct step sizes"):
+                regress_order(step_sizes, errors)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             regress_order([0.5], [0.1])

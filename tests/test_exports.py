@@ -83,6 +83,18 @@ def test_scheme_imports_nothing_from_fbm():
     assert [name for name in imported if name.split(".")[-1] == "fbm"] == []
 
 
+def test_no_module_imports_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests only
+    imported = []
+    for path in sorted(Path(fcir.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.stem, node.module))
+            elif isinstance(node, ast.Import):
+                imported += [(path.stem, alias.name) for alias in node.names]
+    assert [entry for entry in imported if entry[1].split(".")[0] == "scipy"] == []
+
+
 def test_modules_import_no_private_name_of_another():
     # a `_` name belongs to its module; dunders such as __version__ are public
     private = []

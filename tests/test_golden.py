@@ -3,9 +3,10 @@
 This is the one table of golden cases.  Each case runs `fcir.cli.main` in
 process and compares the sha256 of every data file it writes with the table
 below.  The frozen PCG64 variates make the bytes stable per platform only, so
-the table is keyed by (numpy version, scipy version, machine); on any other
-key the cases skip and name the key.  A digest changes only with an output
-change, which CHANGES.md records together with its reason.
+the table is keyed by (numpy version, machine); no data file depends on
+scipy, which fcir does not import.  On any other key the cases skip and name
+the key.  A digest changes only with an output change, which CHANGES.md
+records together with its reason.
 `python3 tools/golden_bytes.py --digests SRC` prints the table entry for the
 current key, computed on the tree SRC, and `python3 tools/golden_bytes.py
 PARENT_SRC CHANGE_SRC` runs every case on two trees and compares the bytes.
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import fcir
 from fcir import experiments
@@ -96,7 +96,7 @@ _DEFAULTS = {
     },
 }
 DIGESTS = {
-    ("2.4.6", "1.17.1", "x86_64"): {
+    ("2.4.6", "x86_64"): {
         **_DEFAULTS,
         # the data files are the same for any --workers
         **{f"{name} --workers 2": files for name, files in _DEFAULTS.items()},
@@ -154,7 +154,7 @@ DIGESTS = {
     },
 }
 
-KEY = (np.__version__, scipy.__version__, platform.machine())
+KEY = (np.__version__, platform.machine())
 
 
 def data_digests(case: str, out: Path) -> dict[str, str]:
@@ -183,7 +183,7 @@ def data_digests(case: str, out: Path) -> dict[str, str]:
 @pytest.fixture
 def digests():
     if KEY not in DIGESTS:
-        pytest.skip(f"no golden digests for numpy {KEY[0]}, scipy {KEY[1]}, machine {KEY[2]}")
+        pytest.skip(f"no golden digests for numpy {KEY[0]}, machine {KEY[1]}")
     return DIGESTS[KEY]
 
 

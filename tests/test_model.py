@@ -1,12 +1,14 @@
 """Tests for model parameters, the transformed drift, and condition checks."""
 
 import dataclasses
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -21,7 +23,7 @@ from fcir import (
 )
 from fcir import model
 from fcir.model import _rescaled_kernel_integral
-from oracles import drift
+from oracles import drift, scipy_rescaled_kernel_integral
 
 # Frozen value of the brute-force oracle below at
 # (s=1, kappa=2, sigma=0.5, H=0.7) with 1e6 panels.
@@ -200,8 +202,7 @@ class TestWeightedKernelIntegral:
     @pytest.mark.parametrize("H", [0.51, 0.53, 0.55, 0.7])
     @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100])
     def test_tiny_interval_is_finite(self, bench_params, H, s):
-        # scipy's hyp1f1(a, a+1, z) is nan or inf for a <= 0.1 and tiny |z|;
-        # here e^(-kappa*u/2) = 1 to double precision, so I(s) = s^(2H-1)/(2H-1)
+        # e^(-kappa*u/2) = 1 to double precision, so I(s) = s^(2H-1)/(2H-1)
         closed = 0.5 * bench_params.sigma**2 * H * s ** (2 * H - 1)
         assert kernel_integral(s, bench_params, H) == pytest.approx(closed, rel=1e-12)
 
@@ -219,6 +220,87 @@ def test_closed_form_matches_quadrature_oracle(kappa, hvalue, s, sigma):
     prefactor = 0.5 * sigma**2 * hvalue * (2.0 * hvalue - 1.0)
     oracle = prefactor * quadrature_rescaled_integral(s, kappa, hvalue)
     assert kernel_integral(s, params, hvalue) == pytest.approx(oracle, rel=1e-9)
+
+
+GRID_H = (0.5 + 1e-9, 0.5 + 1e-6, 0.51, 0.6, 0.7, 0.9, 0.99, 0.999999)
+GRID_KAPPA = tuple(
+    sign * size for sign in (1.0, -1.0) for size in (1e-12, 1e-6, 1e-2, 1.0, 2.0, 1e2, 1e6)
+)
+GRID_S = (1e-300, 1e-200, 1e-100, 1e-10, 1e-2, 0.3, 1.0, 3.0, 1e2, 1e3, 1e6, 1e11)
+
+
+def unit_params(kappa: float) -> CirParams:
+    """sigma = 1, so the rescaled kernel integral is H(2H-1)/2 times I(s)."""
+    return CirParams(kappa=kappa, theta=math.copysign(0.5, kappa), sigma=1.0, r0=1.0)
+
+
+@pytest.mark.parametrize("hvalue", GRID_H)
+def test_matches_scipy_oracle_on_a_grid(hvalue):
+    # Every branch of the sum, both signs of kappa, and z = -kappa*s/2 up to
+    # 708, where e^z is near the largest double.  Where the weight
+    # e^(-kappa*u/2) is 1 to double precision (|kappa|*s/2 below 2^-53) the
+    # integral is s^a/a; scipy is off there, by 1.2e-13 at H = 0.99, kappa = 2,
+    # s = 1e-300 and by up to 100% where kappa*s/2 is subnormal.
+    hurst = HurstParameter(hvalue)
+    a = 2.0 * hvalue - 1.0
+    misses = []
+    for kappa, s in itertools.product(GRID_KAPPA, GRID_S):
+        if -0.5 * kappa * s > 708.0:
+            continue
+        params = unit_params(kappa)
+        if abs(0.5 * kappa * s) < 2.0**-53:
+            expected = 0.5 * hurst.alpha * s**a / a
+        else:
+            expected = scipy_rescaled_kernel_integral(s, params, hurst)
+        value = _rescaled_kernel_integral(s, params, hurst)
+        if value != pytest.approx(expected, rel=1e-13):
+            misses.append((kappa, s, value, expected))
+    assert misses == []
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    hvalue=st.floats(0.5 + 1e-9, 0.999999),
+    log_s=st.one_of(st.floats(-300.0, 11.0), st.floats(0.0, 11.0)),
+    # x = kappa*s/2; z = -x stays where scipy's hyp1f1 is finite, and the
+    # second range is where I(s) overflows for s of about 1e3 and beyond
+    x=st.one_of(st.floats(-709.0, 50.0), st.floats(-709.0, -600.0)),
+)
+@example(hvalue=0.999999, log_s=11.0, x=-700.0)  # I(s) is about e^719
+@example(hvalue=0.7, log_s=math.log10(700.0), x=-700.0)  # about e^696
+def test_refuses_exactly_where_the_scipy_oracle_overflows(hvalue, log_s, x):
+    s = 10.0**log_s
+    kappa = 2.0 * x / s
+    assume(1e-12 <= abs(kappa) < math.inf)
+    params, hurst = unit_params(kappa), HurstParameter(hvalue)
+    try:
+        value = _rescaled_kernel_integral(s, params, hurst)
+    except NumericalError as error:
+        assert "the kernel integral exceeds e^" in str(error)
+        value = None
+    assert value is None or math.isfinite(value)
+    oracle = scipy_rescaled_kernel_integral(s, params, hurst)
+    assert (value is None) == (not math.isfinite(oracle))
+
+
+@pytest.mark.parametrize(
+    "hvalue, s, z",
+    [(0.7, 0.5, 709.78), (0.7, 1e-5, 709.79), (0.5 + 1e-9, 1e-300, 709.9),
+     (0.6, 1e-120, 750.0), (0.9, 1e-200, 1000.0), (0.999999, 1e-300, 1380.0)],
+)
+def test_log_domain_matches_mpmath(hvalue, s, z):
+    # beyond z = ln(largest double), 709.78, e^z overflows and the expansion
+    # is formed in the log domain, whose rounding grows with z; scipy's
+    # hyp1f1 is inf beyond z of about 716, so it cannot judge these
+    mpmath = pytest.importorskip("mpmath")
+    kappa = -2.0 * z / s
+    a = 2.0 * hvalue - 1.0
+    with mpmath.workdps(50):
+        S, K, A = mpmath.mpf(s), mpmath.mpf(kappa), mpmath.mpf(a)
+        exact = float(S**A / A * mpmath.hyp1f1(A, A + 1, -K * S / 2))
+    assert exact < sys.float_info.max
+    value = _rescaled_kernel_integral(s, unit_params(kappa), HurstParameter(hvalue))
+    assert value / (0.5 * HurstParameter(hvalue).alpha) == pytest.approx(exact, rel=1e-12)
 
 
 class TestConditionChecks:

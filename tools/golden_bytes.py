@@ -20,8 +20,8 @@ case of the table is always a mismatch.  Under each differing CSV it
 prints, per differing numeric column the two files share, the largest
 absolute and relative difference of a cell, and names the columns only one
 file has.  With `--digests SRC` it instead prints the `DIGESTS` entry of the
-cases for that interpreter's (numpy, scipy, machine) key, ready to paste into
-the test; pasting a changed digest records an output change.  Only the
+cases for that interpreter's (numpy, machine) key, ready to paste into the
+test; pasting a changed digest records an output change.  Only the
 standard library is used here.
 """
 
