@@ -34,8 +34,7 @@ from .model import (
     ConditionReport,
     check_moment_conditions,
     drift_derivative,
-    sufficient_moment_condition,
 )
 from .scheme import simulate_batch, step_constants
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"

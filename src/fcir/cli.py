@@ -54,7 +54,7 @@ from .experiments import (
     simulate_paths,
 )
 from .fbm import GridSpec, HurstParameter, sample_fbm_circulant
-from .model import CirParams, ConditionReport, check_moment_conditions, sufficient_moment_condition
+from .model import CirParams, ConditionReport, check_moment_conditions
 
 # Model flags with the benchmark defaults used throughout the experiments.
 # Each subcommand adds its own --horizon default; fbm-check takes the noise
@@ -152,12 +152,10 @@ def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> dict:
 
 def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> dict:
     params = _params(args)
-    hurst = HurstParameter(args.hurst)
-    reports = check_moment_conditions(args.p, params, hurst, args.horizon)
+    reports = check_moment_conditions(args.p, params, HurstParameter(args.hurst), args.horizon)
     io.write_condition_reports(outdir / "data.csv", reports)
-    sufficient = sufficient_moment_condition(args.p, params, hurst, args.horizon)
     return {
-        "sufficient_closed_form": str(sufficient).lower(),
+        "sufficient_closed_form": str(reports[0].sufficient).lower(),
         **_condition_summary(reports),
     }
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UnsupportedRegimeError
 from .fbm import (
-    HOLDER_EPSILON,
     GridSpec,
     HurstParameter,
     fbm_covariance,
@@ -93,18 +92,15 @@ def check_fbm_samplers(
     sampler (seed base_seed + i), so the batches are independent.  Checks:
     terminal variance z-scores, the largest covariance z-score, a two-sample
     KS test, and the 99th-percentile Hoelder statistic under refinement.
-    The last needs H > HOLDER_EPSILON, which is checked before any draw.
+    The last needs H > HOLDER_EPSILON, which `HurstParameter.holder_exponent`
+    checks before any draw.
     The KS p-value of the terminal values is exact for every sample size
     (see `_ks_pvalue_equal_sizes`; no asymptotic form above 10 000 samples),
     and a nan terminal value makes it nan, so that check fails.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    if hurst.value <= HOLDER_EPSILON:
-        raise DomainError(
-            f"the sampler checks need H > {HOLDER_EPSILON}, got H = {hurst.value}: their "
-            f"Hoelder statistic measures (H - {HOLDER_EPSILON})-Hoelder quotients"
-        )
+    hurst.holder_exponent()
     m = samples
     try:
         terminal_var = grid.horizon ** (2.0 * hurst.value)
@@ -180,10 +176,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coarse_exponents", tuple(self.coarse_exponents))
-        if not self.hurst.long_memory:
-            raise UnsupportedRegimeError(
-                f"the solver requires driving noise with H > 1/2, got H={self.hurst.value}"
-            )
+        self.hurst.require_long_memory()
         reference = self.reference_grid  # GridSpec.dyadic checks the exponent
         if any(e < 0 or e > self.reference_exponent for e in self.coarse_exponents):
             raise DomainError(

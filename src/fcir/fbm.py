@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, UnsupportedRegimeError
 
 __all__ = [
     "HurstParameter",
@@ -69,9 +69,22 @@ class HurstParameter:
         """H(2H - 1), the prefactor of the covariance density; positive iff H > 1/2."""
         return self.value * (2.0 * self.value - 1.0)
 
-    @property
-    def long_memory(self) -> bool:
-        return self.value > 0.5
+    def require_long_memory(self) -> None:
+        """Refuse H <= 1/2, which the scheme's pathwise analysis does not cover."""
+        if not self.value > 0.5:
+            raise UnsupportedRegimeError(
+                f"the solver requires driving noise with H > 1/2, got H={self.value}"
+            )
+
+    def holder_exponent(self) -> float:
+        """H - HOLDER_EPSILON, the exponent of the Hoelder statistic; refused unless positive."""
+        exponent = self.value - HOLDER_EPSILON
+        if not exponent > 0.0:
+            raise DomainError(
+                f"the Hoelder statistic needs H > {HOLDER_EPSILON}, got H = {self.value}: "
+                f"it measures (H - {HOLDER_EPSILON})-Hoelder quotients"
+            )
+        return exponent
 
 
 @dataclass(frozen=True)
@@ -352,11 +365,7 @@ def holder_statistic(levels: np.ndarray, grid: GridSpec, hurst: HurstParameter) 
             f"levels must have shape (paths, {grid.steps + 1}) on a grid of {grid.steps} "
             f"steps, got {np.shape(levels)}"
         )
-    if hurst.value <= HOLDER_EPSILON:
-        raise DomainError(
-            f"the Hoelder statistic needs H > {HOLDER_EPSILON}, got H = {hurst.value}"
-        )
-    exponent = hurst.value - HOLDER_EPSILON
+    exponent = hurst.holder_exponent()
     best = np.zeros(len(levels))
     gaps = np.empty((len(levels), grid.steps))
     k = 1

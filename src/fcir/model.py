@@ -29,7 +29,6 @@ __all__ = [
     "ConditionReport",
     "drift_derivative",
     "check_moment_conditions",
-    "sufficient_moment_condition",
 ]
 
 
@@ -179,8 +178,7 @@ def _rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstParameter
     for kappa < 0 with |kappa|*s/2 beyond about 709, where NumericalError
     is raised.
     """
-    if not hurst.long_memory:
-        raise DomainError(f"kernel integral requires H > 1/2, got {hurst.value}")
+    hurst.require_long_memory()
     integral = _kernel_integral(s, params.kappa, 2.0 * hurst.value - 1.0)
     return 0.5 * (params.sigma * params.sigma) * hurst.alpha * integral
 
@@ -192,12 +190,17 @@ class ConditionReport:
     worst_margin is the minimum over s in [0, T] of the margin in the frame
     rescaled by e^(-kappa*s/2), which keeps the sign of LHS - RHS; the
     condition holds iff it is nonnegative.  The margin is always evaluated
-    exactly, through the closed form of the kernel integral.
+    exactly, through the closed form of the kernel integral.  sufficient is
+    the closed-form sufficient test for the same multiplier m:
+    s^(2H-1) <= 2*kappa*theta*e^(min(kappa, 0)*s/2) / (sigma^2 H m) for all
+    s in [0, T]; the left side rises and the right side does not, so s = T
+    decides.  True implies holds; the converse can fail.
     """
 
     worst_margin: float
     worst_s: float
     multiplier: int
+    sufficient: bool
     method: ClassVar[str] = "exact"
 
     @property
@@ -216,45 +219,27 @@ def check_moment_conditions(
     strictly in s for either sign of kappa, so the worst margin is always at
     s = T.  The multiplier p+1 gives the exact-solution moment bound, 3p+1
     the variant used by the convergence analysis.  A margin that overflows
-    raises NumericalError.
+    raises NumericalError.  The sufficient test is compared as a product,
+    with no quotient to overflow or divide by zero.
     """
     if p < 1:
         raise DomainError(f"moment order p must be >= 1, got {p}")
     if not 0.0 < horizon < math.inf:
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
     integral = _rescaled_kernel_integral(horizon, params, hurst)
+    kappa_theta = params.kappa * params.theta
+    bound = 2.0 * kappa_theta * math.exp(0.5 * min(params.kappa, 0.0) * horizon)
+    growth = params.sigma * params.sigma * hurst.value * horizon ** (2.0 * hurst.value - 1.0)
     reports = []
     for multiplier in (p + 1, 3 * p + 1):
-        margin = params.kappa * params.theta - multiplier * integral
+        margin = kappa_theta - multiplier * integral
         if not math.isfinite(margin):
             raise NumericalError(
                 f"inverse-moment margin overflows at horizon={horizon}, kappa={params.kappa}"
             )
-        reports.append(
-            ConditionReport(worst_margin=margin, worst_s=float(horizon), multiplier=multiplier)
-        )
+        reports.append(ConditionReport(
+            worst_margin=margin, worst_s=float(horizon), multiplier=multiplier,
+            sufficient=multiplier * growth <= bound,
+        ))
     return tuple(reports)
 
-
-def sufficient_moment_condition(
-    p: int, params: CirParams, hurst: HurstParameter, horizon: float
-) -> bool:
-    """Closed-form sufficient test for the p+1 inverse-moment condition.
-
-    s^(2H-1) <= 2*kappa*theta*e^(min(kappa, 0)*s/2) / (sigma^2 H (p+1)) for
-    all s in [0, T]; the left side rises and the right side does not, so
-    s = T decides.  True implies the exact check with multiplier p+1 also
-    holds; the converse can fail.
-    """
-    if p < 1:
-        raise DomainError(f"moment order p must be >= 1, got {p}")
-    if not 0.0 < horizon < math.inf:
-        raise DomainError(f"horizon must be positive and finite, got {horizon}")
-    if not hurst.long_memory:
-        raise DomainError(f"sufficient condition requires H > 1/2, got {hurst.value}")
-
-    scale = 2.0 * params.kappa * params.theta / (
-        params.sigma * params.sigma * hurst.value * (p + 1)
-    )
-    bound = scale * math.exp(0.5 * min(params.kappa, 0.0) * horizon)
-    return horizon ** (2.0 * hurst.value - 1.0) <= bound

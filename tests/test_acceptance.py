@@ -25,7 +25,6 @@ from fcir import (
     sample_fbm_cholesky,
     sample_fbm_circulant,
     simulate_batch,
-    sufficient_moment_condition,
 )
 from oracles import residuals
 
@@ -176,9 +175,10 @@ def test_criterion_08_condition_checker():
         hurst = HurstParameter(rng.uniform(0.55, 0.95))
         horizon = rng.uniform(0.25, 4.0)
         p = int(rng.integers(1, 9))
-        if sufficient_moment_condition(p, params, hurst, horizon):
+        condition = check_moment_conditions(p, params, hurst, horizon)[0]
+        if condition.sufficient:
             sufficient_count += 1
-            if not check_moment_conditions(p, params, hurst, horizon)[0].holds:
+            if not condition.holds:
                 implication_ok = False
     passed = all(holds.values()) and implication_ok and sufficient_count >= 10
     report(

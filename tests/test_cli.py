@@ -222,6 +222,15 @@ class TestCheckConditions:
             assert float(worst_s) == 30.0
             assert method == "exact"
 
+    def test_tiny_sigma_is_sufficient(self, tmp_path):
+        # sigma^2 underflows to 0: the closed-form test is a product, with no
+        # quotient by it to divide by zero
+        code, (run,) = run_cli(tmp_path, "check-conditions", "--sigma", "1e-170")
+        assert code == 0
+        assert read_manifest(run)["sufficient_closed_form"] == "true"
+        _, rows = read_rows(run / "data.csv")
+        assert [row[0] for row in rows] == ["true", "true"]
+
     def test_overflowing_margin_exits_3(self, tmp_path, capsys):
         code, runs = run_cli(
             tmp_path, "check-conditions", "--kappa", "-50", "--theta", "-0.5", "--horizon", "30"
@@ -257,8 +266,8 @@ class TestFbmCheck:
         assert code == 3
         err = capsys.readouterr().err
         assert err == (
-            f"error: the sampler checks need H > 0.1, got H = {hurst}: their Hoelder "
-            "statistic measures (H - 0.1)-Hoelder quotients\n"
+            f"error: the Hoelder statistic needs H > 0.1, got H = {hurst}: it measures "
+            "(H - 0.1)-Hoelder quotients\n"
         )
         assert [f.name for f in run.iterdir()] == ["manifest.txt"]
         assert read_manifest(run)["error"] == err.strip()[len("error: "):]
@@ -330,6 +339,20 @@ class TestExitCodes:
         assert manifest[:3] == ["command = simulate", f"version = {__version__}", "status = error"]
         assert manifest[3].startswith("error = ")
         assert "H > 1/2" in manifest[3]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "converge-grid", "converge-uniform", "inverse-moments", "malliavin-check",
+         "check-conditions"],
+    )
+    def test_rough_noise_exits_3_with_one_message(self, tmp_path, capsys, command):
+        # HurstParameter.require_long_memory states the H > 1/2 rule once
+        code, (run,) = run_cli(tmp_path, command, "--hurst", "0.4")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: the solver requires driving noise with H > 1/2, got H=0.4\n"
+        )
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
 
     def test_error_manifest_flags_reproduce_the_error(self, tmp_path, capsys):
         argv = ["check-conditions", "--sigma", "2e155"]

@@ -51,6 +51,8 @@ class TestConfig:
             small_config(bench_params, hurst07, coarse_exponents=(4, 5, 4))
         with pytest.raises(DomainError):
             small_config(bench_params, hurst07, samples=0)
+        with pytest.raises(DomainError, match=r"^moment order p must be >= 1, got 0$"):
+            small_config(bench_params, hurst07, p=0)
         # GridSpec.dyadic names a negative exponent, before the coarse range is checked
         with pytest.raises(DomainError, match=r"^2\^-1 steps: a grid exponent must be at least"):
             small_config(bench_params, hurst07, reference_exponent=-1)
@@ -59,6 +61,21 @@ class TestConfig:
                 small_config(bench_params, hurst07, horizon=horizon)
         with pytest.raises(UnsupportedRegimeError):
             small_config(bench_params, HurstParameter(0.5))
+
+    @pytest.mark.parametrize(
+        "study, name",
+        [(run_convergence, "a convergence study"), (malliavin_gap_study, "a gap study")],
+    )
+    def test_study_needs_a_coarse_exponent(self, bench_params, hurst07, monkeypatch, study, name):
+        # a config without coarse grids is valid, and is refused by the two
+        # studies that compare coarse grids, before any draw
+        def no_paths(*args):
+            raise AssertionError("paths were simulated before the coarse grids were checked")
+
+        monkeypatch.setattr(experiments, "_map_blocks", no_paths)
+        config = small_config(bench_params, hurst07, coarse_exponents=())
+        with pytest.raises(DomainError, match=rf"^{name} needs at least one coarse exponent$"):
+            study(config)
 
     def test_step_sizes(self, bench_params, hurst07):
         config = small_config(bench_params, hurst07)
@@ -523,7 +540,7 @@ class TestSamplerChecks:
 
         for name in ("sample_fbm_cholesky", "sample_fbm_circulant"):
             monkeypatch.setattr(experiments, name, no_draws)
-        with pytest.raises(DomainError, match=rf"need H > 0\.1, got H = {hurst}:"):
+        with pytest.raises(DomainError, match=rf"needs H > 0\.1, got H = {hurst}:"):
             check_fbm_samplers(GridSpec(1.0, 8), HurstParameter(hurst), 4, 3)
 
 

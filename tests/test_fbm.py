@@ -147,6 +147,8 @@ class TestCovarianceFunctions:
         assert fgn_autocovariance(1, 1.0, HurstParameter(0.5)) == pytest.approx(0.0)
         with pytest.raises(DomainError):
             fgn_autocovariance(0, 0.0, H07)
+        with pytest.raises(DomainError, match="^lag must be nonnegative$"):
+            fgn_autocovariance([0, -1], 1.0, H07)
 
     def test_increment_sums_reproduce_variance(self):
         # Var(B(t_n)) assembled from increment covariances must match the
@@ -364,7 +366,7 @@ class TestHolderRegularity:
         grid = GridSpec(1.0, 4)
         assert fbm_module.HOLDER_EPSILON == 0.1
         for hurst in (0.05, 0.1):
-            with pytest.raises(DomainError, match=rf"needs H > 0\.1, got H = {hurst}$"):
+            with pytest.raises(DomainError, match=rf"needs H > 0\.1, got H = {hurst}:"):
                 holder_statistic(np.zeros((2, 5)), grid, HurstParameter(hurst))
         quotients = holder_statistic(np.zeros((2, 5)), grid, HurstParameter(0.11))
         assert np.array_equal(quotients, [0.0, 0.0])

@@ -17,9 +17,9 @@ from fcir import (
     DomainError,
     HurstParameter,
     NumericalError,
+    UnsupportedRegimeError,
     check_moment_conditions,
     drift_derivative,
-    sufficient_moment_condition,
 )
 from fcir import model
 from fcir.model import _rescaled_kernel_integral
@@ -117,8 +117,6 @@ def test_non_finite_inputs_rejected(field, value, bench_params):
     if field == "horizon":
         with pytest.raises(DomainError, match="finite"):
             check_moment_conditions(2, bench_params, H07, value)
-        with pytest.raises(DomainError, match="finite"):
-            sufficient_moment_condition(2, bench_params, H07, value)
     else:
         settings = {**dict(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0), field: value}
         with pytest.raises(DomainError, match=f"{field} must be finite"):
@@ -196,7 +194,10 @@ class TestWeightedKernelIntegral:
         assert kernel_integral(s, params, H) == pytest.approx(oracle, rel=1e-8)
 
     def test_domain(self, bench_params):
-        with pytest.raises(DomainError):
+        with pytest.raises(
+            UnsupportedRegimeError,
+            match=r"^the solver requires driving noise with H > 1/2, got H=0\.5$",
+        ):
             kernel_integral(1.0, bench_params, 0.5)
 
     @pytest.mark.parametrize("H", [0.51, 0.53, 0.55, 0.7])
@@ -393,14 +394,27 @@ class TestConditionChecks:
 class TestSufficientCondition:
     def test_benchmark_case(self, bench_params):
         # closed-form bound 2*kappa*theta/(sigma^2 H (p+1)) = 2/1.05 ~ 1.90 >= 1
-        assert sufficient_moment_condition(6, bench_params, HurstParameter(0.6), 1.0)
+        assert check_moment_conditions(6, bench_params, HurstParameter(0.6), 1.0)[0].sufficient
 
     def test_fails_for_long_horizon(self, bench_params):
-        assert not sufficient_moment_condition(6, bench_params, HurstParameter(0.6), 100.0)
+        reports = check_moment_conditions(6, bench_params, HurstParameter(0.6), 100.0)
+        assert not any(report.sufficient for report in reports)
 
-    def test_overflowing_sigma_squared_fails(self, bench_params):
-        params = dataclasses.replace(bench_params, sigma=2e155)
-        assert not sufficient_moment_condition(6, params, HurstParameter(0.6), 1.0)
+    def test_overflowing_sigma_squared_fails(self):
+        # 7 sigma^2 overflows a double while both margins stay finite: the
+        # product reads inf and the test fails, with no OverflowError
+        params = CirParams(kappa=20.0, theta=0.5, sigma=math.sqrt(5e307), r0=1.0)
+        reports = check_moment_conditions(6, params, H07, 1.0)
+        assert 7 * params.sigma**2 == math.inf
+        assert all(math.isfinite(report.worst_margin) for report in reports)
+        assert [(report.sufficient, report.holds) for report in reports] == [(False, False)] * 2
+
+    def test_tiny_sigma_holds(self):
+        # sigma^2 underflows to 0: a quotient by it would divide by zero
+        params = CirParams(kappa=2.0, theta=0.5, sigma=1e-200, r0=1.0)
+        reports = check_moment_conditions(6, params, H07, 1.0)
+        assert [(report.sufficient, report.holds) for report in reports] == [(True, True)] * 2
+        assert [report.worst_margin for report in reports] == [1.0, 1.0]
 
     def test_implies_quadrature_check(self):
         # one-directional implication over a random admissible parameter sweep
@@ -417,12 +431,12 @@ class TestSufficientCondition:
             hurst = HurstParameter(rng.uniform(0.55, 0.95))
             horizon = rng.uniform(0.25, 4.0)
             p = int(rng.integers(1, 9))
-            if sufficient_moment_condition(p, params, hurst, horizon):
-                hits += 1
-                report = check_moment_conditions(p, params, hurst, horizon)[0]
-                assert report.holds, (
+            reports = check_moment_conditions(p, params, hurst, horizon)
+            hits += reports[0].sufficient
+            for report in reports:
+                assert report.holds or not report.sufficient, (
                     f"sufficient condition held but exact check failed for "
-                    f"{params}, H={hurst.value}, T={horizon}, p={p}"
+                    f"{params}, H={hurst.value}, T={horizon}, p={p}, m={report.multiplier}"
                 )
         print(f"sufficient condition held in {hits}/100 sampled parameter sets")
         assert hits >= 10
