@@ -83,6 +83,55 @@ def _ks_pvalue_equal_sizes(x: np.ndarray, y: np.ndarray) -> float:
     return min(max(2 * tail, 0.0), 1.0)
 
 
+# Nodes per row block of `check_fbm_samplers`: its Cholesky draws, of which it
+# keeps the terminal values, and its covariance z-scores, formed about five
+# (rows, N+1) arrays at a time.  2^16 nodes take 0.5 MB per array.
+_CHECK_BLOCK_NODES = 2**16
+
+
+def _covariance_max_z(
+    batch: np.ndarray, grid: GridSpec, hurst: HurstParameter, rows: int
+) -> float:
+    """Largest |empirical - exact| / spread over the nodes' covariance matrix of batch's rows.
+
+    The empirical covariance is one matrix product; the exact covariance,
+    the scale spread = sqrt((C_ii C_jj + C_ij^2) / m) and the z-scores are
+    formed `rows` rows at a time, each row with the bits of the whole-matrix
+    form.  A spread that is not finite anywhere is refused first, naming the
+    largest spread (nan if any is), then a z-score that is not finite.
+    """
+    m = len(batch)
+    nodes = grid.nodes()
+    variances = fbm_covariance(nodes, nodes, hurst)
+    empirical = batch.T @ batch
+    empirical /= m
+    spread_peaks, z_peaks, z_finite = [], [], True
+    for first in range(0, len(nodes), rows):
+        block = slice(first, first + rows)
+        exact = fbm_covariance(nodes[block, None], nodes[None, :], hurst)
+        spread = np.sqrt((np.outer(variances[block], variances) + exact**2) / m)
+        diff = np.abs(empirical[block] - exact)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z = np.where(spread > 0.0, diff / spread, np.where(diff > 0.0, np.inf, 0.0))
+        spread_peaks.append(spread.max())
+        z_peaks.append(z.max())
+        z_finite = z_finite and bool(np.isfinite(z).all())
+    # the max of the block maxima is the max of the matrix, nan if any entry is
+    spread_max = np.max(spread_peaks)
+    if not np.isfinite(spread_max):
+        raise NumericalError(
+            f"covariance z-score scale reads {spread_max} at horizon {grid.horizon}: the "
+            "squared covariances overflow, so every z-score would read 0 and the sampler "
+            "covariance cannot be checked"
+        )
+    if not z_finite:
+        raise NumericalError(
+            f"covariance z-scores are not finite at horizon {grid.horizon}: the squared "
+            "covariances under- or overflow, so the sampler covariance cannot be checked"
+        )
+    return float(np.max(z_peaks))
+
+
 def check_fbm_samplers(
     grid: GridSpec, hurst: HurstParameter, samples: int, base_seed: int
 ) -> tuple[SamplerCheck, ...]:
@@ -97,6 +146,12 @@ def check_fbm_samplers(
     The KS p-value of the terminal values is exact for every sample size
     (see `_ks_pvalue_equal_sizes`; no asymptotic form above 10 000 samples),
     and a nan terminal value makes it nan, so that check fails.
+    Beyond the cached Cholesky factor it holds the circulant batch, its
+    (N+1) x (N+1) empirical covariance and blocks of `_CHECK_BLOCK_NODES`
+    nodes: the Cholesky paths are drawn a block of rows at a time and only
+    their terminal values kept, and the covariance z-scores are formed a
+    block of rows at a time (`_covariance_max_z`).  Each row has the bits of
+    the unblocked form, so no statistic depends on the block size.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -109,36 +164,22 @@ def check_fbm_samplers(
             f"terminal variance horizon^(2H) overflows double precision at horizon "
             f"{grid.horizon:g} and H = {hurst.value}: use a smaller horizon"
         ) from None
-    chol = sample_fbm_cholesky(grid, hurst, range(base_seed, base_seed + m))
+    rows = max(1, _CHECK_BLOCK_NODES // (grid.steps + 1))
+    chol_terminal = np.empty(m)
+    for first in range(0, m, rows):
+        seeds = range(base_seed + first, base_seed + min(first + rows, m))
+        chol_terminal[first : first + rows] = sample_fbm_cholesky(grid, hurst, seeds)[:, -1]
     circ = sample_fbm_circulant(grid, hurst, range(base_seed + m, base_seed + 2 * m))
     checks = []
     se_var = terminal_var * np.sqrt(2.0 / m)
-    for name, batch in (("cholesky", chol), ("circulant", circ)):
-        z = float(abs(float(np.mean(batch[:, -1] ** 2)) - terminal_var) / se_var)
+    for name, terminal in (("cholesky", chol_terminal), ("circulant", circ[:, -1])):
+        z = float(abs(float(np.mean(terminal**2)) - terminal_var) / se_var)
         checks.append(SamplerCheck(f"{name}_terminal_variance_z", z, 5.0, z <= 5.0))
 
-    nodes = grid.nodes()
-    exact = fbm_covariance(nodes[:, None], nodes[None, :], hurst)
-    empirical = circ.T @ circ / m
-    spread = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / m)
-    if not np.isfinite(spread).all():
-        raise NumericalError(
-            f"covariance z-score scale reads {spread.max()} at horizon {grid.horizon}: the "
-            "squared covariances overflow, so every z-score would read 0 and the sampler "
-            "covariance cannot be checked"
-        )
-    diff = np.abs(empirical - exact)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z_matrix = np.where(spread > 0.0, diff / spread, np.where(diff > 0.0, np.inf, 0.0))
-    if not np.isfinite(z_matrix).all():
-        raise NumericalError(
-            f"covariance z-scores are not finite at horizon {grid.horizon}: the squared "
-            "covariances under- or overflow, so the sampler covariance cannot be checked"
-        )
-    max_z = float(z_matrix.max())
+    max_z = _covariance_max_z(circ, grid, hurst, rows)
     checks.append(SamplerCheck("covariance_max_z", max_z, 5.0, max_z <= 5.0))
 
-    pvalue = _ks_pvalue_equal_sizes(chol[:, -1], circ[:, -1])
+    pvalue = _ks_pvalue_equal_sizes(chol_terminal, circ[:, -1])
     checks.append(SamplerCheck("cross_sampler_ks_pvalue", pvalue, 0.01, pvalue >= 0.01))
 
     quotients = []

@@ -19,10 +19,13 @@ a whole block of seeds at once, so its state equals that of `PCG64(seed)`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError, UnsupportedRegimeError
 
@@ -225,26 +228,37 @@ def _fixed_seed_sequence() -> type:
     return FixedSeedSequence
 
 
-def _generators(seeds) -> list[np.random.Generator]:
-    """One frozen variate source per seed: PCG64 + ziggurat standard_normal.
+def _generators(seeds) -> Iterator[np.random.Generator]:
+    """One frozen variate source per seed, made as it is drawn: PCG64 + ziggurat standard_normal.
 
     Generator i has the state of `Generator(PCG64(seeds[i] % 2**64))`; this is
-    where the seed rule's 64-bit wrap is applied.  Changing this
-    silently changes every seeded path, so treat it as part of the contract.
+    where the seed rule's 64-bit wrap is applied.  The seed words of the whole
+    block are hashed at once, before the iterator is returned, so a seed that
+    `int` refuses fails at the call; each generator is then made only
+    when the iterator reaches it, so a sampler holds the generators of one
+    tile, not of every seed.  Changing this silently changes every seeded
+    path, so treat it as part of the contract.
     """
     from numpy.random import PCG64, Generator
 
     seed_sequence = _fixed_seed_sequence()
-    return [Generator(PCG64(seed_sequence(words))) for words in _seed_words(seeds)]
+    words = _seed_words(seeds)
+    return (Generator(PCG64(seed_sequence(row))) for row in words)
 
 
 # One factor is kept: every caller samples one grid at a time, and a factor
 # at N = 2^12 already takes 128 MB.
 @lru_cache(maxsize=1)
 def _cholesky_factor(steps: int, step: float, hurst: HurstParameter) -> np.ndarray:
-    lags = np.arange(steps)
-    gamma = fgn_autocovariance(lags, step, hurst)
-    cov = gamma[np.abs(lags[:, None] - lags[None, :])]
+    """Lower Cholesky factor of the N x N Toeplitz fGn covariance gamma[|i - j|], read-only.
+
+    The covariance is a strided view, not an array: row i of the windows of
+    gamma[N-1], ..., gamma[1], gamma[0], ..., gamma[N-1] is gamma[|N-1-i-j|],
+    so the rows reversed give gamma[|i - j|] with no N x N index array.
+    """
+    gamma = fgn_autocovariance(np.arange(steps), step, hurst)
+    mirrored = np.concatenate([gamma[:0:-1], gamma])
+    cov = sliding_window_view(mirrored, steps)[::-1]
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -333,7 +347,7 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.nda
     out[:, 0] = 0.0
     generators = _generators(seeds)
     for first in range(0, len(seeds), tile):
-        tile_generators = generators[first : first + tile]
+        tile_generators = list(islice(generators, tile))
         for row, rng in zip(z, tile_generators):
             rng.standard_normal(out=row)
         zt, st = z[: len(tile_generators)], spectrum[: len(tile_generators)]

@@ -511,6 +511,9 @@ class TestExitCodes:
             # the squared covariances overflow, so every z-score would read 0
             ("fbm-check --horizon 1e200 --steps-exp 4 --samples 24 --workers 1",
              "covariance z-score scale reads inf at horizon 1e+200"),
+            # the same over 5 row blocks of z-scores
+            ("fbm-check --horizon 1e200 --steps-exp 9 --samples 24",
+             "covariance z-score scale reads inf at horizon 1e+200"),
             # horizon^(2H) overflows a double, though step^(2H) does not
             ("fbm-check --horizon 1e222 --steps-exp 4 --samples 24",
              "horizon^(2H) overflows double precision at horizon 1e+222 and H = 0.7"),

@@ -26,6 +26,7 @@ from fcir import (
     simulate_paths,
 )
 from fcir import experiments
+from fcir.fbm import _cholesky_factor
 from fcir.io import write_sampler_checks
 
 
@@ -532,6 +533,33 @@ class TestSamplerChecks:
     def test_samples_validated(self, hurst07):
         with pytest.raises(DomainError):
             check_fbm_samplers(GridSpec(1.0, 8), hurst07, 0, 3)
+
+    @pytest.mark.parametrize("nodes", [1, 100, 33 * 5])
+    def test_statistics_do_not_depend_on_the_row_blocks(self, monkeypatch, hurst07, nodes):
+        # one row per block, 3 rows, and 5 rows: blocks that split the 400
+        # Cholesky paths and the 33 covariance rows unevenly
+        expected = check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3)
+        monkeypatch.setattr(experiments, "_CHECK_BLOCK_NODES", nodes)
+        assert check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3) == expected
+
+    def test_holds_the_factor_the_batch_and_the_empirical_covariance(self, hurst07):
+        # Beyond the circulant batch it holds the Cholesky factor, the
+        # empirical covariance and row blocks of 2^16 nodes: about 2.7
+        # (N+1)^2 doubles here.  Drawing the whole Cholesky batch, and forming
+        # the exact covariance, the spread, the differences and the z-scores
+        # over the whole matrix, holds about 8.6.  The factor is built inside
+        # the traced call.
+        grid, samples = GridSpec.dyadic(1.0, 10), 200
+        square_bytes = (grid.steps + 1) ** 2 * 8
+        batch_bytes = samples * (grid.steps + 1) * 8
+        _cholesky_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            check_fbm_samplers(grid, hurst07, samples, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * square_bytes + batch_bytes, peak / square_bytes
 
     @pytest.mark.parametrize("hurst", [0.05, 0.1])
     def test_holder_exponent_refused_before_any_draw(self, monkeypatch, hurst):

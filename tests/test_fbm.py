@@ -200,7 +200,7 @@ class TestSeeding:
     @example(seeds=SEED_EDGES)
     def test_generators_match_pcg64_seeding(self, seeds):
         # one hash pass over the block gives each seed numpy's own PCG64 state
-        generators = _generators(seeds)
+        generators = list(_generators(seeds))
         assert len(generators) == len(seeds)
         for seed, rng in zip(seeds, generators):
             reference = reference_rng(seed)
@@ -235,6 +235,16 @@ class TestCholeskySampler:
         for row, seed in zip(block, seeds):
             assert np.array_equal(row, sample_fbm_cholesky(grid, hurst, [seed])[0])
             assert np.array_equal(row, cholesky_oracle(grid, hurst, seed))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 64, 256])
+    def test_factor_of_the_toeplitz_covariance(self, steps):
+        # the factor is taken of a strided view of gamma; the same factor as
+        # of the covariance gathered through an N x N index array
+        lags = np.arange(steps)
+        gamma = fgn_autocovariance(lags, 1.0 / steps, H07)
+        _cholesky_factor.cache_clear()
+        factor = _cholesky_factor(steps, 1.0 / steps, H07)
+        assert np.array_equal(factor, np.linalg.cholesky(gamma[np.abs(lags[:, None] - lags)]))
 
 
 class TestCirculantSampler:
@@ -345,6 +355,69 @@ class TestCirculantSampler:
         with pytest.raises(NumericalError, match="factorization failed"):
             sample_fbm_cholesky(GridSpec(1.0, 8), H07, [1])
         _cholesky_factor.cache_clear()
+
+
+class UnitNormals:
+    """Stands in for path j's generator: its normals are the unit vector e_j."""
+
+    def __init__(self, j):
+        self.j = j
+
+    def standard_normal(self, out):
+        out[:] = 0.0
+        out[self.j] = 1.0
+
+
+def sampler_map(monkeypatch, sampler, grid, hurst):
+    """The matrix M with levels = M z that a sampler applies to each path's normals z.
+
+    Path j is fed e_j in place of its draws, so its levels are column j of M;
+    the generators are made as the sampler reaches them, as `_generators` does.
+    """
+    inputs = grid.steps if sampler is sample_fbm_cholesky else 2 * grid.steps
+    monkeypatch.setattr(fbm_module, "_generators", lambda seeds: map(UnitNormals, seeds))
+    return sampler(grid, hurst, range(inputs)).T
+
+
+def law_error(levels_map, grid, hurst):
+    """max |M M^T - C| over the nodes, C the fBm covariance."""
+    nodes = grid.nodes()
+    exact = fbm_covariance(nodes[:, None], nodes[None, :], hurst)
+    return np.abs(levels_map @ levels_map.T - exact).max()
+
+
+# Both samplers are linear maps of their normals, so their law is M M^T
+# exactly.  Measured on a unit horizon at the H and N below: at most 8.4e-15
+# for the circulant sampler and 1.8e-15 for the Cholesky sampler (4.2e-14 and
+# 3.1e-15 at N = 2^10).
+LAW_BOUND = 1e-12
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("steps", [2**4, 2**8])
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.95])
+    @pytest.mark.parametrize("sampler", [sample_fbm_cholesky, sample_fbm_circulant])
+    def test_map_gives_the_fbm_covariance(self, monkeypatch, sampler, H, steps):
+        grid, hurst = GridSpec(1.0, steps), HurstParameter(H)
+        levels_map = sampler_map(monkeypatch, sampler, grid, hurst)
+        assert not levels_map[0].any()  # B(0) = 0 whatever the normals
+        assert law_error(levels_map, grid, hurst) < LAW_BOUND
+
+    def test_one_bin_mutant_breaks_the_bound(self, monkeypatch):
+        # One embedding coefficient scaled by 1.001 moves the covariance by
+        # 3.7e-5 here, about 0.002 standard errors of an entry at 5000 paths: the
+        # sampled z-score checks cannot see it.
+        coefficients = fbm_module._embedding_coefficients
+
+        def mutant(*args):
+            scaled = coefficients(*args).copy()
+            scaled[3] *= 1.001
+            return scaled
+
+        monkeypatch.setattr(fbm_module, "_embedding_coefficients", mutant)
+        grid = GridSpec(1.0, 2**8)
+        levels_map = sampler_map(monkeypatch, sample_fbm_circulant, grid, H07)
+        assert law_error(levels_map, grid, H07) > 1e-5
 
 
 class TestHolderRegularity:

@@ -1,9 +1,11 @@
 """Property tests over random model parameters: batch-versus-single bit identity,
-finite output and positivity of the solver and the Malliavin kernel; and the
+finite output and positivity of the solver and the Malliavin kernel; the
+solver's exact pathwise relations (dyadic time rescaling, comparison); and the
 exit-code contract of the CLI over random flags."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -133,6 +135,77 @@ def test_noise_of_any_layout_is_solved_through_the_view(layout):
     assert simulate_batch(view, grid.step, NEGATIVE_A) is view
     assert np.array_equal(view, expected)
     assert not base[:, 1::2].any()  # a strided view leaves the columns between its own alone
+
+
+# Admissible models with kappa of either sign and theta of the same sign.  On
+# a unit horizon of at least 4 steps, h*max(0, -kappa/2) <= 7/8 < 1.
+signed_model = st.builds(
+    lambda kappa, theta, sign, sigma, r0: CirParams(sign * kappa, sign * theta, sigma, r0),
+    kappa=st.floats(0.05, 7.0),
+    theta=st.floats(0.01, 3.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    sigma=st.floats(0.01, 3.0),
+    r0=st.floats(1e-4, 10.0),
+)
+pathwise = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def dyadic_noise(exponent, hurst, seed):
+    """WIDTH fBm paths on 2^exponent steps, rounded to multiples of 2^-40.
+
+    Levels below 2^12 in size then have exact differences, and stay exact
+    when a multiple of 2^-40 up to 1 is added to a tail of them.
+    """
+    grid = GridSpec(1.0, 2**exponent)
+    noise = sample_fbm_circulant(grid, HurstParameter(hurst), range(seed, seed + WIDTH))
+    return grid, np.round(noise * 2.0**40) * 2.0**-40
+
+
+@pathwise
+@given(
+    params=signed_model,
+    hurst=st.floats(0.51, 0.99),
+    exponent=st.integers(2, 8),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_dyadic_rescaling_gives_the_same_levels(params, hurst, exponent, seed):
+    # kappa enters the implicit step only through kappa*h, which is exact
+    # when h is scaled by 2^-k and kappa by 2^k: the levels are the same bits
+    grid, noise = dyadic_noise(exponent, hurst, seed)
+    levels = simulate_batch(noise.copy(), grid.step, params)
+    for k in range(1, 6):
+        rescaled = dataclasses.replace(params, kappa=params.kappa * 2.0**k)
+        assert np.array_equal(simulate_batch(noise.copy(), grid.step * 2.0**-k, rescaled), levels)
+
+
+@pathwise
+@given(
+    params=signed_model,
+    hurst=st.floats(0.51, 0.99),
+    exponent=st.integers(2, 8),
+    seed=st.integers(0, 2**64 - 1),
+    factor=st.floats(1.0, 2.0, exclude_min=True),
+    step_index=st.integers(0, 2**8 - 1),
+    units=st.integers(1, 2**40),
+)
+def test_raising_r0_or_one_increment_raises_every_later_level(
+    params, hurst, exponent, seed, factor, step_index, units
+):
+    # The positive root is increasing in a = X_n + (sigma/2) dB_n, and X_n
+    # enters a as is, so the levels are ordered like their starts and like
+    # each increment: the comparison behind the scheme's positivity.
+    grid, noise = dyadic_noise(exponent, hurst, seed)
+    levels = simulate_batch(noise.copy(), grid.step, params)
+    higher = dataclasses.replace(params, r0=params.r0 * factor)
+    assert np.all(simulate_batch(noise.copy(), grid.step, higher) >= levels)
+
+    n = step_index % grid.steps
+    raised = noise.copy()
+    raised[:, n + 1 :] += units * 2.0**-40  # dB_n alone rises, exactly
+    assert np.array_equal(np.diff(raised[:, n + 1 :]), np.diff(noise[:, n + 1 :]))
+    raised = simulate_batch(raised, grid.step, params)
+    assert np.array_equal(raised[:, : n + 1], levels[:, : n + 1])
+    assert np.all(raised[:, n + 1 :] >= levels[:, n + 1 :])
 
 
 # Extreme float flag values: magnitudes near 1e+-300 and 5e-324, zeros,

@@ -6,14 +6,15 @@ Usage:
 
 PARENT_SRC, CHANGE_SRC and SRC are directories that hold the `fcir` package
 (the `src` directory of a checkout).  The cases are those of
-`tests/test_golden.py`, the one golden table: `CASES`, `SPLIT_CASES` and
-every extra `--case` (a subcommand with its flags, quoted as one argument).
-Each tree runs them in one fresh interpreter, through that module's
-`data_digests`, with a temporary `--out`.  An extra case that repeats
-another, or a case of either tree's table, is refused with exit 2.
+`tests/test_golden.py`, the one golden table: `CASES` and `SPLIT_CASES`;
+two trees are also compared on `EXTRA_CASES` below and on every extra
+`--case` (a subcommand with its flags, quoted as one argument).  Each tree
+runs them in one fresh interpreter, through that module's `data_digests`,
+with a temporary `--out`.  An extra case that repeats another, or a case of
+either tree's table, is refused with exit 2.
 
 Given two trees, the script prints the sha256 of every data file side by
-side and exits 1 if any pair differs or any run fails.  An extra `--case`
+side and exits 1 if any pair differs or any run fails.  An extra case
 that fails on both trees with the same error text counts as a match and is
 reported as `same-error`, so error messages can be compared too; a failing
 case of the table is always a mismatch.  Under each differing CSV it
@@ -38,6 +39,14 @@ import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parents[1] / "tests"
+# Cases compared between two trees but kept out of the digest table: larger
+# runs whose bytes guard a change of layout, not of output.
+EXTRA_CASES = (
+    # fbm-check's Cholesky draws and covariance z-scores in several row blocks:
+    # 7 blocks of draws and 67 of z-scores at 2^11 steps, 24 and 5 at 2^9
+    "fbm-check --steps-exp 11 --samples 200",
+    "fbm-check --hurst 0.55 --steps-exp 9 --samples 3000",
+)
 # Run in a fresh interpreter with the tests directory as argv[1], the output
 # directory as argv[2] and the extra cases after them; case i writes its run
 # directory under <output>/<i>.  Prints the key, per case its digests or why it
@@ -158,11 +167,12 @@ def main() -> int:
         return print_digest_entry(args.digests)
     if args.change_src is None:
         parser.error("PARENT_SRC and CHANGE_SRC are required")
+    extra = [*EXTRA_CASES, *args.case]
     # results are keyed by case text, so a repeated case would be run twice
     # but reported once, under the run directory of the other
     for src in (args.parent_src, args.change_src):
-        cases = [*run_entry(src, TABLE), *args.case]
-        repeated = sorted({case for case in args.case if cases.count(case) > 1})
+        cases = [*run_entry(src, TABLE), *extra]
+        repeated = sorted({case for case in extra if cases.count(case) > 1})
         if repeated:
             parser.error(f"--case repeats a case of {src}: {', '.join(repeated)}")
 
@@ -170,8 +180,8 @@ def main() -> int:
         outs = Path(scratch, "parent"), Path(scratch, "change")
         for out in outs:
             out.mkdir()
-        _, parent, table = run_entry(args.parent_src, ENTRY, str(outs[0]), *args.case)
-        _, change, _ = run_entry(args.change_src, ENTRY, str(outs[1]), *args.case)
+        _, parent, table = run_entry(args.parent_src, ENTRY, str(outs[0]), *extra)
+        _, change, _ = run_entry(args.change_src, ENTRY, str(outs[1]), *extra)
         mismatches = 0
         for index, (case, left) in enumerate(parent.items()):
             right = change[case]
