@@ -37,4 +37,4 @@ from .model import (
 )
 from .scheme import simulate_batch, step_constants
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

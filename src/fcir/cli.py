@@ -6,14 +6,16 @@ noise only, so of the model flags it takes just `--hurst` and `--horizon`.
 Every run creates `<out>/<subcommand>-<timestamp>/` holding the emitted data
 files plus a `manifest.txt` sidecar.  After `command`, `version` and
 `status = ok` the manifest records every parsed flag except `--out` by its
-argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`, `workers`,
-...) in parser order, then the handler's results, `data_files`, the seed rule,
-wall-clock duration, peak resident memory (`peak_rss_mb`, the larger of this
-process and its largest worker) and warnings.  A run that fails with exit
-code 3 leaves only the manifest: `status = error`, the error message, then
-the parsed flags.  Re-running a subcommand with the flags recorded in a
-manifest reproduces its data files byte-for-byte, or its error (data files
-never contain timing or environment information).
+argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`,
+`workers`, ...) in parser order, then the handler's results, `data_files`,
+the seed rule, wall-clock duration, peak resident memory (`peak_rss_mb`, the
+larger of this process and its largest worker) and `warnings`: the notes the
+handler returns with its results, in report order, then the caught Python
+warnings, joined by ` | `, or `(none)`.  A run that fails with exit code 3
+leaves only the manifest: `status = error`, the error message, then the
+parsed flags.  Re-running a subcommand with the flags recorded in a manifest
+reproduces its data files byte-for-byte, or its error (data files never
+contain timing or environment information).
 
 `converge-uniform` runs the same study as `converge-grid` (the run directory
 and `command` keep the name as typed); its manifest records `slope_<family>`
@@ -102,24 +104,24 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> dict:
+def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
     config = _experiment_config(args)
     (x,) = simulate_paths(config, workers=args.workers)
     io.write_solution_path(outdir / "data.csv", config.reference_grid, x)
-    return {"min_rate": io.format_float(float((x**2).min()))}
+    return {"min_rate": io.format_float(float((x**2).min()))}, ()
 
 
-def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> dict:
+def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
     hurst = HurstParameter(args.hurst)
     grid = GridSpec.dyadic(args.horizon, args.steps_exp)
     checks = check_fbm_samplers(grid, hurst, args.samples, args.seed)
     (path,) = sample_fbm_circulant(grid, hurst, [args.seed])
     io.write_fbm_path(outdir / "sample_path.csv", grid, path)
     io.write_sampler_checks(outdir / "data.csv", checks)
-    return {"all_checks_passed": str(all(check.passed for check in checks)).lower()}
+    return {"all_checks_passed": str(all(check.passed for check in checks)).lower()}, ()
 
 
-def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> dict:
+def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
     report = run_convergence(_experiment_config(args), workers=args.workers)
     io.write_convergence(outdir / "data.csv", report)
     return {
@@ -129,11 +131,10 @@ def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> dict:
             for key, value in zip(("slope", "intercept"), fit or (math.nan, math.nan))
         },
         **_condition_summary(report.condition_checks),
-        **{f"report_warning_{index}": note for index, note in enumerate(report.warnings)},
-    }
+    }, report.warnings
 
 
-def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> dict:
+def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
     config = _experiment_config(args)
     checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     curve = estimate_inverse_moments(config, workers=args.workers)
@@ -141,30 +142,30 @@ def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> dict:
     return {
         "max_inverse_moment": io.format_float(float(curve.values.max())),
         **_condition_summary(checks),
-    }
+    }, ()
 
 
-def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> dict:
+def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
     report = malliavin_gap_study(_experiment_config(args), workers=args.workers)
     io.write_malliavin_gaps(outdir / "data.csv", report)
-    return {"profile_max": io.format_float(max(report.profile_max))}
+    return {"profile_max": io.format_float(max(report.profile_max))}, ()
 
 
-def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> dict:
+def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
     params = _params(args)
     reports = check_moment_conditions(args.p, params, HurstParameter(args.hurst), args.horizon)
     io.write_condition_reports(outdir / "data.csv", reports)
     return {
         "sufficient_closed_form": str(reports[0].sufficient).lower(),
         **_condition_summary(reports),
-    }
+    }, ()
 
 
 class Subcommand(NamedTuple):
     """Help text, handler, model flags (name -> default), own flags (name -> (type, default))."""
 
     help: str
-    handler: Callable[[argparse.Namespace, Path], dict]
+    handler: Callable[[argparse.Namespace, Path], tuple[dict, tuple[str, ...]]]
     model: dict[str, float]
     flags: dict[str, tuple[Callable[[str], object], object]]
 
@@ -299,16 +300,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results = args.handler(args, outdir)
+            results, notes = args.handler(args, outdir)
         duration = time.perf_counter() - started
         manifest = {**head, "status": "ok", **flags, **results}
         manifest["data_files"] = ",".join(sorted(path.name for path in outdir.iterdir()))
         manifest["seed_rule"] = "path i uses seed + i (mod 2^64)"
         manifest["duration_seconds"] = io.format_float(duration)
         manifest["peak_rss_mb"] = io.format_float(_peak_rss_mb())
-        manifest["warnings"] = (
-            " | ".join(str(w.message) for w in caught) if caught else "(none)"
-        )
+        notes = [*notes, *(str(w.message) for w in caught)]
+        manifest["warnings"] = " | ".join(notes) if notes else "(none)"
         io.write_key_values(outdir / "manifest.txt", manifest)
     except (FcirError, ArithmeticError, MemoryError, OSError) as exc:
         message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"

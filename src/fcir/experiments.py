@@ -186,8 +186,9 @@ def check_fbm_samplers(
     seeds = range(base_seed + 2 * m, base_seed + 2 * m + 100)
     for steps in (grid.steps, 2 * grid.steps):
         fine = GridSpec(grid.horizon, steps)
-        levels = sample_fbm_circulant(fine, hurst, seeds)
-        quotients.append(float(np.percentile(holder_statistic(levels, fine, hurst), 99)))
+        # no name holds a batch, so it is freed before the next one is drawn
+        statistic = holder_statistic(sample_fbm_circulant(fine, hurst, seeds), fine, hurst)
+        quotients.append(float(np.percentile(statistic, 99)))
     ratio = max(quotients) / min(quotients)
     checks.append(SamplerCheck("holder_p99_stability", ratio, 2.0, ratio <= 2.0))
     return tuple(checks)
@@ -384,7 +385,11 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
     coarse = list(_coarse_levels(config, noise))
     x_ref = simulate_batch(noise, ref_grid.step, config.params)
     ref_nodes = ref_grid.nodes()
-    interpolated, squared, ref_squared = np.empty((3, ref_grid.steps + 1))
+    ref_squared = np.empty(ref_grid.steps + 1)
+    # Row 0 holds the interpolant, then the level distance; row 1 the rate
+    # distance, so one reduction over axis 1 takes the sup of both.
+    work = np.empty((2, ref_grid.steps + 1))
+    interpolated, squared = work
     # The interpolant panel by panel in np.interp's arithmetic, x_i + slope_i *
     # (t - t_i).  Nested dyadic nodes coincide bit for bit, so the offsets
     # t - t_i are exactly 0 at coarse nodes and the interpolant is exact there
@@ -396,33 +401,37 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
         offsets = ref_nodes[:-1].reshape(grid.steps, factor) - coarse_nodes[:-1, None]
         slope = np.empty(grid.steps)
         panel = interpolated[:-1].reshape(grid.steps, factor)
-        panels.append((x, factor, offsets, np.diff(coarse_nodes), slope, slope[:, None], panel))
+        at_nodes = work[:, factor::factor]
+        panels.append((x, at_nodes, offsets, np.diff(coarse_nodes), slope, slope[:, None], panel))
 
-    shape = (len(noise), len(panels))
-    level_grid, level_uniform, rate_grid, rate_uniform = (np.empty(shape) for _ in range(4))
-    subtract, multiply, divide, add, square = (
-        np.subtract, np.multiply, np.divide, np.add, np.square
+    # per (path, coarse grid): [level, rate] grid sups, distance maxima, minima
+    grid_sups, highs, lows = (np.empty((len(noise), len(panels), 2)) for _ in range(3))
+    subtract, multiply, divide, add, square, absolute = (
+        np.subtract, np.multiply, np.divide, np.add, np.square, np.absolute
     )
+    maximum, minimum = np.maximum.reduce, np.minimum.reduce
     for row, x_row in enumerate(x_ref):
         square(x_row, ref_squared)
-        for j, (x, factor, offsets, widths, slope, slope_column, panel) in enumerate(panels):
+        row_grid, row_highs, row_lows = grid_sups[row], highs[row], lows[row]
+        for j, (x, at_nodes, offsets, widths, slope, slope_column, panel) in enumerate(panels):
             levels = x[row]
             subtract(levels[1:], levels[:-1], slope)
             divide(slope, widths, slope)
             multiply(slope_column, offsets, panel)
             add(panel, levels[:-1, None], panel)
             interpolated[-1] = levels[-1]
-            # Each distance is formed as interpolant minus reference, bit for
-            # bit the negation of reference minus interpolant, so the sup of
-            # its absolute value is max(max, -min).
             square(interpolated, squared)
             subtract(squared, ref_squared, squared)
-            rate_uniform[row, j] = max(squared.max(), -squared.min())
-            rate_grid[row, j] = np.abs(squared[factor::factor]).max()
             subtract(interpolated, x_row, interpolated)
-            level_uniform[row, j] = max(interpolated.max(), -interpolated.min())
-            level_grid[row, j] = np.abs(interpolated[factor::factor]).max()
-    return level_grid, level_uniform, rate_grid, rate_uniform
+            maximum(absolute(at_nodes), 1, None, row_grid[j])
+            maximum(work, 1, None, row_highs[j])
+            minimum(work, 1, None, row_lows[j])
+    # Each distance is formed as interpolant minus reference, bit for bit the
+    # negation of reference minus interpolant, so the sup of its absolute
+    # value is max(max, -min), taken as Python's max(high, -low) would.
+    negated = -lows
+    uniform = np.where(negated > highs, negated, highs)
+    return grid_sups[..., 0], uniform[..., 0], grid_sups[..., 1], uniform[..., 1]
 
 
 def _aggregate_moment(per_path: np.ndarray, p: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,50 @@ def test_manifest_flags_reproduce_the_data_files(tmp_path, capsys):
         assert [key for key in read_manifest(rerun) if key in flags] == flags
         for name in manifest["data_files"].split(","):
             assert (rerun / name).read_bytes() == (run / name).read_bytes(), (command, name)
+
+
+class TestWarnings:
+    """Every note of a run and every caught Python warning go under one `warnings` key."""
+
+    # the benchmark model with sigma = 2 fails both inverse-moment conditions
+    FAILING_CONDITIONS = (
+        "converge-grid", "--sigma", "2", "--ref-exp", "8", "--coarse-exps", "4,5,6",
+        "--samples", "20", "--workers", "1",
+    )
+
+    # no small run has a caveat, so each reads (none)
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    def test_one_warnings_key_per_manifest(self, tmp_path, command):
+        code, (run,) = run_cli(tmp_path, command, *SMALL_RUNS[command].split(), "--workers", "1")
+        assert code == 0
+        lines = (run / "manifest.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("warnings = ")] == ["warnings = (none)"]
+        assert not [line for line in lines if line.startswith("report_warning")]
+
+    def test_report_notes_in_report_order(self, tmp_path):
+        code, (run,) = run_cli(tmp_path, *self.FAILING_CONDITIONS)
+        assert code == 0
+        args = cli.build_parser().parse_args(list(self.FAILING_CONDITIONS))
+        notes = experiments.run_convergence(cli._experiment_config(args)).warnings
+        assert [note.split(" fails")[0] for note in notes] == [
+            "inverse-moment condition with multiplier 3",
+            "inverse-moment condition with multiplier 7",
+        ]
+        assert read_manifest(run)["warnings"] == " | ".join(notes)
+
+    def test_caught_warnings_follow_the_report_notes(self, tmp_path, monkeypatch):
+        def warning_study(config, workers):
+            warnings.warn("raised inside the handler")
+            return experiments.run_convergence(config, workers=workers)
+
+        monkeypatch.setattr(cli, "run_convergence", warning_study)
+        code, (run,) = run_cli(tmp_path, *self.FAILING_CONDITIONS)
+        assert code == 0
+        notes = read_manifest(run)["warnings"].split(" | ")
+        assert len(notes) == 3
+        assert notes[0].startswith("inverse-moment condition with multiplier 3 fails")
+        assert notes[1].startswith("inverse-moment condition with multiplier 7 fails")
+        assert notes[2] == "raised inside the handler"
 
 
 class TestExitCodes:

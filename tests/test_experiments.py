@@ -561,6 +561,27 @@ class TestSamplerChecks:
             tracemalloc.stop()
         assert peak < 3 * square_bytes + batch_bytes, peak / square_bytes
 
+    def test_first_holder_batch_is_freed_before_the_second_draw(self, monkeypatch, hurst07):
+        # The Hoelder check draws 100 paths at N steps, then 100 at 2N.  A
+        # first batch still held at the second draw is 100 (N+1) doubles,
+        # 820 KB here.
+        grid = GridSpec.dyadic(1.0, 10)
+        traced_at_entry = {}
+
+        def traced_draw(draw_grid, hurst, seeds):
+            if len(seeds) == 100:
+                traced_at_entry[draw_grid.steps] = tracemalloc.get_traced_memory()[0]
+            return sample_fbm_circulant(draw_grid, hurst, seeds)
+
+        monkeypatch.setattr(experiments, "sample_fbm_circulant", traced_draw)
+        tracemalloc.start()
+        try:
+            check_fbm_samplers(grid, hurst07, 50, 3)
+        finally:
+            tracemalloc.stop()
+        grown = traced_at_entry[2 * grid.steps] - traced_at_entry[grid.steps]
+        assert grown < 100_000, grown
+
     @pytest.mark.parametrize("hurst", [0.05, 0.1])
     def test_holder_exponent_refused_before_any_draw(self, monkeypatch, hurst):
         def no_draws(*args):
