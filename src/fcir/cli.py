@@ -11,9 +11,13 @@ argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`,
 the seed rule, wall-clock duration, peak resident memory (`peak_rss_mb`, the
 larger of this process and its largest worker) and `warnings`: the notes the
 handler returns with its results, in report order, then the caught Python
-warnings, joined by ` | `, or `(none)`.  A run that fails with exit code 3
-leaves only the manifest: `status = error`, the error message, then the
-parsed flags.  Re-running a subcommand with the flags recorded in a manifest
+warnings, joined by ` | `, or `(none)`.  Each subcommand that solves the
+scheme ends its results with its block split, the paths of its largest
+block (`block_paths`) and the block count (`blocks`), and with the step
+margin xi = 1 - h*max(0, -kappa/2) of the largest step h it solves
+(`step_margin`); a margin below 1/2 adds a note.  A run that fails with
+exit code 3 leaves only the manifest: `status = error`, the error message,
+then the parsed flags.  Re-running a subcommand with the flags recorded in a manifest
 reproduces its data files byte-for-byte, or its error (data files never
 contain timing or environment information).
 
@@ -57,6 +61,7 @@ from .experiments import (
 )
 from .fbm import GridSpec, HurstParameter, sample_fbm_circulant
 from .model import CirParams, ConditionReport, check_moment_conditions
+from .scheme import step_margin
 
 # Model flags with the benchmark defaults used throughout the experiments.
 # Each subcommand adds its own --horizon default; fbm-check takes the noise
@@ -104,11 +109,32 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _study_record(config: ExperimentConfig, workers: int) -> tuple[dict, tuple[str, ...]]:
+    """A study's block split and step margin as manifest entries, and the margin's note.
+
+    The blocks are those `config.block_rows(workers)` gives the study; the
+    margin is that of the largest step it solves.  Below 1/2 each implicit
+    step may amplify its input more than twice over, and the note says so.
+    """
+    rows = config.block_rows(workers)
+    step = max((config.reference_grid.step, *config.step_sizes()))
+    margin = step_margin(step, config.params)
+    notes = () if margin >= 0.5 else (
+        f"step margin {margin:.3g} at h={step:g} is below 1/2: each implicit step may "
+        f"amplify its input by up to {1.0 / margin:.3g}, so the run's error constant is "
+        "large; use a smaller step",
+    )
+    entries = {"block_paths": str(max(rows)), "blocks": str(len(rows)),
+               "step_margin": io.format_float(margin)}
+    return entries, notes
+
+
 def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
     config = _experiment_config(args)
     (x,) = simulate_paths(config, workers=args.workers)
     io.write_solution_path(outdir / "data.csv", config.reference_grid, x)
-    return {"min_rate": io.format_float(float((x**2).min()))}, ()
+    entries, notes = _study_record(config, args.workers)
+    return {"min_rate": io.format_float(float((x**2).min())), **entries}, notes
 
 
 def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
@@ -122,8 +148,10 @@ def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[
 
 
 def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
-    report = run_convergence(_experiment_config(args), workers=args.workers)
+    config = _experiment_config(args)
+    report = run_convergence(config, workers=args.workers)
     io.write_convergence(outdir / "data.csv", report)
+    entries, notes = _study_record(config, args.workers)
     return {
         **{
             f"{key}_{family}": io.format_float(value)
@@ -131,7 +159,8 @@ def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> tuple[dict, tupl
             for key, value in zip(("slope", "intercept"), fit or (math.nan, math.nan))
         },
         **_condition_summary(report.condition_checks),
-    }, report.warnings
+        **entries,
+    }, (*report.warnings, *notes)
 
 
 def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
@@ -139,16 +168,20 @@ def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> tuple[dict, 
     checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     curve = estimate_inverse_moments(config, workers=args.workers)
     io.write_inverse_moments(outdir / "data.csv", curve)
+    entries, notes = _study_record(config, args.workers)
     return {
         "max_inverse_moment": io.format_float(float(curve.values.max())),
         **_condition_summary(checks),
-    }, ()
+        **entries,
+    }, notes
 
 
 def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
-    report = malliavin_gap_study(_experiment_config(args), workers=args.workers)
+    config = _experiment_config(args)
+    report = malliavin_gap_study(config, workers=args.workers)
     io.write_malliavin_gaps(outdir / "data.csv", report)
-    return {"profile_max": io.format_float(max(report.profile_max))}, ()
+    entries, notes = _study_record(config, args.workers)
+    return {"profile_max": io.format_float(max(report.profile_max)), **entries}, notes
 
 
 def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:

@@ -194,6 +194,17 @@ def check_fbm_samplers(
     return tuple(checks)
 
 
+# Reference-grid noise values per block of paths, the bound on working memory.
+# Counted in nodes, not paths, because each block repeats the per-step loop of
+# `simulate_batch`.  A block holds one noise-sized array plus the coarse levels
+# solved from it: `simulate_batch` overwrites the fBm levels it is handed, so
+# the convergence kernel and `_solve_block` solve the reference grid over the
+# noise itself, and the gap kernel solves only copies of its restrictions to
+# the coarse grids.  2^22 nodes (32 MB of noise) hold 255 paths of 2^14 + 1
+# nodes, so the 400-path study at 2^14 steps runs as 2 blocks of 200 paths.
+_BLOCK_NODES = 2**22
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared knobs of the Monte Carlo experiments.
@@ -243,6 +254,22 @@ class ExperimentConfig:
 
     def step_sizes(self) -> tuple[float, ...]:
         return tuple(self.coarse_grid(e).step for e in self.coarse_exponents)
+
+    def block_rows(self, workers: int) -> tuple[int, ...]:
+        """Paths per block of the studies' paths, in path order.
+
+        A block holds at most `_BLOCK_NODES` reference noise values (at least
+        one path) and at most samples / workers paths, so every worker gets a
+        block.  The paths go in the fewest blocks within both bounds, each of
+        ceil(samples / blocks) paths but the last, which holds the rest: the
+        largest block, which sets the peak memory, is as small as that block
+        count allows.
+        """
+        per_path = self.reference_grid.steps + 1
+        most = max(1, min(_BLOCK_NODES // per_path, -(-self.samples // max(1, workers))))
+        blocks = -(-self.samples // most)
+        rows = -(-self.samples // blocks)
+        return tuple(min(rows, self.samples - start) for start in range(0, self.samples, rows))
 
 
 @dataclass(frozen=True)
@@ -305,14 +332,6 @@ def regress_order(step_sizes, errors) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-# Reference-grid noise values per block of paths, the bound on working memory.
-# Counted in nodes, not paths, because each block repeats the per-step loop of
-# `simulate_batch`.  400 x (2^14 + 1) nodes fit in one block.  A block holds one
-# noise-sized array plus the coarse levels solved from it: `simulate_batch`
-# overwrites the fBm levels it is handed, so the convergence kernel and
-# `_solve_block` solve the reference grid over the noise itself, and
-# the gap kernel solves only copies of its restrictions to the coarse grids.
-_BLOCK_NODES = 2**23
 # Coarse-grid nodes per row chunk of the gap kernel.  The derivative forms make
 # about 8 (rows, N) temporaries, so they are formed a few rows at a time, after
 # each coarse grid has been solved over the whole block.
@@ -320,30 +339,26 @@ _GAP_BLOCK_NODES = 2**13
 
 
 def _map_blocks(block_fn, config: ExperimentConfig, workers: int):
-    """Yield block_fn(config, noise) for consecutive blocks of paths, in path order.
+    """Yield block_fn(config, noise) for the blocks of `config.block_rows`, in path order.
 
-    The noise holds each path's levels at the reference nodes.  Paths go in
-    blocks of at most `_BLOCK_NODES` noise values (at least one path), and no
-    more than samples / workers paths so every worker gets a block.  block_fn
-    owns the noise array it is handed and may overwrite it; it returns a tuple
-    of per-path arrays.  With one worker the blocks are computed as they are
+    The noise holds each path's levels at the reference nodes.  block_fn owns
+    the noise array it is handed and may overwrite it; it returns a tuple of
+    per-path arrays.  With one worker the blocks are computed as they are
     consumed.
     """
-    per_path = config.reference_grid.steps + 1
-    workers = max(1, workers)
-    rows = max(1, min(_BLOCK_NODES // per_path, -(-config.samples // workers)))
-    starts = range(0, config.samples, rows)
-    task = partial(_sample_block, block_fn, config, rows)
-    workers = min(workers, len(starts))
+    rows = config.block_rows(workers)
+    starts = range(0, config.samples, rows[0])
+    task = partial(_sample_block, block_fn, config)
+    workers = min(max(1, workers), len(rows))
     if workers == 1:
-        yield from map(task, starts)
+        yield from map(task, starts, rows)
     else:
         # imported here, not with the module, so that `import fcir` loads no
         # multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(task, starts)
+            yield from pool.map(task, starts, rows)
 
 
 def _concatenated(blocks) -> list:
@@ -351,9 +366,9 @@ def _concatenated(blocks) -> list:
     return [np.concatenate(parts, axis=0) for parts in zip(*blocks)]
 
 
-def _sample_block(block_fn, config: ExperimentConfig, rows: int, start: int):
+def _sample_block(block_fn, config: ExperimentConfig, start: int, rows: int):
     """block_fn on the reference noise levels of paths start..start+rows-1."""
-    seeds = range(config.base_seed + start, config.base_seed + min(start + rows, config.samples))
+    seeds = range(config.base_seed + start, config.base_seed + start + rows)
     return block_fn(config, sample_fbm_circulant(config.reference_grid, config.hurst, seeds))
 
 

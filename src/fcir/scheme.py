@@ -16,10 +16,21 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .model import CirParams
 
-# `step_constants` is public too, and `fcir` re-exports it; it is left out of
-# `__all__` because the benchmark tracer times every listed function as a
-# layer of its own, while the check is a part of each function that calls it.
+# `step_constants` and `step_margin` are public too, and `fcir` re-exports
+# `step_constants`; they are left out of `__all__` because the benchmark
+# tracer times every listed function as a layer of its own, while each is a
+# part of the function that calls it.
 __all__ = ["simulate_batch"]
+
+
+def step_margin(step: float, params: CirParams) -> float:
+    """The step margin xi = 1 - step*max(0, -kappa/2) of one step.
+
+    A step is admitted when xi > 0 (see `step_constants`).  For kappa < 0
+    each implicit step amplifies its input by 2/(2 + kappa*step) = 1/xi,
+    which grows without bound as xi goes to 0; for kappa > 0, xi = 1.
+    """
+    return 1.0 - step * max(0.0, -0.5 * params.kappa)
 
 
 def step_constants(step: float, params: CirParams) -> tuple[float, float]:
@@ -31,12 +42,12 @@ def step_constants(step: float, params: CirParams) -> tuple[float, float]:
     kappa*step*theta*denom in exact arithmetic; a c that under- or overflows
     raises NumericalError.  The solver, the studies' config and the Malliavin
     forms all call it, so they refuse the same steps.  The convergence
-    analysis asks for step*max(0, -kappa/2) < 1 - xi with some xi in (0, 1),
-    which every admitted step meets with xi = 1 - step*max(0, -kappa/2).
+    analysis asks for step*max(0, -kappa/2) <= 1 - xi with some fixed xi in
+    (0, 1], which an admitted step meets with its `step_margin` as xi.
     """
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step}")
-    if step * max(0.0, -0.5 * params.kappa) >= 1.0:
+    if step_margin(step, params) <= 0.0:
         raise DomainError(
             f"step {step} violates h*max(0, -kappa/2) < 1 for kappa={params.kappa}"
         )

@@ -347,6 +347,66 @@ class TestWarnings:
         assert notes[2] == "raised inside the handler"
 
 
+class TestStudyRecord:
+    """Each study's manifest records its block split and its step margin."""
+
+    STUDIES = ("simulate", "converge-grid", "converge-uniform", "inverse-moments",
+               "malliavin-check")
+
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    def test_block_keys_are_the_blocks_run(self, tmp_path, monkeypatch, command):
+        # a budget of 2 paths of 2^7 + 1 nodes splits every 4-path study in two
+        # (3 paths of 2^6 + 1 fit, so 2 + 2 and not 3 + 1); simulate solves one
+        monkeypatch.setattr(experiments, "_BLOCK_NODES", 2 * (2**7 + 1))
+        sampled = []
+
+        def recording(block_fn, config, start, rows):
+            sampled.append(rows)
+            return sample_block(block_fn, config, start, rows)
+
+        sample_block = experiments._sample_block
+        monkeypatch.setattr(experiments, "_sample_block", recording)
+        code, (run,) = run_cli(tmp_path, command, *SMALL_RUNS[command].split(), "--workers", "1")
+        assert code == 0
+        manifest = read_manifest(run)
+        if command not in self.STUDIES:
+            assert not {"block_paths", "blocks", "step_margin"} & manifest.keys()
+            return
+        assert sampled == ([1] if command == "simulate" else [2, 2])
+        assert (manifest["block_paths"], manifest["blocks"]) == (
+            str(max(sampled)), str(len(sampled))
+        )
+        keys = list(manifest)
+        assert keys.index("step_margin") == keys.index("data_files") - 1
+        assert manifest["step_margin"] == "1"  # kappa > 0 leaves every step its full margin
+
+    # h = 1/2 at kappa = -3.9 leaves xi = 0.025, and at kappa = -2 xi = 1/2; a
+    # convergence study's margin is that of its coarsest grid, 2^4 steps over 8
+    NARROW = "--kappa=-3.9 --theta=-0.5 --horizon 8"
+    MARGINS = {
+        f"simulate {NARROW} --steps-exp 4": "0.025000000000000022",
+        f"converge-grid {NARROW} --ref-exp 6 --coarse-exps 5,4 --samples 2":
+            "0.025000000000000022",
+        "simulate --kappa=-2 --theta=-0.5 --horizon 8 --steps-exp 4": "0.5",
+        "simulate --steps-exp 4": "1",
+    }
+
+    @pytest.mark.parametrize("argv", MARGINS)
+    def test_step_margin_below_one_half_adds_a_note(self, tmp_path, argv):
+        code, (run,) = run_cli(tmp_path, *argv.split(), "--workers", "1")
+        assert code == 0
+        manifest = read_manifest(run)
+        assert manifest["step_margin"] == self.MARGINS[argv]
+        if float(manifest["step_margin"]) < 0.5:
+            # after the study's own notes (here the failing inverse-moment conditions)
+            assert manifest["warnings"].split(" | ")[-1] == (
+                "step margin 0.025 at h=0.5 is below 1/2: each implicit step may amplify its "
+                "input by up to 40, so the run's error constant is large; use a smaller step"
+            )
+        else:
+            assert manifest["warnings"] == "(none)"
+
+
 class TestExitCodes:
     def test_invalid_flag_value_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -25,7 +25,7 @@ from fcir import (
     simulate_batch,
     simulate_paths,
 )
-from fcir import experiments
+from fcir import cli, experiments
 from fcir.fbm import _cholesky_factor
 from fcir.io import write_sampler_checks
 
@@ -441,6 +441,68 @@ class TestBlockDriver:
         for study in self.STUDIES:
             study(config)
         assert seen == self.SPLITS[nodes] * 3
+        assert list(config.block_rows(1)) == self.SPLITS[nodes]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_benchmark_study_runs_in_two_equal_blocks(self, workers):
+        # 400 paths of 2^14 + 1 nodes: 255 fit in a block, so the fewest blocks
+        # are 2, of 200 paths each, not 255 + 145; two workers give the same
+        args = cli.build_parser().parse_args(
+            "converge-uniform --ref-exp 14 --coarse-exps 4,5,6,7,8,9,10,11 --samples 400".split()
+        )
+        assert cli._experiment_config(args).block_rows(workers) == (200, 200)
+
+    @pytest.mark.parametrize("command", ["simulate", "converge-grid", "converge-uniform",
+                                         "inverse-moments", "malliavin-check"])
+    def test_default_studies_run_in_one_block(self, command):
+        # each study at its default flags, and the gap study at 200 paths of
+        # 2^11 steps, fits in one block at one worker
+        argv = [command]
+        if command == "malliavin-check":
+            argv += "--ref-exp 11 --coarse-exps 7,8,9,10 --samples 200".split()
+        config = cli._experiment_config(cli.build_parser().parse_args(argv))
+        assert config.block_rows(1) == (config.samples,)
+
+    def test_fewest_equal_blocks_within_the_budget(self, bench_params, hurst07, monkeypatch):
+        for samples in (1, 2, 7, 10, 64, 400):
+            config = small_config(
+                bench_params, hurst07, reference_exponent=6, coarse_exponents=(3,),
+                samples=samples,
+            )
+            for nodes in (1, 64, 65, 3 * 65, 7 * 65 + 1, 2**22):
+                self.patch_budgets(monkeypatch, nodes)
+                for workers in (1, 2, 3, 64):
+                    rows = config.block_rows(workers)
+                    most = max(1, min(nodes // 65, -(-samples // workers)))
+                    case = (samples, nodes, workers, rows)
+                    assert sum(rows) == samples, case
+                    # within the budget (one path where none fits), in the fewest
+                    # such blocks, all of one size but a smaller last one
+                    assert max(rows) <= most, case
+                    assert len(rows) == -(-samples // most), case
+                    assert rows[0] == -(-samples // len(rows)), case
+                    assert set(rows[:-1]) <= {rows[0]} and rows[-1] <= rows[0], case
+
+    def test_equal_blocks_lower_the_traced_peak(self, bench_params, hurst07, monkeypatch):
+        # 80 paths of 2^12 + 1 nodes with a budget of 60 paths: blocks of 60 +
+        # 20 hold 60 noise rows at once, blocks of 40 + 40 only 40.  Traced,
+        # with the sampler's tiles (24 rows) and the kernels' buffers, the
+        # peaks read 94 and 75 noise rows.
+        config = small_config(
+            bench_params, hurst07, reference_exponent=12, coarse_exponents=(4, 5, 6, 7),
+            samples=80,
+        )
+        row_bytes = (config.reference_grid.steps + 1) * 8
+        self.patch_budgets(monkeypatch, 60 * (config.reference_grid.steps + 1))
+        assert config.block_rows(1) == (40, 40)
+        run_convergence(config)  # the embedding coefficients are cached before tracing
+        tracemalloc.start()
+        try:
+            run_convergence(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 85 * row_bytes, peak / row_bytes
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("nodes", SPLITS)

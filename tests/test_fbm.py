@@ -288,10 +288,12 @@ class TestCirculantSampler:
             expected = complex_fft_oracle(grid, hurst, seed)
             assert np.abs(row - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("steps", [1, 2, 64, 2**10])
+    @pytest.mark.parametrize("steps", [1, 2, 64, 2**10, 2**14])
     @pytest.mark.parametrize("tile_rows", [None, 3])
     def test_block_matches_single_paths(self, monkeypatch, steps, tile_rows):
-        # 7 seeds in tiles of 3 rows cross two tile edges and end on a partial tile
+        # 7 seeds in tiles of 3 rows cross two tile edges and end on a partial
+        # tile; at 2^14 steps the default tile budget holds less than 2 rows and
+        # the floor of 2 applies, so 7 seeds go in tiles of 2, 2, 2 and 1
         if tile_rows is not None:
             monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * 2 * steps)
         grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)

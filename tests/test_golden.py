@@ -64,7 +64,7 @@ CASES = (
 )
 # Runs with `experiments._BLOCK_NODES` set: label -> (argv, nodes per block).
 # The default studies, 200 and 100 paths of 2^12 + 1 reference nodes, in 2
-# blocks; the `malliavin` op in blocks of 64, 64, 64 and 8 paths.
+# blocks; the `malliavin` op, with room for 64 paths a block, in 4 blocks of 50.
 SPLIT_CASES = {
     "converge-grid in 2 blocks": ("converge-grid", 100 * (2**12 + 1)),
     "inverse-moments in 2 blocks": ("inverse-moments", 50 * (2**12 + 1)),
