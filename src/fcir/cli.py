@@ -3,8 +3,11 @@
 Each subcommand is one entry of `SUBCOMMANDS`: its help text, its handler,
 its model flags with their defaults and its own flags.  `fbm-check` samples
 noise only, so of the model flags it takes just `--hurst` and `--horizon`.
-Every run creates `<out>/<subcommand>-<timestamp>/` holding the emitted data
-files plus a `manifest.txt` sidecar.  After `command`, `version` and
+A run's parser registers every subcommand but adds flags only to the one
+its argv names (see `build_parser`), so its help, usage and error text are
+those of the full parser.  Every run creates
+`<out>/<subcommand>-<timestamp>/` holding the emitted data files plus a
+`manifest.txt` sidecar.  After `command`, `version` and
 `status = ok` the manifest records every parsed flag except `--out` by its
 argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`,
 `workers`, ...) in parser order, then the handler's results, `data_files`,
@@ -240,7 +243,15 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The fcir parser: every subcommand, with its flags only on `command`'s subparser.
+
+    With `command` None every subparser gets its flags.  Any other value
+    leaves every subparser but `command`'s with `-h` alone, so an argv whose
+    subcommand is `command` parses, errs and prints help as under the full
+    parser, which costs over twice as much to build.  `main` passes the first
+    word of its argv that names a subcommand: the word argparse dispatches on.
+    """
     parser = argparse.ArgumentParser(
         prog="fcir",
         description="Backward Euler solver and Monte Carlo benchmarks for the "
@@ -251,11 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags = {"seed": (int, 1), "out": (str, "runs"), "workers": (_positive_int, workers)}
     for name, spec in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
+        p.set_defaults(handler=spec.handler)
+        if command not in (None, name):
+            continue
         for flag, default in spec.model.items():
             p.add_argument(f"--{flag}", type=float, default=default)
         for flag, (kind, default) in {**spec.flags, **run_flags}.items():
             p.add_argument(f"--{flag}", type=kind, default=default)
-        p.set_defaults(handler=spec.handler)
     return parser
 
 
@@ -313,7 +326,8 @@ def _is_float(text: str) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     argv = _join_float_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    command = next((word for word in argv if word in SUBCOMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     args.workers = min(args.workers, os.cpu_count() or 1)
     try:
         outdir = _make_outdir(args.out, args.command)

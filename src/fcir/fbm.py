@@ -279,15 +279,17 @@ def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndar
     of the last grid sampled is cached) plus O(N^2) per path.  Each row is
     one matrix-vector product of the factor with the path's normals, so it
     has the bits of a single draw whatever the other seeds are (one
-    matrix-matrix product over all paths would round differently).
+    matrix-matrix product over all paths would round differently).  The
+    products are one stacked `np.matmul` of the factor with the (paths, N, 1)
+    normals, which numpy computes as one BLAS matrix-vector product a path.
     """
     factor = _cholesky_factor(grid.steps, grid.step, hurst)
+    z = np.empty((len(seeds), grid.steps))
+    for row, rng in zip(z, _generators(seeds)):
+        rng.standard_normal(out=row)
     out = np.empty((len(seeds), grid.steps + 1))
     out[:, 0] = 0.0
-    z = np.empty(grid.steps)
-    for row, rng in zip(out, _generators(seeds)):
-        rng.standard_normal(out=z)
-        np.matmul(factor, z, out=row[1:])
+    np.matmul(factor, z[:, :, None], out=out[:, 1:, None])
     np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 
@@ -318,12 +320,13 @@ def _embedding_coefficients(steps: int, step: float, hurst: HurstParameter) -> n
 # tile: its normals, its half spectrum and the FFT output take 24 bytes per
 # node, 0.8 MB here.  Tiles of 2^13 to 2^17 nodes measured within 15% of each
 # other at N = 2^8, 2^11 and 2^14 (2 vCPUs), with no size best at all three.
-# A tile holds at least two rows, so from N = 2^14 on it passes this budget:
-# 200 paths at N = 2^14 sampled 1-15% faster in tiles of 2 rows (1.5 MB) than
-# of 1 (7 paired runs, 2 vCPUs with 2 MB of L2 each), while at N = 2^15 and
-# 2^16, whose 2-row tiles outgrow that cache, they sampled about 15% slower
-# in the median (slower in 8 of 9 pairs).
+# A tile holds two rows while they take at most _TWO_ROW_NODES nodes, so at
+# N = 2^14 it passes this budget: 200 paths there sampled 1-15% faster in
+# tiles of 2 rows (1.5 MB) than of 1 (7 paired runs, 2 vCPUs with 2 MB of L2
+# each), while at N = 2^15 and 2^16, whose 2-row tiles outgrow that cache,
+# they sampled about 15% slower in the median (slower in 8 of 9 pairs).
 _TILE_NODES = 2**15
+_TWO_ROW_NODES = 2**16
 
 
 def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
@@ -345,7 +348,8 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.nda
     body = coefficients[1:n] * np.sqrt(0.5)
     negated_body = -body
     out = np.empty((len(seeds), n + 1))
-    tile = max(1, min(len(seeds), max(2, _TILE_NODES // (2 * n))))
+    floor = 2 if 4 * n <= _TWO_ROW_NODES else 1
+    tile = max(1, min(len(seeds), max(floor, _TILE_NODES // (2 * n))))
     z = np.empty((tile, 2 * n))
     # the imaginary parts of the DC and Nyquist bins stay 0
     spectrum = np.zeros((tile, n + 1), dtype=complex)

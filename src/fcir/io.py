@@ -38,7 +38,7 @@ def format_float(value: float) -> str:
 
 def _write_lines(target: Path, lines: Iterable[str]) -> None:
     with open(target, "w", newline="\n") as handle:
-        handle.write("".join(f"{line}\n" for line in lines))
+        handle.write("\n".join([*lines, ""]))
 
 
 def _cell(value) -> str:
@@ -56,8 +56,8 @@ def _write_rows(target: Path, header: str, rows: Iterable[tuple], nan_cell=None)
     not finite, unless it is nan at `nan_cell`, a (row index, column name).
     A float cell is formatted inline and checked on its text (only "inf",
     "-inf" and "nan" hold an "n"), so it costs no Python call; any other cell
-    costs one.  The path writers pass Python floats (`.tolist()`), which give
-    the text of numpy scalars and are formatted faster.
+    costs one.  This is the one statement of the refusal: `_write_float_rows`
+    hands it the rows of a path file that holds a non-finite value.
     """
     columns = header.split(",")
     lines = [header]
@@ -78,14 +78,29 @@ def _write_rows(target: Path, header: str, rows: Iterable[tuple], nan_cell=None)
     _write_lines(target, lines)
 
 
+def _write_float_rows(target: Path, header: str, *columns: list) -> None:
+    """CSV of float columns with the bytes of `_write_rows`, one `str.format` call a row.
+
+    The columns are lists of Python floats (`.tolist()`, which format as the
+    numpy scalars do, and faster).  Only "inf", "-inf" and "nan" hold an
+    "n", so a row that holds one goes to `_write_rows`, which refuses it
+    before the file is opened.
+    """
+    rows = list(map(",".join(["{:.17g}"] * len(columns)).format, *columns))
+    if "n" in "".join(rows):
+        _write_rows(target, header, zip(*columns))
+    else:
+        _write_lines(target, [header, *rows])
+
+
 def write_fbm_path(target: Path, grid: GridSpec, values) -> None:
     """Noise levels B on grid as `t,B`, one row per node."""
-    _write_rows(target, "t,B", zip(grid.nodes().tolist(), values.tolist()))
+    _write_float_rows(target, "t,B", grid.nodes().tolist(), values.tolist())
 
 
 def write_solution_path(target: Path, grid: GridSpec, x) -> None:
     """Solution levels X on grid and the rates r = X^2 as `t,X,r`, one row per node."""
-    _write_rows(target, "t,X,r", zip(grid.nodes().tolist(), x.tolist(), (x**2).tolist()))
+    _write_float_rows(target, "t,X,r", grid.nodes().tolist(), x.tolist(), (x**2).tolist())
 
 
 def _condition_row(report: ConditionReport) -> tuple:
@@ -118,7 +133,7 @@ def write_convergence(target: Path, report: ConvergenceReport) -> None:
 
 def write_inverse_moments(target: Path, curve: InverseMomentCurve) -> None:
     """Inverse-moment curve as `t,inv_moment`, one row per node."""
-    _write_rows(target, "t,inv_moment", zip(curve.times.tolist(), curve.values.tolist()))
+    _write_float_rows(target, "t,inv_moment", curve.times.tolist(), curve.values.tolist())
 
 
 def write_malliavin_gaps(target: Path, report: MalliavinGapReport) -> None:

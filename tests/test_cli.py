@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands, files, exit codes."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -301,6 +302,42 @@ def test_manifest_flags_reproduce_the_data_files(tmp_path, capsys):
         assert [key for key in read_manifest(rerun) if key in flags] == flags
         for name in manifest["data_files"].split(","):
             assert (rerun / name).read_bytes() == (run / name).read_bytes(), (command, name)
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    def test_flags_only_on_the_named_subcommand(self, command):
+        full, lazy = cli.build_parser(), cli.build_parser(command)
+        defaults = vars(full.parse_args([command]))
+        # every flag off its default: floats and ints one up, a list and a path changed
+        argv = [command]
+        for dest, value in defaults.items():
+            if dest not in ("command", "handler"):
+                text = {tuple: "3,4", str: "elsewhere"}.get(type(value)) or str(value + 1)
+                argv += [f"--{dest.replace('_', '-')}", text]
+        for words in ([command], argv):
+            assert vars(lazy.parse_args(words)) == vars(full.parse_args(words))
+        assert vars(full.parse_args(argv)) != defaults
+        (sub,) = (a for a in lazy._actions if isinstance(a, argparse._SubParsersAction))
+        for name, parser in sub.choices.items():
+            flags = [a.option_strings for a in parser._actions]
+            assert (flags == [["-h", "--help"]]) == (name != command), name
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["simulate", "--bogus", "1"],
+        ["-x", "simulate", "--steps-exp", "4"], ["converge-grid", "--samples", "x"],
+        ["fbm-check", "--kappa", "1"], *([command, "--help"] for command in cli.SUBCOMMANDS),
+    ])
+    def test_help_and_errors_are_those_of_the_full_parser(self, argv, capsys):
+        # `main` parses with flags on one subcommand only; an unknown flag before
+        # the subcommand does not hide which one argparse dispatches to
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args(argv)
+        expected = (full.value.code, capsys.readouterr())
+        assert expected[0] in (0, 2)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert (excinfo.value.code, capsys.readouterr()) == expected
 
 
 class TestWarnings:

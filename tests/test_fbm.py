@@ -288,12 +288,13 @@ class TestCirculantSampler:
             expected = complex_fft_oracle(grid, hurst, seed)
             assert np.abs(row - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("steps", [1, 2, 64, 2**10, 2**14])
+    @pytest.mark.parametrize("steps", [1, 2, 64, 2**10, 2**14, 2**15])
     @pytest.mark.parametrize("tile_rows", [None, 3])
     def test_block_matches_single_paths(self, monkeypatch, steps, tile_rows):
         # 7 seeds in tiles of 3 rows cross two tile edges and end on a partial
         # tile; at 2^14 steps the default tile budget holds less than 2 rows and
-        # the floor of 2 applies, so 7 seeds go in tiles of 2, 2, 2 and 1
+        # the floor of 2 applies, so 7 seeds go in tiles of 2, 2, 2 and 1; at
+        # 2^15 two rows would pass _TWO_ROW_NODES, so they go one a tile
         if tile_rows is not None:
             monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * 2 * steps)
         grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)
@@ -303,6 +304,22 @@ class TestCirculantSampler:
         for row, seed in zip(block, seeds):
             assert np.array_equal(row, sample_fbm_circulant(grid, hurst, [seed])[0])
             assert np.array_equal(row, circulant_oracle(grid, hurst, seed))
+
+    @pytest.mark.parametrize(
+        "steps, tiles", [(2**13, [2, 2, 2, 1]), (2**14, [2, 2, 2, 1]), (2**15, [1] * 7)]
+    )
+    def test_two_rows_a_tile_up_to_two_row_nodes(self, monkeypatch, steps, tiles):
+        # the budget holds 2 rows at 2^13; the floor of 2 holds at 2^14, where
+        # two rows take 2^16 embedding nodes, and not past it
+        irfft, rows = np.fft.irfft, []
+
+        def counted(spectrum, *args, **kwargs):
+            rows.append(len(spectrum))
+            return irfft(spectrum, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        sample_fbm_circulant(GridSpec(1.0, steps), H07, range(7))
+        assert rows == tiles
 
     @pytest.mark.parametrize("stride", [2, 8, 64])
     @pytest.mark.parametrize("tile_rows", [None, 3])

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fcir import CirParams, ExperimentConfig, HurstParameter, NumericalError, io, run_convergence
-from fcir.experiments import MalliavinGapReport
+from fcir import (
+    CirParams, ExperimentConfig, GridSpec, HurstParameter, NumericalError, io, run_convergence,
+)
+from fcir.experiments import InverseMomentCurve, MalliavinGapReport
 
 
 def read_cells(path):
@@ -37,7 +39,8 @@ def test_convergence_writes_level_then_rate_errors(tmp_path):
 
 
 def test_python_floats_write_the_bytes_of_numpy_scalars(tmp_path):
-    # the path writers hand `_write_rows` Python floats from `.tolist()`
+    # the path writers format Python floats from `.tolist()`; a float cell of
+    # `_write_rows` has the same text either way
     column = np.array([-0.0, 5e-324, 1.7e308, 1 / 3, 2.0])
     io._write_rows(tmp_path / "numpy.csv", "i,v", zip(range(5), column))
     io._write_rows(tmp_path / "python.csv", "i,v", zip(range(5), column.tolist()))
@@ -62,6 +65,47 @@ def test_cells_keep_the_text_of_per_cell_formatting(tmp_path):
         b"inf,1,true,-1e-300,0.10000000000000001\n"
         b"nan_count,-1180591620717411303424,false,2.5,1.0000000000000001e+300\n"
     )
+
+
+def path_file(writer, values):
+    """A path writer of values, its header and the numpy columns `_write_rows` would take."""
+    grid = GridSpec(1.0, len(values) - 1)
+    nodes = grid.nodes()
+    if writer == "fbm":
+        return lambda target: io.write_fbm_path(target, grid, values), "t,B", (nodes, values)
+    if writer == "solution":
+        columns = (nodes, values, values**2)
+        return lambda target: io.write_solution_path(target, grid, values), "t,X,r", columns
+    curve = InverseMomentCurve(nodes, values)
+    return lambda target: io.write_inverse_moments(target, curve), "t,inv_moment", (nodes, values)
+
+
+@pytest.mark.parametrize("writer", ["fbm", "solution", "inverse"])
+def test_path_writers_write_the_bytes_of_write_rows(tmp_path, writer):
+    # each row is one `str.format` call; its text is that of the cells of `_write_rows`
+    values = np.array([-0.0, 5e-324, 1e308, 1e-5, 1e16, 1 / 3, -2.5])
+    if writer == "solution":
+        values[2] = 1e154  # r = X^2 stays finite
+    write, header, columns = path_file(writer, values)
+    write(tmp_path / "path.csv")
+    io._write_rows(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("writer", ["fbm", "solution", "inverse"])
+@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_path_writers_refuse_as_write_rows(tmp_path, writer, row, value):
+    values = np.linspace(0.5, 2.0, 7)
+    values[row] = value
+    write, header, columns = path_file(writer, values)
+    with pytest.raises(NumericalError) as expected:
+        io._write_rows(tmp_path / "data.csv", header, zip(*columns))
+    with pytest.raises(NumericalError) as refused:
+        write(tmp_path / "data.csv")
+    assert str(refused.value) == str(expected.value)
+    assert f"in data row {row + 1};" in str(refused.value)
+    assert not (tmp_path / "data.csv").exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
