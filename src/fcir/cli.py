@@ -32,8 +32,9 @@ fitted.
 Exit codes: 0 on success, 2 on invalid flags, unknown subcommands or an
 `--out` under which no run directory can be made (one `error:` line, no
 manifest), 3 on domain or numerical errors raised by the library, including
-arithmetic and memory errors that escape it, and on an OS error while the
-run's files are written (the error manifest is then written if it can be).
+arithmetic and memory errors that escape it and a pool worker that dies (most
+likely killed for lack of memory; use fewer `--workers`), and on an OS error
+while the run's files are written (the error manifest is then written if it can be).
 `--workers` must be at least 1; larger values are clamped to the CPU count,
 and the manifest records the effective value.  A negative float given as its
 own word after its flag, as in `--kappa -1e-3` or `--theta -inf`, is that

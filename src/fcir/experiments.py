@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, UnsupportedRegimeError
+from .errors import DomainError, FcirError, NumericalError, UnsupportedRegimeError
 from .fbm import (
     GridSpec,
     HurstParameter,
@@ -344,7 +344,7 @@ def _map_blocks(block_fn, config: ExperimentConfig, workers: int):
     The noise holds each path's levels at the reference nodes.  block_fn owns
     the noise array it is handed and may overwrite it; it returns a tuple of
     per-path arrays.  With one worker the blocks are computed as they are
-    consumed.
+    consumed; a pool worker that dies, as the OOM killer ends one, raises FcirError.
     """
     rows = config.block_rows(workers)
     starts = range(0, config.samples, rows[0])
@@ -355,10 +355,14 @@ def _map_blocks(block_fn, config: ExperimentConfig, workers: int):
     else:
         # imported here, not with the module, so that `import fcir` loads no
         # multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(task, starts, rows)
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(task, starts, rows)
+        except BrokenProcessPool as exc:
+            raise FcirError(f"a worker of the {workers}-process pool ended abruptly, most likely "
+                            "killed for lack of memory; run with fewer --workers") from exc
 
 
 def _concatenated(blocks) -> list:

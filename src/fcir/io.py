@@ -1,11 +1,13 @@
 """CSV and manifest writers for every externally visible data format.
 
-All floating-point output uses 17 significant digits, which round-trips
-double precision losslessly, and a fixed "\n" line ending so repeated runs
-produce byte-identical files.  A data file holds finite floats only: every
-row is formatted before the file is opened, and a nan or infinite cell
-raises NumericalError, so no file is written.  The one exception is the
-documented nan `ratio_vs_prev` in the first row of the Malliavin gap study.
+Every CSV data file comes from one table writer, `_write_table`: floats at
+17 significant digits, which round-trips double precision losslessly,
+lowercase booleans, and a fixed "\n" line ending, so repeated runs produce
+byte-identical files.  A data file holds finite floats only: a nan or
+infinite cell raises NumericalError before the file is opened.  The one
+exception is the documented nan `ratio_vs_prev` in the first row of the
+Malliavin gap study.  A file is written under `<name>.partial` and then
+renamed onto its name, so it is whole or absent.
 """
 
 from __future__ import annotations
@@ -32,13 +34,22 @@ __all__ = [
 ]
 
 
+_FLOAT_CELL = "{:.17g}"
+
+
 def format_float(value: float) -> str:
-    return f"{value:.17g}"
+    return _FLOAT_CELL.format(value)
 
 
 def _write_lines(target: Path, lines: Iterable[str]) -> None:
-    with open(target, "w", newline="\n") as handle:
-        handle.write("\n".join([*lines, ""]))
+    """Write lines to target through `<name>.partial`, so target is whole or absent."""
+    partial = target.with_name(f"{target.name}.partial")
+    try:
+        with open(partial, "w", newline="\n") as handle:
+            handle.write("\n".join([*lines, ""]))
+        partial.replace(target)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _cell(value) -> str:
@@ -49,102 +60,85 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_rows(target: Path, header: str, rows: Iterable[tuple], nan_cell=None) -> None:
-    """CSV with floats at 17 significant digits and lowercase booleans.
+def _write_table(target: Path, columns: dict, nan_cell=None) -> None:
+    """CSV of columns (header name -> cells), one `str.format` call a row.
 
-    Raises NumericalError, before the file is opened, on a float cell that is
-    not finite, unless it is nan at `nan_cell`, a (row index, column name).
-    A float cell is formatted inline and checked on its text (only "inf",
-    "-inf" and "nan" hold an "n"), so it costs no Python call; any other cell
-    costs one.  This is the one statement of the refusal: `_write_float_rows`
-    hands it the rows of a path file that holds a non-finite value.
+    A column of floats (numpy float64 scalars too) takes the 17-digit float
+    text in the row format, any other column the text of `_cell`.  The first
+    float cell in row order that is not finite, but for nan at `nan_cell` (a
+    row index and column name), raises NumericalError before the file opens.
     """
-    columns = header.split(",")
-    lines = [header]
-    for index, row in enumerate(rows):
-        cells = []
-        for column, value in zip(columns, row):
-            if isinstance(value, float):
-                text = f"{value:.17g}"
-                if "n" in text and (text != "nan" or (index, column) != nan_cell):
+    floats = [all(issubclass(kind, float) for kind in {*map(type, column)})
+              for column in columns.values()]
+    cells = [column if is_float else list(map(_cell, column))
+             for is_float, column in zip(floats, columns.values())]
+    row = ",".join(_FLOAT_CELL if is_float else "{}" for is_float in floats).format
+    rows = list(map(row, *cells))
+    # among float texts only "inf", "-inf" and "nan" hold an "n"
+    if "n" in "".join(rows):
+        for index, values in enumerate(zip(*columns.values())):
+            for name, value in zip(columns, values):
+                text = format_float(value) if isinstance(value, float) else ""
+                if "n" in text and (text != "nan" or (index, name) != nan_cell):
                     raise NumericalError(
-                        f"{target.name} would hold {column} = {text} in data "
+                        f"{target.name} would hold {name} = {text} in data "
                         f"row {index + 1}; data files hold finite values only"
                     )
-            else:
-                text = _cell(value)
-            cells.append(text)
-        lines.append(",".join(cells))
-    _write_lines(target, lines)
-
-
-def _write_float_rows(target: Path, header: str, *columns: list) -> None:
-    """CSV of float columns with the bytes of `_write_rows`, one `str.format` call a row.
-
-    The columns are lists of Python floats (`.tolist()`, which format as the
-    numpy scalars do, and faster).  Only "inf", "-inf" and "nan" hold an
-    "n", so a row that holds one goes to `_write_rows`, which refuses it
-    before the file is opened.
-    """
-    rows = list(map(",".join(["{:.17g}"] * len(columns)).format, *columns))
-    if "n" in "".join(rows):
-        _write_rows(target, header, zip(*columns))
-    else:
-        _write_lines(target, [header, *rows])
+    _write_lines(target, [",".join(columns), *rows])
 
 
 def write_fbm_path(target: Path, grid: GridSpec, values) -> None:
     """Noise levels B on grid as `t,B`, one row per node."""
-    _write_float_rows(target, "t,B", grid.nodes().tolist(), values.tolist())
+    _write_table(target, {"t": grid.nodes().tolist(), "B": values.tolist()})
 
 
 def write_solution_path(target: Path, grid: GridSpec, x) -> None:
     """Solution levels X on grid and the rates r = X^2 as `t,X,r`, one row per node."""
-    _write_float_rows(target, "t,X,r", grid.nodes().tolist(), x.tolist(), (x**2).tolist())
+    _write_table(target, {"t": grid.nodes().tolist(), "X": x.tolist(), "r": (x**2).tolist()})
 
 
-def _condition_row(report: ConditionReport) -> tuple:
-    return report.holds, report.worst_margin, report.worst_s, report.multiplier, report.method
+_CONDITION_COLUMNS = ("holds", "worst_margin", "worst_s", "multiplier", "method")
 
 
 def condition_record(report: ConditionReport) -> str:
     """One-line CSV record: holds,worst_margin,worst_s,multiplier,method."""
-    return ",".join(map(_cell, _condition_row(report)))
+    return ",".join(_cell(getattr(report, name)) for name in _CONDITION_COLUMNS)
 
 
 def write_condition_reports(target: Path, reports: Iterable[ConditionReport]) -> None:
-    header = "holds,worst_margin,worst_s,multiplier,method"
-    _write_rows(target, header, map(_condition_row, reports))
+    reports = tuple(reports)
+    _write_table(target, {name: [getattr(report, name) for report in reports]
+                          for name in _CONDITION_COLUMNS})
 
 
 def write_convergence(target: Path, report: ConvergenceReport) -> None:
     """Errors as `h,rms_sup_error_grid,rms_sup_error_uniform,samples,rms_rate_sup_error_grid,
     rms_rate_sup_error_uniform`: the level X at the grid and uniformly, then the rate r = X^2."""
-    header = (
-        "h,rms_sup_error_grid,rms_sup_error_uniform,samples,"
-        "rms_rate_sup_error_grid,rms_rate_sup_error_uniform"
-    )
-    rms = report.rms
-    rows = zip(report.step_sizes, rms["level_grid"], rms["level_uniform"],
-               rms["rate_grid"], rms["rate_uniform"])
-    _write_rows(target, header, ((h, x_grid, x_uniform, report.samples, *rate)
-                                 for h, x_grid, x_uniform, *rate in rows))
+    rms, samples = report.rms, [report.samples] * len(report.step_sizes)
+    _write_table(target, {
+        "h": report.step_sizes, "rms_sup_error_grid": rms["level_grid"],
+        "rms_sup_error_uniform": rms["level_uniform"], "samples": samples,
+        "rms_rate_sup_error_grid": rms["rate_grid"],
+        "rms_rate_sup_error_uniform": rms["rate_uniform"],
+    })
 
 
 def write_inverse_moments(target: Path, curve: InverseMomentCurve) -> None:
     """Inverse-moment curve as `t,inv_moment`, one row per node."""
-    _write_float_rows(target, "t,inv_moment", curve.times.tolist(), curve.values.tolist())
+    _write_table(target, {"t": curve.times.tolist(), "inv_moment": curve.values.tolist()})
 
 
 def write_malliavin_gaps(target: Path, report: MalliavinGapReport) -> None:
     """Gap study as `h,mean_abs_gap,ratio_vs_prev` (nan ratio on the first row)."""
-    rows = zip(report.step_sizes, report.mean_abs_gaps, report.ratios)
-    _write_rows(target, "h,mean_abs_gap,ratio_vs_prev", rows, nan_cell=(0, "ratio_vs_prev"))
+    _write_table(target, {"h": report.step_sizes, "mean_abs_gap": report.mean_abs_gaps,
+                          "ratio_vs_prev": report.ratios}, nan_cell=(0, "ratio_vs_prev"))
 
 
 def write_sampler_checks(target: Path, checks: Iterable[SamplerCheck]) -> None:
     """Sampler checks as `check,statistic,threshold,passed`."""
-    _write_rows(target, "check,statistic,threshold,passed", checks)
+    checks = tuple(checks)
+    names = ("check", "statistic", "threshold", "passed")
+    _write_table(target, {name: [check[i] for check in checks] for i, name in enumerate(names)})
 
 
 def write_key_values(target: Path, entries: dict) -> None:

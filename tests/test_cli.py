@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -561,6 +562,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: OSError: [Errno 28] No space left on device: ")
         assert err.count("\n") == 1
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+        manifest = read_manifest(run)
+        assert manifest["status"] == "error"
+        assert manifest["error"] == err.strip()[len("error: "):]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a pool worker sees the patched sampler only when it is forked",
+    )
+    def test_lost_pool_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a worker ends as the OOM killer would end it, mid-block
+        parent, sample = os.getpid(), experiments.sample_fbm_circulant
+
+        def killed_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_fbm_circulant", killed_in_a_worker)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, (run,) = run_cli(
+            tmp_path, "converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
+            "--samples", "4", "--workers", "2",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker of the 2-process pool ended abruptly")
+        assert "--workers" in err and "memory" in err and err.count("\n") == 1
         assert [f.name for f in run.iterdir()] == ["manifest.txt"]
         manifest = read_manifest(run)
         assert manifest["status"] == "error"
