@@ -35,8 +35,10 @@ manifest), 3 on domain or numerical errors raised by the library, including
 arithmetic and memory errors that escape it and a pool worker that dies (most
 likely killed for lack of memory; use fewer `--workers`), and on an OS error
 while the run's files are written (the error manifest is then written if it can be).
-`--workers` must be at least 1; larger values are clamped to the CPU count,
-and the manifest records the effective value.  A negative float given as its
+`--workers` must be at least 1; larger values are clamped to the CPU count.
+The manifest's `workers` records the processes that ran: a study's blocks
+run in min(workers, blocks) of them (`ExperimentConfig.processes`), and
+`fbm-check` and `check-conditions` in one.  A negative float given as its
 own word after its flag, as in `--kappa -1e-3` or `--theta -inf`, is that
 flag's value.
 """
@@ -114,11 +116,13 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _study_record(config: ExperimentConfig, workers: int) -> tuple[dict, tuple[str, ...]]:
-    """A study's block split and step margin as manifest entries, and the margin's note.
+    """A study's block split, processes and step margin as manifest entries, and a note.
 
-    The blocks are those `config.block_rows(workers)` gives the study; the
-    margin is that of the largest step it solves.  Below 1/2 each implicit
-    step may amplify its input more than twice over, and the note says so.
+    The blocks are those `config.block_rows(workers)` gives the study, and
+    `workers` (which takes the flag's place in the manifest) the processes
+    that run them; the margin is that of the largest step it solves.  Below
+    1/2 each implicit step may amplify its input more than twice over, and
+    the note says so.
     """
     rows = config.block_rows(workers)
     step = max((config.reference_grid.step, *config.step_sizes()))
@@ -129,7 +133,7 @@ def _study_record(config: ExperimentConfig, workers: int) -> tuple[dict, tuple[s
         "large; use a smaller step",
     )
     entries = {"block_paths": str(max(rows)), "blocks": str(len(rows)),
-               "step_margin": io.format_float(margin)}
+               "step_margin": io.format_float(margin), "workers": str(config.processes(workers))}
     return entries, notes
 
 
@@ -148,7 +152,8 @@ def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[
     (path,) = sample_fbm_circulant(grid, hurst, [args.seed])
     io.write_fbm_path(outdir / "sample_path.csv", grid, path)
     io.write_sampler_checks(outdir / "data.csv", checks)
-    return {"all_checks_passed": str(all(check.passed for check in checks)).lower()}, ()
+    return {"all_checks_passed": io.format_cell(all(check.passed for check in checks)),
+            "workers": "1"}, ()
 
 
 def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
@@ -193,8 +198,9 @@ def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> tuple[dict,
     reports = check_moment_conditions(args.p, params, HurstParameter(args.hurst), args.horizon)
     io.write_condition_reports(outdir / "data.csv", reports)
     return {
-        "sufficient_closed_form": str(reports[0].sufficient).lower(),
+        "sufficient_closed_form": io.format_cell(reports[0].sufficient),
         **_condition_summary(reports),
+        "workers": "1",
     }, ()
 
 

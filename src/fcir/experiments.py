@@ -271,6 +271,10 @@ class ExperimentConfig:
         rows = -(-self.samples // blocks)
         return tuple(min(rows, self.samples - start) for start in range(0, self.samples, rows))
 
+    def processes(self, workers: int) -> int:
+        """Processes that solve the blocks of `block_rows(workers)`: one a block, at most workers."""
+        return min(max(1, workers), len(self.block_rows(workers)))
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -349,7 +353,7 @@ def _map_blocks(block_fn, config: ExperimentConfig, workers: int):
     rows = config.block_rows(workers)
     starts = range(0, config.samples, rows[0])
     task = partial(_sample_block, block_fn, config)
-    workers = min(max(1, workers), len(rows))
+    workers = config.processes(workers)
     if workers == 1:
         yield from map(task, starts, rows)
     else:

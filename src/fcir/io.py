@@ -6,14 +6,18 @@ lowercase booleans, and a fixed "\n" line ending, so repeated runs produce
 byte-identical files.  A data file holds finite floats only: a nan or
 infinite cell raises NumericalError before the file is opened.  The one
 exception is the documented nan `ratio_vs_prev` in the first row of the
-Malliavin gap study.  A file is written under `<name>.partial` and then
-renamed onto its name, so it is whole or absent.
+Malliavin gap study.  A file is written under `<name>.partial`, a block of
+lines at a time, and then renamed onto its name, so it is whole or absent;
+the text of one block is held at a time.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .errors import NumericalError
 from .experiments import ConvergenceReport, InverseMomentCurve, MalliavinGapReport, SamplerCheck
@@ -41,18 +45,30 @@ def format_float(value: float) -> str:
     return _FLOAT_CELL.format(value)
 
 
+# Lines per write of `_write_lines`: the text of one block is held at a time.
+_BLOCK_LINES = 4096
+
+
 def _write_lines(target: Path, lines: Iterable[str]) -> None:
-    """Write lines to target through `<name>.partial`, so target is whole or absent."""
+    """Write lines to target through `<name>.partial`, so target is whole or absent.
+
+    The lines are consumed and written `_BLOCK_LINES` at a time, each ended by "\n".
+    """
     partial = target.with_name(f"{target.name}.partial")
+    lines = iter(lines)
     try:
         with open(partial, "w", newline="\n") as handle:
-            handle.write("\n".join([*lines, ""]))
+            while block := list(islice(lines, _BLOCK_LINES)):
+                handle.write("\n".join([*block, ""]))
         partial.replace(target)
     finally:
         partial.unlink(missing_ok=True)
 
 
-def _cell(value) -> str:
+# `format_cell` is public, for the manifest's booleans, but left out of
+# `__all__`: the benchmark tracer would time each of its cells as a call.
+def format_cell(value) -> str:
+    """A cell's text: floats as `format_float`, booleans lowercase, anything else as str."""
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, bool):
@@ -63,19 +79,22 @@ def _cell(value) -> str:
 def _write_table(target: Path, columns: dict, nan_cell=None) -> None:
     """CSV of columns (header name -> cells), one `str.format` call a row.
 
-    A column of floats (numpy float64 scalars too) takes the 17-digit float
-    text in the row format, any other column the text of `_cell`.  The first
+    A column is a float64 array or a sequence of cells.  A column of floats
+    (an array, or numpy float64 scalars too) takes the 17-digit float text in
+    the row format, any other column the text of `format_cell`.  The first
     float cell in row order that is not finite, but for nan at `nan_cell` (a
     row index and column name), raises NumericalError before the file opens.
+    The rows are formatted as `_write_lines` writes them, a block at a time.
     """
-    floats = [all(issubclass(kind, float) for kind in {*map(type, column)})
+    floats = [isinstance(column, np.ndarray)
+              or all(issubclass(kind, float) for kind in {*map(type, column)})
               for column in columns.values()]
-    cells = [column if is_float else list(map(_cell, column))
+    cells = [_float_cells(column) if is_float else list(map(format_cell, column))
              for is_float, column in zip(floats, columns.values())]
-    row = ",".join(_FLOAT_CELL if is_float else "{}" for is_float in floats).format
-    rows = list(map(row, *cells))
-    # among float texts only "inf", "-inf" and "nan" hold an "n"
-    if "n" in "".join(rows):
+    float_values = (column if is_float else [value for value in column if isinstance(value, float)]
+                   for is_float, column in zip(floats, columns.values()))
+    # all finite, the common case, is one test a column; else the cells are scanned
+    if not all(np.isfinite(column).all() for column in float_values):
         for index, values in enumerate(zip(*columns.values())):
             for name, value in zip(columns, values):
                 text = format_float(value) if isinstance(value, float) else ""
@@ -84,17 +103,26 @@ def _write_table(target: Path, columns: dict, nan_cell=None) -> None:
                         f"{target.name} would hold {name} = {text} in data "
                         f"row {index + 1}; data files hold finite values only"
                     )
-    _write_lines(target, [",".join(columns), *rows])
+    row = ",".join(_FLOAT_CELL if is_float else "{}" for is_float in floats).format
+    _write_lines(target, chain([",".join(columns)], map(row, *cells)))
+
+
+def _float_cells(column):
+    """A float column's cells; an array's as Python floats, `_BLOCK_LINES` at a time."""
+    if not isinstance(column, np.ndarray):
+        return column
+    return chain.from_iterable(column[start : start + _BLOCK_LINES].tolist()
+                               for start in range(0, len(column), _BLOCK_LINES))
 
 
 def write_fbm_path(target: Path, grid: GridSpec, values) -> None:
     """Noise levels B on grid as `t,B`, one row per node."""
-    _write_table(target, {"t": grid.nodes().tolist(), "B": values.tolist()})
+    _write_table(target, {"t": grid.nodes(), "B": values})
 
 
 def write_solution_path(target: Path, grid: GridSpec, x) -> None:
     """Solution levels X on grid and the rates r = X^2 as `t,X,r`, one row per node."""
-    _write_table(target, {"t": grid.nodes().tolist(), "X": x.tolist(), "r": (x**2).tolist()})
+    _write_table(target, {"t": grid.nodes(), "X": x, "r": x**2})
 
 
 _CONDITION_COLUMNS = ("holds", "worst_margin", "worst_s", "multiplier", "method")
@@ -102,7 +130,7 @@ _CONDITION_COLUMNS = ("holds", "worst_margin", "worst_s", "multiplier", "method"
 
 def condition_record(report: ConditionReport) -> str:
     """One-line CSV record: holds,worst_margin,worst_s,multiplier,method."""
-    return ",".join(_cell(getattr(report, name)) for name in _CONDITION_COLUMNS)
+    return ",".join(format_cell(getattr(report, name)) for name in _CONDITION_COLUMNS)
 
 
 def write_condition_reports(target: Path, reports: Iterable[ConditionReport]) -> None:
@@ -125,7 +153,7 @@ def write_convergence(target: Path, report: ConvergenceReport) -> None:
 
 def write_inverse_moments(target: Path, curve: InverseMomentCurve) -> None:
     """Inverse-moment curve as `t,inv_moment`, one row per node."""
-    _write_table(target, {"t": curve.times.tolist(), "inv_moment": curve.values.tolist()})
+    _write_table(target, {"t": curve.times, "inv_moment": curve.values})
 
 
 def write_malliavin_gaps(target: Path, report: MalliavinGapReport) -> None:

@@ -95,7 +95,9 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
     chunk's write-back overwrote, is carried in a vector.  Each step takes the
     a >= 0 branch of `_positive_root` in place, as six ufunc calls with
     positional outputs on row views made once per call: at a few hundred
-    paths a step costs as much in call overhead as in arithmetic.  A chunk
+    paths a step costs as much in call overhead as in arithmetic.  A single
+    path takes the root through two buffers instead, as numpy runs an
+    in-place ufunc on one element twice as slowly.  A chunk
     in which some a < 0 is solved again from its start level with
     `_positive_root` itself.  A level that is not finite and positive (a*a
     overflows for |a| > ~1.3e154) raises NumericalError, with the chunks
@@ -118,6 +120,10 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
     buffers = np.empty((3, _CHUNK_STEPS, width))
     rows = [list(buffer) for buffer in buffers]
     disc = np.empty(width)
+    # numpy runs a ufunc that writes over its own input twice as slowly on a
+    # one-element array (about 1.0 against 0.45 us a call), so one path
+    # alternates between two buffers; wider batches work in place
+    s = disc if width > 1 else np.empty(1)
     start = np.full(width, params.x0)
     add, multiply, sqrt, divide = np.add, np.multiply, np.sqrt, np.divide
     # a ufunc converts a Python float operand on every call, a 0-d array not
@@ -135,10 +141,10 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
         for scaled_k, a_k, next_level in zip(scaled_rows, a_rows, level_rows):
             add(scaled_k, level, a_k)
             multiply(a_k, a_k, disc)
-            add(disc, c_array, disc)
-            sqrt(disc, disc)
-            add(disc, a_k, disc)
-            divide(disc, denom_array, next_level)
+            add(disc, c_array, s)
+            sqrt(s, disc)
+            add(disc, a_k, s)
+            divide(s, denom_array, next_level)
             level = next_level
         if (a < 0.0).any():
             level = start

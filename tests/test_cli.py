@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, files, exit codes."""
 
 import argparse
+import concurrent.futures.process
 import math
 import multiprocessing
 import os
@@ -417,6 +418,44 @@ class TestStudyRecord:
         keys = list(manifest)
         assert keys.index("step_margin") == keys.index("data_files") - 1
         assert manifest["step_margin"] == "1"  # kappa > 0 leaves every step its full margin
+
+    # processes at --workers 2: a study's 4 paths go in 2 blocks, one path in 1
+    PROCESSES = {
+        **{f"{command} {SMALL_RUNS[command]}": 1
+           for command in ("simulate", "fbm-check", "check-conditions")},
+        **{f"{command} {SMALL_RUNS[command]}": 2 for command in STUDIES[1:]},
+        "inverse-moments --steps-exp 6 --samples 1": 1,
+    }
+
+    @pytest.mark.parametrize("argv", PROCESSES)
+    def test_workers_records_the_processes_that_ran(self, tmp_path, monkeypatch, argv):
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        pools = []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InProcessPool)
+        code, (run,) = run_cli(tmp_path, *argv.split(), "--workers", "2")
+        assert code == 0
+        manifest = read_manifest(run)
+        processes = self.PROCESSES[argv]
+        assert pools == ([processes] if processes > 1 else [])
+        assert manifest["workers"] == str(processes)
+        if "blocks" in manifest:
+            assert manifest["workers"] == str(min(2, int(manifest["blocks"])))
+        # the flag keeps its place among the flags
+        flags = manifest_flags([*argv.split(), "--workers", "2"])
+        assert [key for key in manifest if key in flags] == flags
 
     # h = 1/2 at kappa = -3.9 leaves xi = 0.025, and at kappa = -2 xi = 1/2; a
     # convergence study's margin is that of its coarsest grid, 2^4 steps over 8

@@ -3,6 +3,7 @@ the convergence columns, the finiteness gate and whole-or-absent files."""
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,38 @@ def test_path_writers_write_the_bytes_of_write_rows(tmp_path, writer):
     write(tmp_path / "path.csv")
     write_rows(tmp_path / "rows.csv", header, zip(*columns))
     assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("writer", ["fbm", "solution", "inverse"])
+def test_path_writers_write_blocks_with_the_bytes_of_write_rows(tmp_path, monkeypatch, writer):
+    # three lines a block: the header and 10 rows end in a partial block
+    monkeypatch.setattr(io, "_BLOCK_LINES", 3)
+    values = np.linspace(0.5, 2.0, 10)
+    write, header, columns = path_file(writer, values)
+    write(tmp_path / "path.csv")
+    write_rows(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    values[-1] = math.inf  # in the last block, yet refused before the file is opened
+    (tmp_path / "path.csv").unlink()
+    with pytest.raises(NumericalError, match="in data row 10;"):
+        write(tmp_path / "path.csv")
+    assert not (tmp_path / "path.csv").exists()
+
+
+def test_table_text_is_held_a_block_at_a_time(tmp_path, monkeypatch):
+    # the writer's own memory does not grow with the row count
+    monkeypatch.setattr(io, "_BLOCK_LINES", 256)
+    peaks = []
+    for steps in (2**10, 2**13):
+        x = np.linspace(0.5, 2.0, steps + 1)
+        columns = {"t": GridSpec(1.0, steps).nodes(), "X": x, "r": x**2}
+        tracemalloc.start()
+        try:
+            io._write_table(tmp_path / "data.csv", columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize("writer", ["fbm", "solution", "inverse"])

@@ -92,16 +92,19 @@ def scalar_levels(increments, step, params):
 @pytest.mark.parametrize("params", [BENCH, NEGATIVE_A], ids=["bench", "negative-a"])
 def test_batch_matches_scalar_loop_across_chunks(steps, params):
     # simulate_batch differences and solves 64-step chunks, carrying the noise
-    # column before each chunk; N straddles the chunk edges
+    # column before each chunk; N straddles the chunk edges.  Each path is also
+    # solved alone, where the step does not work in place.
     grid = GridSpec(1.0, steps)
     noise = sample_fbm_circulant(grid, HurstParameter(0.7), range(7, 15))
+    alone = [simulate_batch(path[None, :].copy(), grid.step, params) for path in noise]
     increments = np.diff(noise, axis=-1)
     batch = simulate_batch(noise, grid.step, params)
     assert batch is noise
     negative = 0
-    for row, path_increments in zip(batch, increments):
+    for row, (path,), path_increments in zip(batch, alone, increments):
         levels, a = scalar_levels(path_increments, grid.step, params)
         assert np.array_equal(row, levels)
+        assert np.array_equal(path, levels)
         negative += np.count_nonzero(a < 0.0)
     if params is NEGATIVE_A:
         assert negative > 0
