@@ -21,8 +21,10 @@ margin xi = 1 - h*max(0, -kappa/2) of the largest step h it solves
 (`step_margin`); a margin below 1/2 adds a note.  A run that fails with
 exit code 3 leaves only the manifest: `status = error`, the error message,
 then the parsed flags.  Re-running a subcommand with the flags recorded in a manifest
-reproduces its data files byte-for-byte, or its error (data files never
-contain timing or environment information).
+reproduces its data files byte-for-byte on the same numpy and machine, or
+its error (data files never contain timing or environment information);
+`fbm-check`'s data.csv also depends on the BLAS thread count, as its
+Cholesky factor does.
 
 `converge-uniform` runs the same study as `converge-grid` (the run directory
 and `command` keep the name as typed); its manifest records `slope_<family>`

@@ -83,22 +83,27 @@ def _ks_pvalue_equal_sizes(x: np.ndarray, y: np.ndarray) -> float:
     return min(max(2 * tail, 0.0), 1.0)
 
 
-# Nodes per row block of `check_fbm_samplers`: its Cholesky draws, of which it
-# keeps the terminal values, and its covariance z-scores, formed about five
-# (rows, N+1) arrays at a time.  2^16 nodes take 0.5 MB per array.
-_CHECK_BLOCK_NODES = 2**16
+# Nodes per row slice where a loop forms a few row-sized arrays at a time:
+# `check_fbm_samplers`' Cholesky draws and covariance z-scores (about five
+# arrays) and the gap kernel's derivative forms (about eight), 128 KB each.
+_ROW_NODES = 2**14
 
 
-def _covariance_max_z(
-    batch: np.ndarray, grid: GridSpec, hurst: HurstParameter, rows: int
-) -> float:
+def _row_slices(rows: int, nodes: int):
+    """Consecutive slices of `rows` rows of `nodes` nodes, each within `_ROW_NODES` (or one row)."""
+    step = max(1, _ROW_NODES // nodes)
+    return (slice(first, first + step) for first in range(0, rows, step))
+
+
+def _covariance_max_z(batch: np.ndarray, grid: GridSpec, hurst: HurstParameter) -> float:
     """Largest |empirical - exact| / spread over the nodes' covariance matrix of batch's rows.
 
     The empirical covariance is one matrix product; the exact covariance,
     the scale spread = sqrt((C_ii C_jj + C_ij^2) / m) and the z-scores are
-    formed `rows` rows at a time, each row with the bits of the whole-matrix
-    form.  A spread that is not finite anywhere is refused first, naming the
-    largest spread (nan if any is), then a z-score that is not finite.
+    formed a `_row_slices` slice at a time, each row with the bits of the
+    whole-matrix form.  A spread that is not finite anywhere is refused
+    first, naming the largest spread (nan if any is), then a z-score that is
+    not finite.
     """
     m = len(batch)
     nodes = grid.nodes()
@@ -106,8 +111,7 @@ def _covariance_max_z(
     empirical = batch.T @ batch
     empirical /= m
     spread_peaks, z_peaks, z_finite = [], [], True
-    for first in range(0, len(nodes), rows):
-        block = slice(first, first + rows)
+    for block in _row_slices(len(nodes), len(nodes)):
         exact = fbm_covariance(nodes[block, None], nodes[None, :], hurst)
         spread = np.sqrt((np.outer(variances[block], variances) + exact**2) / m)
         diff = np.abs(empirical[block] - exact)
@@ -147,11 +151,11 @@ def check_fbm_samplers(
     (see `_ks_pvalue_equal_sizes`; no asymptotic form above 10 000 samples),
     and a nan terminal value makes it nan, so that check fails.
     Beyond the cached Cholesky factor it holds the circulant batch, its
-    (N+1) x (N+1) empirical covariance and blocks of `_CHECK_BLOCK_NODES`
-    nodes: the Cholesky paths are drawn a block of rows at a time and only
+    (N+1) x (N+1) empirical covariance and row slices of `_ROW_NODES`
+    nodes: the Cholesky paths are drawn a slice of rows at a time and only
     their terminal values kept, and the covariance z-scores are formed a
-    block of rows at a time (`_covariance_max_z`).  Each row has the bits of
-    the unblocked form, so no statistic depends on the block size.
+    slice of rows at a time (`_covariance_max_z`).  Each row has the bits of
+    the unsliced form, so no statistic depends on the slice size.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -164,11 +168,10 @@ def check_fbm_samplers(
             f"terminal variance horizon^(2H) overflows double precision at horizon "
             f"{grid.horizon:g} and H = {hurst.value}: use a smaller horizon"
         ) from None
-    rows = max(1, _CHECK_BLOCK_NODES // (grid.steps + 1))
+    chol_seeds = range(base_seed, base_seed + m)
     chol_terminal = np.empty(m)
-    for first in range(0, m, rows):
-        seeds = range(base_seed + first, base_seed + min(first + rows, m))
-        chol_terminal[first : first + rows] = sample_fbm_cholesky(grid, hurst, seeds)[:, -1]
+    for block in _row_slices(m, grid.steps + 1):
+        chol_terminal[block] = sample_fbm_cholesky(grid, hurst, chol_seeds[block])[:, -1]
     circ = sample_fbm_circulant(grid, hurst, range(base_seed + m, base_seed + 2 * m))
     checks = []
     se_var = terminal_var * np.sqrt(2.0 / m)
@@ -176,7 +179,7 @@ def check_fbm_samplers(
         z = float(abs(float(np.mean(terminal**2)) - terminal_var) / se_var)
         checks.append(SamplerCheck(f"{name}_terminal_variance_z", z, 5.0, z <= 5.0))
 
-    max_z = _covariance_max_z(circ, grid, hurst, rows)
+    max_z = _covariance_max_z(circ, grid, hurst)
     checks.append(SamplerCheck("covariance_max_z", max_z, 5.0, max_z <= 5.0))
 
     pvalue = _ks_pvalue_equal_sizes(chol_terminal, circ[:, -1])
@@ -334,12 +337,6 @@ def regress_order(step_sizes, errors) -> tuple[float, float]:
         )
     slope, intercept = np.polyfit(np.log2(step_sizes), np.log2(errors), 1)
     return float(slope), float(intercept)
-
-
-# Coarse-grid nodes per row chunk of the gap kernel.  The derivative forms make
-# about 8 (rows, N) temporaries, so they are formed a few rows at a time, after
-# each coarse grid has been solved over the whole block.
-_GAP_BLOCK_NODES = 2**13
 
 
 def _map_blocks(block_fn, config: ExperimentConfig, workers: int):
@@ -562,16 +559,14 @@ def _malliavin_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
     Both forms use the same numerical levels at the matched perturbation
     times s = t_i, so the gap isolates the formula difference, which is O(h).
     Each coarse grid is solved over the whole block; the forms, bit-identical
-    per row, are then taken over chunks of at most `_GAP_BLOCK_NODES` levels.
+    per row, are then taken over the row slices of `_row_slices`.
     Returns the gaps and the product-form minima and maxima, each of shape
     (paths, coarse grids).
     """
     shape = (len(noise), len(config.coarse_exponents))
     gaps, lows, highs = np.empty(shape), np.empty(shape), np.empty(shape)
     for j, (grid, _, levels) in enumerate(_coarse_levels(config, noise)):
-        rows = max(1, _GAP_BLOCK_NODES // (grid.steps + 1))
-        for start in range(0, len(levels), rows):
-            chunk = slice(start, start + rows)
+        for chunk in _row_slices(len(levels), grid.steps + 1):
             product, exponential = malliavin_terminal_forms(
                 levels[chunk], grid.step, config.params
             )

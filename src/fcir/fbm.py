@@ -317,16 +317,12 @@ def _embedding_coefficients(steps: int, step: float, hurst: HurstParameter) -> n
 
 
 # Embedding nodes (2N per path) that `sample_fbm_circulant` transforms as one
-# tile: its normals, its half spectrum and the FFT output take 24 bytes per
-# node, 0.8 MB here.  Tiles of 2^13 to 2^17 nodes measured within 15% of each
-# other at N = 2^8, 2^11 and 2^14 (2 vCPUs), with no size best at all three.
-# A tile holds two rows while they take at most _TWO_ROW_NODES nodes, so at
-# N = 2^14 it passes this budget: 200 paths there sampled 1-15% faster in
-# tiles of 2 rows (1.5 MB) than of 1 (7 paired runs, 2 vCPUs with 2 MB of L2
-# each), while at N = 2^15 and 2^16, whose 2-row tiles outgrow that cache,
-# they sampled about 15% slower in the median (slower in 8 of 9 pairs).
-_TILE_NODES = 2**15
-_TWO_ROW_NODES = 2**16
+# tile of `_TILE_NODES // (2N)` rows, at least one: 2 rows at N = 2^14, 1 from
+# 2^15 on.  A tile holds 16 bytes per node at a time, 1 MB here.  At 2^14, 200
+# paths sampled 1-15% faster in tiles of 2 rows than of 1; at 2^15 and 2^16,
+# where 2 rows outgrow the 2 MB L2, about 15% slower (2 vCPUs).  Below 2^14,
+# tiles of 2^13 to 2^17 nodes measured within 15% of each other.
+_TILE_NODES = 2**16
 
 
 def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
@@ -346,30 +342,34 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.nda
     n = grid.steps
     coefficients = _embedding_coefficients(n, grid.step, hurst)
     body = coefficients[1:n] * np.sqrt(0.5)
-    negated_body = -body
     out = np.empty((len(seeds), n + 1))
-    floor = 2 if 4 * n <= _TWO_ROW_NODES else 1
-    tile = max(1, min(len(seeds), max(floor, _TILE_NODES // (2 * n))))
-    z = np.empty((tile, 2 * n))
+    tile = max(1, min(len(seeds), _TILE_NODES // (2 * n)))
     # the imaginary parts of the DC and Nyquist bins stay 0
     spectrum = np.zeros((tile, n + 1), dtype=complex)
     out[:, 0] = 0.0
     generators = _generators(seeds)
     for first in range(0, len(seeds), tile):
-        tile_generators = list(islice(generators, tile))
-        for row, rng in zip(z, tile_generators):
-            rng.standard_normal(out=row)
-        zt, st = z[: len(tile_generators)], spectrum[: len(tile_generators)]
+        st = spectrum[: min(tile, len(seeds) - first)]
+        z = np.empty((len(st), 2 * n))
+        for i, rng in enumerate(islice(generators, len(st))):
+            rng.standard_normal(out=z[i])
         # The conjugate of a Hermitian complex Gaussian spectrum, with a frozen
         # layout: z[0] -> DC, z[1] -> Nyquist, then all real parts, then all
         # imaginary parts (negated).  Its inverse real FFT is the forward
-        # complex FFT of the full spectrum.
-        np.multiply(zt[:, 0], coefficients[0], out=st.real[:, 0])
-        np.multiply(zt[:, 1], coefficients[n], out=st.real[:, n])
-        np.multiply(zt[:, 2 : n + 1], body, out=st.real[:, 1:n])
-        np.multiply(zt[:, n + 1 :], negated_body, out=st.imag[:, 1:n])
+        # complex FFT of the full spectrum.  z * -b and -(z * b) are the same
+        # double, so the imaginary parts are negated in place.
+        np.multiply(z[:, 0], coefficients[0], out=st.real[:, 0])
+        np.multiply(z[:, 1], coefficients[n], out=st.real[:, n])
+        np.multiply(z[:, 2 : n + 1], body, out=st.real[:, 1:n])
+        np.multiply(z[:, n + 1 :], body, out=st.imag[:, 1:n])
+        np.negative(st.imag[:, 1:n], out=st.imag[:, 1:n])
+        # the normals are freed before the transform's output is made, and
+        # that output before the next tile's normals: a tile holds two of its
+        # three arrays at once
+        del z
         increments = np.fft.irfft(st, 2 * n, axis=1, norm="forward")[:, :n]
-        np.cumsum(increments, axis=1, out=out[first : first + len(tile_generators), 1:])
+        np.cumsum(increments, axis=1, out=out[first : first + len(st), 1:])
+        del increments
     return out
 
 

@@ -93,15 +93,13 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
     writes contiguous rows, and differenced as `np.diff` does into a second
     one, scaled by sigma/2; the column before the chunk, which the previous
     chunk's write-back overwrote, is carried in a vector.  Each step takes the
-    a >= 0 branch of `_positive_root` in place, as six ufunc calls with
-    positional outputs on row views made once per call: at a few hundred
-    paths a step costs as much in call overhead as in arithmetic.  A single
-    path takes the root through two buffers instead, as numpy runs an
-    in-place ufunc on one element twice as slowly.  A chunk
-    in which some a < 0 is solved again from its start level with
-    `_positive_root` itself.  A level that is not finite and positive (a*a
-    overflows for |a| > ~1.3e154) raises NumericalError, with the chunks
-    before it written back.  Working memory beyond the noise is three
+    a >= 0 branch of `_positive_root` as six ufunc calls with positional
+    outputs on row views made once per call, through two path-sized buffers:
+    at a few hundred paths a step costs as much in call overhead as in
+    arithmetic.  A chunk in which some a < 0 is solved again from its start
+    level with `_positive_root` itself.  A level that is not finite and
+    positive (a*a overflows for |a| > ~1.3e154) raises NumericalError, with
+    the chunks before it written back.  Working memory beyond the noise is three
     (chunk, paths) buffers, whatever N is.
     """
     if not isinstance(noise, np.ndarray):
@@ -119,11 +117,9 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
     noise[:, 0] = params.x0
     buffers = np.empty((3, _CHUNK_STEPS, width))
     rows = [list(buffer) for buffer in buffers]
-    disc = np.empty(width)
-    # numpy runs a ufunc that writes over its own input twice as slowly on a
-    # one-element array (about 1.0 against 0.45 us a call), so one path
-    # alternates between two buffers; wider batches work in place
-    s = disc if width > 1 else np.empty(1)
+    # the root alternates between two buffers: numpy runs a ufunc that writes
+    # over its own input twice as slowly on a one-element array
+    disc, s = np.empty(width), np.empty(width)
     start = np.full(width, params.x0)
     add, multiply, sqrt, divide = np.add, np.multiply, np.sqrt, np.divide
     # a ufunc converts a Python float operand on every call, a 0-d array not

@@ -521,7 +521,7 @@ class TestBlockDriver:
     @pytest.mark.parametrize("rows_nodes", [1, 4 * 17, 10 * 33 + 1])
     def test_gap_report_independent_of_row_chunks(self, config, monkeypatch, rows_nodes):
         expected = malliavin_gap_study(config)
-        monkeypatch.setattr(experiments, "_GAP_BLOCK_NODES", rows_nodes)
+        monkeypatch.setattr(experiments, "_ROW_NODES", rows_nodes)
         chunked = malliavin_gap_study(config)
         for field in dataclasses.fields(expected):
             np.testing.assert_equal(
@@ -601,12 +601,12 @@ class TestSamplerChecks:
         # one row per block, 3 rows, and 5 rows: blocks that split the 400
         # Cholesky paths and the 33 covariance rows unevenly
         expected = check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3)
-        monkeypatch.setattr(experiments, "_CHECK_BLOCK_NODES", nodes)
+        monkeypatch.setattr(experiments, "_ROW_NODES", nodes)
         assert check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3) == expected
 
     def test_holds_the_factor_the_batch_and_the_empirical_covariance(self, hurst07):
         # Beyond the circulant batch it holds the Cholesky factor, the
-        # empirical covariance and row blocks of 2^16 nodes: about 2.7
+        # empirical covariance and row slices of 2^14 nodes: about 2.3
         # (N+1)^2 doubles here.  Drawing the whole Cholesky batch, and forming
         # the exact covariance, the spread, the differences and the z-scores
         # over the whole matrix, holds about 8.6.  The factor is built inside

@@ -2,6 +2,7 @@
 
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,9 +293,8 @@ class TestCirculantSampler:
     @pytest.mark.parametrize("tile_rows", [None, 3])
     def test_block_matches_single_paths(self, monkeypatch, steps, tile_rows):
         # 7 seeds in tiles of 3 rows cross two tile edges and end on a partial
-        # tile; at 2^14 steps the default tile budget holds less than 2 rows and
-        # the floor of 2 applies, so 7 seeds go in tiles of 2, 2, 2 and 1; at
-        # 2^15 two rows would pass _TWO_ROW_NODES, so they go one a tile
+        # tile; the default tile budget holds 2 rows at 2^14 steps, so 7 seeds
+        # go in tiles of 2, 2, 2 and 1, and 1 row at 2^15
         if tile_rows is not None:
             monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * 2 * steps)
         grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)
@@ -306,11 +306,10 @@ class TestCirculantSampler:
             assert np.array_equal(row, circulant_oracle(grid, hurst, seed))
 
     @pytest.mark.parametrize(
-        "steps, tiles", [(2**13, [2, 2, 2, 1]), (2**14, [2, 2, 2, 1]), (2**15, [1] * 7)]
+        "steps, tiles", [(2**13, [4, 3]), (2**14, [2, 2, 2, 1]), (2**15, [1] * 7)]
     )
-    def test_two_rows_a_tile_up_to_two_row_nodes(self, monkeypatch, steps, tiles):
-        # the budget holds 2 rows at 2^13; the floor of 2 holds at 2^14, where
-        # two rows take 2^16 embedding nodes, and not past it
+    def test_rows_a_tile_fill_the_tile_budget(self, monkeypatch, steps, tiles):
+        # 2^16 embedding nodes hold 4 rows at 2^13 steps, 2 at 2^14 and 1 at 2^15
         irfft, rows = np.fft.irfft, []
 
         def counted(spectrum, *args, **kwargs):
@@ -320,6 +319,21 @@ class TestCirculantSampler:
         monkeypatch.setattr(np.fft, "irfft", counted)
         sample_fbm_circulant(GridSpec(1.0, steps), H07, range(7))
         assert rows == tiles
+
+    def test_one_path_holds_six_path_sized_arrays(self):
+        # With its embedding cached, one path of N steps holds the output, the
+        # spectrum's body coefficients, N + 1 complex bins and either its 2N
+        # normals or the 2N FFT outputs: 6 arrays of N doubles.  Normals kept
+        # through the transform add two, a negated copy of the body one.
+        grid = GridSpec(1.0, 2**16)
+        sample_fbm_circulant(grid, H07, [3])
+        tracemalloc.start()
+        try:
+            sample_fbm_circulant(grid, H07, [3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 8 * grid.steps, peak / (8 * grid.steps)
 
     @pytest.mark.parametrize("stride", [2, 8, 64])
     @pytest.mark.parametrize("tile_rows", [None, 3])

@@ -5,7 +5,11 @@ process and compares the sha256 of every data file it writes with the table
 below.  The frozen PCG64 variates make the bytes stable per platform only, so
 the table is keyed by (numpy version, machine); no data file depends on
 scipy, which fcir does not import.  On any other key the cases skip and name
-the key.  A digest changes only with an output change, which CHANGES.md
+the key.  The key does not hold everything the bytes depend on: `fbm-check`'s
+data.csv also depends on the thread count of the BLAS behind numpy, whose
+Cholesky factor differs between OPENBLAS_NUM_THREADS=1 and 2, so its cases
+hold only at the thread count the table was computed with (the default on
+a 2-CPU machine).  A digest changes only with an output change, which CHANGES.md
 records together with its reason.
 `python3 tools/golden_bytes.py --digests SRC` prints the table entry for the
 current key, computed on the tree SRC, and `python3 tools/golden_bytes.py

@@ -93,7 +93,7 @@ def scalar_levels(increments, step, params):
 def test_batch_matches_scalar_loop_across_chunks(steps, params):
     # simulate_batch differences and solves 64-step chunks, carrying the noise
     # column before each chunk; N straddles the chunk edges.  Each path is also
-    # solved alone, where the step does not work in place.
+    # solved alone.
     grid = GridSpec(1.0, steps)
     noise = sample_fbm_circulant(grid, HurstParameter(0.7), range(7, 15))
     alone = [simulate_batch(path[None, :].copy(), grid.step, params) for path in noise]
