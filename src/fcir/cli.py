@@ -3,28 +3,30 @@
 Each subcommand is one entry of `SUBCOMMANDS`: its help text, its handler,
 its model flags with their defaults and its own flags.  `fbm-check` samples
 noise only, so of the model flags it takes just `--hurst` and `--horizon`.
-A run's parser registers every subcommand but adds flags only to the one
-its argv names (see `build_parser`), so its help, usage and error text are
-those of the full parser.  Every run creates
-`<out>/<subcommand>-<timestamp>/` holding the emitted data files plus a
-`manifest.txt` sidecar.  After `command`, `version` and
+A run's parser registers every subcommand but adds flags only to the one its
+argv names (see `build_parser`), so its help, usage and error text are those
+of the full parser.  Every run creates `<out>/<subcommand>-<timestamp>/`
+holding the emitted data files plus a `manifest.txt` sidecar, whose values
+`io` turns into text as it does data cells.  After `command`, `version` and
 `status = ok` the manifest records every parsed flag except `--out` by its
 argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`,
 `workers`, ...) in parser order, then the handler's results, `data_files`,
 the seed rule, wall-clock duration, peak resident memory (`peak_rss_mb`, the
 larger of this process and its largest worker) and `warnings`: the notes the
 handler returns with its results, in report order, then the caught Python
-warnings, joined by ` | `, or `(none)`.  Each subcommand that solves the
-scheme ends its results with its block split, the paths of its largest
-block (`block_paths`) and the block count (`blocks`), and with the step
-margin xi = 1 - h*max(0, -kappa/2) of the largest step h it solves
-(`step_margin`); a margin below 1/2 adds a note.  A run that fails with
-exit code 3 leaves only the manifest: `status = error`, the error message,
-then the parsed flags.  Re-running a subcommand with the flags recorded in a manifest
-reproduces its data files byte-for-byte on the same numpy and machine, or
-its error (data files never contain timing or environment information);
-`fbm-check`'s data.csv also depends on the BLAS thread count, as its
-Cholesky factor does.
+warnings, joined by ` | `, or `(none)`.  The convergence and inverse-moment
+studies note each inverse-moment condition that fails.  Each subcommand that
+solves the scheme ends its results with its block split, the paths of its
+largest block (`block_paths`) and the block count (`blocks`), and with the
+step margin xi = 1 - h*max(0, -kappa/2) of the largest step h it solves
+(`step_margin`); a margin below 1/2 adds a note.  A run that fails with exit
+code 3 leaves only the manifest: `status = error`, the error message, then
+the parsed flags; an interrupted run (exit code 130) the same, with
+`status = interrupted` and `error = interrupted`.  Re-running a subcommand
+with the flags recorded in a manifest reproduces its data files
+byte-for-byte on the same numpy and machine, or its error (data files never
+contain timing or environment information); `fbm-check`'s data.csv also
+depends on the BLAS thread count, as its Cholesky factor does.
 
 `converge-uniform` runs the same study as `converge-grid` (the run directory
 and `command` keep the name as typed); its manifest records `slope_<family>`
@@ -36,7 +38,8 @@ Exit codes: 0 on success, 2 on invalid flags, unknown subcommands or an
 manifest), 3 on domain or numerical errors raised by the library, including
 arithmetic and memory errors that escape it and a pool worker that dies (most
 likely killed for lack of memory; use fewer `--workers`), and on an OS error
-while the run's files are written (the error manifest is then written if it can be).
+while the run's files are written (the error manifest is then written if it can be),
+and 130 on an interrupt (Ctrl-C, one `error: interrupted` line).
 `--workers` must be at least 1; larger values are clamped to the CPU count.
 The manifest's `workers` records the processes that ran: a study's blocks
 run in min(workers, blocks) of them (`ExperimentConfig.processes`), and
@@ -134,8 +137,8 @@ def _study_record(config: ExperimentConfig, workers: int) -> tuple[dict, tuple[s
         f"amplify its input by up to {1.0 / margin:.3g}, so the run's error constant is "
         "large; use a smaller step",
     )
-    entries = {"block_paths": str(max(rows)), "blocks": str(len(rows)),
-               "step_margin": io.format_float(margin), "workers": str(config.processes(workers))}
+    entries = {"block_paths": max(rows), "blocks": len(rows), "step_margin": margin,
+               "workers": config.processes(workers)}
     return entries, notes
 
 
@@ -144,7 +147,7 @@ def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[s
     (x,) = simulate_paths(config, workers=args.workers)
     io.write_solution_path(outdir / "data.csv", config.reference_grid, x)
     entries, notes = _study_record(config, args.workers)
-    return {"min_rate": io.format_float(float((x**2).min())), **entries}, notes
+    return {"min_rate": (x**2).min(), **entries}, notes
 
 
 def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
@@ -154,8 +157,7 @@ def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[
     (path,) = sample_fbm_circulant(grid, hurst, [args.seed])
     io.write_fbm_path(outdir / "sample_path.csv", grid, path)
     io.write_sampler_checks(outdir / "data.csv", checks)
-    return {"all_checks_passed": io.format_cell(all(check.passed for check in checks)),
-            "workers": "1"}, ()
+    return {"all_checks_passed": all(check.passed for check in checks), "workers": 1}, ()
 
 
 def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
@@ -165,7 +167,7 @@ def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> tuple[dict, tupl
     entries, notes = _study_record(config, args.workers)
     return {
         **{
-            f"{key}_{family}": io.format_float(value)
+            f"{key}_{family}": value
             for family, fit in report.fits.items()
             for key, value in zip(("slope", "intercept"), fit or (math.nan, math.nan))
         },
@@ -176,15 +178,14 @@ def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> tuple[dict, tupl
 
 def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
     config = _experiment_config(args)
-    checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     curve = estimate_inverse_moments(config, workers=args.workers)
     io.write_inverse_moments(outdir / "data.csv", curve)
     entries, notes = _study_record(config, args.workers)
     return {
-        "max_inverse_moment": io.format_float(float(curve.values.max())),
-        **_condition_summary(checks),
+        "max_inverse_moment": curve.values.max(),
+        **_condition_summary(curve.condition_checks),
         **entries,
-    }, notes
+    }, (*curve.warnings, *notes)
 
 
 def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
@@ -192,7 +193,7 @@ def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, 
     report = malliavin_gap_study(config, workers=args.workers)
     io.write_malliavin_gaps(outdir / "data.csv", report)
     entries, notes = _study_record(config, args.workers)
-    return {"profile_max": io.format_float(max(report.profile_max)), **entries}, notes
+    return {"profile_max": max(report.profile_max), **entries}, notes
 
 
 def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
@@ -200,9 +201,9 @@ def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> tuple[dict,
     reports = check_moment_conditions(args.p, params, HurstParameter(args.hurst), args.horizon)
     io.write_condition_reports(outdir / "data.csv", reports)
     return {
-        "sufficient_closed_form": io.format_cell(reports[0].sufficient),
+        "sufficient_closed_form": reports[0].sufficient,
         **_condition_summary(reports),
-        "workers": "1",
+        "workers": 1,
     }, ()
 
 
@@ -281,13 +282,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_text(value) -> str:
-    """A parsed flag as its manifest value: floats at 17 digits, exponent lists comma-joined."""
-    if isinstance(value, tuple):
-        return ",".join(map(str, value))
-    return io.format_float(value) if isinstance(value, float) else str(value)
-
-
 def _peak_rss_mb() -> float:
     """Peak resident memory of this process or its largest finished child, in MB."""
     kilobytes = max(
@@ -348,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
 
     head = {"command": args.command, "version": __version__}
     flags = {
-        dest: _flag_text(value)
+        dest: value
         for dest, value in vars(args).items()
         if dest not in ("command", "out", "handler")
     }
@@ -361,24 +355,28 @@ def main(argv: list[str] | None = None) -> int:
         manifest = {**head, "status": "ok", **flags, **results}
         manifest["data_files"] = ",".join(sorted(path.name for path in outdir.iterdir()))
         manifest["seed_rule"] = "path i uses seed + i (mod 2^64)"
-        manifest["duration_seconds"] = io.format_float(duration)
-        manifest["peak_rss_mb"] = io.format_float(_peak_rss_mb())
+        manifest["duration_seconds"] = duration
+        manifest["peak_rss_mb"] = _peak_rss_mb()
         notes = [*notes, *(str(w.message) for w in caught)]
         manifest["warnings"] = " | ".join(notes) if notes else "(none)"
         io.write_key_values(outdir / "manifest.txt", manifest)
-    except (FcirError, ArithmeticError, MemoryError, OSError) as exc:
-        message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
-        message = " ".join(message.split())
+    except (FcirError, ArithmeticError, MemoryError, OSError, KeyboardInterrupt) as exc:
+        if isinstance(exc, KeyboardInterrupt):
+            status, code, message = "interrupted", 130, "interrupted"
+        else:
+            status, code = "error", 3
+            message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
+            message = " ".join(message.split())
         print(f"error: {message}", file=sys.stderr)
         try:
             for written in outdir.iterdir():  # a file written before the error
                 written.unlink()
             io.write_key_values(
-                outdir / "manifest.txt", {**head, "status": "error", "error": message, **flags}
+                outdir / "manifest.txt", {**head, "status": status, "error": message, **flags}
             )
         except OSError:
             pass  # the error line is then the only record of the run
-        return 3
+        return code
     print(f"wrote {outdir}")
     return 0
 

@@ -300,10 +300,16 @@ class ConvergenceReport:
 
 @dataclass(frozen=True, eq=False)
 class InverseMomentCurve:
-    """Estimates of E[x_n^(-p)]^(1/p) at every node of one grid."""
+    """Estimates of E[x_n^(-p)]^(1/p) at every node of one grid.
+
+    `condition_checks` holds the inverse-moment conditions of order p, and
+    `warnings` a note for each that fails.
+    """
 
     times: np.ndarray
     values: np.ndarray
+    condition_checks: tuple[ConditionReport, ...]
+    warnings: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +413,8 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
     ref_nodes = ref_grid.nodes()
     ref_squared = np.empty(ref_grid.steps + 1)
     # Row 0 holds the interpolant, then the level distance; row 1 the rate
-    # distance, so one reduction over axis 1 takes the sup of both.
+    # distance.  Both are made absolute in place, so one reduction over axis 1
+    # takes the sup of both.
     work = np.empty((2, ref_grid.steps + 1))
     interpolated, squared = work
     # The interpolant panel by panel in np.interp's arithmetic, x_i + slope_i *
@@ -424,15 +431,15 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
         at_nodes = work[:, factor::factor]
         panels.append((x, at_nodes, offsets, np.diff(coarse_nodes), slope, slope[:, None], panel))
 
-    # per (path, coarse grid): [level, rate] grid sups, distance maxima, minima
-    grid_sups, highs, lows = (np.empty((len(noise), len(panels), 2)) for _ in range(3))
+    # per (path, coarse grid): [level, rate] sups at the grid nodes and uniformly
+    grid_sups, uniform_sups = (np.empty((len(noise), len(panels), 2)) for _ in range(2))
     subtract, multiply, divide, add, square, absolute = (
         np.subtract, np.multiply, np.divide, np.add, np.square, np.absolute
     )
-    maximum, minimum = np.maximum.reduce, np.minimum.reduce
+    maximum = np.maximum.reduce
     for row, x_row in enumerate(x_ref):
         square(x_row, ref_squared)
-        row_grid, row_highs, row_lows = grid_sups[row], highs[row], lows[row]
+        row_grid, row_uniform = grid_sups[row], uniform_sups[row]
         for j, (x, at_nodes, offsets, widths, slope, slope_column, panel) in enumerate(panels):
             levels = x[row]
             subtract(levels[1:], levels[:-1], slope)
@@ -443,15 +450,21 @@ def _convergence_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:
             square(interpolated, squared)
             subtract(squared, ref_squared, squared)
             subtract(interpolated, x_row, interpolated)
-            maximum(absolute(at_nodes), 1, None, row_grid[j])
-            maximum(work, 1, None, row_highs[j])
-            minimum(work, 1, None, row_lows[j])
-    # Each distance is formed as interpolant minus reference, bit for bit the
-    # negation of reference minus interpolant, so the sup of its absolute
-    # value is max(max, -min), taken as Python's max(high, -low) would.
-    negated = -lows
-    uniform = np.where(negated > highs, negated, highs)
-    return grid_sups[..., 0], uniform[..., 0], grid_sups[..., 1], uniform[..., 1]
+            absolute(work, work)
+            maximum(at_nodes, 1, None, row_grid[j])
+            maximum(work, 1, None, row_uniform[j])
+    return grid_sups[..., 0], uniform_sups[..., 0], grid_sups[..., 1], uniform_sups[..., 1]
+
+
+def _condition_notes(checks: tuple[ConditionReport, ...], guarantee: str) -> list[str]:
+    """A note per failing inverse-moment condition: the study runs without `guarantee`."""
+    return [
+        f"inverse-moment condition with multiplier {report.multiplier} fails "
+        f"(worst margin {report.worst_margin:.3g} at s={report.worst_s:.3g}); "
+        f"the scheme still runs, but the {guarantee} is not covered"
+        for report in checks
+        if not report.holds
+    ]
 
 
 def _aggregate_moment(per_path: np.ndarray, p: int) -> np.ndarray:
@@ -484,13 +497,7 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> ConvergenceRe
         for name, errors in zip(_ERROR_FAMILIES, per_path)
     }
 
-    notes = [
-        f"inverse-moment condition with multiplier {report.multiplier} fails "
-        f"(worst margin {report.worst_margin:.3g} at s={report.worst_s:.3g}); "
-        "the scheme still runs, but the order guarantee is not covered"
-        for report in checks
-        if not report.holds
-    ]
+    notes = _condition_notes(checks, "order guarantee")
 
     step_sizes = np.asarray(config.step_sizes())
     fits = {
@@ -533,8 +540,11 @@ def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> Inve
     sum in path order, which is divided by the sample count: the operations
     of `np.mean(axis=0)` over all paths, with one block of paths held at a
     time.  A value that is not finite (x^(-p) or the sum overflows) raises
-    NumericalError.
+    NumericalError.  The inverse-moment conditions of order p are checked
+    before any draw, and each that fails adds a note: the curve is still
+    estimated, but the inverse-moment bound is not covered.
     """
+    checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     total = np.zeros(config.reference_grid.steps + 1)
     for (powers,) in _map_blocks(_solve_block, config, workers):
         powers **= -float(config.p)
@@ -550,7 +560,8 @@ def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> Inve
             f"E[x^(-{config.p})]^(1/{config.p}) reads {values[node]} at node {node} "
             f"(t={times[node]:.6g}): x^(-{config.p}) or its sum over paths overflows"
         )
-    return InverseMomentCurve(times=times, values=values)
+    return InverseMomentCurve(times=times, values=values, condition_checks=checks,
+                              warnings=tuple(_condition_notes(checks, "inverse-moment bound")))
 
 
 def _malliavin_block(config: ExperimentConfig, noise: np.ndarray) -> tuple:

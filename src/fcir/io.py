@@ -1,14 +1,15 @@
-"""CSV and manifest writers for every externally visible data format.
+"""CSV and manifest writers: the one place a value fcir writes becomes text.
 
-Every CSV data file comes from one table writer, `_write_table`: floats at
-17 significant digits, which round-trips double precision losslessly,
-lowercase booleans, and a fixed "\n" line ending, so repeated runs produce
-byte-identical files.  A data file holds finite floats only: a nan or
-infinite cell raises NumericalError before the file is opened.  The one
+Every value goes through one cell rule, `_cell`: floats at 17 significant
+digits, which round-trips double precision losslessly, lowercase booleans,
+a tuple's cells joined by commas.  Every CSV data file comes from one table
+writer, `_write_table`, with a fixed "\n" line ending, so repeated runs
+produce byte-identical files.  A data file holds finite floats only: a nan
+or infinite cell raises NumericalError before the file is opened.  The one
 exception is the documented nan `ratio_vs_prev` in the first row of the
-Malliavin gap study.  A file is written under `<name>.partial`, a block of
-lines at a time, and then renamed onto its name, so it is whole or absent;
-the text of one block is held at a time.
+Malliavin gap study.  A file, the manifest too, is written under
+`<name>.partial`, a block of lines at a time, and then renamed onto its
+name, so it is whole or absent; the text of one block is held at a time.
 """
 
 from __future__ import annotations
@@ -65,34 +66,31 @@ def _write_lines(target: Path, lines: Iterable[str]) -> None:
         partial.unlink(missing_ok=True)
 
 
-# `format_cell` is public, for the manifest's booleans, but left out of
-# `__all__`: the benchmark tracer would time each of its cells as a call.
-def format_cell(value) -> str:
-    """A cell's text: floats as `format_float`, booleans lowercase, anything else as str."""
+def _cell(value) -> str:
+    """A value's text: floats as `format_float`, booleans lowercase, tuples comma-joined."""
     if isinstance(value, float):
-        return format_float(value)
+        return _FLOAT_CELL.format(value)
     if isinstance(value, bool):
         return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(_cell, value))
     return str(value)
 
 
 def _write_table(target: Path, columns: dict, nan_cell=None) -> None:
     """CSV of columns (header name -> cells), one `str.format` call a row.
 
-    A column is a float64 array or a sequence of cells.  A column of floats
-    (an array, or numpy float64 scalars too) takes the 17-digit float text in
-    the row format, any other column the text of `format_cell`.  The first
+    A column is a float64 array, whose cells take the 17-digit float text in
+    the row format, or a sequence of cells, each the text of `_cell`.  The first
     float cell in row order that is not finite, but for nan at `nan_cell` (a
     row index and column name), raises NumericalError before the file opens.
     The rows are formatted as `_write_lines` writes them, a block at a time.
     """
-    floats = [isinstance(column, np.ndarray)
-              or all(issubclass(kind, float) for kind in {*map(type, column)})
-              for column in columns.values()]
-    cells = [_float_cells(column) if is_float else list(map(format_cell, column))
-             for is_float, column in zip(floats, columns.values())]
-    float_values = (column if is_float else [value for value in column if isinstance(value, float)]
-                   for is_float, column in zip(floats, columns.values()))
+    arrays = [isinstance(column, np.ndarray) for column in columns.values()]
+    cells = [_float_cells(column) if is_array else list(map(_cell, column))
+             for is_array, column in zip(arrays, columns.values())]
+    float_values = (column if is_array else [value for value in column if isinstance(value, float)]
+                    for is_array, column in zip(arrays, columns.values()))
     # all finite, the common case, is one test a column; else the cells are scanned
     if not all(np.isfinite(column).all() for column in float_values):
         for index, values in enumerate(zip(*columns.values())):
@@ -103,14 +101,12 @@ def _write_table(target: Path, columns: dict, nan_cell=None) -> None:
                         f"{target.name} would hold {name} = {text} in data "
                         f"row {index + 1}; data files hold finite values only"
                     )
-    row = ",".join(_FLOAT_CELL if is_float else "{}" for is_float in floats).format
+    row = ",".join(_FLOAT_CELL if is_array else "{}" for is_array in arrays).format
     _write_lines(target, chain([",".join(columns)], map(row, *cells)))
 
 
-def _float_cells(column):
-    """A float column's cells; an array's as Python floats, `_BLOCK_LINES` at a time."""
-    if not isinstance(column, np.ndarray):
-        return column
+def _float_cells(column: np.ndarray):
+    """An array's cells as Python floats, `_BLOCK_LINES` at a time."""
     return chain.from_iterable(column[start : start + _BLOCK_LINES].tolist()
                                for start in range(0, len(column), _BLOCK_LINES))
 
@@ -130,7 +126,7 @@ _CONDITION_COLUMNS = ("holds", "worst_margin", "worst_s", "multiplier", "method"
 
 def condition_record(report: ConditionReport) -> str:
     """One-line CSV record: holds,worst_margin,worst_s,multiplier,method."""
-    return ",".join(format_cell(getattr(report, name)) for name in _CONDITION_COLUMNS)
+    return ",".join(_cell(getattr(report, name)) for name in _CONDITION_COLUMNS)
 
 
 def write_condition_reports(target: Path, reports: Iterable[ConditionReport]) -> None:
@@ -170,5 +166,5 @@ def write_sampler_checks(target: Path, checks: Iterable[SamplerCheck]) -> None:
 
 
 def write_key_values(target: Path, entries: dict) -> None:
-    """Plain `key = value` sidecar, one entry per line."""
-    _write_lines(target, [f"{key} = {value}" for key, value in entries.items()])
+    """Plain `key = value` sidecar, one entry per line, each value the text of `_cell`."""
+    _write_lines(target, [f"{key} = {_cell(value)}" for key, value in entries.items()])

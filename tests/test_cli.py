@@ -385,6 +385,23 @@ class TestWarnings:
         assert notes[1].startswith("inverse-moment condition with multiplier 7 fails")
         assert notes[2] == "raised inside the handler"
 
+    def test_inverse_moments_notes_its_failing_conditions(self, tmp_path):
+        # the conditions that fail the convergence study fail the inverse-moment
+        # curve too, and its note names the bound that is no longer covered
+        code, (run,) = run_cli(tmp_path, "inverse-moments", "--sigma", "2", "--steps-exp", "6",
+                               "--samples", "4", "--workers", "1")
+        assert code == 0
+        manifest = read_manifest(run)
+        assert manifest["condition_multiplier_3"].startswith("false,")
+        assert manifest["condition_multiplier_7"].startswith("false,")
+        notes = manifest["warnings"].split(" | ")
+        assert [note.split(" fails")[0] for note in notes] == [
+            "inverse-moment condition with multiplier 3",
+            "inverse-moment condition with multiplier 7",
+        ]
+        for note in notes:
+            assert note.endswith("but the inverse-moment bound is not covered")
+
 
 class TestStudyRecord:
     """Each study's manifest records its block split and its step margin."""
@@ -646,6 +663,33 @@ class TestExitCodes:
         assert err.startswith("error: OSError: [Errno 28] No space left on device: ")
         assert err.endswith("manifest.txt'\n") and err.count("\n") == 1
         assert list(run.iterdir()) == []
+
+    def test_interrupt_exits_130_with_an_interrupted_manifest(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C arrives once data.csv is written: the file is removed, and the
+        # manifest records the interrupt and the flags
+        write_lines = cli.io._write_lines
+
+        def interrupted_after_data(target, lines):
+            write_lines(target, lines)
+            if target.name == "data.csv":
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.io, "_write_lines", interrupted_after_data)
+        argv = ["simulate", "--steps-exp", "4"]
+        try:
+            code, (run,) = run_cli(tmp_path, *argv)
+        except KeyboardInterrupt:  # caught here, or it would end the test session
+            pytest.fail("the interrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+        manifest = read_manifest(run)
+        assert list(manifest.items())[:4] == [
+            ("command", "simulate"), ("version", __version__), ("status", "interrupted"),
+            ("error", "interrupted"),
+        ]
+        assert list(manifest)[4:] == manifest_flags(argv)
+        assert manifest["steps_exp"] == "4"
 
     @pytest.mark.parametrize(
         "argv",

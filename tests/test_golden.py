@@ -13,10 +13,12 @@ a 2-CPU machine).  A digest changes only with an output change, which CHANGES.md
 records together with its reason.
 `python3 tools/golden_bytes.py --digests SRC` prints the table entry for the
 current key, computed on the tree SRC, and `python3 tools/golden_bytes.py
-PARENT_SRC CHANGE_SRC` runs every case on two trees and compares the bytes.
+PARENT_SRC CHANGE_SRC` runs every case on two trees and compares their data
+bytes and manifests.
 """
 
 import hashlib
+import importlib.util
 import platform
 import shlex
 import subprocess
@@ -211,3 +213,25 @@ def test_tool_refuses_a_repeated_case(cases):
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert f"--case repeats a case of {src}: {cases[0]}" in done.stderr
+
+
+def test_tool_compares_manifests_but_for_their_timings(tmp_path):
+    # a run's duration and peak memory differ from run to run; any other line
+    # that differs is reported by its key
+    spec = importlib.util.spec_from_file_location(
+        "golden_bytes", Path(__file__).resolve().parents[1] / "tools" / "golden_bytes.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for side, (seconds, note) in {"parent": (0.5, "(none)"), "change": (0.7, "a note")}.items():
+        run = tmp_path / side / "simulate-1"
+        run.mkdir(parents=True)
+        (run / "manifest.txt").write_text(
+            f"command = simulate\nduration_seconds = {seconds}\npeak_rss_mb = {seconds}\n"
+            f"warnings = {note}\n"
+        )
+    parent, change = (tool.manifest_entries(tmp_path / side) for side in ("parent", "change"))
+    assert parent == {"command": "simulate", "warnings": "(none)"}
+    assert tool.manifest_differences(parent, change) == ["warnings"]
+    assert tool.manifest_differences(parent, dict(reversed(parent.items()))) == ["(key order)"]
+    assert tool.manifest_entries(tmp_path / "absent") == {}

@@ -115,7 +115,7 @@ def path_file(writer, values):
     if writer == "solution":
         columns = (nodes, values, values**2)
         return lambda target: io.write_solution_path(target, grid, values), "t,X,r", columns
-    curve = InverseMomentCurve(nodes, values)
+    curve = InverseMomentCurve(nodes, values, condition_checks=(), warnings=())
     return lambda target: io.write_inverse_moments(target, curve), "t,inv_moment", (nodes, values)
 
 
@@ -300,6 +300,22 @@ def test_nan_passes_only_at_nan_cell(columns, data, value):
         result = outcome(io._write_table, written, columns, nan_cell)
         assert result == outcome(by_oracle, expected, columns, nan_cell)
     assert isinstance(result, bytes) == (math.isnan(value) and others == 0)
+
+
+def test_manifest_values_take_the_text_of_data_cells(tmp_path):
+    # the manifest writes each value by the cells' rule; a tuple's cells are
+    # comma-joined, as `--coarse-exps 4,5` is recorded
+    entries = {"name": "inf", "n": 7, "flag": True, "x": np.float64(-1e-300), "y": 0.1,
+               "exps": (4, 5), "margins": (0.1, False)}
+    io.write_key_values(tmp_path / "manifest.txt", entries)
+    assert (tmp_path / "manifest.txt").read_bytes() == (
+        b"name = inf\nn = 7\nflag = true\nx = -1e-300\ny = 0.10000000000000001\n"
+        b"exps = 4,5\nmargins = 0.10000000000000001,false\n"
+    )
+    cells = {key: [value] for key, value in entries.items() if not isinstance(value, tuple)}
+    io._write_table(tmp_path / "data.csv", cells)
+    _, (row,) = read_cells(tmp_path / "data.csv")
+    assert row == ["inf", "7", "true", "-1e-300", "0.10000000000000001"]
 
 
 def test_zero_row_table_writes_its_header_alone(tmp_path):

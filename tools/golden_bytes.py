@@ -1,4 +1,4 @@
-"""Compare the data files two source trees of fcir write for the golden cases.
+"""Compare the data files and manifests two source trees of fcir write for the golden cases.
 
 Usage:
     python3 tools/golden_bytes.py PARENT_SRC CHANGE_SRC [--case "ARGV"]...
@@ -14,16 +14,19 @@ with a temporary `--out`.  An extra case that repeats another, or a case of
 either tree's table, is refused with exit 2.
 
 Given two trees, the script prints the sha256 of every data file side by
-side and exits 1 if any pair differs or any run fails.  An extra case
-that fails on both trees with the same error text counts as a match and is
-reported as `same-error`, so error messages can be compared too; a failing
-case of the table is always a mismatch.  Under each differing CSV it
-prints, per differing numeric column the two files share, the largest
-absolute and relative difference of a cell, and names the columns only one
-file has.  With `--digests SRC` it instead prints the `DIGESTS` entry of the
-cases for that interpreter's (numpy, machine) key, ready to paste into the
-test; pasting a changed digest records an output change.  Only the
-standard library is used here.
+side, then whether the two `manifest.txt` files are the same but for their
+`duration_seconds` and `peak_rss_mb` lines, and exits 1 if any pair of data
+files or manifests differs or any run fails.  An extra case that fails on
+both trees with the same error text counts as a match and is reported as
+`same-error`, so error messages can be compared too; a failing case of the
+table is always a mismatch.  Under each differing CSV it prints, per
+differing numeric column the two files share, the largest absolute and
+relative difference of a cell, and names the columns only one file has;
+under each differing manifest, the keys whose values differ.  With
+`--digests SRC` it instead prints the `DIGESTS` entry of the cases for that
+interpreter's (numpy, machine) key, ready to paste into the test; pasting a
+changed digest records an output change.  Only the standard library is
+used here.
 """
 
 from __future__ import annotations
@@ -49,7 +52,14 @@ EXTRA_CASES = (
     # circulant tiles of 4, 4 and 1 rows at 2^13 steps, and 3 tiles of 1 row at 2^15
     "converge-grid --ref-exp 13 --coarse-exps 4,5 --samples 9",
     "inverse-moments --steps-exp 15 --samples 3",
+    # manifests: failing inverse-moment conditions, a step margin below 1/2
+    # and an error manifest
+    "inverse-moments --sigma 2 --steps-exp 6 --samples 4",
+    "simulate --kappa=-3.9 --theta=-0.5 --horizon 8 --steps-exp 4",
+    "converge-grid --sigma inf",
 )
+# Manifest lines that measure the run, not its result, and so are not compared.
+TIMING_KEYS = ("duration_seconds", "peak_rss_mb")
 # Run in a fresh interpreter with the tests directory as argv[1], the output
 # directory as argv[2] and the extra cases after them; case i writes its run
 # directory under <output>/<i>.  Prints the key, per case its digests or why it
@@ -157,6 +167,22 @@ def column_differences(old: Path, new: Path) -> list[str]:
     return lines
 
 
+def manifest_entries(run_out: Path) -> dict[str, str]:
+    """A case's manifest as key -> value, but for `TIMING_KEYS`; empty if it wrote none."""
+    path = next(run_out.glob("*/manifest.txt"), None)
+    lines = path.read_text().splitlines() if path else []
+    return {key: value for key, value in (line.split(" = ", 1) for line in lines)
+            if key not in TIMING_KEYS}
+
+
+def manifest_differences(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """The keys whose manifest values differ, or a note that only their order does."""
+    keys = [key for key in {**old, **new} if old.get(key) != new.get(key)]
+    if keys or list(old) == list(new):
+        return keys
+    return ["(key order)"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path, nargs="?")
@@ -185,30 +211,33 @@ def main() -> int:
             out.mkdir()
         _, parent, table = run_entry(args.parent_src, ENTRY, str(outs[0]), *extra)
         _, change, _ = run_entry(args.change_src, ENTRY, str(outs[1]), *extra)
-        mismatches = 0
+        mismatches = manifests = 0
         for index, (case, left) in enumerate(parent.items()):
             right = change[case]
             if case not in table and isinstance(left, str) and left == right:
                 print(f"same-error  {case}: {left}")
-                continue
-            if isinstance(left, str) or isinstance(right, str):
+            elif isinstance(left, str) or isinstance(right, str):
                 sides = (("parent", left), ("change", right))
                 failed = [f"{side}: {text}" for side, text in sides if isinstance(text, str)]
                 print(f"FAIL  {case}: {' | '.join(failed)}")
                 mismatches += 1
-                continue
-            for name in sorted(left.keys() | right.keys()):
-                old, new = left.get(name, "-"), right.get(name, "-")
-                verdict = "same" if old == new else "DIFF"
-                mismatches += verdict == "DIFF"
-                print(f"{verdict}  {old[:16]}  {new[:16]}  {name:15}  {case}")
-                if verdict == "DIFF" and "-" not in (old, new):
-                    files = [next(out.joinpath(str(index)).glob(f"*/{name}")) for out in outs]
-                    for line in column_differences(*files):
-                        print(f"      {line}")
-    print(f"{len(parent)} runs, {mismatches} mismatches")
-    return 1 if mismatches else 0
-
+            else:
+                for name in sorted(left.keys() | right.keys()):
+                    old, new = left.get(name, "-"), right.get(name, "-")
+                    verdict = "same" if old == new else "DIFF"
+                    mismatches += verdict == "DIFF"
+                    print(f"{verdict}  {old[:16]}  {new[:16]}  {name:15}  {case}")
+                    if verdict == "DIFF" and "-" not in (old, new):
+                        files = [next(out.joinpath(str(index)).glob(f"*/{name}")) for out in outs]
+                        for line in column_differences(*files):
+                            print(f"      {line}")
+            keys = manifest_differences(*(manifest_entries(out / str(index)) for out in outs))
+            manifests += bool(keys)
+            print(f"{'DIFF' if keys else 'same'}  {'':16}  {'':16}  {'manifest.txt':15}  {case}")
+            if keys:
+                print(f"      keys: {', '.join(keys)}")
+    print(f"{len(parent)} runs, {mismatches} data mismatches, {manifests} differing manifests")
+    return 1 if mismatches or manifests else 0
 
 if __name__ == "__main__":
     raise SystemExit(main())
