@@ -21,9 +21,9 @@ largest block (`block_paths`) and the block count (`blocks`), and with the
 step margin xi = 1 - h*max(0, -kappa/2) of the largest step h it solves
 (`step_margin`); a margin below 1/2 adds a note.  A run that fails with exit
 code 3 leaves only the manifest: `status = error`, the error message, then
-the parsed flags; an interrupted run (exit code 130) the same, with
-`status = interrupted` and `error = interrupted`.  Re-running a subcommand
-with the flags recorded in a manifest reproduces its data files
+the parsed flags; a run stopped by Ctrl-C or SIGTERM the same, with
+`status = interrupted` and `error = interrupted` or `terminated`.  Re-running
+a subcommand with the flags recorded in a manifest reproduces its data files
 byte-for-byte on the same numpy and machine, or its error (data files never
 contain timing or environment information); `fbm-check`'s data.csv also
 depends on the BLAS thread count, as its Cholesky factor does.
@@ -39,7 +39,7 @@ manifest), 3 on domain or numerical errors raised by the library, including
 arithmetic and memory errors that escape it and a pool worker that dies (most
 likely killed for lack of memory; use fewer `--workers`), and on an OS error
 while the run's files are written (the error manifest is then written if it can be),
-and 130 on an interrupt (Ctrl-C, one `error: interrupted` line).
+130 on Ctrl-C, 143 on SIGTERM (one `error: interrupted` or `terminated` line).
 `--workers` must be at least 1; larger values are clamped to the CPU count.
 The manifest's `workers` records the processes that ran: a study's blocks
 run in min(workers, blocks) of them (`ExperimentConfig.processes`), and
@@ -54,9 +54,12 @@ import argparse
 import math
 import os
 import resource
+import signal
 import sys
+import threading
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -327,6 +330,18 @@ def _is_float(text: str) -> bool:
     return True
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread as SIGINT raises KeyboardInterrupt."""
+
+
+def _raise_terminated(owner: int, signum, frame):
+    """Raise _Terminated in process `owner`; a pool worker forked from it dies of the signal."""
+    if os.getpid() == owner:
+        raise _Terminated
+    signal.signal(signum, signal.SIG_DFL)  # as if the worker had no handler
+    os.kill(os.getpid(), signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = _join_float_values(sys.argv[1:] if argv is None else argv)
     command = next((word for word in argv if word in SUBCOMMANDS), None)
@@ -346,6 +361,10 @@ def main(argv: list[str] | None = None) -> int:
         for dest, value in vars(args).items()
         if dest not in ("command", "out", "handler")
     }
+    # SIGTERM raises _Terminated until main returns (only the main thread sets a handler)
+    in_main_thread = threading.current_thread() is threading.main_thread()
+    handler = partial(_raise_terminated, os.getpid())
+    previous = signal.signal(signal.SIGTERM, handler) if in_main_thread else None
     started = time.perf_counter()
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -360,9 +379,11 @@ def main(argv: list[str] | None = None) -> int:
         notes = [*notes, *(str(w.message) for w in caught)]
         manifest["warnings"] = " | ".join(notes) if notes else "(none)"
         io.write_key_values(outdir / "manifest.txt", manifest)
-    except (FcirError, ArithmeticError, MemoryError, OSError, KeyboardInterrupt) as exc:
+    except (FcirError, ArithmeticError, MemoryError, OSError, KeyboardInterrupt, _Terminated) as exc:
         if isinstance(exc, KeyboardInterrupt):
             status, code, message = "interrupted", 130, "interrupted"
+        elif isinstance(exc, _Terminated):
+            status, code, message = "interrupted", 143, "terminated"
         else:
             status, code = "error", 3
             message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
@@ -377,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass  # the error line is then the only record of the run
         return code
+    finally:
+        if in_main_thread:
+            signal.signal(signal.SIGTERM, previous)
     print(f"wrote {outdir}")
     return 0
 

@@ -84,8 +84,8 @@ def _ks_pvalue_equal_sizes(x: np.ndarray, y: np.ndarray) -> float:
 
 
 # Nodes per row slice where a loop forms a few row-sized arrays at a time:
-# `check_fbm_samplers`' Cholesky draws and covariance z-scores (about five
-# arrays) and the gap kernel's derivative forms (about eight), 128 KB each.
+# `check_fbm_samplers`' covariance z-scores (about five arrays) and the gap
+# kernel's derivative forms (about eight), 128 KB each.
 _ROW_NODES = 2**14
 
 
@@ -144,18 +144,14 @@ def check_fbm_samplers(
     Paths i < samples use Cholesky and the next `samples` the circulant
     sampler (seed base_seed + i), so the batches are independent.  Checks:
     terminal variance z-scores, the largest covariance z-score, a two-sample
-    KS test, and the 99th-percentile Hoelder statistic under refinement.
-    The last needs H > HOLDER_EPSILON, which `HurstParameter.holder_exponent`
-    checks before any draw.
-    The KS p-value of the terminal values is exact for every sample size
-    (see `_ks_pvalue_equal_sizes`; no asymptotic form above 10 000 samples),
-    and a nan terminal value makes it nan, so that check fails.
-    Beyond the cached Cholesky factor it holds the circulant batch, its
-    (N+1) x (N+1) empirical covariance and row slices of `_ROW_NODES`
-    nodes: the Cholesky paths are drawn a slice of rows at a time and only
-    their terminal values kept, and the covariance z-scores are formed a
-    slice of rows at a time (`_covariance_max_z`).  Each row has the bits of
-    the unsliced form, so no statistic depends on the slice size.
+    KS test, and the 99th-percentile Hoelder statistic under refinement.  The
+    last needs H > HOLDER_EPSILON, which `HurstParameter.holder_exponent`
+    checks before any draw.  The KS p-value of the terminal values is exact
+    for every sample size (see `_ks_pvalue_equal_sizes`; no asymptotic form
+    above 10 000 samples), and a nan terminal value makes it nan, so that
+    check fails.  Only the terminal values of the Cholesky paths, drawn in one
+    call, are kept; the covariance z-scores are formed in `_ROW_NODES` row
+    slices (`_covariance_max_z`) with the bits of the unsliced form.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -168,10 +164,7 @@ def check_fbm_samplers(
             f"terminal variance horizon^(2H) overflows double precision at horizon "
             f"{grid.horizon:g} and H = {hurst.value}: use a smaller horizon"
         ) from None
-    chol_seeds = range(base_seed, base_seed + m)
-    chol_terminal = np.empty(m)
-    for block in _row_slices(m, grid.steps + 1):
-        chol_terminal[block] = sample_fbm_cholesky(grid, hurst, chol_seeds[block])[:, -1]
+    chol_terminal = sample_fbm_cholesky(grid, hurst, range(base_seed, base_seed + m))[:, -1].copy()
     circ = sample_fbm_circulant(grid, hurst, range(base_seed + m, base_seed + 2 * m))
     checks = []
     se_var = terminal_var * np.sqrt(2.0 / m)

@@ -1,7 +1,7 @@
 """Exact sampling of fractional Brownian motion (fBm) on uniform grids.
 
 Two exact samplers are provided: a Cholesky factorization of the
-fractional-Gaussian-noise (fGn) covariance, O(N^3) once per grid, and a
+fractional-Gaussian-noise (fGn) covariance, O(N^3) once per call, and a
 circulant-embedding sampler (Davies & Harte 1987; Dietrich & Newsam 1997),
 O(N log N).  The circulant sampler builds the N+1 bins of a Hermitian
 Gaussian spectrum over the 2N embedding and takes its first N increments
@@ -57,7 +57,7 @@ class HurstParameter:
     """Hurst index H of the driving noise, constrained to (0, 1).
 
     Every function of fcir takes H as this type.  It is frozen and hashable,
-    so the samplers' factor and embedding caches key on it.
+    so the circulant sampler's embedding cache keys on it.
     """
 
     value: float
@@ -246,11 +246,14 @@ def _generators(seeds) -> Iterator[np.random.Generator]:
     return (Generator(PCG64(seed_sequence(row))) for row in words)
 
 
-# One factor is kept: every caller samples one grid at a time, and a factor
-# at N = 2^12 already takes 128 MB.
-@lru_cache(maxsize=1)
+# The fbm layer's one budget: a sampler's tile holds `_TILE_NODES` nodes, or one
+# row: rows of N normals in `sample_fbm_cholesky`, of 2N embedding nodes in
+# `sample_fbm_circulant` (sizes measured in ROADMAP.md, "Sampler tiles").
+_TILE_NODES = 2**16
+
+
 def _cholesky_factor(steps: int, step: float, hurst: HurstParameter) -> np.ndarray:
-    """Lower Cholesky factor of the N x N Toeplitz fGn covariance gamma[|i - j|], read-only.
+    """Lower Cholesky factor of the N x N Toeplitz fGn covariance gamma[|i - j|].
 
     The covariance is a strided view, not an array: row i of the windows of
     gamma[N-1], ..., gamma[1], gamma[0], ..., gamma[N-1] is gamma[|N-1-i-j|],
@@ -267,7 +270,6 @@ def _cholesky_factor(steps: int, step: float, hurst: HurstParameter) -> np.ndarr
             "the matrix is positive definite in exact arithmetic, so this points "
             "at severe rounding for these grid parameters"
         ) from exc
-    factor.setflags(write=False)
     return factor
 
 
@@ -275,21 +277,23 @@ def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndar
     """Exact fBm levels for every seed via Cholesky factorization of the fGn covariance.
 
     Returns one row per seed, shape (paths, N+1), each starting at 0; any
-    integer seed is taken mod 2^64.  O(N^3) for the factorization (the factor
-    of the last grid sampled is cached) plus O(N^2) per path.  Each row is
-    one matrix-vector product of the factor with the path's normals, so it
-    has the bits of a single draw whatever the other seeds are (one
-    matrix-matrix product over all paths would round differently).  The
-    products are one stacked `np.matmul` of the factor with the (paths, N, 1)
-    normals, which numpy computes as one BLAS matrix-vector product a path.
+    integer seed is taken mod 2^64.  O(N^3) for the factorization, made anew
+    by every call (a caller that samples a grid in many calls factors it each
+    time), plus O(N^2) per path.  The normals are drawn in tiles of
+    `_TILE_NODES // N` rows, and a tile's products are one stacked `np.matmul`,
+    which numpy computes as one BLAS matrix-vector product a path: each row has
+    the bits of a single draw whatever the other seeds are (one matrix-matrix
+    product would round differently).
     """
     factor = _cholesky_factor(grid.steps, grid.step, hurst)
-    z = np.empty((len(seeds), grid.steps))
-    for row, rng in zip(z, _generators(seeds)):
-        rng.standard_normal(out=row)
-    out = np.empty((len(seeds), grid.steps + 1))
-    out[:, 0] = 0.0
-    np.matmul(factor, z[:, :, None], out=out[:, 1:, None])
+    out = np.zeros((len(seeds), grid.steps + 1))
+    z = np.empty((max(1, min(len(seeds), _TILE_NODES // grid.steps)), grid.steps))
+    generators = _generators(seeds)
+    for first in range(0, len(seeds), len(z)):
+        tile = z[: len(seeds) - first]
+        for row, rng in zip(tile, islice(generators, len(tile))):
+            rng.standard_normal(out=row)
+        np.matmul(factor, tile[:, :, None], out=out[first : first + len(tile), 1:, None])
     np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 
@@ -314,15 +318,6 @@ def _embedding_coefficients(steps: int, step: float, hurst: HurstParameter) -> n
     coefficients = np.sqrt(np.clip(eigenvalues, 0.0, None) / (2.0 * steps))
     coefficients.setflags(write=False)
     return coefficients
-
-
-# Embedding nodes (2N per path) that `sample_fbm_circulant` transforms as one
-# tile of `_TILE_NODES // (2N)` rows, at least one: 2 rows at N = 2^14, 1 from
-# 2^15 on.  A tile holds 16 bytes per node at a time, 1 MB here.  At 2^14, 200
-# paths sampled 1-15% faster in tiles of 2 rows than of 1; at 2^15 and 2^16,
-# where 2 rows outgrow the 2 MB L2, about 15% slower (2 vCPUs).  Below 2^14,
-# tiles of 2^13 to 2^17 nodes measured within 15% of each other.
-_TILE_NODES = 2**16
 
 
 def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:

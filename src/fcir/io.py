@@ -26,7 +26,6 @@ from .fbm import GridSpec
 from .model import ConditionReport
 
 __all__ = [
-    "format_float",
     "condition_record",
     "write_fbm_path",
     "write_solution_path",
@@ -40,11 +39,6 @@ __all__ = [
 
 
 _FLOAT_CELL = "{:.17g}"
-
-
-def format_float(value: float) -> str:
-    return _FLOAT_CELL.format(value)
-
 
 # Lines per write of `_write_lines`: the text of one block is held at a time.
 _BLOCK_LINES = 4096
@@ -67,7 +61,7 @@ def _write_lines(target: Path, lines: Iterable[str]) -> None:
 
 
 def _cell(value) -> str:
-    """A value's text: floats as `format_float`, booleans lowercase, tuples comma-joined."""
+    """A value's text: floats at 17 digits, booleans lowercase, tuples comma-joined."""
     if isinstance(value, float):
         return _FLOAT_CELL.format(value)
     if isinstance(value, bool):
@@ -95,7 +89,7 @@ def _write_table(target: Path, columns: dict, nan_cell=None) -> None:
     if not all(np.isfinite(column).all() for column in float_values):
         for index, values in enumerate(zip(*columns.values())):
             for name, value in zip(columns, values):
-                text = format_float(value) if isinstance(value, float) else ""
+                text = _cell(value) if isinstance(value, float) else ""
                 if "n" in text and (text != "nan" or (index, name) != nan_cell):
                     raise NumericalError(
                         f"{target.name} would hold {name} = {text} in data "

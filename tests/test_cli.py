@@ -5,8 +5,10 @@ import concurrent.futures.process
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -651,6 +653,36 @@ class TestExitCodes:
         assert manifest["status"] == "error"
         assert manifest["error"] == err.strip()[len("error: "):]
 
+    def test_lost_pool_worker_ends_a_busy_one(self, tmp_path, monkeypatch, capfd):
+        # one worker ends mid-block while the other sleeps in its block and a
+        # third block waits in the queue: the pool sends the sleeper SIGTERM,
+        # which must end it there, not run the queued block or print a traceback
+        parent, sample = os.getpid(), experiments.sample_fbm_circulant
+
+        def lost_while_the_other_sleeps(grid, hurst, seeds):
+            if os.getpid() != parent:
+                if seeds[0] == 1:  # the first block; the default seed is 1
+                    time.sleep(0.5)
+                    os._exit(1)
+                time.sleep(60)
+            return sample(grid, hurst, seeds)
+
+        monkeypatch.setattr(experiments, "sample_fbm_circulant", lost_while_the_other_sleeps)
+        monkeypatch.setattr(experiments, "_BLOCK_NODES", 2 * 65)  # 2 paths of 2^6 + 1 nodes
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        started = time.monotonic()
+        code, (run,) = run_cli(
+            tmp_path, "converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
+            "--samples", "6", "--workers", "2",
+        )
+        assert time.monotonic() - started < 30
+        assert code == 3
+        err = capfd.readouterr().err  # the workers' stderr too
+        assert err.startswith("error: a worker of the 2-process pool ended abruptly")
+        assert err.count("\n") == 1
+        manifest = read_manifest(run)
+        assert manifest["status"] == "error"
+
     def test_manifest_write_error_exits_3(self, tmp_path, monkeypatch, capsys):
         # no manifest can be written either: the error line is the only record
         def full_disk(target, values):
@@ -690,6 +722,38 @@ class TestExitCodes:
         ]
         assert list(manifest)[4:] == manifest_flags(argv)
         assert manifest["steps_exp"] == "4"
+
+    def test_sigterm_exits_143_with_a_terminated_manifest(self, tmp_path, monkeypatch, capsys):
+        # SIGTERM arrives once data.csv is written: the file is removed, the
+        # manifest records the termination and the flags, and the handler in
+        # place before the run is back in place after it
+        write_lines = cli.io._write_lines
+
+        def terminated_after_data(target, lines):
+            write_lines(target, lines)
+            if target.name == "data.csv":
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        def escaped(signum, frame):
+            raise AssertionError("SIGTERM reached the handler in place before the run")
+
+        monkeypatch.setattr(cli.io, "_write_lines", terminated_after_data)
+        previous = signal.signal(signal.SIGTERM, escaped)  # or SIGTERM ends the test session
+        argv = ["simulate", "--steps-exp", "4"]
+        try:
+            code, (run,) = run_cli(tmp_path, *argv)
+            assert signal.getsignal(signal.SIGTERM) is escaped
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert code == 143
+        assert capsys.readouterr().err == "error: terminated\n"
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+        manifest = read_manifest(run)
+        assert list(manifest.items())[:4] == [
+            ("command", "simulate"), ("version", __version__), ("status", "interrupted"),
+            ("error", "terminated"),
+        ]
+        assert list(manifest)[4:] == manifest_flags(argv)
 
     @pytest.mark.parametrize(
         "argv",

@@ -25,8 +25,7 @@ from fcir import (
     simulate_batch,
     simulate_paths,
 )
-from fcir import cli, experiments
-from fcir.fbm import _cholesky_factor
+from fcir import cli, experiments, fbm
 from fcir.io import write_sampler_checks
 
 
@@ -598,30 +597,31 @@ class TestSamplerChecks:
 
     @pytest.mark.parametrize("nodes", [1, 100, 33 * 5])
     def test_statistics_do_not_depend_on_the_row_blocks(self, monkeypatch, hurst07, nodes):
-        # one row per block, 3 rows, and 5 rows: blocks that split the 400
-        # Cholesky paths and the 33 covariance rows unevenly
+        # one row per block, 3 rows, and 5 rows: Cholesky tiles of 32 normals
+        # a row and covariance slices of 33 nodes a row, which split the 400
+        # paths or the 33 covariance rows unevenly
         expected = check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3)
+        monkeypatch.setattr(fbm, "_TILE_NODES", nodes)
         monkeypatch.setattr(experiments, "_ROW_NODES", nodes)
         assert check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3) == expected
 
     def test_holds_the_factor_the_batch_and_the_empirical_covariance(self, hurst07):
-        # Beyond the circulant batch it holds the Cholesky factor, the
-        # empirical covariance and row slices of 2^14 nodes: about 2.3
+        # Beyond the circulant batch it holds the factorization's two N x N
+        # buffers (its copy of the covariance and the factor), freed before the
+        # empirical covariance and row slices of 2^14 nodes are made: about 1.4
         # (N+1)^2 doubles here.  Drawing the whole Cholesky batch, and forming
         # the exact covariance, the spread, the differences and the z-scores
-        # over the whole matrix, holds about 8.6.  The factor is built inside
-        # the traced call.
+        # over the whole matrix, holds about 8.6.
         grid, samples = GridSpec.dyadic(1.0, 10), 200
         square_bytes = (grid.steps + 1) ** 2 * 8
         batch_bytes = samples * (grid.steps + 1) * 8
-        _cholesky_factor.cache_clear()
         tracemalloc.start()
         try:
             check_fbm_samplers(grid, hurst07, samples, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * square_bytes + batch_bytes, peak / square_bytes
+        assert peak < 2 * square_bytes + batch_bytes, peak / square_bytes
 
     def test_first_holder_batch_is_freed_before_the_second_draw(self, monkeypatch, hurst07):
         # The Hoelder check draws 100 paths at N steps, then 100 at 2N.  A

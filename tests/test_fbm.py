@@ -228,14 +228,19 @@ class TestCholeskySampler:
         assert worst.max() <= 0.0, f"covariance entry off by {worst.max():.3g} beyond 5 se"
 
     @pytest.mark.parametrize("steps", [1, 2, 256])
-    def test_block_matches_single_paths(self, steps):
+    def test_block_matches_single_paths(self, monkeypatch, steps):
+        # 5 seeds in one tile of the default budget, then in tiles of 1, 2
+        # and 3 rows: tiles of 2 and 3 end on a partial tile
         grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)
         seeds = [5, 2**64 - 1, 0, 17, 3]
-        block = sample_fbm_cholesky(grid, hurst, seeds)
-        assert block.shape == (len(seeds), steps + 1)
-        for row, seed in zip(block, seeds):
-            assert np.array_equal(row, sample_fbm_cholesky(grid, hurst, [seed])[0])
-            assert np.array_equal(row, cholesky_oracle(grid, hurst, seed))
+        for tile_rows in (None, 1, 2, 3):
+            if tile_rows is not None:
+                monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * steps)
+            block = sample_fbm_cholesky(grid, hurst, seeds)
+            assert block.shape == (len(seeds), steps + 1)
+            for row, seed in zip(block, seeds):
+                assert np.array_equal(row, sample_fbm_cholesky(grid, hurst, [seed])[0])
+                assert np.array_equal(row, cholesky_oracle(grid, hurst, seed))
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 64, 256])
     def test_factor_of_the_toeplitz_covariance(self, steps):
@@ -243,7 +248,6 @@ class TestCholeskySampler:
         # of the covariance gathered through an N x N index array
         lags = np.arange(steps)
         gamma = fgn_autocovariance(lags, 1.0 / steps, H07)
-        _cholesky_factor.cache_clear()
         factor = _cholesky_factor(steps, 1.0 / steps, H07)
         assert np.array_equal(factor, np.linalg.cholesky(gamma[np.abs(lags[:, None] - lags)]))
 
@@ -260,7 +264,6 @@ class TestCirculantSampler:
         assert result.pvalue >= 0.01
 
     def test_faster_than_cholesky_at_large_n(self):
-        _cholesky_factor.cache_clear()
         _embedding_coefficients.cache_clear()
         grid, hurst = GridSpec(1.0, 2**12), HurstParameter(0.8)
         start = time.perf_counter()
@@ -383,11 +386,9 @@ class TestCirculantSampler:
         def explode(matrix):
             raise np.linalg.LinAlgError("matrix is not positive definite")
 
-        _cholesky_factor.cache_clear()
         monkeypatch.setattr(np.linalg, "cholesky", explode)
         with pytest.raises(NumericalError, match="factorization failed"):
             sample_fbm_cholesky(GridSpec(1.0, 8), H07, [1])
-        _cholesky_factor.cache_clear()
 
 
 class UnitNormals:

@@ -72,7 +72,7 @@ def test_convergence_writes_level_then_rate_errors(tmp_path):
     expected = zip(report.step_sizes, rms["level_grid"], rms["level_uniform"],
                    rms["rate_grid"], rms["rate_uniform"])
     assert rows == [
-        [*map(io.format_float, (h, x_grid, x_uniform)), "4", *map(io.format_float, rate)]
+        [*map(io._cell, (h, x_grid, x_uniform)), "4", *map(io._cell, rate)]
         for h, x_grid, x_uniform, *rate in expected
     ]
 
@@ -91,7 +91,7 @@ def test_python_floats_write_the_bytes_of_numpy_scalars(tmp_path):
 
 
 def test_cells_keep_the_text_of_per_cell_formatting(tmp_path):
-    # floats (numpy scalars too) at 17 digits as `format_float` gives them,
+    # floats (numpy scalars too) at 17 digits as `_cell` gives them,
     # lowercase booleans, ints and names as str; a name that spells nan or inf
     # is text, not a float
     rows = [
