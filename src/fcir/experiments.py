@@ -14,6 +14,7 @@ block split and any number of workers.
 from __future__ import annotations
 
 import math
+import signal
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -345,6 +346,8 @@ def _map_blocks(block_fn, config: ExperimentConfig, workers: int):
     the noise array it is handed and may overwrite it; it returns a tuple of
     per-path arrays.  With one worker the blocks are computed as they are
     consumed; a pool worker that dies, as the OOM killer ends one, raises FcirError.
+    Pool workers ignore Ctrl-C: the parent alone is interrupted, drops the
+    queued blocks and waits for the running ones to finish.
     """
     rows = config.block_rows(workers)
     starts = range(0, config.samples, rows[0])
@@ -357,12 +360,15 @@ def _map_blocks(block_fn, config: ExperimentConfig, workers: int):
         # multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(task, starts, rows)
+            yield from pool.map(task, starts, rows)
         except BrokenProcessPool as exc:
             raise FcirError(f"a worker of the {workers}-process pool ended abruptly, most likely "
                             "killed for lack of memory; run with fewer --workers") from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _concatenated(blocks) -> list:
@@ -532,10 +538,10 @@ def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> Inve
     Each block's levels are raised to -p in place and added into one running
     sum in path order, which is divided by the sample count: the operations
     of `np.mean(axis=0)` over all paths, with one block of paths held at a
-    time.  A value that is not finite (x^(-p) or the sum overflows) raises
-    NumericalError.  The inverse-moment conditions of order p are checked
-    before any draw, and each that fails adds a note: the curve is still
-    estimated, but the inverse-moment bound is not covered.
+    time.  A value of 0 or not finite (x^(-p) or the sum under- or overflows;
+    every level is positive) raises NumericalError.  The inverse-moment
+    conditions of order p are checked before any draw, and each that fails
+    adds a note: the curve is still estimated, but its bound is not covered.
     """
     checks = check_moment_conditions(config.p, config.params, config.hurst, config.horizon)
     total = np.zeros(config.reference_grid.steps + 1)
@@ -546,12 +552,12 @@ def estimate_inverse_moments(config: ExperimentConfig, workers: int = 1) -> Inve
         del powers, row  # free this block before the next one is computed
     values = (total / config.samples) ** (1.0 / config.p)
     times = config.reference_grid.nodes()
-    lost = ~np.isfinite(values)
+    lost = ~np.isfinite(values) | (values == 0.0)
     if lost.any():
         node = int(np.argmax(lost))
         raise NumericalError(
             f"E[x^(-{config.p})]^(1/{config.p}) reads {values[node]} at node {node} "
-            f"(t={times[node]:.6g}): x^(-{config.p}) or its sum over paths overflows"
+            f"(t={times[node]:.6g}): x^(-{config.p}) or its sum over paths under- or overflows"
         )
     return InverseMomentCurve(times=times, values=values, condition_checks=checks,
                               warnings=tuple(_condition_notes(checks, "inverse-moment bound")))

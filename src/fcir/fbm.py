@@ -56,8 +56,7 @@ _MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
 class HurstParameter:
     """Hurst index H of the driving noise, constrained to (0, 1).
 
-    Every function of fcir takes H as this type.  It is frozen and hashable,
-    so the circulant sampler's embedding cache keys on it.
+    Every function of fcir takes H as this type; it is frozen.
     """
 
     value: float
@@ -260,6 +259,11 @@ def _cholesky_factor(steps: int, step: float, hurst: HurstParameter) -> np.ndarr
     so the rows reversed give gamma[|i - j|] with no N x N index array.
     """
     gamma = fgn_autocovariance(np.arange(steps), step, hurst)
+    if gamma[0] == 0.0:
+        raise NumericalError(
+            f"fGn variance step^(2H) underflows to 0 at step {step:g} (horizon / steps) and "
+            f"H = {hurst.value}: use a larger horizon"
+        )
     mirrored = np.concatenate([gamma[:0:-1], gamma])
     cov = sliding_window_view(mirrored, steps)[::-1]
     try:
@@ -298,16 +302,15 @@ def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndar
     return out
 
 
-@lru_cache(maxsize=32)
 def _embedding_coefficients(steps: int, step: float, hurst: HurstParameter) -> np.ndarray:
-    """sqrt(eigenvalue / 2N) at bins 0..N of the 2N circulant embedding; NumericalError if invalid.
+    """Each half-spectrum bin's normal scale, bins 0..N; NumericalError if the embedding is invalid.
 
-    The embedding's first row is real and even, so its eigenvalues are too:
-    bins N+1..2N-1 mirror bins N-1..1, and the half spectrum holds them all.
+    The 2N embedding's eigenvalues lambda are real and even: bins N+1..2N-1
+    mirror N-1..1.  Bins 0 and N take sqrt(lambda / 2N), and bins 1..N-1, a
+    real and an imaginary normal each, that times sqrt(0.5).
     """
     gamma = fgn_autocovariance(np.arange(steps + 1), step, hurst)
-    row = np.concatenate([gamma, gamma[1:-1][::-1]])
-    eigenvalues = np.fft.rfft(row).real
+    eigenvalues = np.fft.rfft(np.concatenate([gamma, gamma[1:-1][::-1]])).real
     lam_min, lam_max = eigenvalues.min(), eigenvalues.max()
     if lam_min < -EMBEDDING_EIG_TOL * lam_max:
         raise NumericalError(
@@ -315,9 +318,10 @@ def _embedding_coefficients(steps: int, step: float, hurst: HurstParameter) -> n
             f"definite: min/max eigenvalue ratio {lam_min / lam_max:.3g} is below the "
             f"tolerance -{EMBEDDING_EIG_TOL:g}; use fewer steps or a smaller H"
         )
-    coefficients = np.sqrt(np.clip(eigenvalues, 0.0, None) / (2.0 * steps))
-    coefficients.setflags(write=False)
-    return coefficients
+    scales = np.clip(eigenvalues, 0.0, None)
+    np.sqrt(np.divide(scales, 2.0 * steps, out=scales), out=scales)
+    scales[1:steps] *= np.sqrt(0.5)
+    return scales
 
 
 def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
@@ -325,18 +329,19 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.nda
 
     Returns one row per seed, shape (paths, N+1), each starting at 0, with
     any integer seed taken mod 2^64: the law of `sample_fbm_cholesky` in
-    O(N log N) per path.  Each path's Gaussian
-    spectrum is Hermitian, so only its N+1 bins are built and one real-output
-    FFT of length 2N turns them into the path's increments (its first N
-    outputs).  A tile of a few rows is transformed at a time with the
-    arithmetic of a single path, so each row has the same bits whatever the
-    other seeds are.  The embedding is checked before the output is
-    allocated: an eigenvalue below -EMBEDDING_EIG_TOL * lambda_max raises
-    NumericalError.
+    O(N log N) per path.  Each path's Gaussian spectrum is Hermitian, so only
+    its N+1 bins are built and one real-output FFT of length 2N turns them
+    into the path's increments (its first N outputs).  A tile of a few rows
+    is transformed at a time with the arithmetic of a single path, so each
+    row has the same bits whatever the other seeds are.  Every call makes the
+    embedding, at about the cost of one path's draw (0.9 ms at 2^14 steps),
+    which a study pays once a block and a loop of one-path calls every call;
+    an eigenvalue below -EMBEDDING_EIG_TOL * lambda_max raises NumericalError
+    before the output is allocated.  A path holds 6 arrays of N doubles: the
+    scales, the output, N+1 complex bins, and its 2N normals or FFT outputs.
     """
     n = grid.steps
-    coefficients = _embedding_coefficients(n, grid.step, hurst)
-    body = coefficients[1:n] * np.sqrt(0.5)
+    scales = _embedding_coefficients(n, grid.step, hurst)
     out = np.empty((len(seeds), n + 1))
     tile = max(1, min(len(seeds), _TILE_NODES // (2 * n)))
     # the imaginary parts of the DC and Nyquist bins stay 0
@@ -353,18 +358,17 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.nda
         # imaginary parts (negated).  Its inverse real FFT is the forward
         # complex FFT of the full spectrum.  z * -b and -(z * b) are the same
         # double, so the imaginary parts are negated in place.
-        np.multiply(z[:, 0], coefficients[0], out=st.real[:, 0])
-        np.multiply(z[:, 1], coefficients[n], out=st.real[:, n])
-        np.multiply(z[:, 2 : n + 1], body, out=st.real[:, 1:n])
-        np.multiply(z[:, n + 1 :], body, out=st.imag[:, 1:n])
+        np.multiply(z[:, 0], scales[0], out=st.real[:, 0])
+        np.multiply(z[:, 1], scales[n], out=st.real[:, n])
+        np.multiply(z[:, 2 : n + 1], scales[1:n], out=st.real[:, 1:n])
+        np.multiply(z[:, n + 1 :], scales[1:n], out=st.imag[:, 1:n])
         np.negative(st.imag[:, 1:n], out=st.imag[:, 1:n])
         # the normals are freed before the transform's output is made, and
-        # that output before the next tile's normals: a tile holds two of its
-        # three arrays at once
+        # that unnamed output before the next tile's normals: a tile holds two
+        # of its three arrays at once
         del z
-        increments = np.fft.irfft(st, 2 * n, axis=1, norm="forward")[:, :n]
-        np.cumsum(increments, axis=1, out=out[first : first + len(st), 1:])
-        del increments
+        np.cumsum(np.fft.irfft(st, 2 * n, axis=1, norm="forward")[:, :n], axis=1,
+                  out=out[first : first + len(st), 1:])
     return out
 
 

@@ -449,14 +449,11 @@ class TestStudyRecord:
     @pytest.mark.parametrize("argv", PROCESSES)
     def test_workers_records_the_processes_that_ran(self, tmp_path, monkeypatch, argv):
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 pools.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
+            def shutdown(self, cancel_futures):
+                pass
 
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
@@ -683,6 +680,72 @@ class TestExitCodes:
         manifest = read_manifest(run)
         assert manifest["status"] == "error"
 
+    # Run in its own session: 3 blocks of 2 paths on 2 workers, where the
+    # first and third blocks end at once and the second runs until the test
+    # releases it, so one worker waits for work and the other is busy when
+    # Ctrl-C reaches the group.
+    POOL_INTERRUPT = """
+import os, sys, time
+from pathlib import Path
+from fcir import cli, experiments
+
+parent, sample, marks = os.getpid(), experiments.sample_fbm_circulant, Path(sys.argv[1])
+
+def marked(grid, hurst, seeds):
+    if os.getpid() != parent:
+        if seeds[0] == 3:  # the second block: the default seed is 1
+            (marks / "busy").touch()
+            while not (marks / "release").exists():
+                time.sleep(0.01)
+        elif seeds[0] == 5:
+            (marks / "idle").touch()
+    return sample(grid, hurst, seeds)
+
+experiments.sample_fbm_circulant = marked
+experiments._BLOCK_NODES = 2 * 65  # 2 paths of 2^6 + 1 nodes
+cli.os.cpu_count = lambda: 2
+sys.exit(cli.main(["converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
+                   "--samples", "6", "--workers", "2", "--out", str(marks / "runs")]))
+"""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a pool worker sees the patched sampler only when it is forked",
+    )
+    def test_pool_interrupt_exits_130_with_an_interrupted_manifest(self, tmp_path):
+        # Ctrl-C reaches every process of the group: the idle worker must not
+        # print a traceback, and the run ends once the busy block has finished
+        # (it is released 0.3 s after the signal)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.POOL_INTERRUPT, str(tmp_path)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not ((tmp_path / "busy").exists() and (tmp_path / "idle").exists()):
+                assert proc.poll() is None and time.monotonic() < deadline, proc.poll()
+                time.sleep(0.05)
+            time.sleep(0.3)  # the idle worker is back waiting for work
+            os.killpg(proc.pid, signal.SIGINT)
+            time.sleep(0.3)
+            (tmp_path / "release").touch()
+            _, err = proc.communicate(timeout=30)
+            with pytest.raises(ProcessLookupError):  # no process of the group is left
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+        assert proc.returncode == 130
+        assert err == "error: interrupted\n"
+        (run,) = (tmp_path / "runs").iterdir()
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+        manifest = read_manifest(run)
+        assert (manifest["status"], manifest["error"]) == ("interrupted", "interrupted")
+
     def test_manifest_write_error_exits_3(self, tmp_path, monkeypatch, capsys):
         # no manifest can be written either: the error line is the only record
         def full_disk(target, values):
@@ -812,6 +875,10 @@ class TestExitCodes:
             # every level is finite and positive, but x^(-2) overflows below ~1e-154
             ("inverse-moments --r0 1e-300 --theta 1e-300 --steps-exp 6 --samples 4 "
              "--workers 1", "E[x^(-2)]^(1/2) reads inf at node 1"),
+            # every level is positive, but x^(-3) underflows to 0 above ~1e150
+            ("inverse-moments --r0 1e300 --p 3 --steps-exp 4 --samples 3 --workers 1",
+             "E[x^(-3)]^(1/3) reads 0.0 at node 0 (t=0): x^(-3) or its sum over paths "
+             "under- or overflows"),
             # a negative grid exponent is named by its exponent, not by 2^e
             ("simulate --steps-exp -1", "2^-1 steps: a grid exponent must be at least 0"),
             ("fbm-check --steps-exp -3", "2^-3 steps: a grid exponent must be at least 0"),
@@ -832,6 +899,10 @@ class TestExitCodes:
             # the same over 5 row blocks of z-scores
             ("fbm-check --horizon 1e200 --steps-exp 9 --samples 24",
              "covariance z-score scale reads inf at horizon 1e+200"),
+            # step^(2H) underflows, so the fGn covariance is all zeros
+            ("fbm-check --horizon 1e-300 --steps-exp 3 --samples 5",
+             "fGn variance step^(2H) underflows to 0 at step 1.25e-301 (horizon / steps) and "
+             "H = 0.7: use a larger horizon"),
             # horizon^(2H) overflows a double, though step^(2H) does not
             ("fbm-check --horizon 1e222 --steps-exp 4 --samples 24",
              "horizon^(2H) overflows double precision at horizon 1e+222 and H = 0.7"),

@@ -494,7 +494,7 @@ class TestBlockDriver:
         row_bytes = (config.reference_grid.steps + 1) * 8
         self.patch_budgets(monkeypatch, 60 * (config.reference_grid.steps + 1))
         assert config.block_rows(1) == (40, 40)
-        run_convergence(config)  # the embedding coefficients are cached before tracing
+        run_convergence(config)  # the modules a run imports are loaded before tracing
         tracemalloc.start()
         try:
             run_convergence(config)

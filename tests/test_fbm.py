@@ -40,11 +40,10 @@ def reference_rng(seed):
 def circulant_oracle(grid, hurst, seed):
     """One-path half-spectrum sampler with the frozen spectrum layout, step by step."""
     n = grid.steps
-    coefficients = _embedding_coefficients(n, grid.step, hurst)
+    scales = _embedding_coefficients(n, grid.step, hurst)
     z = reference_rng(seed).standard_normal(2 * n)
-    scale = coefficients[1:n] * np.sqrt(0.5)
-    real = np.concatenate([[z[0] * coefficients[0]], z[2 : n + 1] * scale, [z[1] * coefficients[n]]])
-    imag = np.concatenate([[0.0], z[n + 1 :] * scale, [0.0]])
+    real = np.concatenate([[z[0] * scales[0]], z[2 : n + 1] * scales[1:n], [z[1] * scales[n]]])
+    imag = np.concatenate([[0.0], z[n + 1 :] * scales[1:n], [0.0]])
     spectrum = np.conj(real + 1j * imag)
     increments = np.fft.irfft(spectrum, 2 * n, norm="forward")[:n]
     return np.concatenate([[0.0], np.cumsum(increments)])
@@ -264,7 +263,6 @@ class TestCirculantSampler:
         assert result.pvalue >= 0.01
 
     def test_faster_than_cholesky_at_large_n(self):
-        _embedding_coefficients.cache_clear()
         grid, hurst = GridSpec(1.0, 2**12), HurstParameter(0.8)
         start = time.perf_counter()
         sample_fbm_cholesky(grid, hurst, [1])
@@ -280,6 +278,19 @@ class TestCirculantSampler:
         # the half spectrum: bins 0..N of the 2N embedding
         coeffs = _embedding_coefficients(256, 1.0 / 256, HurstParameter(H))
         assert coeffs.shape == (257,) and np.all(coeffs >= 0.0)
+
+    @pytest.mark.parametrize("steps", [1, 2, 64])
+    def test_scales_are_the_rounded_square_roots(self, steps):
+        # sqrt(lambda / 2N) at every bin, rounded, and bins 1..N-1 that times
+        # sqrt(0.5), rounded again; each call returns a new, writable array
+        gamma = fgn_autocovariance(np.arange(steps + 1), 1.0 / steps, H07)
+        eigenvalues = np.fft.rfft(np.concatenate([gamma, gamma[1:-1][::-1]])).real
+        expected = np.sqrt(np.clip(eigenvalues, 0.0, None) / (2.0 * steps))
+        expected[1:steps] = expected[1:steps] * np.sqrt(0.5)
+        scales = _embedding_coefficients(steps, 1.0 / steps, H07)
+        assert np.array_equal(scales, expected)
+        assert scales.flags.writeable
+        assert _embedding_coefficients(steps, 1.0 / steps, H07) is not scales
 
     @pytest.mark.parametrize("steps", [1, 2, 64, 2**10, 2**14])
     @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
@@ -324,12 +335,13 @@ class TestCirculantSampler:
         assert rows == tiles
 
     def test_one_path_holds_six_path_sized_arrays(self):
-        # With its embedding cached, one path of N steps holds the output, the
-        # spectrum's body coefficients, N + 1 complex bins and either its 2N
-        # normals or the 2N FFT outputs: 6 arrays of N doubles.  Normals kept
-        # through the transform add two, a negated copy of the body one.
+        # A first draw on its grid makes its embedding, then holds the bin
+        # scales, the output, N + 1 complex bins and either its 2N normals or
+        # the 2N FFT outputs: 6 arrays of N doubles.  Normals kept through the
+        # transform add two, a scaled copy of the scales one.  A draw on a
+        # small grid first loads numpy.random, so only the draw is traced.
         grid = GridSpec(1.0, 2**16)
-        sample_fbm_circulant(grid, H07, [3])
+        sample_fbm_circulant(GridSpec(1.0, 2), H07, [3])
         tracemalloc.start()
         try:
             sample_fbm_circulant(grid, H07, [3])
@@ -444,7 +456,7 @@ class TestExactLaw:
         coefficients = fbm_module._embedding_coefficients
 
         def mutant(*args):
-            scaled = coefficients(*args).copy()
+            scaled = coefficients(*args)
             scaled[3] *= 1.001
             return scaled
 

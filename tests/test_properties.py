@@ -300,3 +300,5 @@ def test_cli_contract_over_random_flags(argv):
                     except ValueError:  # a check name, boolean or method
                         continue
                     assert math.isfinite(value), (data.name, index, column, cell)
+                    if column == "inv_moment":  # every level is positive
+                        assert value > 0.0, (data.name, index, cell)
