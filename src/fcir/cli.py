@@ -5,8 +5,9 @@ its model flags with their defaults and its own flags.  `fbm-check` samples
 noise only, so of the model flags it takes just `--hurst` and `--horizon`.
 A run's parser registers every subcommand but adds flags only to the one its
 argv names (see `build_parser`), so its help, usage and error text are those
-of the full parser.  Every run creates `<out>/<subcommand>-<timestamp>/`
-holding the emitted data files plus a `manifest.txt` sidecar, whose values
+of the full parser.  Every run creates `<out>/<subcommand>-<timestamp>/`, or
+with the first free suffix `-2`, `-3`, ... (runs started at once never share
+one), holding the emitted data files plus a `manifest.txt` sidecar, whose values
 `io` turns into text as it does data cells.  After `command`, `version` and
 `status = ok` the manifest records every parsed flag except `--out` by its
 argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`,
@@ -40,6 +41,15 @@ arithmetic and memory errors that escape it and a pool worker that dies (most
 likely killed for lack of memory; use fewer `--workers`), and on an OS error
 while the run's files are written (the error manifest is then written if it can be),
 130 on Ctrl-C, 143 on SIGTERM (one `error: interrupted` or `terminated` line).
+Both signals take one stop path: while the run is live, one handler raises
+KeyboardInterrupt carrying the signal (a signal the caller ignores stays
+ignored), and `_STOPS` gives its exit code and error word.  The run is done
+once its `ok` manifest is being written, and an error or interrupted run
+once its cleanup starts: from then on both signals are ignored, so a late
+one leaves exit 0 and the `ok` manifest.  `main(argv)` puts the caller's
+handlers back when it returns; the program entry points (the console script
+and `python -m fcir`, whose `main()` reads `sys.argv`) leave both ignored, as
+their process ends with `main`.
 `--workers` must be at least 1; larger values are clamped to the CPU count.
 The manifest's `workers` records the processes that ran: a study's blocks
 run in min(workers, blocks) of them (`ExperimentConfig.processes`), and
@@ -51,6 +61,7 @@ flag's value.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import resource
@@ -295,15 +306,17 @@ def _peak_rss_mb() -> float:
 
 
 def _make_outdir(root: str, command: str) -> Path:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    base = Path(root) / f"{command}-{stamp}"
-    candidate = base
-    suffix = 1
-    while candidate.exists():
-        suffix += 1
-        candidate = base.with_name(f"{base.name}-{suffix}")
-    candidate.mkdir(parents=True)
-    return candidate
+    """`<root>/<command>-<timestamp>`, or its first free `-2`, `-3`, ...: `mkdir` claims each."""
+    parent = Path(root)
+    parent.mkdir(parents=True, exist_ok=True)
+    base = f"{command}-{time.strftime('%Y%m%d-%H%M%S')}"
+    for suffix in itertools.count(1):
+        candidate = parent / (base if suffix == 1 else f"{base}-{suffix}")
+        try:
+            candidate.mkdir()
+            return candidate
+        except FileExistsError:  # taken, perhaps by a run started at the same second
+            pass
 
 
 def _join_float_values(argv: list[str]) -> list[str]:
@@ -330,22 +343,21 @@ def _is_float(text: str) -> bool:
     return True
 
 
-class _Terminated(BaseException):
-    """SIGTERM, raised in the main thread as SIGINT raises KeyboardInterrupt."""
+_STOPS = {signal.SIGINT: (130, "interrupted"), signal.SIGTERM: (143, "terminated")}
 
 
-def _raise_terminated(owner: int, signum, frame):
-    """Raise _Terminated in process `owner`; a pool worker forked from it dies of the signal."""
+def _stop(owner: int, signum, frame):
+    """Raise KeyboardInterrupt(signum) in process `owner`; a worker forked from it dies of it."""
     if os.getpid() == owner:
-        raise _Terminated
+        raise KeyboardInterrupt(signum)
     signal.signal(signum, signal.SIG_DFL)  # as if the worker had no handler
     os.kill(os.getpid(), signum)
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _join_float_values(sys.argv[1:] if argv is None else argv)
-    command = next((word for word in argv if word in SUBCOMMANDS), None)
-    args = build_parser(command).parse_args(argv)
+    words = _join_float_values(sys.argv[1:] if argv is None else argv)
+    command = next((word for word in words if word in SUBCOMMANDS), None)
+    args = build_parser(command).parse_args(words)
     args.workers = min(args.workers, os.cpu_count() or 1)
     try:
         outdir = _make_outdir(args.out, args.command)
@@ -361,10 +373,10 @@ def main(argv: list[str] | None = None) -> int:
         for dest, value in vars(args).items()
         if dest not in ("command", "out", "handler")
     }
-    # SIGTERM raises _Terminated until main returns (only the main thread sets a handler)
+    # a stop signal the caller does not ignore raises KeyboardInterrupt (main thread only)
     in_main_thread = threading.current_thread() is threading.main_thread()
-    handler = partial(_raise_terminated, os.getpid())
-    previous = signal.signal(signal.SIGTERM, handler) if in_main_thread else None
+    previous = {signum: signal.signal(signum, partial(_stop, os.getpid())) for signum in _STOPS
+                if in_main_thread and signal.getsignal(signum) != signal.SIG_IGN}
     started = time.perf_counter()
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -378,12 +390,15 @@ def main(argv: list[str] | None = None) -> int:
         manifest["peak_rss_mb"] = _peak_rss_mb()
         notes = [*notes, *(str(w.message) for w in caught)]
         manifest["warnings"] = " | ".join(notes) if notes else "(none)"
+        for signum in previous:  # the run is done: a stop signal is ignored from here on
+            signal.signal(signum, signal.SIG_IGN)
         io.write_key_values(outdir / "manifest.txt", manifest)
-    except (FcirError, ArithmeticError, MemoryError, OSError, KeyboardInterrupt, _Terminated) as exc:
-        if isinstance(exc, KeyboardInterrupt):
-            status, code, message = "interrupted", 130, "interrupted"
-        elif isinstance(exc, _Terminated):
-            status, code, message = "interrupted", 143, "terminated"
+    except (FcirError, ArithmeticError, MemoryError, OSError, KeyboardInterrupt) as exc:
+        for signum in previous:  # a second signal cannot cut this manifest short
+            signal.signal(signum, signal.SIG_IGN)
+        if isinstance(exc, KeyboardInterrupt):  # a bare one, as Python's handler raises, is SIGINT
+            status = "interrupted"
+            code, message = _STOPS.get(exc.args[0] if exc.args else None, _STOPS[signal.SIGINT])
         else:
             status, code = "error", 3
             message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
@@ -398,9 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass  # the error line is then the only record of the run
         return code
-    finally:
-        if in_main_thread:
-            signal.signal(signal.SIGTERM, previous)
+    finally:  # a program entry point leaves them ignored, as its process ends with main
+        for signum, handler in previous.items():
+            signal.signal(signum, signal.SIG_IGN if argv is None else handler)
     print(f"wrote {outdir}")
     return 0
 

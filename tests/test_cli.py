@@ -712,10 +712,19 @@ sys.exit(cli.main(["converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
         multiprocessing.get_start_method() != "fork",
         reason="a pool worker sees the patched sampler only when it is forked",
     )
-    def test_pool_interrupt_exits_130_with_an_interrupted_manifest(self, tmp_path):
-        # Ctrl-C reaches every process of the group: the idle worker must not
-        # print a traceback, and the run ends once the busy block has finished
-        # (it is released 0.3 s after the signal)
+    @pytest.mark.parametrize(
+        "signum, exit_code, word",
+        [
+            pytest.param(signal.SIGINT, 130, "interrupted", id="SIGINT"),
+            pytest.param(signal.SIGTERM, 143, "terminated", id="SIGTERM"),
+        ],
+    )
+    def test_pool_interrupt_exits_130_with_an_interrupted_manifest(
+        self, tmp_path, signum, exit_code, word
+    ):
+        # Ctrl-C (or SIGTERM) reaches every process of the group: the idle
+        # worker must not print a traceback, and the run ends once the busy
+        # block has finished (it is released 0.3 s after the signal) or died
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         proc = subprocess.Popen(
             [sys.executable, "-c", self.POOL_INTERRUPT, str(tmp_path)], env=env,
@@ -727,7 +736,7 @@ sys.exit(cli.main(["converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
                 assert proc.poll() is None and time.monotonic() < deadline, proc.poll()
                 time.sleep(0.05)
             time.sleep(0.3)  # the idle worker is back waiting for work
-            os.killpg(proc.pid, signal.SIGINT)
+            os.killpg(proc.pid, signum)
             time.sleep(0.3)
             (tmp_path / "release").touch()
             _, err = proc.communicate(timeout=30)
@@ -739,12 +748,12 @@ sys.exit(cli.main(["converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
             except ProcessLookupError:
                 pass
             proc.communicate()
-        assert proc.returncode == 130
-        assert err == "error: interrupted\n"
+        assert proc.returncode == exit_code
+        assert err == f"error: {word}\n"
         (run,) = (tmp_path / "runs").iterdir()
         assert [f.name for f in run.iterdir()] == ["manifest.txt"]
         manifest = read_manifest(run)
-        assert (manifest["status"], manifest["error"]) == ("interrupted", "interrupted")
+        assert (manifest["status"], manifest["error"]) == ("interrupted", word)
 
     def test_manifest_write_error_exits_3(self, tmp_path, monkeypatch, capsys):
         # no manifest can be written either: the error line is the only record
@@ -788,8 +797,8 @@ sys.exit(cli.main(["converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
 
     def test_sigterm_exits_143_with_a_terminated_manifest(self, tmp_path, monkeypatch, capsys):
         # SIGTERM arrives once data.csv is written: the file is removed, the
-        # manifest records the termination and the flags, and the handler in
-        # place before the run is back in place after it
+        # manifest records the termination and the flags, and the handlers in
+        # place before the run are back in place after it
         write_lines = cli.io._write_lines
 
         def terminated_after_data(target, lines):
@@ -802,10 +811,12 @@ sys.exit(cli.main(["converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
 
         monkeypatch.setattr(cli.io, "_write_lines", terminated_after_data)
         previous = signal.signal(signal.SIGTERM, escaped)  # or SIGTERM ends the test session
+        interrupt = signal.getsignal(signal.SIGINT)
         argv = ["simulate", "--steps-exp", "4"]
         try:
             code, (run,) = run_cli(tmp_path, *argv)
             assert signal.getsignal(signal.SIGTERM) is escaped
+            assert signal.getsignal(signal.SIGINT) is interrupt
         finally:
             signal.signal(signal.SIGTERM, previous)
         assert code == 143
@@ -817,6 +828,113 @@ sys.exit(cli.main(["converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
             ("error", "terminated"),
         ]
         assert list(manifest)[4:] == manifest_flags(argv)
+
+    def test_second_interrupt_cannot_cut_the_manifest_short(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C twice: the first arrives once data.csv is written, the second
+        # as the interrupted manifest is about to be written
+        write_lines, write_key_values = cli.io._write_lines, cli.io.write_key_values
+
+        def interrupted_after_data(target, lines):
+            write_lines(target, lines)
+            if target.name == "data.csv":
+                raise KeyboardInterrupt
+
+        def interrupted_again(target, values):
+            os.kill(os.getpid(), signal.SIGINT)
+            write_key_values(target, values)
+
+        monkeypatch.setattr(cli.io, "_write_lines", interrupted_after_data)
+        monkeypatch.setattr(cli.io, "write_key_values", interrupted_again)
+        try:
+            code, (run,) = run_cli(tmp_path, "simulate", "--steps-exp", "4")
+        except KeyboardInterrupt:  # caught here, or it would end the test session
+            pytest.fail("the second interrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+        manifest = read_manifest(run)
+        assert (manifest["status"], manifest["error"]) == ("interrupted", "interrupted")
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_signal_after_the_ok_manifest_is_ignored(self, tmp_path, monkeypatch, capsys, signum):
+        # the run is done once its ok manifest is written: a stop signal then
+        # changes nothing, and the caller's handlers are back after the run
+        write_key_values = cli.io.write_key_values
+        reached = []
+
+        def signalled_after_writing(target, values):
+            write_key_values(target, values)
+            os.kill(os.getpid(), signum)
+
+        def caller(signum, frame):  # in place of the caller's own, which could end the session
+            reached.append(signum)
+
+        monkeypatch.setattr(cli.io, "write_key_values", signalled_after_writing)
+        previous = {stop: signal.signal(stop, caller) for stop in (signal.SIGINT, signal.SIGTERM)}
+        try:
+            code, (run,) = run_cli(tmp_path, "simulate", "--steps-exp", "4")
+            handlers = [signal.getsignal(stop) for stop in previous]
+        finally:
+            for stop, handler in previous.items():
+                signal.signal(stop, handler)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert read_manifest(run)["status"] == "ok"
+        assert sorted(f.name for f in run.iterdir()) == ["data.csv", "manifest.txt"]
+        assert handlers == [caller, caller]
+        assert reached == []
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_signal_the_caller_ignores_stays_ignored(self, tmp_path, monkeypatch, signum):
+        # a caller that ignores a stop signal, as a shell does SIGINT for a
+        # background job, keeps it ignored through the run
+        write_lines = cli.io._write_lines
+
+        def signalled_after_data(target, lines):
+            write_lines(target, lines)
+            if target.name == "data.csv":
+                os.kill(os.getpid(), signum)
+
+        monkeypatch.setattr(cli.io, "_write_lines", signalled_after_data)
+        previous = signal.signal(signum, signal.SIG_IGN)
+        try:
+            code, (run,) = run_cli(tmp_path, "simulate", "--steps-exp", "4")
+            handler = signal.getsignal(signum)
+        finally:
+            signal.signal(signum, previous)
+        assert code == 0
+        assert handler == signal.SIG_IGN
+        assert read_manifest(run)["status"] == "ok"
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    @pytest.mark.parametrize("trial", [1, 2])
+    def test_signal_after_the_manifest_exits_0(self, tmp_path, signum, trial):
+        # `python -m fcir` in its own session gets the signal as soon as its ok
+        # manifest exists, while it may be printing or shutting down
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fcir", "simulate", "--steps-exp", "12", "--workers", "1",
+             "--out", str(tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not any(tmp_path.glob("*/manifest.txt")):
+                assert proc.poll() is None and time.monotonic() < deadline, proc.poll()
+                time.sleep(0.001)
+            os.killpg(proc.pid, signum)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+        assert proc.returncode == 0
+        assert err == ""
+        (run,) = tmp_path.iterdir()
+        assert read_manifest(run)["status"] == "ok"
 
     @pytest.mark.parametrize(
         "argv",
@@ -974,6 +1092,26 @@ sys.exit(cli.main(["converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert target.read_text() == "kept\n"
+
+    def test_runs_started_at_once_take_their_own_directories(self, tmp_path, monkeypatch):
+        # a run started in the same second makes this run's directory between
+        # the name's choice and its mkdir: this run takes the next suffix
+        monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20261020-210000")
+        mkdir = Path.mkdir
+
+        def raced(path, *args, **kwargs):
+            if path.name == "check-conditions-20261020-210000":
+                os.mkdir(path)  # the other run's
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", raced)
+        code, (taken, run) = run_cli(tmp_path, "check-conditions")
+        assert code == 0
+        assert (taken.name, run.name) == (
+            "check-conditions-20261020-210000", "check-conditions-20261020-210000-2"
+        )
+        assert list(taken.iterdir()) == []
+        assert read_manifest(run)["status"] == "ok"
 
     def test_negative_float_as_its_own_word_is_a_value(self, tmp_path):
         code, (spaced,) = run_cli(
