@@ -41,6 +41,10 @@ arithmetic and memory errors that escape it and a pool worker that dies (most
 likely killed for lack of memory; use fewer `--workers`), and on an OS error
 while the run's files are written (the error manifest is then written if it can be),
 130 on Ctrl-C, 143 on SIGTERM (one `error: interrupted` or `terminated` line).
+A run's files, its manifest last, are written before its one terminal line:
+`wrote <run directory>` on stdout, or its `error:` line on stderr.  That
+line is best-effort: a stdout or stderr that cannot take it (a closed pipe,
+a full disk) changes neither the exit code nor the files.
 Both signals take one stop path: while the run is live, one handler raises
 KeyboardInterrupt carrying the signal (a signal the caller ignores stays
 ignored), and `_STOPS` gives its exit code and error word.  The run is done
@@ -354,6 +358,23 @@ def _stop(owner: int, signum, frame):
     os.kill(os.getpid(), signum)
 
 
+def _say(line: str, stream, entry_point: bool) -> None:
+    """Print `line` to `stream` best-effort: a run's record is its files and its exit code.
+
+    An OSError, as from a closed pipe or a full disk, drops the line.  At a
+    program entry point the stream's descriptor is then pointed at
+    os.devnull, so the interpreter's last flush cannot fail either (Python's
+    "Note on SIGPIPE").
+    """
+    try:
+        print(line, file=stream, flush=True)
+    except OSError:
+        if entry_point:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     words = _join_float_values(sys.argv[1:] if argv is None else argv)
     command = next((word for word in words if word in SUBCOMMANDS), None)
@@ -363,8 +384,8 @@ def main(argv: list[str] | None = None) -> int:
         outdir = _make_outdir(args.out, args.command)
     except OSError as exc:
         # no directory to hold a manifest, so the message is the only record
-        print(f"error: cannot make a run directory under {args.out!r}: {exc.strerror or exc}",
-              file=sys.stderr)
+        _say(f"error: cannot make a run directory under {args.out!r}: {exc.strerror or exc}",
+             sys.stderr, argv is None)
         return 2
 
     head = {"command": args.command, "version": __version__}
@@ -403,7 +424,6 @@ def main(argv: list[str] | None = None) -> int:
             status, code = "error", 3
             message = str(exc) if isinstance(exc, FcirError) else f"{type(exc).__name__}: {exc}"
             message = " ".join(message.split())
-        print(f"error: {message}", file=sys.stderr)
         try:
             for written in outdir.iterdir():  # a file written before the error
                 written.unlink()
@@ -412,11 +432,12 @@ def main(argv: list[str] | None = None) -> int:
             )
         except OSError:
             pass  # the error line is then the only record of the run
+        _say(f"error: {message}", sys.stderr, argv is None)
         return code
     finally:  # a program entry point leaves them ignored, as its process ends with main
         for signum, handler in previous.items():
             signal.signal(signum, signal.SIG_IGN if argv is None else handler)
-    print(f"wrote {outdir}")
+    _say(f"wrote {outdir}", sys.stdout, argv is None)
     return 0
 
 

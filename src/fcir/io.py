@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .errors import NumericalError
-from .experiments import ConvergenceReport, InverseMomentCurve, MalliavinGapReport, SamplerCheck
-from .fbm import GridSpec
-from .model import ConditionReport
+
+if TYPE_CHECKING:  # annotations only: at run time the writers need numpy and errors alone
+    from .experiments import ConvergenceReport, InverseMomentCurve, MalliavinGapReport, SamplerCheck
+    from .fbm import GridSpec
+    from .model import ConditionReport
 
 __all__ = [
     "condition_record",

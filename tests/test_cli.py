@@ -1173,3 +1173,56 @@ class TestStartup:
         argv = [command, *SMALL_RUNS[command].split(), "--workers", "1", "--out", "runs"]
         code = f"from fcir.cli import main\nassert main({argv!r}) == 0"
         assert modules_after(code, tmp_path) == set()
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["closed-pipe", "dev-full"])
+class TestUnwritableStreams:
+    # a run's record is its files and its exit code: its manifest is written
+    # before its one terminal line, so a stdout or stderr that cannot take the
+    # line changes neither
+
+    def run_fcir(self, argv, stream, target, buffering):
+        """`python -m fcir argv` with `stream` on an unwritable target; its other stream is read."""
+        if target == "closed-pipe":
+            reader, descriptor = os.pipe()
+            os.close(reader)
+        elif os.path.exists("/dev/full"):
+            descriptor = os.open("/dev/full", os.O_WRONLY)
+        else:
+            pytest.skip("no /dev/full")
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: descriptor}
+        try:
+            return subprocess.run([sys.executable, "-m", "fcir", *argv], env=env, timeout=60,
+                                  **streams)
+        finally:
+            os.close(descriptor)
+
+    def test_unwritable_stdout_leaves_exit_0(self, tmp_path, target, buffering):
+        done = self.run_fcir(["check-conditions", "--out", str(tmp_path)], "stdout", target,
+                             buffering)
+        assert (done.returncode, done.stderr) == (0, b"")
+        (run,) = tmp_path.iterdir()
+        assert read_manifest(run)["status"] == "ok"
+
+    def test_unwritable_stderr_leaves_exit_3_and_the_error_manifest(
+        self, tmp_path, target, buffering
+    ):
+        argv = ["converge-grid", "--sigma", "inf", "--samples", "2", "--ref-exp", "6",
+                "--coarse-exps", "3,4", "--out", str(tmp_path)]
+        done = self.run_fcir(argv, "stderr", target, buffering)
+        assert (done.returncode, done.stdout) == (3, b"")
+        (run,) = tmp_path.iterdir()
+        assert [f.name for f in run.iterdir()] == ["manifest.txt"]
+        assert read_manifest(run)["status"] == "error"
+
+    def test_unwritable_stderr_leaves_exit_2(self, tmp_path, target, buffering):
+        out = tmp_path / "file"
+        out.write_text("kept\n")
+        done = self.run_fcir(["check-conditions", "--out", str(out)], "stderr", target, buffering)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert [f.name for f in tmp_path.iterdir()] == ["file"]

@@ -112,9 +112,54 @@ def test_modules_import_no_private_name_of_another():
 
 
 def test_version_matches_the_project_metadata():
+    # the version has one source: the project metadata reads fcir.__version__
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
-        assert fcir.__version__ == tomllib.load(handle)["project"]["version"]
+        config = tomllib.load(handle)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "fcir.__version__"}
+
+
+def _fcir_imports(module):
+    """The fcir modules that `module` imports at run time (not under TYPE_CHECKING), by name."""
+    tree = ast.parse(Path(fcir.__file__).with_name(f"{module}.py").read_text())
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            skipped.update(map(id, ast.walk(node)))
+    dotted = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                package = f"fcir.{node.module}" if node.module else "fcir"
+            else:
+                package = node.module or ""
+            # `from . import io` and `from fcir import io` name the module in the alias
+            dotted += [package] if package != "fcir" else [f"fcir.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("fcir.")}
+
+
+def test_each_public_name_is_declared_once_and_the_layers_hold():
+    # fcir re-exports each module's __all__ (errors has none: all its names)
+    # by `import *`, so a public name is listed in its module alone
+    named = []
+    for node in ast.parse(Path(fcir.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"fcir.{node.module}")
+            public = getattr(module, "__all__", [n for n in vars(module) if n[0] != "_"])
+            named += [f"{node.module}.{a.name}" for a in node.names if a.name in public]
+    assert named == []
+    # the writers take the study results as they are handed them
+    assert _fcir_imports("io") == {"errors"}
+    # kernels, then studies, then writers, then the command line
+    for kernel in ("fbm", "model", "scheme", "malliavin"):
+        assert _fcir_imports(kernel) & {"experiments", "io", "cli"} == set(), kernel
+    assert _fcir_imports("experiments") & {"io", "cli"} == set()
 
 
 @pytest.mark.parametrize(
