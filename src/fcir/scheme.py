@@ -61,7 +61,7 @@ def step_constants(step: float, params: CirParams) -> tuple[float, float]:
     return c, denom
 
 
-def _positive_root(a, c: float, denom: float):
+def _positive_root(a, c: float, denom: float, sqrt=np.sqrt, where=np.where):
     """Positive root of (2 + kappa*h) X^2 - 2 a X - kappa*theta*h = 0.
 
     c = kappa*h*theta*(2 + kappa*h) > 0 and denom = 2 + kappa*h > 0 under the
@@ -69,14 +69,25 @@ def _positive_root(a, c: float, denom: float):
     cancels catastrophically, so the conjugate form c / (sqrt(a^2 + c) - a)
     is used there instead.  Both branches share s = |a| + sqrt(a^2 + c) >=
     sqrt(c) > 0, bit for bit, so the unused branch never divides by zero.
+    a is an array by default; a Python float with `math.sqrt` and `_pick`
+    gets the same bits, since builtin `abs` is `np.abs` on an array.
     """
-    s = np.abs(a) + np.sqrt(a * a + c)
-    return np.where(a >= 0.0, s, c / s) / denom
+    s = abs(a) + sqrt(a * a + c)
+    return where(a >= 0.0, s, c / s) / denom
+
+
+def _pick(condition, if_true, if_false):
+    """`np.where` on one Python float."""
+    return if_true if condition else if_false
 
 
 # Steps per chunk of `simulate_batch`: three (chunk, paths) buffers stay in
 # cache, and the chunk is the unit of the a < 0 re-solve.
 _CHUNK_STEPS = 64
+
+# Steps per chunk of a one-path solve, whose increments and levels are Python
+# floats: a long path holds no more than this many of them at a time.
+_ROW_CHUNK_STEPS = 4096
 
 
 def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndarray:
@@ -88,19 +99,20 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
     a scalar loop of `_positive_root` over `np.diff` of its row, so batching
     (and any chunking of a batch across workers) never changes results.
 
-    The steps run in chunks of `_CHUNK_STEPS`.  A chunk's noise columns are
+    One path is solved by `_solve_row`, a loop over Python floats.  Wider
+    batches run in chunks of `_CHUNK_STEPS` steps.  A chunk's noise columns are
     copied into a step-major (chunk, paths) buffer, so every step reads and
     writes contiguous rows, and differenced as `np.diff` does into a second
     one, scaled by sigma/2; the column before the chunk, which the previous
     chunk's write-back overwrote, is carried in a vector.  Each step takes the
     a >= 0 branch of `_positive_root` as six ufunc calls with positional
-    outputs on row views made once per call, through two path-sized buffers:
-    at a few hundred paths a step costs as much in call overhead as in
+    outputs on row views made once per call, in place in one path-sized
+    buffer: at a few hundred paths a step costs as much in call overhead as in
     arithmetic.  A chunk in which some a < 0 is solved again from its start
     level with `_positive_root` itself.  A level that is not finite and
     positive (a*a overflows for |a| > ~1.3e154) raises NumericalError, with
     the chunks before it written back.  Working memory beyond the noise is three
-    (chunk, paths) buffers, whatever N is.
+    (chunk, paths) buffers, or one path's row chunk, whatever N is.
     """
     if not isinstance(noise, np.ndarray):
         raise DomainError(f"noise must be a 2-D float64 array of fBm levels, got {type(noise)}")
@@ -111,15 +123,19 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
         )
     c, denom = step_constants(step, params)
     half_sigma = 0.5 * params.sigma
+    if noise.shape[0] == 1:
+        _solve_row(noise[0], c, denom, half_sigma, params.x0)
+        return noise
 
     width, n_steps = noise.shape[0], noise.shape[1] - 1
     carry = noise[:, 0].copy()
     noise[:, 0] = params.x0
     buffers = np.empty((3, _CHUNK_STEPS, width))
     rows = [list(buffer) for buffer in buffers]
-    # the root alternates between two buffers: numpy runs a ufunc that writes
-    # over its own input twice as slowly on a one-element array
-    disc, s = np.empty(width), np.empty(width)
+    # the root runs in place in one path-sized buffer: numpy runs an in-place
+    # ufunc twice as slowly only on a one-element array, and one path goes to
+    # `_solve_row`
+    disc = np.empty(width)
     start = np.full(width, params.x0)
     add, multiply, sqrt, divide = np.add, np.multiply, np.sqrt, np.divide
     # a ufunc converts a Python float operand on every call, a 0-d array not
@@ -137,24 +153,56 @@ def simulate_batch(noise: np.ndarray, step: float, params: CirParams) -> np.ndar
         for scaled_k, a_k, next_level in zip(scaled_rows, a_rows, level_rows):
             add(scaled_k, level, a_k)
             multiply(a_k, a_k, disc)
-            add(disc, c_array, s)
-            sqrt(s, disc)
-            add(disc, a_k, s)
-            divide(s, denom_array, next_level)
+            add(disc, c_array, disc)
+            sqrt(disc, disc)
+            add(disc, a_k, disc)
+            divide(disc, denom_array, next_level)
             level = next_level
         if (a < 0.0).any():
             level = start
             for scaled_k, next_level in zip(scaled_rows, level_rows):
                 next_level[:] = _positive_root(level + scaled_k, c, denom)
                 level = next_level
-        valid = (levels > 0.0) & (levels < math.inf)
-        if not valid.all():
-            k, path = np.argwhere(~valid)[0]
-            raise NumericalError(
-                f"backward Euler level {levels[k, path]} at step {first + k + 1} of path "
-                f"{path} is not finite and positive: the implicit step overflows"
-            )
+        _check_levels(levels, first)
         noise[:, first + 1 : first + size + 1] = levels.T
         start[:] = levels[-1]
     return noise
 
+
+def _solve_row(row: np.ndarray, c: float, denom: float, half_sigma: float, x0: float) -> None:
+    """Overwrite one row of fBm levels with its backward Euler levels.
+
+    The row is differenced and scaled as a batch chunk is, against the carried
+    node before the chunk, then solved in chunks of `_ROW_CHUNK_STEPS` steps as
+    Python floats, each step one call of `_positive_root` with `math.sqrt` and
+    `_pick`: a numpy ufunc costs more to call than a float step costs in all.
+    Each chunk is checked as a batch chunk is and written back before the next.
+    """
+    carry = row[0]
+    row[0] = level = x0
+    for first in range(0, row.size - 1, _ROW_CHUNK_STEPS):
+        nodes = row[first + 1 : first + _ROW_CHUNK_STEPS + 1]
+        scaled = np.subtract(nodes, np.concatenate(((carry,), nodes[:-1])))
+        carry = nodes[-1]
+        scaled *= half_sigma
+        solved = []
+        for increment in scaled.tolist():
+            level = _positive_root(level + increment, c, denom, math.sqrt, _pick)
+            solved.append(level)
+        levels = np.array(solved)
+        _check_levels(levels[:, None], first)
+        nodes[:] = levels
+
+
+def _check_levels(levels: np.ndarray, first: int) -> None:
+    """Raise NumericalError at a chunk's first level that is not finite and positive.
+
+    levels has shape (steps, paths); its first row is step first + 1.
+    """
+    valid = (levels > 0.0) & (levels < math.inf)
+    if not valid.all():
+        k, path = np.argwhere(~valid)[0]
+        raise NumericalError(
+            f"backward Euler level {levels[k, path]} at step {first + k + 1} of path "
+            f"{path} is not finite and positive: the implicit step overflows"
+        )

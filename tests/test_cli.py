@@ -695,7 +695,9 @@ def marked(grid, hurst, seeds):
     if os.getpid() != parent:
         if seeds[0] == 3:  # the second block: the default seed is 1
             (marks / "busy").touch()
-            while not (marks / "release").exists():
+            # a deadline, so a test run killed before the release leaves no process behind
+            deadline = time.monotonic() + 60
+            while not (marks / "release").exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
         elif seeds[0] == 5:
             (marks / "idle").touch()

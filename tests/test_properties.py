@@ -25,6 +25,7 @@ from fcir import (
     cli,
     malliavin_terminal_forms,
     sample_fbm_circulant,
+    scheme,
     simulate_batch,
 )
 from oracles import backward_euler_step
@@ -88,14 +89,22 @@ def scalar_levels(increments, step, params):
     return np.array(levels), np.array(a)
 
 
-@pytest.mark.parametrize("steps", [1, 63, 64, 65, 3 * 64 + 5])
+ROW_CHUNK = scheme._ROW_CHUNK_STEPS
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [1, 63, 64, 65, 3 * 64 + 5, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 5],
+)
 @pytest.mark.parametrize("params", [BENCH, NEGATIVE_A], ids=["bench", "negative-a"])
 def test_batch_matches_scalar_loop_across_chunks(steps, params):
     # simulate_batch differences and solves 64-step chunks, carrying the noise
-    # column before each chunk; N straddles the chunk edges.  Each path is also
-    # solved alone.
+    # column before each chunk, and one path in row chunks of ROW_CHUNK steps;
+    # N straddles the edges of both.  Each path is also solved alone.  Two
+    # paths suffice at the row chunk's sizes, where the scalar oracle is slow.
     grid = GridSpec(1.0, steps)
-    noise = sample_fbm_circulant(grid, HurstParameter(0.7), range(7, 15))
+    seeds = range(7, 15) if steps < ROW_CHUNK - 1 else range(7, 9)
+    noise = sample_fbm_circulant(grid, HurstParameter(0.7), seeds)
     alone = [simulate_batch(path[None, :].copy(), grid.step, params) for path in noise]
     increments = np.diff(noise, axis=-1)
     batch = simulate_batch(noise, grid.step, params)

@@ -22,7 +22,7 @@ from fcir import (
     simulate_paths,
     step_constants,
 )
-from fcir import experiments
+from fcir import experiments, scheme
 from fcir.io import write_solution_path
 from oracles import backward_euler_step, bisect_implicit_step, residuals, rk4_levels
 
@@ -239,6 +239,40 @@ class TestSimulatePath:
         with np.errstate(over="ignore"), pytest.raises(
             NumericalError, match=f"level {level} at step 2 of path 1 is not finite and positive"
         ):
+            simulate_batch(noise, 0.1, bench_params)
+
+    @pytest.mark.parametrize("increment, level", [(5.6e154, "inf"), (-5.6e154, "0.0")])
+    def test_overflowing_step_of_one_path_raises(self, bench_params, increment, level):
+        # one path is solved as Python floats, whose a*a overflows to inf too;
+        # the same row in a batch gives the same message but for its index
+        bad = [0.0, 0.1, 0.1 + increment, 0.4 + increment]
+        messages = []
+        for noise in (np.array([bad]), np.array([[0.0, 0.1, 0.3, 0.6], bad])):
+            with np.errstate(over="ignore"), pytest.raises(NumericalError) as raised:
+                simulate_batch(noise, 0.1, bench_params)
+            messages.append(str(raised.value))
+        assert f"level {level} at step 2 of path 0 is not finite and positive" in messages[0]
+        assert messages[0] == messages[1].replace(" of path 1 ", " of path 0 ")
+        assert " of path 1 " in messages[1]
+
+    def test_one_path_failure_writes_back_the_chunks_before_it(self, bench_params):
+        # the bad step is the third of the second row chunk
+        row_chunk = scheme._ROW_CHUNK_STEPS
+        grid = GridSpec(1.0, row_chunk + 10)
+        fbm = sample_fbm_circulant(grid, H07, [4])
+        fbm[0, row_chunk + 3 :] += 5.6e154
+        noise = fbm.copy()
+        expected = simulate_batch(fbm[:, : row_chunk + 1].copy(), grid.step, bench_params)
+        with pytest.raises(NumericalError, match=f"at step {row_chunk + 3} of path 0 "):
+            simulate_batch(noise, grid.step, bench_params)
+        assert np.array_equal(noise[:, : row_chunk + 1], expected)
+        assert np.array_equal(noise[:, row_chunk + 1 :], fbm[:, row_chunk + 1 :])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_of_one_path_is_a_numerical_error(self, bench_params, value):
+        # math.sqrt raises ValueError on a negative operand; no step may hand it one
+        noise = np.array([[0.0, 0.1, value, 0.3, 0.4]])
+        with pytest.raises(NumericalError, match="at step 2 of path 0 is not finite and positive"):
             simulate_batch(noise, 0.1, bench_params)
 
     def test_tiny_levels_never_divide_by_zero(self):
