@@ -27,7 +27,7 @@ from .fbm import (
     HurstParameter,
     fbm_covariance,
     holder_statistic,
-    sample_fbm_cholesky,
+    sample_fbm_cholesky_terminals,
     sample_fbm_circulant,
 )
 from .malliavin import malliavin_terminal_forms
@@ -150,9 +150,10 @@ def check_fbm_samplers(
     checks before any draw.  The KS p-value of the terminal values is exact
     for every sample size (see `_ks_pvalue_equal_sizes`; no asymptotic form
     above 10 000 samples), and a nan terminal value makes it nan, so that
-    check fails.  Only the terminal values of the Cholesky paths, drawn in one
-    call, are kept; the covariance z-scores are formed in `_ROW_NODES` row
-    slices (`_covariance_max_z`) with the bits of the unsliced form.
+    check fails.  The Cholesky terminal values come from
+    `sample_fbm_cholesky_terminals`, which builds no path; the covariance
+    z-scores are formed in `_ROW_NODES` row slices (`_covariance_max_z`)
+    with the bits of the unsliced form.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -165,7 +166,7 @@ def check_fbm_samplers(
             f"terminal variance horizon^(2H) overflows double precision at horizon "
             f"{grid.horizon:g} and H = {hurst.value}: use a smaller horizon"
         ) from None
-    chol_terminal = sample_fbm_cholesky(grid, hurst, range(base_seed, base_seed + m))[:, -1].copy()
+    chol_terminal = sample_fbm_cholesky_terminals(grid, hurst, range(base_seed, base_seed + m))
     circ = sample_fbm_circulant(grid, hurst, range(base_seed + m, base_seed + 2 * m))
     checks = []
     se_var = terminal_var * np.sqrt(2.0 / m)

@@ -1,13 +1,15 @@
 """Exact sampling of fractional Brownian motion (fBm) on uniform grids.
 
-Two exact samplers are provided: a Cholesky factorization of the
-fractional-Gaussian-noise (fGn) covariance, O(N^3) once per call, and a
-circulant-embedding sampler (Davies & Harte 1987; Dietrich & Newsam 1997),
-O(N log N).  The circulant sampler builds the N+1 bins of a Hermitian
-Gaussian spectrum over the 2N embedding and takes its first N increments
-from one real-output FFT (`np.fft.irfft`).  Both sample the increment
-process rather than the levels -- the increment covariance is Toeplitz and
-far better conditioned -- and recover levels by prefix sums.
+Two exact samplers are provided.  A circulant-embedding sampler (Davies &
+Harte 1987; Dietrich & Newsam 1997), O(N log N) a path, builds the N+1 bins
+of a Hermitian Gaussian spectrum over the 2N embedding, takes its first N
+increments from one real-output FFT (`np.fft.irfft`) and recovers the levels
+by prefix sums.  A Cholesky factorization of the fractional-Gaussian-noise
+(fGn) covariance, O(N^3) once per call, gives the terminal value B(T) of
+each path only, as one weighted sum of its normals: it serves the
+cross-check of the two samplers, which compares terminal values.  Both
+work on the increment covariance rather than that of the levels -- it is
+Toeplitz and far better conditioned.
 
 Randomness is frozen to NumPy's PCG64 bit generator with its ziggurat
 ``standard_normal``.  A given (grid, H, seed) triple therefore reproduces
@@ -34,7 +36,7 @@ __all__ = [
     "GridSpec",
     "fbm_covariance",
     "fgn_autocovariance",
-    "sample_fbm_cholesky",
+    "sample_fbm_cholesky_terminals",
     "sample_fbm_circulant",
     "holder_statistic",
 ]
@@ -246,8 +248,8 @@ def _generators(seeds) -> Iterator[np.random.Generator]:
 
 
 # The fbm layer's one budget: a sampler's tile holds `_TILE_NODES` nodes, or one
-# row: rows of N normals in `sample_fbm_cholesky`, of 2N embedding nodes in
-# `sample_fbm_circulant` (sizes measured in ROADMAP.md, "Sampler tiles").
+# row: rows of N normals in `sample_fbm_cholesky_terminals`, of 2N embedding
+# nodes in `sample_fbm_circulant` (sizes measured in ROADMAP.md, "Sampler tiles").
 _TILE_NODES = 2**16
 
 
@@ -277,28 +279,28 @@ def _cholesky_factor(steps: int, step: float, hurst: HurstParameter) -> np.ndarr
     return factor
 
 
-def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
-    """Exact fBm levels for every seed via Cholesky factorization of the fGn covariance.
+def sample_fbm_cholesky_terminals(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
+    """Exact fBm terminal values B(T), one per seed, from the fGn covariance's Cholesky factor.
 
-    Returns one row per seed, shape (paths, N+1), each starting at 0; any
-    integer seed is taken mod 2^64.  O(N^3) for the factorization, made anew
-    by every call (a caller that samples a grid in many calls factors it each
-    time), plus O(N^2) per path.  The normals are drawn in tiles of
-    `_TILE_NODES // N` rows, and a tile's products are one stacked `np.matmul`,
-    which numpy computes as one BLAS matrix-vector product a path: each row has
-    the bits of a single draw whatever the other seeds are (one matrix-matrix
-    product would round differently).
+    Returns one value per seed, shape (paths,); any integer seed is taken mod
+    2^64.  A path's increments are L z, L the lower factor and z its N
+    normals, so B(T) = 1^T L z = w^T z with w = L^T 1, the factor's column
+    sums: O(N^3) for the factorization, made anew by every call, plus O(N)
+    per path, and no path is built.  The normals are drawn in tiles of
+    `_TILE_NODES // N` rows, each scaled by w in place and summed along its
+    rows by numpy's pairwise sum, so each value has the bits of a single draw
+    whatever the other seeds are.
     """
-    factor = _cholesky_factor(grid.steps, grid.step, hurst)
-    out = np.zeros((len(seeds), grid.steps + 1))
+    weights = _cholesky_factor(grid.steps, grid.step, hurst).sum(axis=0)
+    out = np.empty(len(seeds))
     z = np.empty((max(1, min(len(seeds), _TILE_NODES // grid.steps)), grid.steps))
     generators = _generators(seeds)
     for first in range(0, len(seeds), len(z)):
         tile = z[: len(seeds) - first]
         for row, rng in zip(tile, islice(generators, len(tile))):
             rng.standard_normal(out=row)
-        np.matmul(factor, tile[:, :, None], out=out[first : first + len(tile), 1:, None])
-    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+        np.multiply(tile, weights, out=tile)
+        tile.sum(axis=1, out=out[first : first + len(tile)])
     return out
 
 
@@ -328,10 +330,10 @@ def sample_fbm_circulant(grid: GridSpec, hurst: HurstParameter, seeds) -> np.nda
     """Exact fBm levels for every seed via circulant embedding of the fGn covariance.
 
     Returns one row per seed, shape (paths, N+1), each starting at 0, with
-    any integer seed taken mod 2^64: the law of `sample_fbm_cholesky` in
-    O(N log N) per path.  Each path's Gaussian spectrum is Hermitian, so only
-    its N+1 bins are built and one real-output FFT of length 2N turns them
-    into the path's increments (its first N outputs).  A tile of a few rows
+    any integer seed taken mod 2^64: the exact fBm law in O(N log N) per
+    path.  Each path's Gaussian spectrum is Hermitian, so only its N+1 bins
+    are built and one real-output FFT of length 2N turns them into the
+    path's increments (its first N outputs).  A tile of a few rows
     is transformed at a time with the arithmetic of a single path, so each
     row has the same bits whatever the other seeds are.  Every call makes the
     embedding, at about the cost of one path's draw (0.9 ms at 2^14 steps),

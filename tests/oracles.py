@@ -1,6 +1,7 @@
 """Reference computations the tests judge the library against.
 
-All but `terminal_sensitivity` share no code with `fcir`:
+All but `terminal_sensitivity` and `sample_fbm_cholesky` share no code with
+`fcir`:
 
 - `drift`, `residuals`: the transformed drift f(x) = kappa*theta/(2x) -
   kappa*x/2 and the implicit relation of a solved path;
@@ -13,15 +14,22 @@ All but `terminal_sensitivity` share no code with `fcir`:
   in one noise increment, the derivative the Malliavin product form claims
   to be;
 - `scipy_rescaled_kernel_integral`: the inverse-moment kernel integral in
-  scipy's incomplete gamma and Kummer functions.
+  scipy's incomplete gamma and Kummer functions;
+- `sample_fbm_cholesky`: whole fBm paths from the fGn covariance's Cholesky
+  factor, the exact full-path reference for both samplers of `fcir.fbm`.  It
+  takes the factor, the normals and the tile budget from `fcir.fbm`
+  (`_cholesky_factor`, `_generators`, `_TILE_NODES`), looked up at each
+  call, so a test that patches them there patches this draw too.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 from scipy import special
 
-from fcir import CirParams, DomainError, HurstParameter, simulate_batch
+from fcir import CirParams, DomainError, GridSpec, HurstParameter, simulate_batch
+from fcir import fbm
 
 
 def drift(x, params: CirParams):
@@ -148,3 +156,26 @@ def scipy_rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstPara
         else:
             integral = s**a / a * special.hyp1f1(a, a + 1.0, -rate * s)
     return 0.5 * (params.sigma * params.sigma) * hurst.alpha * float(integral)
+
+
+def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
+    """Exact fBm levels for every seed via Cholesky factorization of the fGn covariance.
+
+    Returns one row per seed, shape (paths, N+1), each starting at 0; any
+    integer seed is taken mod 2^64.  The normals are drawn in tiles of
+    `fbm._TILE_NODES // N` rows, and a tile's products are one stacked
+    `np.matmul`, which numpy computes as one BLAS matrix-vector product a
+    path: each row has the bits of a single draw whatever the other seeds
+    are (one matrix-matrix product would round differently).
+    """
+    factor = fbm._cholesky_factor(grid.steps, grid.step, hurst)
+    out = np.zeros((len(seeds), grid.steps + 1))
+    z = np.empty((max(1, min(len(seeds), fbm._TILE_NODES // grid.steps)), grid.steps))
+    generators = fbm._generators(seeds)
+    for first in range(0, len(seeds), len(z)):
+        tile = z[: len(seeds) - first]
+        for row, rng in zip(tile, islice(generators, len(tile))):
+            rng.standard_normal(out=row)
+        np.matmul(factor, tile[:, :, None], out=out[first : first + len(tile), 1:, None])
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    return out

@@ -22,11 +22,10 @@ from fcir import (
     fbm_covariance,
     malliavin_gap_study,
     run_convergence,
-    sample_fbm_cholesky,
     sample_fbm_circulant,
     simulate_batch,
 )
-from oracles import residuals
+from oracles import residuals, sample_fbm_cholesky
 
 BENCH = CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0)
 BASE_SEED = 1234

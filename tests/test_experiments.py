@@ -649,7 +649,7 @@ class TestSamplerChecks:
         def no_draws(*args):
             raise AssertionError("sampled noise for H <= 0.1")
 
-        for name in ("sample_fbm_cholesky", "sample_fbm_circulant"):
+        for name in ("sample_fbm_cholesky_terminals", "sample_fbm_circulant"):
             monkeypatch.setattr(experiments, name, no_draws)
         with pytest.raises(DomainError, match=rf"needs H > 0\.1, got H = {hurst}:"):
             check_fbm_samplers(GridSpec(1.0, 8), HurstParameter(hurst), 4, 3)

@@ -21,13 +21,14 @@ from fcir import (
     fgn_autocovariance,
     holder_statistic,
     malliavin_terminal_forms,
-    sample_fbm_cholesky,
+    sample_fbm_cholesky_terminals,
     sample_fbm_circulant,
     simulate_batch,
 )
 from fcir import experiments
 from fcir import fbm as fbm_module
 from fcir.fbm import _cholesky_factor, _embedding_coefficients, _generators
+from oracles import sample_fbm_cholesky
 
 H06, H07 = HurstParameter(0.6), HurstParameter(0.7)
 
@@ -251,6 +252,74 @@ class TestCholeskySampler:
         assert np.array_equal(factor, np.linalg.cholesky(gamma[np.abs(lags[:, None] - lags)]))
 
 
+class TestCholeskyTerminals:
+    def test_same_seed_bit_identical(self):
+        grid = GridSpec(1.0, 128)
+        a = sample_fbm_cholesky_terminals(grid, H07, [12345, 12345])
+        b = sample_fbm_cholesky_terminals(grid, H07, [12345])
+        assert a.shape == (2,) and b.shape == (1,)
+        assert a[0] == b[0] and a[1] == b[0]
+
+    def test_seed_wraps_at_64_bits(self):
+        grid = GridSpec(1.0, 8)
+        wrapped = sample_fbm_cholesky_terminals(grid, H07, [-1])
+        assert np.array_equal(wrapped, sample_fbm_cholesky_terminals(grid, H07, [2**64 - 1]))
+
+    @pytest.mark.parametrize("steps", [1, 2, 256])
+    def test_block_matches_single_paths(self, monkeypatch, steps):
+        # the seeds of the full-path test, in one tile of the default budget,
+        # then in tiles of 1, 2 and 3 rows
+        grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)
+        seeds = [5, 2**64 - 1, 0, 17, 3]
+        for tile_rows in (None, 1, 2, 3):
+            if tile_rows is not None:
+                monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * steps)
+            block = sample_fbm_cholesky_terminals(grid, hurst, seeds)
+            assert block.shape == (len(seeds),)
+            for value, seed in zip(block, seeds):
+                assert value == sample_fbm_cholesky_terminals(grid, hurst, [seed])[0]
+
+    @pytest.mark.parametrize(
+        "steps, H", [(1, 0.7), (2, 0.95), (256, 0.55), (256, 0.7), (256, 0.95), (2**11, 0.55)]
+    )
+    def test_matches_the_full_path_terminal_column(self, steps, H):
+        # w^T z and the last prefix sum of L z are two roundings of one sum:
+        # at most 5.6e-15 T^H apart here, at 2^11 steps and H = 0.55
+        grid, hurst = GridSpec(3.0, steps), HurstParameter(H)
+        seeds = range(40, 80)
+        expected = sample_fbm_cholesky(grid, hurst, seeds)[:, -1]
+        values = sample_fbm_cholesky_terminals(grid, hurst, seeds)
+        assert np.abs(values - expected).max() <= 1e-13 * grid.horizon**H
+
+    def test_refusals_of_the_factor(self, monkeypatch):
+        # step^(2H) underflows at this horizon, so the covariance is all zeros
+        with pytest.raises(NumericalError, match=r"^fGn variance step\^\(2H\) underflows to 0"):
+            sample_fbm_cholesky_terminals(GridSpec(1e-300, 8), H07, [1])
+
+        def explode(matrix):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", explode)
+        with pytest.raises(NumericalError, match="factorization failed"):
+            sample_fbm_cholesky_terminals(GridSpec(1.0, 8), H07, [1])
+
+    def test_holds_the_factorization_one_tile_and_the_values(self):
+        # The factorization holds its copy of the covariance and the factor,
+        # 2 N^2 doubles, freed before the tile is made; then one tile of
+        # 2^16 normals and the values.  A draw on a small grid first loads
+        # numpy.random, so only the draw is traced.
+        grid, samples = GridSpec(1.0, 2**8), 2000
+        sample_fbm_cholesky_terminals(GridSpec(1.0, 2), H07, [3])
+        tracemalloc.start()
+        try:
+            sample_fbm_cholesky_terminals(grid, H07, range(samples))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (2 * grid.steps**2 + fbm_module._TILE_NODES + samples)
+        assert peak < bound, (peak, bound)
+
+
 class TestCirculantSampler:
     def test_matches_cholesky_distribution(self):
         # Two-sample KS on B(T) at 1%; independent seed ranges.
@@ -448,6 +517,17 @@ class TestExactLaw:
         levels_map = sampler_map(monkeypatch, sampler, grid, hurst)
         assert not levels_map[0].any()  # B(0) = 0 whatever the normals
         assert law_error(levels_map, grid, hurst) < LAW_BOUND
+
+    @pytest.mark.parametrize("steps", [2**4, 2**8])
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.95])
+    def test_terminal_weights_give_the_terminal_variance(self, monkeypatch, H, steps):
+        # fed e_j, path j's terminal value is w_j, the factor's column sum j,
+        # so the draw's law is N(0, |w|^2) and |w|^2 must be T^2H
+        grid, hurst = GridSpec(1.0, steps), HurstParameter(H)
+        weights = _cholesky_factor(steps, grid.step, hurst).sum(axis=0)
+        monkeypatch.setattr(fbm_module, "_generators", lambda seeds: map(UnitNormals, seeds))
+        assert np.array_equal(sample_fbm_cholesky_terminals(grid, hurst, range(steps)), weights)
+        assert abs(weights @ weights - grid.horizon ** (2.0 * H)) < LAW_BOUND
 
     def test_one_bin_mutant_breaks_the_bound(self, monkeypatch):
         # One embedding coefficient scaled by 1.001 moves the covariance by

@@ -50,6 +50,9 @@ CASES = (
     "fbm-check --hurst 0.3 --steps-exp 10 --samples 200",
     # the smallest Cholesky and Hoelder blocks: 3 paths of 2 steps
     "fbm-check --steps-exp 1 --samples 3",
+    # a Cholesky terminal variance whose last digits the weighted sum w^T z
+    # rounds otherwise than the last prefix sum of the whole path (fcir 0.11.0)
+    "fbm-check --steps-exp 4 --samples 200 --seed 2",
     # nodes that are not dyadic fractions of 1
     "converge-uniform --horizon 0.3",
     # the `converge` benchmark op: one block of 400 paths of 2^14 + 1 nodes
@@ -125,6 +128,10 @@ DIGESTS = {
         "fbm-check --steps-exp 1 --samples 3": {
             "data.csv": "9162f5ac3bc5e43bd735ed2ac97204eb310bd8bd678b0eb3b6459948121e0776",
             "sample_path.csv": "c2011fdf901c329bb972919844eeb4e146a54b1c5cd36f09190b00cd2dec606f",
+        },
+        "fbm-check --steps-exp 4 --samples 200 --seed 2": {
+            "data.csv": "e4b94713cbeb630a1822e1eeb2befdb33278bc36c3cb90affdb7361e685f2f63",
+            "sample_path.csv": "a7c8fe9c6f03be26914274c33c3e48db91a0cab962fb49f267f203c68364a811",
         },
         "converge-uniform --horizon 0.3": {
             "data.csv": "8570c675c3e44c2bf0b8bae005b96bbcec8ef0b3df730ebe5ebcbfef706c48ce",
