@@ -1,8 +1,12 @@
 """Command-line front end: reproducible experiment runs with CSV output.
 
-Each subcommand is one entry of `SUBCOMMANDS`: its help text, its handler,
-its model flags with their defaults and its own flags.  `fbm-check` samples
-noise only, so of the model flags it takes just `--hurst` and `--horizon`.
+Each subcommand is one entry of `SUBCOMMANDS`: its help text, its run,
+its model flags with their defaults and its own flags.  A run returns its
+tables, manifest entries and notes, and writes nothing.  `main` is the one
+run sequence: parse argv, make the run directory, call the run, write each
+of its tables through `io.write_table`, then write the manifest.
+`fbm-check` samples noise only, so of the model flags it takes just
+`--hurst` and `--horizon`.
 A run's parser registers every subcommand but adds flags only to the one its
 argv names (see `build_parser`), so its help, usage and error text are those
 of the full parser.  Every run creates `<out>/<subcommand>-<timestamp>/`, or
@@ -11,10 +15,10 @@ one), holding the emitted data files plus a `manifest.txt` sidecar, whose values
 `io` turns into text as it does data cells.  After `command`, `version` and
 `status = ok` the manifest records every parsed flag except `--out` by its
 argparse dest name (`steps_exp`, `ref_exp`, `coarse_exps`, `seed`,
-`workers`, ...) in parser order, then the handler's results, `data_files`,
+`workers`, ...) in parser order, then the run's results, `data_files`,
 the seed rule, wall-clock duration, peak resident memory (`peak_rss_mb`, the
 larger of this process and its largest worker) and `warnings`: the notes the
-handler returns with its results, in report order, then the caught Python
+run returns with its results, in report order, then the caught Python
 warnings, joined by ` | `, or `(none)`.  The convergence and inverse-moment
 studies note each inverse-moment condition that fails.  Each subcommand that
 solves the scheme ends its results with its block split, the paths of its
@@ -160,82 +164,92 @@ def _study_record(config: ExperimentConfig, workers: int) -> tuple[dict, tuple[s
     return entries, notes
 
 
-def _cmd_simulate(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
+# A run's tables (file name -> columns, as `io.write_table` takes them),
+# manifest entries and notes.
+Run = tuple[dict[str, dict], dict, tuple[str, ...]]
+
+
+def _run_study(study: Callable[[ExperimentConfig, int], Run], args: argparse.Namespace) -> Run:
+    """`study`'s run on the args' config and workers, then `_study_record`'s entries and note."""
     config = _experiment_config(args)
-    (x,) = simulate_paths(config, workers=args.workers)
-    io.write_solution_path(outdir / "data.csv", config.reference_grid, x)
-    entries, notes = _study_record(config, args.workers)
-    return {"min_rate": (x**2).min(), **entries}, notes
+    tables, entries, notes = study(config, args.workers)
+    record, note = _study_record(config, args.workers)
+    return tables, {**entries, **record}, (*notes, *note)
 
 
-def _cmd_fbm_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
+def _simulate(config: ExperimentConfig, workers: int) -> Run:
+    (x,) = simulate_paths(config, workers=workers)
+    r = x**2
+    table = {"t": config.reference_grid.nodes(), "X": x, "r": r}
+    return {"data.csv": table}, {"min_rate": r.min()}, ()
+
+
+def _convergence(config: ExperimentConfig, workers: int) -> Run:
+    report = run_convergence(config, workers=workers)
+    rms = report.rms  # the level X at the grid and uniformly, then the rate r = X^2
+    table = {"h": report.step_sizes, "rms_sup_error_grid": rms["level_grid"],
+             "rms_sup_error_uniform": rms["level_uniform"],
+             "samples": [report.samples] * len(report.step_sizes),
+             "rms_rate_sup_error_grid": rms["rate_grid"],
+             "rms_rate_sup_error_uniform": rms["rate_uniform"]}
+    fits = {
+        f"{key}_{family}": value
+        for family, fit in report.fits.items()
+        for key, value in zip(("slope", "intercept"), fit or (math.nan, math.nan))
+    }
+    return ({"data.csv": table}, {**fits, **_condition_summary(report.condition_checks)},
+            report.warnings)
+
+
+def _inverse_moments(config: ExperimentConfig, workers: int) -> Run:
+    curve = estimate_inverse_moments(config, workers=workers)
+    entries = {"max_inverse_moment": curve.values.max(),
+               **_condition_summary(curve.condition_checks)}
+    return {"data.csv": {"t": curve.times, "inv_moment": curve.values}}, entries, curve.warnings
+
+
+def _malliavin_check(config: ExperimentConfig, workers: int) -> Run:
+    report = malliavin_gap_study(config, workers=workers)
+    table = {"h": report.step_sizes, "mean_abs_gap": report.mean_abs_gaps,
+             "ratio_vs_prev": report.ratios}  # nan in the first row, its `nan_cell`
+    return {"data.csv": table}, {"profile_max": max(report.profile_max)}, ()
+
+
+def _fbm_check(args: argparse.Namespace) -> Run:
     hurst = HurstParameter(args.hurst)
     grid = GridSpec.dyadic(args.horizon, args.steps_exp)
     checks = check_fbm_samplers(grid, hurst, args.samples, args.seed)
     (path,) = sample_fbm_circulant(grid, hurst, [args.seed])
-    io.write_fbm_path(outdir / "sample_path.csv", grid, path)
-    io.write_sampler_checks(outdir / "data.csv", checks)
-    return {"all_checks_passed": all(check.passed for check in checks), "workers": 1}, ()
+    tables = {"sample_path.csv": {"t": grid.nodes(), "B": path},
+              "data.csv": dict(zip(("check", "statistic", "threshold", "passed"), zip(*checks)))}
+    return tables, {"all_checks_passed": all(check.passed for check in checks), "workers": 1}, ()
 
 
-def _cmd_convergence(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
-    config = _experiment_config(args)
-    report = run_convergence(config, workers=args.workers)
-    io.write_convergence(outdir / "data.csv", report)
-    entries, notes = _study_record(config, args.workers)
-    return {
-        **{
-            f"{key}_{family}": value
-            for family, fit in report.fits.items()
-            for key, value in zip(("slope", "intercept"), fit or (math.nan, math.nan))
-        },
-        **_condition_summary(report.condition_checks),
-        **entries,
-    }, (*report.warnings, *notes)
-
-
-def _cmd_inverse_moments(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
-    config = _experiment_config(args)
-    curve = estimate_inverse_moments(config, workers=args.workers)
-    io.write_inverse_moments(outdir / "data.csv", curve)
-    entries, notes = _study_record(config, args.workers)
-    return {
-        "max_inverse_moment": curve.values.max(),
-        **_condition_summary(curve.condition_checks),
-        **entries,
-    }, (*curve.warnings, *notes)
-
-
-def _cmd_malliavin_check(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
-    config = _experiment_config(args)
-    report = malliavin_gap_study(config, workers=args.workers)
-    io.write_malliavin_gaps(outdir / "data.csv", report)
-    entries, notes = _study_record(config, args.workers)
-    return {"profile_max": max(report.profile_max), **entries}, notes
-
-
-def _cmd_check_conditions(args: argparse.Namespace, outdir: Path) -> tuple[dict, tuple[str, ...]]:
-    params = _params(args)
-    reports = check_moment_conditions(args.p, params, HurstParameter(args.hurst), args.horizon)
-    io.write_condition_reports(outdir / "data.csv", reports)
-    return {
-        "sufficient_closed_form": reports[0].sufficient,
-        **_condition_summary(reports),
-        "workers": 1,
-    }, ()
+def _check_conditions(args: argparse.Namespace) -> Run:
+    reports = check_moment_conditions(args.p, _params(args), HurstParameter(args.hurst),
+                                      args.horizon)
+    table = {name: [getattr(report, name) for report in reports] for name in io.CONDITION_COLUMNS}
+    entries = {"sufficient_closed_form": reports[0].sufficient, **_condition_summary(reports)}
+    return {"data.csv": table}, {**entries, "workers": 1}, ()
 
 
 class Subcommand(NamedTuple):
-    """Help text, handler, model flags (name -> default), own flags (name -> (type, default))."""
+    """Help text, run, model flags (name -> default), own flags (name -> (type, default)).
+
+    The run gives the parsed args' `Run` and writes nothing: `main` writes its
+    tables.  `nan_cell` names the one nan cell (row, column) they may hold.
+    """
 
     help: str
-    handler: Callable[[argparse.Namespace, Path], tuple[dict, tuple[str, ...]]]
+    run: Callable[[argparse.Namespace], Run]
     model: dict[str, float]
     flags: dict[str, tuple[Callable[[str], object], object]]
+    nan_cell: tuple[int, str] | None = None
 
 
 _CONVERGENCE = Subcommand(
-    "matched-path strong errors at grid nodes and in the uniform norm", _cmd_convergence,
+    "matched-path strong errors at grid nodes and in the uniform norm",
+    partial(_run_study, _convergence),
     {**MODEL_DEFAULTS, "horizon": 1.0},
     {"ref-exp": (int, 12), "coarse-exps": (_parse_exponents, (4, 5, 6, 7, 8, 9)),
      "samples": (int, 200), "p": (int, 2)},
@@ -243,29 +257,31 @@ _CONVERGENCE = Subcommand(
 
 SUBCOMMANDS = {
     "simulate": Subcommand(
-        "one trajectory on 2^steps-exp steps, emitted as t,X,r", _cmd_simulate,
+        "one trajectory on 2^steps-exp steps, emitted as t,X,r", partial(_run_study, _simulate),
         {**MODEL_DEFAULTS, "horizon": 10.0},
         {"steps-exp": (int, 12)},
     ),
     "fbm-check": Subcommand(
-        "statistical validation of the fBm samplers", _cmd_fbm_check,
+        "statistical validation of the fBm samplers", _fbm_check,
         {**NOISE_DEFAULTS, "horizon": 1.0},
         {"steps-exp": (int, 8), "samples": (int, 2000)},
     ),
     "converge-grid": _CONVERGENCE,
     "converge-uniform": _CONVERGENCE,
     "inverse-moments": Subcommand(
-        "inverse-moment curve over one grid", _cmd_inverse_moments,
+        "inverse-moment curve over one grid", partial(_run_study, _inverse_moments),
         {**MODEL_DEFAULTS, "horizon": 10.0},
         {"steps-exp": (int, 12), "samples": (int, 100), "p": (int, 2)},
     ),
     "malliavin-check": Subcommand(
-        "gap between the product and exponential derivative forms", _cmd_malliavin_check,
+        "gap between the product and exponential derivative forms",
+        partial(_run_study, _malliavin_check),
         {**MODEL_DEFAULTS, "horizon": 1.0},
         {"ref-exp": (int, 8), "coarse-exps": (_parse_exponents, (5, 6, 7)), "samples": (int, 100)},
+        nan_cell=(0, "ratio_vs_prev"),  # the first gap ratio has no predecessor
     ),
     "check-conditions": Subcommand(
-        "inverse-moment condition margins", _cmd_check_conditions,
+        "inverse-moment condition margins", _check_conditions,
         {**MODEL_DEFAULTS, "horizon": 1.0}, {"p": (int, 6)},
     ),
 }
@@ -290,7 +306,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     run_flags = {"seed": (int, 1), "out": (str, "runs"), "workers": (_positive_int, workers)}
     for name, spec in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
-        p.set_defaults(handler=spec.handler)
         if command not in (None, name):
             continue
         for flag, default in spec.model.items():
@@ -392,20 +407,23 @@ def main(argv: list[str] | None = None) -> int:
     flags = {
         dest: value
         for dest, value in vars(args).items()
-        if dest not in ("command", "out", "handler")
+        if dest not in ("command", "out")
     }
     # a stop signal the caller does not ignore raises KeyboardInterrupt (main thread only)
     in_main_thread = threading.current_thread() is threading.main_thread()
     previous = {signum: signal.signal(signum, partial(_stop, os.getpid())) for signum in _STOPS
                 if in_main_thread and signal.getsignal(signum) != signal.SIG_IGN}
+    spec = SUBCOMMANDS[args.command]
     started = time.perf_counter()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results, notes = args.handler(args, outdir)
+            tables, results, notes = spec.run(args)
+            for name, columns in tables.items():
+                io.write_table(outdir / name, columns, spec.nan_cell)
         duration = time.perf_counter() - started
         manifest = {**head, "status": "ok", **flags, **results}
-        manifest["data_files"] = ",".join(sorted(path.name for path in outdir.iterdir()))
+        manifest["data_files"] = ",".join(sorted(tables))
         manifest["seed_rule"] = "path i uses seed + i (mod 2^64)"
         manifest["duration_seconds"] = duration
         manifest["peak_rss_mb"] = _peak_rss_mb()

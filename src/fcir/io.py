@@ -3,13 +3,13 @@
 Every value goes through one cell rule, `_cell`: floats at 17 significant
 digits, which round-trips double precision losslessly, lowercase booleans,
 a tuple's cells joined by commas.  Every CSV data file comes from one table
-writer, `_write_table`, with a fixed "\n" line ending, so repeated runs
+writer, `write_table`, with a fixed "\n" line ending, so repeated runs
 produce byte-identical files.  A data file holds finite floats only: a nan
-or infinite cell raises NumericalError before the file is opened.  The one
-exception is the documented nan `ratio_vs_prev` in the first row of the
-Malliavin gap study.  A file, the manifest too, is written under
-`<name>.partial`, a block of lines at a time, and then renamed onto its
-name, so it is whole or absent; the text of one block is held at a time.
+or infinite cell raises NumericalError before the file is opened, but for
+the one nan cell its caller may name as `nan_cell`.  The column layouts are
+the callers': io knows no study.  A file, the manifest too, is written
+under `<name>.partial`, a block of lines at a time, and then renamed onto
+its name, so it is whole or absent; the text of one block is held at a time.
 """
 
 from __future__ import annotations
@@ -22,22 +22,10 @@ import numpy as np
 
 from .errors import NumericalError
 
-if TYPE_CHECKING:  # annotations only: at run time the writers need numpy and errors alone
-    from .experiments import ConvergenceReport, InverseMomentCurve, MalliavinGapReport, SamplerCheck
-    from .fbm import GridSpec
+if TYPE_CHECKING:  # an annotation only: at run time io needs numpy and errors alone
     from .model import ConditionReport
 
-__all__ = [
-    "condition_record",
-    "write_fbm_path",
-    "write_solution_path",
-    "write_condition_reports",
-    "write_convergence",
-    "write_inverse_moments",
-    "write_malliavin_gaps",
-    "write_sampler_checks",
-    "write_key_values",
-]
+__all__ = ["condition_record", "write_table", "write_key_values"]
 
 
 _FLOAT_CELL = "{:.17g}"
@@ -73,7 +61,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_table(target: Path, columns: dict, nan_cell=None) -> None:
+def write_table(target: Path, columns: dict, nan_cell=None) -> None:
     """CSV of columns (header name -> cells), one `str.format` call a row.
 
     A column is a float64 array, whose cells take the 17-digit float text in
@@ -107,58 +95,13 @@ def _float_cells(column: np.ndarray):
                                for start in range(0, len(column), _BLOCK_LINES))
 
 
-def write_fbm_path(target: Path, grid: GridSpec, values) -> None:
-    """Noise levels B on grid as `t,B`, one row per node."""
-    _write_table(target, {"t": grid.nodes(), "B": values})
-
-
-def write_solution_path(target: Path, grid: GridSpec, x) -> None:
-    """Solution levels X on grid and the rates r = X^2 as `t,X,r`, one row per node."""
-    _write_table(target, {"t": grid.nodes(), "X": x, "r": x**2})
-
-
-_CONDITION_COLUMNS = ("holds", "worst_margin", "worst_s", "multiplier", "method")
+# The columns of a condition record, and of the `check-conditions` table.
+CONDITION_COLUMNS = ("holds", "worst_margin", "worst_s", "multiplier", "method")
 
 
 def condition_record(report: ConditionReport) -> str:
     """One-line CSV record: holds,worst_margin,worst_s,multiplier,method."""
-    return ",".join(_cell(getattr(report, name)) for name in _CONDITION_COLUMNS)
-
-
-def write_condition_reports(target: Path, reports: Iterable[ConditionReport]) -> None:
-    reports = tuple(reports)
-    _write_table(target, {name: [getattr(report, name) for report in reports]
-                          for name in _CONDITION_COLUMNS})
-
-
-def write_convergence(target: Path, report: ConvergenceReport) -> None:
-    """Errors as `h,rms_sup_error_grid,rms_sup_error_uniform,samples,rms_rate_sup_error_grid,
-    rms_rate_sup_error_uniform`: the level X at the grid and uniformly, then the rate r = X^2."""
-    rms, samples = report.rms, [report.samples] * len(report.step_sizes)
-    _write_table(target, {
-        "h": report.step_sizes, "rms_sup_error_grid": rms["level_grid"],
-        "rms_sup_error_uniform": rms["level_uniform"], "samples": samples,
-        "rms_rate_sup_error_grid": rms["rate_grid"],
-        "rms_rate_sup_error_uniform": rms["rate_uniform"],
-    })
-
-
-def write_inverse_moments(target: Path, curve: InverseMomentCurve) -> None:
-    """Inverse-moment curve as `t,inv_moment`, one row per node."""
-    _write_table(target, {"t": curve.times, "inv_moment": curve.values})
-
-
-def write_malliavin_gaps(target: Path, report: MalliavinGapReport) -> None:
-    """Gap study as `h,mean_abs_gap,ratio_vs_prev` (nan ratio on the first row)."""
-    _write_table(target, {"h": report.step_sizes, "mean_abs_gap": report.mean_abs_gaps,
-                          "ratio_vs_prev": report.ratios}, nan_cell=(0, "ratio_vs_prev"))
-
-
-def write_sampler_checks(target: Path, checks: Iterable[SamplerCheck]) -> None:
-    """Sampler checks as `check,statistic,threshold,passed`."""
-    checks = tuple(checks)
-    names = ("check", "statistic", "threshold", "passed")
-    _write_table(target, {name: [check[i] for check in checks] for i, name in enumerate(names)})
+    return ",".join(_cell(getattr(report, name)) for name in CONDITION_COLUMNS)
 
 
 def write_key_values(target: Path, entries: dict) -> None:

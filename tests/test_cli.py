@@ -18,7 +18,6 @@ import pytest
 from fcir import GridSpec, HurstParameter, __version__, cli, experiments, sample_fbm_circulant
 from fcir.cli import main
 from fcir.experiments import SamplerCheck
-from fcir.io import write_fbm_path
 
 
 def run_cli(tmp_path, *argv):
@@ -41,7 +40,7 @@ def read_manifest(run_dir):
 def manifest_flags(argv):
     """The flag keys a manifest records for argv, in parser order."""
     args = vars(cli.build_parser().parse_args(argv))
-    return [dest for dest in args if dest not in ("command", "out", "handler")]
+    return [dest for dest in args if dest not in ("command", "out")]
 
 
 def rerun_argv(command, manifest, flags):
@@ -88,12 +87,13 @@ class TestSimulate:
         assert math.isfinite(peak) and peak > 0.0
 
     def test_full_precision_round_trip(self, tmp_path):
-        # 17 significant digits reproduce the doubles exactly
+        # 17 significant digits reproduce the doubles exactly: fbm-check's sample path
         grid = GridSpec(1.0, 16)
         (path,) = sample_fbm_circulant(grid, HurstParameter(0.7), [5])
-        target = tmp_path / "path.csv"
-        write_fbm_path(target, grid, path)
-        header, rows = read_rows(target)
+        code, (run,) = run_cli(tmp_path, "fbm-check", "--steps-exp", "4", "--samples", "50",
+                               "--seed", "5", "--workers", "1")
+        assert code == 0
+        header, rows = read_rows(run / "sample_path.csv")
         assert header == ["t", "B"]
         parsed = np.array([float(row[1]) for row in rows])
         assert np.array_equal(parsed, path)
@@ -304,8 +304,23 @@ def test_manifest_flags_reproduce_the_data_files(tmp_path, capsys):
         manifest = read_manifest(run)
         (rerun,) = run_cli(tmp_path / command / "rerun", *rerun_argv(command, manifest, flags))[1]
         assert [key for key in read_manifest(rerun) if key in flags] == flags
-        for name in manifest["data_files"].split(","):
+        names = manifest["data_files"].split(",")
+        assert sorted(path.name for path in run.iterdir()) == sorted(["manifest.txt", *names])
+        for name in names:
             assert (rerun / name).read_bytes() == (run / name).read_bytes(), (command, name)
+
+
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_a_run_writes_nothing(tmp_path, monkeypatch, command):
+    # a run returns its tables and `main` writes them: the run itself opens no file
+    def refuse(target, lines):
+        raise AssertionError(f"the {command} run wrote {target}")
+
+    monkeypatch.setattr(cli.io, "_write_lines", refuse)
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args([command, *SMALL_RUNS[command].split(), "--workers", "1"])
+    tables, _, _ = cli.SUBCOMMANDS[command].run(args)
+    assert tables and list(tmp_path.iterdir()) == []
 
 
 class TestParser:
@@ -316,7 +331,7 @@ class TestParser:
         # every flag off its default: floats and ints one up, a list and a path changed
         argv = [command]
         for dest, value in defaults.items():
-            if dest not in ("command", "handler"):
+            if dest != "command":
                 text = {tuple: "3,4", str: "elsewhere"}.get(type(value)) or str(value + 1)
                 argv += [f"--{dest.replace('_', '-')}", text]
         for words in ([command], argv):
@@ -375,7 +390,7 @@ class TestWarnings:
 
     def test_caught_warnings_follow_the_report_notes(self, tmp_path, monkeypatch):
         def warning_study(config, workers):
-            warnings.warn("raised inside the handler")
+            warnings.warn("raised inside the study")
             return experiments.run_convergence(config, workers=workers)
 
         monkeypatch.setattr(cli, "run_convergence", warning_study)
@@ -385,7 +400,7 @@ class TestWarnings:
         assert len(notes) == 3
         assert notes[0].startswith("inverse-moment condition with multiplier 3 fails")
         assert notes[1].startswith("inverse-moment condition with multiplier 7 fails")
-        assert notes[2] == "raised inside the handler"
+        assert notes[2] == "raised inside the study"
 
     def test_inverse_moments_notes_its_failing_conditions(self, tmp_path):
         # the conditions that fail the convergence study fail the inverse-moment

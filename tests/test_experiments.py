@@ -25,8 +25,7 @@ from fcir import (
     simulate_batch,
     simulate_paths,
 )
-from fcir import cli, experiments, fbm
-from fcir.io import write_sampler_checks
+from fcir import cli, experiments, fbm, io
 
 
 def small_config(bench_params, hurst07, **overrides):
@@ -585,7 +584,12 @@ class TestSamplerChecks:
         assert all(math.isfinite(c.statistic) for c in checks)
         assert checks == check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3)
 
-        write_sampler_checks(tmp_path / "data.csv", checks)
+        # fbm-check's table of the same checks
+        args = cli.build_parser().parse_args(
+            ["fbm-check", "--steps-exp", "5", "--samples", "400", "--seed", "3", "--workers", "1"]
+        )
+        tables, _, _ = cli.SUBCOMMANDS["fbm-check"].run(args)
+        io.write_table(tmp_path / "data.csv", tables["data.csv"])
         lines = (tmp_path / "data.csv").read_text().splitlines()
         assert lines[0] == "check,statistic,threshold,passed"
         assert lines[4].startswith("cross_sampler_ks_pvalue,")

@@ -156,6 +156,12 @@ def test_each_public_name_is_declared_once_and_the_layers_hold():
     assert named == []
     # the writers take the study results as they are handed them
     assert _fcir_imports("io") == {"errors"}
+    # and know no study or kernel type, even in annotations: beside errors,
+    # io names ConditionReport alone
+    tree = ast.parse(Path(fcir.__file__).with_name("io.py").read_text())
+    named = {(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    assert named == {("errors", "NumericalError"), ("model", "ConditionReport")}
     # kernels, then studies, then writers, then the command line
     for kernel in ("fbm", "model", "scheme", "malliavin"):
         assert _fcir_imports(kernel) & {"experiments", "io", "cli"} == set(), kernel

@@ -1,5 +1,5 @@
 """Tests for the CSV writers: the one table writer against a per-cell oracle,
-the convergence columns, the finiteness gate and whole-or-absent files."""
+the subcommands' column layouts, the finiteness gate and whole-or-absent files."""
 
 import math
 import tempfile
@@ -11,14 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fcir import (
-    CirParams, ExperimentConfig, GridSpec, HurstParameter, NumericalError, io, run_convergence,
-)
-from fcir.experiments import InverseMomentCurve, MalliavinGapReport
+from fcir import GridSpec, NumericalError, cli, io, run_convergence
+from fcir.experiments import MalliavinGapReport
 
 
 def write_rows(target, header, rows, nan_cell=None):
-    """The per-cell oracle of `io._write_table`: each cell of each row formatted alone.
+    """The per-cell oracle of `io.write_table`: each cell of each row formatted alone.
 
     Floats (numpy float64 scalars too) at 17 significant digits, booleans in
     lowercase, any other cell as str.  The first float cell in row order that
@@ -45,7 +43,7 @@ def write_rows(target, header, rows, nan_cell=None):
 
 
 def table(header, rows):
-    """rows under the comma-separated header as the columns `io._write_table` takes."""
+    """rows under the comma-separated header as the columns `io.write_table` takes."""
     rows = list(rows)
     return {name: [row[i] for row in rows] for i, name in enumerate(header.split(","))}
 
@@ -55,14 +53,19 @@ def read_cells(path):
     return header, rows
 
 
+def run_tables(argv):
+    """The tables, entries and notes of the run of `fcir <argv> --workers 1`, and its args."""
+    args = cli.build_parser().parse_args([*argv, "--workers", "1"])
+    return cli.SUBCOMMANDS[args.command].run(args), args
+
+
 def test_convergence_writes_level_then_rate_errors(tmp_path):
-    config = ExperimentConfig(
-        params=CirParams(kappa=2.0, theta=0.5, sigma=0.5, r0=1.0),
-        hurst=HurstParameter(0.7), horizon=1.0, reference_exponent=7,
-        coarse_exponents=(3, 4, 5), samples=4, base_seed=7,
+    (tables, _, _), args = run_tables(
+        ["converge-grid", "--ref-exp", "7", "--coarse-exps", "3,4,5", "--samples", "4",
+         "--seed", "7"]
     )
-    report = run_convergence(config)
-    io.write_convergence(tmp_path / "data.csv", report)
+    report = run_convergence(cli._experiment_config(args))
+    io.write_table(tmp_path / "data.csv", tables["data.csv"])
     header, rows = read_cells(tmp_path / "data.csv")
     assert header == [
         "h", "rms_sup_error_grid", "rms_sup_error_uniform", "samples",
@@ -78,11 +81,11 @@ def test_convergence_writes_level_then_rate_errors(tmp_path):
 
 
 def test_python_floats_write_the_bytes_of_numpy_scalars(tmp_path):
-    # the path writers format Python floats from `.tolist()`; a float column
+    # a float array's cells are Python floats from `.tolist()`; a float column
     # has the same text either way
     column = np.array([-0.0, 5e-324, 1.7e308, 1 / 3, 2.0])
-    io._write_table(tmp_path / "numpy.csv", {"i": list(range(5)), "v": list(column)})
-    io._write_table(tmp_path / "python.csv", {"i": list(range(5)), "v": column.tolist()})
+    io.write_table(tmp_path / "numpy.csv", {"i": list(range(5)), "v": list(column)})
+    io.write_table(tmp_path / "python.csv", {"i": list(range(5)), "v": column.tolist()})
     assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
     _, rows = read_cells(tmp_path / "python.csv")
     assert [cell for _, cell in rows] == [
@@ -98,7 +101,7 @@ def test_cells_keep_the_text_of_per_cell_formatting(tmp_path):
         ("inf", 1, True, np.float64(-1e-300), 0.1),
         ("nan_count", -2**70, False, 2.5, np.float64(1e300)),
     ]
-    io._write_table(tmp_path / "data.csv", table("name,n,flag,x,y", rows))
+    io.write_table(tmp_path / "data.csv", table("name,n,flag,x,y", rows))
     assert (tmp_path / "data.csv").read_bytes() == (
         b"name,n,flag,x,y\n"
         b"inf,1,true,-1e-300,0.10000000000000001\n"
@@ -106,17 +109,29 @@ def test_cells_keep_the_text_of_per_cell_formatting(tmp_path):
     )
 
 
+# Each path file: the small run that writes it, its name and its header.
+PATH_FILES = {
+    "fbm": (["fbm-check", "--steps-exp", "2", "--samples", "50"], "sample_path.csv", "t,B"),
+    "solution": (["simulate", "--steps-exp", "2"], "data.csv", "t,X,r"),
+    "inverse": (["inverse-moments", "--steps-exp", "2", "--samples", "2"], "data.csv",
+                "t,inv_moment"),
+}
+
+
+@pytest.mark.parametrize("writer", PATH_FILES)
+def test_path_files_have_their_headers(writer):
+    argv, name, header = PATH_FILES[writer]
+    (tables, _, _), _ = run_tables(argv)
+    assert ",".join(tables[name]) == header
+
+
 def path_file(writer, values):
-    """A path writer of values, its header and its numpy columns."""
-    grid = GridSpec(1.0, len(values) - 1)
-    nodes = grid.nodes()
-    if writer == "fbm":
-        return lambda target: io.write_fbm_path(target, grid, values), "t,B", (nodes, values)
-    if writer == "solution":
-        columns = (nodes, values, values**2)
-        return lambda target: io.write_solution_path(target, grid, values), "t,X,r", columns
-    curve = InverseMomentCurve(nodes, values, condition_checks=(), warnings=())
-    return lambda target: io.write_inverse_moments(target, curve), "t,inv_moment", (nodes, values)
+    """A writer of values in the path file's layout, its header and its numpy columns."""
+    nodes = GridSpec(1.0, len(values) - 1).nodes()
+    header = PATH_FILES[writer][2]
+    columns = (nodes, values, values**2) if writer == "solution" else (nodes, values)
+    table = dict(zip(header.split(","), columns))
+    return lambda target: io.write_table(target, table), header, columns
 
 
 @pytest.mark.parametrize("writer", ["fbm", "solution", "inverse"])
@@ -156,7 +171,7 @@ def test_table_text_is_held_a_block_at_a_time(tmp_path, monkeypatch):
         columns = {"t": GridSpec(1.0, steps).nodes(), "X": x, "r": x**2}
         tracemalloc.start()
         try:
-            io._write_table(tmp_path / "data.csv", columns)
+            io.write_table(tmp_path / "data.csv", columns)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -184,7 +199,7 @@ def test_non_finite_cell_raises_before_the_file_is_opened(tmp_path, value):
     target = tmp_path / "data.csv"
     rows = [(0.5, 1.0, True), (0.25, value, False)]
     with pytest.raises(NumericalError, match=r"^data\.csv would hold b = -?(nan|inf) in data row 2;"):
-        io._write_table(target, table("a,b,c", rows))
+        io.write_table(target, table("a,b,c", rows))
     assert not target.exists()
 
 
@@ -193,24 +208,29 @@ def test_non_finite_numpy_scalar_raises_before_the_file_is_opened(tmp_path, valu
     target = tmp_path / "data.csv"
     rows = [(0.5, 1.0, True), (np.float64(0.25), np.float64(value), False)]
     with pytest.raises(NumericalError, match=r"^data\.csv would hold b = -?(nan|inf) in data row 2;"):
-        io._write_table(target, table("a,b,c", rows))
+        io.write_table(target, table("a,b,c", rows))
     assert not target.exists()
 
 
-def gap_report(ratios):
-    return MalliavinGapReport(
+def write_gap_table(target, ratios, monkeypatch):
+    """The malliavin-check table of a gap study with these ratios, written as `main` writes it."""
+    report = MalliavinGapReport(
         step_sizes=(0.5, 0.25), mean_abs_gaps=(0.2, 0.1), ratios=ratios,
         profile_min=(0.1, 0.1), profile_max=(1.0, 1.0),
     )
+    monkeypatch.setattr(cli, "malliavin_gap_study", lambda config, workers: report)
+    (tables, _, _), args = run_tables(["malliavin-check"])
+    io.write_table(target, tables["data.csv"], cli.SUBCOMMANDS[args.command].nan_cell)
 
 
-def test_only_the_first_gap_ratio_may_be_nan(tmp_path):
-    io.write_malliavin_gaps(tmp_path / "data.csv", gap_report((math.nan, 2.0)))
-    _, rows = read_cells(tmp_path / "data.csv")
+def test_only_the_first_gap_ratio_may_be_nan(tmp_path, monkeypatch):
+    write_gap_table(tmp_path / "data.csv", (math.nan, 2.0), monkeypatch)
+    header, rows = read_cells(tmp_path / "data.csv")
+    assert header == ["h", "mean_abs_gap", "ratio_vs_prev"]
     assert [row[2] for row in rows] == ["nan", "2"]
     for ratios in ((math.inf, 2.0), (2.0, math.nan)):
         with pytest.raises(NumericalError, match="ratio_vs_prev"):
-            io.write_malliavin_gaps(tmp_path / "other.csv", gap_report(ratios))
+            write_gap_table(tmp_path / "other.csv", ratios, monkeypatch)
     assert not (tmp_path / "other.csv").exists()
 
 
@@ -264,7 +284,7 @@ def by_oracle(target, columns, nan_cell):
 def test_table_writes_the_bytes_of_the_per_cell_oracle(columns):
     # finite cells whose sum overflows, and names that spell nan or inf, are data
     with tempfile.TemporaryDirectory() as written, tempfile.TemporaryDirectory() as expected:
-        assert outcome(io._write_table, written, columns) == outcome(by_oracle, expected, columns)
+        assert outcome(io.write_table, written, columns) == outcome(by_oracle, expected, columns)
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,7 +295,7 @@ def test_non_finite_float_cell_refused_with_the_oracle_message(columns, data):
         column = columns[data.draw(st.sampled_from(sorted(columns)))]
         column[data.draw(st.integers(0, len(column) - 1))] = data.draw(NON_FINITE)
     with tempfile.TemporaryDirectory() as written, tempfile.TemporaryDirectory() as expected:
-        refused = outcome(io._write_table, written, columns)
+        refused = outcome(io.write_table, written, columns)
         assert refused == outcome(by_oracle, expected, columns)
         message, files = refused
         assert message.endswith("; data files hold finite values only")
@@ -297,7 +317,7 @@ def test_nan_passes_only_at_nan_cell(columns, data, value):
             columns[other][row] = data.draw(NON_FINITE)
             others += 1
     with tempfile.TemporaryDirectory() as written, tempfile.TemporaryDirectory() as expected:
-        result = outcome(io._write_table, written, columns, nan_cell)
+        result = outcome(io.write_table, written, columns, nan_cell)
         assert result == outcome(by_oracle, expected, columns, nan_cell)
     assert isinstance(result, bytes) == (math.isnan(value) and others == 0)
 
@@ -313,15 +333,18 @@ def test_manifest_values_take_the_text_of_data_cells(tmp_path):
         b"exps = 4,5\nmargins = 0.10000000000000001,false\n"
     )
     cells = {key: [value] for key, value in entries.items() if not isinstance(value, tuple)}
-    io._write_table(tmp_path / "data.csv", cells)
+    io.write_table(tmp_path / "data.csv", cells)
     _, (row,) = read_cells(tmp_path / "data.csv")
     assert row == ["inf", "7", "true", "-1e-300", "0.10000000000000001"]
 
 
 def test_zero_row_table_writes_its_header_alone(tmp_path):
-    io._write_table(tmp_path / "data.csv", {"t": [], "check": [], "passed": []})
+    io.write_table(tmp_path / "data.csv", {"t": [], "check": [], "passed": []})
     assert (tmp_path / "data.csv").read_bytes() == b"t,check,passed\n"
-    io.write_condition_reports(tmp_path / "conditions.csv", [])
+    # the check-conditions columns, those of a condition record too
+    (tables, _, _), _ = run_tables(["check-conditions", "--p", "3"])
+    assert tuple(tables["data.csv"]) == io.CONDITION_COLUMNS
+    io.write_table(tmp_path / "conditions.csv", {name: [] for name in tables["data.csv"]})
     assert (tmp_path / "conditions.csv").read_bytes() == (
         b"holds,worst_margin,worst_s,multiplier,method\n"
     )
@@ -353,7 +376,8 @@ def test_a_write_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch,
         target.write_bytes(b"t,X,r\n")
     monkeypatch.setattr(io, "open", FullDisk, raising=False)
     with pytest.raises(OSError, match="No space left on device"):
-        io.write_solution_path(target, GridSpec(1.0, 4), np.linspace(1.0, 2.0, 5))
+        x = np.linspace(1.0, 2.0, 5)
+        io.write_table(target, {"t": GridSpec(1.0, 4).nodes(), "X": x, "r": x**2})
     assert sorted(path.name for path in tmp_path.iterdir()) == (["data.csv"] if existing else [])
     if existing:
         assert target.read_bytes() == b"t,X,r\n"

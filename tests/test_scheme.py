@@ -22,8 +22,7 @@ from fcir import (
     simulate_paths,
     step_constants,
 )
-from fcir import experiments, scheme
-from fcir.io import write_solution_path
+from fcir import cli, experiments, io, scheme
 from oracles import backward_euler_step, bisect_implicit_step, residuals, rk4_levels
 
 H07 = HurstParameter(0.7)
@@ -357,10 +356,14 @@ class TestDossSussmannOracle:
 
 class TestRateProcess:
     def test_nodes_and_origin(self, bench_params, tmp_path):
-        # the rate column the solution writer emits is X^2, r0 at t = 0
+        # the rate column simulate writes is X^2, r0 at t = 0
         grid = GridSpec(1.0, 32)
         path = one_path(grid, bench_params, 8)
-        write_solution_path(tmp_path / "path.csv", grid, path)
+        args = cli.build_parser().parse_args(
+            ["simulate", "--horizon", "1", "--steps-exp", "5", "--seed", "8", "--workers", "1"]
+        )
+        tables, _, _ = cli.SUBCOMMANDS["simulate"].run(args)
+        io.write_table(tmp_path / "path.csv", tables["data.csv"])
         table = np.loadtxt(tmp_path / "path.csv", delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 0], grid.nodes())
         assert np.array_equal(table[:, 1], path)
