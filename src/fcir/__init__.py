@@ -8,4 +8,4 @@ from .model import *  # noqa: F403
 from .scheme import *  # noqa: F403
 from .scheme import step_constants  # outside scheme.__all__, which the benchmark tracer times
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -30,8 +30,8 @@ the parsed flags; a run stopped by Ctrl-C or SIGTERM the same, with
 `status = interrupted` and `error = interrupted` or `terminated`.  Re-running
 a subcommand with the flags recorded in a manifest reproduces its data files
 byte-for-byte on the same numpy and machine, or its error (data files never
-contain timing or environment information); `fbm-check`'s data.csv also
-depends on the BLAS thread count, as its Cholesky factor does.
+contain timing or environment information), at any BLAS thread count: the
+one BLAS call, `fbm-check`'s empirical covariance product, rounds alike at each.
 
 `converge-uniform` runs the same study as `converge-grid` (the run directory
 and `command` keep the name as typed); its manifest records `slope_<family>`

@@ -27,8 +27,8 @@ from .fbm import (
     HurstParameter,
     fbm_covariance,
     holder_statistic,
-    sample_fbm_cholesky_terminals,
     sample_fbm_circulant,
+    sample_fbm_terminals,
 )
 from .malliavin import malliavin_terminal_forms
 from .model import CirParams, ConditionReport, check_moment_conditions
@@ -140,20 +140,20 @@ def _covariance_max_z(batch: np.ndarray, grid: GridSpec, hurst: HurstParameter) 
 def check_fbm_samplers(
     grid: GridSpec, hurst: HurstParameter, samples: int, base_seed: int
 ) -> tuple[SamplerCheck, ...]:
-    """Statistical validation of the Cholesky and circulant samplers on a grid.
+    """Statistical validation of the circulant sampler on a grid, against exact draws.
 
-    Paths i < samples use Cholesky and the next `samples` the circulant
-    sampler (seed base_seed + i), so the batches are independent.  Checks:
-    terminal variance z-scores, the largest covariance z-score, a two-sample
-    KS test, and the 99th-percentile Hoelder statistic under refinement.  The
-    last needs H > HOLDER_EPSILON, which `HurstParameter.holder_exponent`
-    checks before any draw.  The KS p-value of the terminal values is exact
-    for every sample size (see `_ks_pvalue_equal_sizes`; no asymptotic form
-    above 10 000 samples), and a nan terminal value makes it nan, so that
-    check fails.  The Cholesky terminal values come from
-    `sample_fbm_cholesky_terminals`, which builds no path; the covariance
-    z-scores are formed in `_ROW_NODES` row slices (`_covariance_max_z`)
-    with the bits of the unsliced form.
+    Paths i < samples are exact draws of B(T) (`sample_fbm_terminals`, T^H
+    times one normal) and the next `samples` circulant paths (seed
+    base_seed + i), so the batches are independent.  Checks: terminal
+    variance z-scores, the largest covariance z-score, a two-sample KS test
+    of the circulant terminal values against the exact draws, and the
+    99th-percentile Hoelder statistic under refinement.  The last needs H >
+    HOLDER_EPSILON, which `HurstParameter.holder_exponent` checks before any
+    draw.  The KS p-value of the terminal values is exact for every sample
+    size (see `_ks_pvalue_equal_sizes`; no asymptotic form above 10 000
+    samples), and a nan terminal value makes it nan, so that check fails.
+    The covariance z-scores are formed in `_ROW_NODES` row slices
+    (`_covariance_max_z`) with the bits of the unsliced form.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -166,18 +166,21 @@ def check_fbm_samplers(
             f"terminal variance horizon^(2H) overflows double precision at horizon "
             f"{grid.horizon:g} and H = {hurst.value}: use a smaller horizon"
         ) from None
-    chol_terminal = sample_fbm_cholesky_terminals(grid, hurst, range(base_seed, base_seed + m))
+    # The circulant batch is drawn first: its embedding refuses an fGn variance
+    # step^(2H) that underflows to 0 before any draw, and with it every
+    # horizon^(2H) that does, as step <= horizon.
     circ = sample_fbm_circulant(grid, hurst, range(base_seed + m, base_seed + 2 * m))
+    exact_terminal = sample_fbm_terminals(grid, hurst, range(base_seed, base_seed + m))
     checks = []
     se_var = terminal_var * np.sqrt(2.0 / m)
-    for name, terminal in (("cholesky", chol_terminal), ("circulant", circ[:, -1])):
+    for name, terminal in (("exact", exact_terminal), ("circulant", circ[:, -1])):
         z = float(abs(float(np.mean(terminal**2)) - terminal_var) / se_var)
         checks.append(SamplerCheck(f"{name}_terminal_variance_z", z, 5.0, z <= 5.0))
 
     max_z = _covariance_max_z(circ, grid, hurst)
     checks.append(SamplerCheck("covariance_max_z", max_z, 5.0, max_z <= 5.0))
 
-    pvalue = _ks_pvalue_equal_sizes(chol_terminal, circ[:, -1])
+    pvalue = _ks_pvalue_equal_sizes(exact_terminal, circ[:, -1])
     checks.append(SamplerCheck("cross_sampler_ks_pvalue", pvalue, 0.01, pvalue >= 0.01))
 
     quotients = []

@@ -1,15 +1,14 @@
 """Exact sampling of fractional Brownian motion (fBm) on uniform grids.
 
-Two exact samplers are provided.  A circulant-embedding sampler (Davies &
-Harte 1987; Dietrich & Newsam 1997), O(N log N) a path, builds the N+1 bins
-of a Hermitian Gaussian spectrum over the 2N embedding, takes its first N
-increments from one real-output FFT (`np.fft.irfft`) and recovers the levels
-by prefix sums.  A Cholesky factorization of the fractional-Gaussian-noise
-(fGn) covariance, O(N^3) once per call, gives the terminal value B(T) of
-each path only, as one weighted sum of its normals: it serves the
-cross-check of the two samplers, which compares terminal values.  Both
-work on the increment covariance rather than that of the levels -- it is
-Toeplitz and far better conditioned.
+One exact path sampler is provided: circulant embedding (Davies & Harte
+1987; Dietrich & Newsam 1997), O(N log N) a path, builds the N+1 bins of a
+Hermitian Gaussian spectrum over the 2N embedding, takes its first N
+increments from one real-output FFT (`np.fft.irfft`) and recovers the
+levels by prefix sums.  It works on the covariance of the
+fractional-Gaussian-noise (fGn) increments rather than that of the levels:
+it is Toeplitz and far better conditioned.  The terminal value B(T) alone
+has the law N(0, T^2H) whatever the grid, so its exact draw is T^H times
+one normal a path, which serves the cross-check of the path sampler.
 
 Randomness is frozen to NumPy's PCG64 bit generator with its ziggurat
 ``standard_normal``.  A given (grid, H, seed) triple therefore reproduces
@@ -27,7 +26,6 @@ from functools import lru_cache
 from itertools import islice
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError, UnsupportedRegimeError
 
@@ -36,7 +34,7 @@ __all__ = [
     "GridSpec",
     "fbm_covariance",
     "fgn_autocovariance",
-    "sample_fbm_cholesky_terminals",
+    "sample_fbm_terminals",
     "sample_fbm_circulant",
     "holder_statistic",
 ]
@@ -247,71 +245,42 @@ def _generators(seeds) -> Iterator[np.random.Generator]:
     return (Generator(PCG64(seed_sequence(row))) for row in words)
 
 
-# The fbm layer's one budget: a sampler's tile holds `_TILE_NODES` nodes, or one
-# row: rows of N normals in `sample_fbm_cholesky_terminals`, of 2N embedding
-# nodes in `sample_fbm_circulant` (sizes measured in ROADMAP.md, "Sampler tiles").
+# The budget of `sample_fbm_circulant`'s tiles: a tile holds `_TILE_NODES`
+# embedding nodes, 2N a row, or one row (sizes measured in ROADMAP.md,
+# "Sampler tiles").
 _TILE_NODES = 2**16
 
 
-def _cholesky_factor(steps: int, step: float, hurst: HurstParameter) -> np.ndarray:
-    """Lower Cholesky factor of the N x N Toeplitz fGn covariance gamma[|i - j|].
+def sample_fbm_terminals(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
+    """Exact fBm terminal values B(T), one per seed: T^H times the seed's first normal.
 
-    The covariance is a strided view, not an array: row i of the windows of
-    gamma[N-1], ..., gamma[1], gamma[0], ..., gamma[N-1] is gamma[|N-1-i-j|],
-    so the rows reversed give gamma[|i - j|] with no N x N index array.
+    Returns shape (paths,); any integer seed is taken mod 2^64.  B(T) has the
+    law N(0, T^2H) on any grid, so each value is the first `standard_normal`
+    of its seed's generator times T^H, a Python float taken once a call: one
+    rounding a value, which therefore has the bits of a single draw whatever
+    the other seeds are.  No path, covariance or factor is made.
     """
-    gamma = fgn_autocovariance(np.arange(steps), step, hurst)
-    if gamma[0] == 0.0:
-        raise NumericalError(
-            f"fGn variance step^(2H) underflows to 0 at step {step:g} (horizon / steps) and "
-            f"H = {hurst.value}: use a larger horizon"
-        )
-    mirrored = np.concatenate([gamma[:0:-1], gamma])
-    cov = sliding_window_view(mirrored, steps)[::-1]
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"fGn covariance factorization failed (N={steps}, H={hurst.value}): {exc}; "
-            "the matrix is positive definite in exact arithmetic, so this points "
-            "at severe rounding for these grid parameters"
-        ) from exc
-    return factor
-
-
-def sample_fbm_cholesky_terminals(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
-    """Exact fBm terminal values B(T), one per seed, from the fGn covariance's Cholesky factor.
-
-    Returns one value per seed, shape (paths,); any integer seed is taken mod
-    2^64.  A path's increments are L z, L the lower factor and z its N
-    normals, so B(T) = 1^T L z = w^T z with w = L^T 1, the factor's column
-    sums: O(N^3) for the factorization, made anew by every call, plus O(N)
-    per path, and no path is built.  The normals are drawn in tiles of
-    `_TILE_NODES // N` rows, each scaled by w in place and summed along its
-    rows by numpy's pairwise sum, so each value has the bits of a single draw
-    whatever the other seeds are.
-    """
-    weights = _cholesky_factor(grid.steps, grid.step, hurst).sum(axis=0)
-    out = np.empty(len(seeds))
-    z = np.empty((max(1, min(len(seeds), _TILE_NODES // grid.steps)), grid.steps))
-    generators = _generators(seeds)
-    for first in range(0, len(seeds), len(z)):
-        tile = z[: len(seeds) - first]
-        for row, rng in zip(tile, islice(generators, len(tile))):
-            rng.standard_normal(out=row)
-        np.multiply(tile, weights, out=tile)
-        tile.sum(axis=1, out=out[first : first + len(tile)])
-    return out
+    scale = grid.horizon**hurst.value
+    return np.fromiter((scale * rng.standard_normal() for rng in _generators(seeds)),
+                       float, len(seeds))
 
 
 def _embedding_coefficients(steps: int, step: float, hurst: HurstParameter) -> np.ndarray:
     """Each half-spectrum bin's normal scale, bins 0..N; NumericalError if the embedding is invalid.
 
-    The 2N embedding's eigenvalues lambda are real and even: bins N+1..2N-1
-    mirror N-1..1.  Bins 0 and N take sqrt(lambda / 2N), and bins 1..N-1, a
-    real and an imaginary normal each, that times sqrt(0.5).
+    An fGn variance step^(2H) that underflows to 0 is refused first: the
+    scale of the increments, step^H, is a double, so all-zero noise would be
+    wrong, not rounded.  The 2N embedding's eigenvalues lambda are real and
+    even: bins N+1..2N-1 mirror N-1..1.  Bins 0 and N take sqrt(lambda / 2N),
+    and bins 1..N-1, a real and an imaginary normal each, that times
+    sqrt(0.5).
     """
     gamma = fgn_autocovariance(np.arange(steps + 1), step, hurst)
+    if gamma[0] == 0.0:
+        raise NumericalError(
+            f"fGn variance step^(2H) underflows to 0 at step {step:g} (horizon / steps) and "
+            f"H = {hurst.value}: use a larger horizon"
+        )
     eigenvalues = np.fft.rfft(np.concatenate([gamma, gamma[1:-1][::-1]])).real
     lam_min, lam_max = eigenvalues.min(), eigenvalues.max()
     if lam_min < -EMBEDDING_EIG_TOL * lam_max:

@@ -1,7 +1,7 @@
 """Reference computations the tests judge the library against.
 
-All but `terminal_sensitivity` and `sample_fbm_cholesky` share no code with
-`fcir`:
+All but `terminal_sensitivity`, `cholesky_factor` and `sample_fbm_cholesky`
+share no code with `fcir`:
 
 - `drift`, `residuals`: the transformed drift f(x) = kappa*theta/(2x) -
   kappa*x/2 and the implicit relation of a solved path;
@@ -15,20 +15,32 @@ All but `terminal_sensitivity` and `sample_fbm_cholesky` share no code with
   to be;
 - `scipy_rescaled_kernel_integral`: the inverse-moment kernel integral in
   scipy's incomplete gamma and Kummer functions;
-- `sample_fbm_cholesky`: whole fBm paths from the fGn covariance's Cholesky
-  factor, the exact full-path reference for both samplers of `fcir.fbm`.  It
-  takes the factor, the normals and the tile budget from `fcir.fbm`
-  (`_cholesky_factor`, `_generators`, `_TILE_NODES`), looked up at each
-  call, so a test that patches them there patches this draw too.
+- `cholesky_factor`: the lower Cholesky factor of the Toeplitz fGn
+  covariance, whose column sums w give |w|^2 = T^2H, the variance of the
+  exact terminal draw;
+- `sample_fbm_cholesky`: whole fBm paths from that factor, the exact
+  full-path reference for the circulant sampler of `fcir.fbm`.  It takes the
+  normals and the tile budget from `fcir.fbm` (`_generators`,
+  `_TILE_NODES`), looked up at each call, so a test that patches them there
+  patches this draw too.
 """
 
 import math
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from fcir import CirParams, DomainError, GridSpec, HurstParameter, simulate_batch
+from fcir import (
+    CirParams,
+    DomainError,
+    GridSpec,
+    HurstParameter,
+    NumericalError,
+    fgn_autocovariance,
+    simulate_batch,
+)
 from fcir import fbm
 
 
@@ -158,6 +170,27 @@ def scipy_rescaled_kernel_integral(s: float, params: CirParams, hurst: HurstPara
     return 0.5 * (params.sigma * params.sigma) * hurst.alpha * float(integral)
 
 
+def cholesky_factor(steps: int, step: float, hurst: HurstParameter) -> np.ndarray:
+    """Lower Cholesky factor of the N x N Toeplitz fGn covariance gamma[|i - j|].
+
+    The covariance is a strided view, not an array: row i of the windows of
+    gamma[N-1], ..., gamma[1], gamma[0], ..., gamma[N-1] is gamma[|N-1-i-j|],
+    so the rows reversed give gamma[|i - j|] with no N x N index array.
+    """
+    gamma = fgn_autocovariance(np.arange(steps), step, hurst)
+    mirrored = np.concatenate([gamma[:0:-1], gamma])
+    cov = sliding_window_view(mirrored, steps)[::-1]
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"fGn covariance factorization failed (N={steps}, H={hurst.value}): {exc}; "
+            "the matrix is positive definite in exact arithmetic, so this points "
+            "at severe rounding for these grid parameters"
+        ) from exc
+    return factor
+
+
 def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndarray:
     """Exact fBm levels for every seed via Cholesky factorization of the fGn covariance.
 
@@ -168,7 +201,7 @@ def sample_fbm_cholesky(grid: GridSpec, hurst: HurstParameter, seeds) -> np.ndar
     path: each row has the bits of a single draw whatever the other seeds
     are (one matrix-matrix product would round differently).
     """
-    factor = fbm._cholesky_factor(grid.steps, grid.step, hurst)
+    factor = cholesky_factor(grid.steps, grid.step, hurst)
     out = np.zeros((len(seeds), grid.steps + 1))
     z = np.empty((max(1, min(len(seeds), fbm._TILE_NODES // grid.steps)), grid.steps))
     generators = fbm._generators(seeds)

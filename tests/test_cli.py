@@ -1038,6 +1038,11 @@ sys.exit(cli.main(["converge-grid", "--ref-exp", "6", "--coarse-exps", "2,3,4",
             ("fbm-check --horizon 1e-300 --steps-exp 3 --samples 5",
              "fGn variance step^(2H) underflows to 0 at step 1.25e-301 (horizon / steps) and "
              "H = 0.7: use a larger horizon"),
+            # the same underflow in the noise of a solved path, which is refused
+            # rather than drawn as zeros: its scale step^H, about 1e-211, is a double
+            ("simulate --horizon 1e-300 --steps-exp 3",
+             "fGn variance step^(2H) underflows to 0 at step 1.25e-301 (horizon / steps) and "
+             "H = 0.7: use a larger horizon"),
             # horizon^(2H) overflows a double, though step^(2H) does not
             ("fbm-check --horizon 1e222 --steps-exp 4 --samples 24",
              "horizon^(2H) overflows double precision at horizon 1e+222 and H = 0.7"),

@@ -574,7 +574,7 @@ class TestSamplerChecks:
     def test_records_without_the_cli(self, hurst07, tmp_path):
         checks = check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3)
         assert [c.name for c in checks] == [
-            "cholesky_terminal_variance_z",
+            "exact_terminal_variance_z",
             "circulant_terminal_variance_z",
             "covariance_max_z",
             "cross_sampler_ks_pvalue",
@@ -601,21 +601,19 @@ class TestSamplerChecks:
 
     @pytest.mark.parametrize("nodes", [1, 100, 33 * 5])
     def test_statistics_do_not_depend_on_the_row_blocks(self, monkeypatch, hurst07, nodes):
-        # one row per block, 3 rows, and 5 rows: Cholesky tiles of 32 normals
-        # a row and covariance slices of 33 nodes a row, which split the 400
-        # paths or the 33 covariance rows unevenly
+        # circulant tiles of 1, 1 and 2 rows of 64 embedding nodes, and
+        # covariance slices of 1, 3 and 5 rows of 33 nodes, which split the 33
+        # covariance rows unevenly
         expected = check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3)
         monkeypatch.setattr(fbm, "_TILE_NODES", nodes)
         monkeypatch.setattr(experiments, "_ROW_NODES", nodes)
         assert check_fbm_samplers(GridSpec(1.0, 32), hurst07, 400, 3) == expected
 
-    def test_holds_the_factor_the_batch_and_the_empirical_covariance(self, hurst07):
-        # Beyond the circulant batch it holds the factorization's two N x N
-        # buffers (its copy of the covariance and the factor), freed before the
-        # empirical covariance and row slices of 2^14 nodes are made: about 1.4
-        # (N+1)^2 doubles here.  Drawing the whole Cholesky batch, and forming
-        # the exact covariance, the spread, the differences and the z-scores
-        # over the whole matrix, holds about 8.6.
+    def test_holds_the_batch_and_the_empirical_covariance(self, hurst07):
+        # Beyond the circulant batch and the exact terminal draws it holds the
+        # empirical covariance and row slices of 2^14 nodes: about 1.1 (N+1)^2
+        # doubles here.  Forming the exact covariance, the spread, the
+        # differences and the z-scores over the whole matrix holds about 8.6.
         grid, samples = GridSpec.dyadic(1.0, 10), 200
         square_bytes = (grid.steps + 1) ** 2 * 8
         batch_bytes = samples * (grid.steps + 1) * 8
@@ -625,7 +623,7 @@ class TestSamplerChecks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * square_bytes + batch_bytes, peak / square_bytes
+        assert peak < 1.5 * square_bytes + batch_bytes, peak / square_bytes
 
     def test_first_holder_batch_is_freed_before_the_second_draw(self, monkeypatch, hurst07):
         # The Hoelder check draws 100 paths at N steps, then 100 at 2N.  A
@@ -648,12 +646,23 @@ class TestSamplerChecks:
         grown = traced_at_entry[2 * grid.steps] - traced_at_entry[grid.steps]
         assert grown < 100_000, grown
 
+    @pytest.mark.parametrize("steps", [1, 8])
+    def test_underflowing_variance_refused_before_any_draw(self, monkeypatch, hurst07, steps):
+        # horizon^(2H) underflows to 0, and with it step^(2H): the circulant
+        # embedding refuses it before the exact terminal values are drawn
+        def no_draws(*args):
+            raise AssertionError("drew exact terminal values of zero variance")
+
+        monkeypatch.setattr(experiments, "sample_fbm_terminals", no_draws)
+        with pytest.raises(NumericalError, match=r"^fGn variance step\^\(2H\) underflows to 0"):
+            check_fbm_samplers(GridSpec(1e-300, steps), hurst07, 5, 3)
+
     @pytest.mark.parametrize("hurst", [0.05, 0.1])
     def test_holder_exponent_refused_before_any_draw(self, monkeypatch, hurst):
         def no_draws(*args):
             raise AssertionError("sampled noise for H <= 0.1")
 
-        for name in ("sample_fbm_cholesky_terminals", "sample_fbm_circulant"):
+        for name in ("sample_fbm_terminals", "sample_fbm_circulant"):
             monkeypatch.setattr(experiments, name, no_draws)
         with pytest.raises(DomainError, match=rf"needs H > 0\.1, got H = {hurst}:"):
             check_fbm_samplers(GridSpec(1.0, 8), HurstParameter(hurst), 4, 3)

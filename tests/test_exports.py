@@ -95,6 +95,22 @@ def test_no_module_imports_scipy():
     assert [entry for entry in imported if entry[1].split(".")[0] == "scipy"] == []
 
 
+def test_no_module_calls_linalg():
+    # LAPACK rounds by the BLAS thread count, so no run may depend on it: the
+    # exact terminal values need no factor, and tests/oracles.py holds the one
+    # Cholesky factor, with the strided covariance view it is taken of
+    named = []
+    for path in sorted(Path(fcir.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                named.append((path.stem, ast.unparse(node)))
+            elif isinstance(node, ast.ImportFrom):
+                named += [(path.stem, f"{node.module}.{alias.name}") for alias in node.names
+                          if "linalg" in f"{node.module}.{alias.name}"
+                          or alias.name == "sliding_window_view"]
+    assert named == []
+
+
 def test_modules_import_no_private_name_of_another():
     # a `_` name belongs to its module; dunders such as __version__ are public
     private = []

@@ -21,14 +21,14 @@ from fcir import (
     fgn_autocovariance,
     holder_statistic,
     malliavin_terminal_forms,
-    sample_fbm_cholesky_terminals,
     sample_fbm_circulant,
+    sample_fbm_terminals,
     simulate_batch,
 )
 from fcir import experiments
 from fcir import fbm as fbm_module
-from fcir.fbm import _cholesky_factor, _embedding_coefficients, _generators
-from oracles import sample_fbm_cholesky
+from fcir.fbm import _embedding_coefficients, _generators, _seed_words
+from oracles import cholesky_factor, sample_fbm_cholesky
 
 H06, H07 = HurstParameter(0.6), HurstParameter(0.7)
 
@@ -52,7 +52,7 @@ def circulant_oracle(grid, hurst, seed):
 
 def cholesky_oracle(grid, hurst, seed):
     """One Cholesky draw: the factor times the path's normals, then prefix sums."""
-    factor = _cholesky_factor(grid.steps, grid.step, hurst)
+    factor = cholesky_factor(grid.steps, grid.step, hurst)
     increments = factor @ reference_rng(seed).standard_normal(grid.steps)
     return np.concatenate([[0.0], np.cumsum(increments)])
 
@@ -248,76 +248,68 @@ class TestCholeskySampler:
         # of the covariance gathered through an N x N index array
         lags = np.arange(steps)
         gamma = fgn_autocovariance(lags, 1.0 / steps, H07)
-        factor = _cholesky_factor(steps, 1.0 / steps, H07)
+        factor = cholesky_factor(steps, 1.0 / steps, H07)
         assert np.array_equal(factor, np.linalg.cholesky(gamma[np.abs(lags[:, None] - lags)]))
 
 
-class TestCholeskyTerminals:
+class TestExactTerminals:
     def test_same_seed_bit_identical(self):
         grid = GridSpec(1.0, 128)
-        a = sample_fbm_cholesky_terminals(grid, H07, [12345, 12345])
-        b = sample_fbm_cholesky_terminals(grid, H07, [12345])
+        a = sample_fbm_terminals(grid, H07, [12345, 12345])
+        b = sample_fbm_terminals(grid, H07, [12345])
         assert a.shape == (2,) and b.shape == (1,)
         assert a[0] == b[0] and a[1] == b[0]
 
     def test_seed_wraps_at_64_bits(self):
         grid = GridSpec(1.0, 8)
-        wrapped = sample_fbm_cholesky_terminals(grid, H07, [-1])
-        assert np.array_equal(wrapped, sample_fbm_cholesky_terminals(grid, H07, [2**64 - 1]))
+        wrapped = sample_fbm_terminals(grid, H07, [-1])
+        assert np.array_equal(wrapped, sample_fbm_terminals(grid, H07, [2**64 - 1]))
 
     @pytest.mark.parametrize("steps", [1, 2, 256])
-    def test_block_matches_single_paths(self, monkeypatch, steps):
-        # the seeds of the full-path test, in one tile of the default budget,
-        # then in tiles of 1, 2 and 3 rows
+    def test_block_matches_single_paths(self, steps):
+        # the seeds of the full-path test; the grid's step count changes no value
         grid, hurst = GridSpec(1.0, steps), HurstParameter(0.7)
         seeds = [5, 2**64 - 1, 0, 17, 3]
-        for tile_rows in (None, 1, 2, 3):
-            if tile_rows is not None:
-                monkeypatch.setattr(fbm_module, "_TILE_NODES", tile_rows * steps)
-            block = sample_fbm_cholesky_terminals(grid, hurst, seeds)
-            assert block.shape == (len(seeds),)
-            for value, seed in zip(block, seeds):
-                assert value == sample_fbm_cholesky_terminals(grid, hurst, [seed])[0]
+        block = sample_fbm_terminals(grid, hurst, seeds)
+        assert block.shape == (len(seeds),)
+        for value, seed in zip(block, seeds):
+            assert value == sample_fbm_terminals(grid, hurst, [seed])[0]
+        assert np.array_equal(block, sample_fbm_terminals(GridSpec(1.0, 3), hurst, seeds))
 
-    @pytest.mark.parametrize(
-        "steps, H", [(1, 0.7), (2, 0.95), (256, 0.55), (256, 0.7), (256, 0.95), (2**11, 0.55)]
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        H=st.floats(0.01, 0.99),
+        horizon=st.floats(1e-300, 1e300),
+        seed=st.integers(-(2**66), 2**66),
     )
-    def test_matches_the_full_path_terminal_column(self, steps, H):
-        # w^T z and the last prefix sum of L z are two roundings of one sum:
-        # at most 5.6e-15 T^H apart here, at 2^11 steps and H = 0.55
-        grid, hurst = GridSpec(3.0, steps), HurstParameter(H)
-        seeds = range(40, 80)
-        expected = sample_fbm_cholesky(grid, hurst, seeds)[:, -1]
-        values = sample_fbm_cholesky_terminals(grid, hurst, seeds)
-        assert np.abs(values - expected).max() <= 1e-13 * grid.horizon**H
+    @example(H=0.7, horizon=1.0, seed=2**64 - 1)
+    def test_each_value_is_the_scaled_first_normal(self, H, horizon, seed):
+        # one Python float product: T^H, then times the seed's first normal
+        grid = GridSpec(horizon, 8)
+        (value,) = sample_fbm_terminals(grid, HurstParameter(H), [seed])
+        assert value == horizon**H * reference_rng(seed).standard_normal()
 
-    def test_refusals_of_the_factor(self, monkeypatch):
-        # step^(2H) underflows at this horizon, so the covariance is all zeros
-        with pytest.raises(NumericalError, match=r"^fGn variance step\^\(2H\) underflows to 0"):
-            sample_fbm_cholesky_terminals(GridSpec(1e-300, 8), H07, [1])
+    def test_no_seeds_no_values(self):
+        assert sample_fbm_terminals(GridSpec(1.0, 8), H07, []).shape == (0,)
 
-        def explode(matrix):
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", explode)
-        with pytest.raises(NumericalError, match="factorization failed"):
-            sample_fbm_cholesky_terminals(GridSpec(1.0, 8), H07, [1])
-
-    def test_holds_the_factorization_one_tile_and_the_values(self):
-        # The factorization holds its copy of the covariance and the factor,
-        # 2 N^2 doubles, freed before the tile is made; then one tile of
-        # 2^16 normals and the values.  A draw on a small grid first loads
-        # numpy.random, so only the draw is traced.
+    def test_holds_the_values_and_the_seed_hash_alone(self):
+        # Beyond the hash of the block's seeds (`_seed_words`, about 200 bytes a
+        # seed at its peak) the draw holds its values and one generator at a
+        # time: no tile of normals, no path and no covariance.  A draw on a
+        # small grid first loads numpy.random, so only the draw is traced.
         grid, samples = GridSpec(1.0, 2**8), 2000
-        sample_fbm_cholesky_terminals(GridSpec(1.0, 2), H07, [3])
-        tracemalloc.start()
-        try:
-            sample_fbm_cholesky_terminals(grid, H07, range(samples))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        bound = 8 * (2 * grid.steps**2 + fbm_module._TILE_NODES + samples)
-        assert peak < bound, (peak, bound)
+        sample_fbm_terminals(GridSpec(1.0, 2), H07, [3])
+        peaks = []
+        for work in (lambda: _seed_words(range(samples)),
+                     lambda: sample_fbm_terminals(grid, H07, range(samples))):
+            tracemalloc.start()
+            try:
+                work()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        hashed, drawn = peaks
+        assert drawn < hashed + 8 * samples + 2**12, (drawn, hashed)
 
 
 class TestCirculantSampler:
@@ -456,6 +448,16 @@ class TestCirculantSampler:
         with pytest.raises(NumericalError, match=self._INVALID_EMBEDDING):
             sample_fbm_circulant(grid, hurst, [1])
 
+    def test_underflowing_fgn_variance_raises(self):
+        # step^(2H) underflows to 0 at this horizon, though the increments'
+        # scale step^H, about 1e-211, is a double: all-zero noise is refused
+        expected = (r"^fGn variance step\^\(2H\) underflows to 0 at step 1\.25e-301 "
+                    r"\(horizon / steps\) and H = 0\.7: use a larger horizon$")
+        with pytest.raises(NumericalError, match=expected):
+            _embedding_coefficients(8, 1.25e-301, H07)
+        with pytest.raises(NumericalError, match=expected):
+            sample_fbm_circulant(GridSpec(1e-300, 8), H07, [1])
+
     def test_block_invalid_embedding_raises(self):
         # 2^45 seeds cannot be sized, so the sampler must check the embedding
         # before it allocates
@@ -520,13 +522,12 @@ class TestExactLaw:
 
     @pytest.mark.parametrize("steps", [2**4, 2**8])
     @pytest.mark.parametrize("H", [0.55, 0.7, 0.95])
-    def test_terminal_weights_give_the_terminal_variance(self, monkeypatch, H, steps):
-        # fed e_j, path j's terminal value is w_j, the factor's column sum j,
-        # so the draw's law is N(0, |w|^2) and |w|^2 must be T^2H
+    def test_terminal_weights_give_the_terminal_variance(self, H, steps):
+        # a full path's terminal value is 1^T L z = w^T z, w the factor's column
+        # sums, so B(T) is N(0, |w|^2) on any grid: |w|^2 = T^2H is why one
+        # normal scaled by T^H (`sample_fbm_terminals`) draws the exact law
         grid, hurst = GridSpec(1.0, steps), HurstParameter(H)
-        weights = _cholesky_factor(steps, grid.step, hurst).sum(axis=0)
-        monkeypatch.setattr(fbm_module, "_generators", lambda seeds: map(UnitNormals, seeds))
-        assert np.array_equal(sample_fbm_cholesky_terminals(grid, hurst, range(steps)), weights)
+        weights = cholesky_factor(steps, grid.step, hurst).sum(axis=0)
         assert abs(weights @ weights - grid.horizon ** (2.0 * H)) < LAW_BOUND
 
     def test_one_bin_mutant_breaks_the_bound(self, monkeypatch):

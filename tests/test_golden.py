@@ -6,11 +6,13 @@ below.  The frozen PCG64 variates make the bytes stable per platform only, so
 the table is keyed by (numpy version, machine); no data file depends on
 scipy, which fcir does not import.  On any other key the cases skip and name
 the key.  The key does not hold everything the bytes depend on: `fbm-check`'s
-data.csv also depends on the thread count of the BLAS behind numpy, whose
-Cholesky factor differs between OPENBLAS_NUM_THREADS=1 and 2, so its cases
-hold only at the thread count the table was computed with (the default on
-a 2-CPU machine).  A digest changes only with an output change, which CHANGES.md
-records together with its reason.
+data.csv also depends on the kernels of the BLAS behind numpy, through its
+one BLAS call, the empirical covariance product: under
+OPENBLAS_CORETYPE=Haswell on an AVX-512 machine the default `fbm-check`
+case writes another data.csv.  The BLAS thread count changes no byte, which
+`test_blas_thread_count_changes_no_data_byte` checks.  A digest changes
+only with an output change, which CHANGES.md records together with its
+reason.
 `python3 tools/golden_bytes.py --digests SRC` prints the table entry for the
 current key, computed on the tree SRC, and `python3 tools/golden_bytes.py
 PARENT_SRC CHANGE_SRC` runs every case on two trees and compares their data
@@ -19,6 +21,7 @@ bytes and manifests.
 
 import hashlib
 import importlib.util
+import os
 import platform
 import shlex
 import subprocess
@@ -48,10 +51,9 @@ CASES = (
     "simulate --steps-exp 5 --horizon 0.3",
     # a short-memory circulant embedding
     "fbm-check --hurst 0.3 --steps-exp 10 --samples 200",
-    # the smallest Cholesky and Hoelder blocks: 3 paths of 2 steps
+    # the smallest exact-draw and Hoelder blocks: 3 paths of 2 steps
     "fbm-check --steps-exp 1 --samples 3",
-    # a Cholesky terminal variance whose last digits the weighted sum w^T z
-    # rounds otherwise than the last prefix sum of the whole path (fcir 0.11.0)
+    # 200 exact terminal draws and circulant paths at another seed, on 2^4 steps
     "fbm-check --steps-exp 4 --samples 200 --seed 2",
     # nodes that are not dyadic fractions of 1
     "converge-uniform --horizon 0.3",
@@ -91,7 +93,7 @@ _DEFAULTS = {
         "data.csv": "0ed947e5c766ecb8143c6f0ba85d182272033c9aa0ffbba1f265174c511d8630",
     },
     "fbm-check": {
-        "data.csv": "0e156cc41263f8bb21a39dbad1bc63dcfe12b9a77876241bf4f3410a21321bf1",
+        "data.csv": "58f54ff3f2f906c3e07efc33ca2fefb3e76299947b9bf1f183d9c9184dae21c0",
         "sample_path.csv": "03cac62f5d7416eac4bbf289d57fc3450df0463fc592110988ab2177931af75f",
     },
     "converge-grid": {"data.csv": _CONVERGENCE},
@@ -122,15 +124,15 @@ DIGESTS = {
             "data.csv": "129f22f4ceb746cee2678ef59c3919ae901bdac734a1bb53ac9117f48bfaef48",
         },
         "fbm-check --hurst 0.3 --steps-exp 10 --samples 200": {
-            "data.csv": "d83d7599fb1c0d11c991569fa893a3c907b05dde635e2657775f85a4660279f8",
+            "data.csv": "3bcddacf96b9a1dabdd55e8b47b2893002adb6f121686b9266d7d6d4120b5857",
             "sample_path.csv": "8c0d5b465798c789f93c8352ecb52888627d0509f9ed20e06127a7dd50249a94",
         },
         "fbm-check --steps-exp 1 --samples 3": {
-            "data.csv": "9162f5ac3bc5e43bd735ed2ac97204eb310bd8bd678b0eb3b6459948121e0776",
+            "data.csv": "130d455e888507128d46b2de08cf505db040091650e26c86b09c171ba9874c42",
             "sample_path.csv": "c2011fdf901c329bb972919844eeb4e146a54b1c5cd36f09190b00cd2dec606f",
         },
         "fbm-check --steps-exp 4 --samples 200 --seed 2": {
-            "data.csv": "e4b94713cbeb630a1822e1eeb2befdb33278bc36c3cb90affdb7361e685f2f63",
+            "data.csv": "d03812ebc4b986c1c40becb86535fdb67a7c7b1c5d6a9fe60619b6a79311aa59",
             "sample_path.csv": "a7c8fe9c6f03be26914274c33c3e48db91a0cab962fb49f267f203c68364a811",
         },
         "converge-uniform --horizon 0.3": {
@@ -149,7 +151,7 @@ DIGESTS = {
             "data.csv": "af4bc3e6143242e92af5cf205c40683080f6f0bf547303cae3ec11cab5cd2adf",
         },
         "fbm-check --steps-exp 1 --samples 3 --seed 18446744073709551614": {
-            "data.csv": "a874cea2ee11658ff0505cc025a3cc24723084d4a2755e99cb8bed89e149d347",
+            "data.csv": "2a1b18da6cfb7ffc741a952f7a8fc3d9f1ca9e6151f196da798ca8bc478d1eee",
             "sample_path.csv": "7a5912185c8369db9360e3a6a601ac8116aed431df4315a9ed4c852deb223823",
         },
         "converge-grid --ref-exp 6 --coarse-exps 2,3,4 --samples 4 --seed 4294967294": {
@@ -208,6 +210,23 @@ def test_default_data_files_byte_identical(tmp_path, digests, case):
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_split_study_byte_identical(tmp_path, digests, case):
     assert data_digests(case, tmp_path) == digests[case]
+
+
+def test_blas_thread_count_changes_no_data_byte(tmp_path):
+    # fbm-check's one BLAS call, the empirical covariance's matrix product,
+    # rounds alike at one thread and at two; a fresh interpreter reads the count
+    src = str(Path(fcir.__file__).resolve().parents[1])
+    argv = "fbm-check --hurst 0.3 --steps-exp 10 --samples 200 --workers 1".split()
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "fcir", *argv, "--out", str(out)], env=env,
+                       check=True, capture_output=True, timeout=120)
+        (run_dir,) = out.iterdir()
+        files.append({path.name: path.read_bytes() for path in run_dir.glob("*.csv")})
+    assert sorted(files[0]) == ["data.csv", "sample_path.csv"]
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("cases", [["simulate"], ["check-conditions --p 0"] * 2])

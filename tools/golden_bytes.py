@@ -45,8 +45,8 @@ TESTS = Path(__file__).resolve().parents[1] / "tests"
 # Cases compared between two trees but kept out of the digest table: larger
 # runs whose bytes guard a change of layout, not of output.
 EXTRA_CASES = (
-    # fbm-check's Cholesky draws in several tiles and covariance z-scores in
-    # several row slices: 7 tiles and 293 slices at 2^11 steps, 24 and 17 at 2^9
+    # fbm-check's circulant batch in several tiles and covariance z-scores in
+    # several row slices: 13 tiles and 293 slices at 2^11 steps, 47 and 17 at 2^9
     "fbm-check --steps-exp 11 --samples 200",
     "fbm-check --hurst 0.55 --steps-exp 9 --samples 3000",
     # circulant tiles of 4, 4 and 1 rows at 2^13 steps, and 3 tiles of 1 row at 2^15
